@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -331,20 +330,6 @@ class BatchExecutor:
         finally:
             gc.enable()
 
-    @contextmanager
-    def _seed_lock(self):
-        previous = getattr(self.engine, "seed_lock", None)
-        if previous is not None:
-            # A long-lived lock is already installed; keep it so every
-            # concurrent batch serializes entry walks through one lock.
-            yield
-            return
-        self.engine.seed_lock = threading.Lock()
-        try:
-            yield
-        finally:
-            self.engine.seed_lock = previous
-
     # -- batch entry points ------------------------------------------------
 
     def search_batch(
@@ -483,9 +468,8 @@ class BatchExecutor:
     # -- fan-out backends --------------------------------------------------
 
     def _run_threads(self, one, count: int) -> list:
-        with self._seed_lock():
-            with ThreadPoolExecutor(max_workers=self.spec.workers) as pool:
-                return list(pool.map(one, range(count)))
+        with ThreadPoolExecutor(max_workers=self.spec.workers) as pool:
+            return list(pool.map(one, range(count)))
 
     def _run_processes(self, worker, tasks: list, queries, tables) -> list:
         """Run a process pool over index positions.

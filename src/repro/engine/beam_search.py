@@ -10,8 +10,6 @@ distance.  A hot-vertex cache can serve targets without disk I/O.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..quantization.pq import ProductQuantizer
@@ -134,17 +132,11 @@ class BeamSearchEngine:
                 table = self.pq.lookup_table(query)
         else:
             table = None
-        # The navigation walk mutates provider state (``last_trace``), so the
-        # walk and its readback form one critical section when the batched
-        # executor's thread mode installs ``seed_lock``.
-        with getattr(self, "seed_lock", None) or nullcontext():
-            entries = self.entry_provider.entry_points(
-                query, self.num_entry_points
-            )
-            trace = getattr(self.entry_provider, "last_trace", None)
-        if trace is not None:
-            # The navigation-graph walk is in-memory compute, not I/O.
-            stats.exact_distances += trace.distance_computations
+        entries, walk_distances = self.entry_provider.entry_walk(
+            query, self.num_entry_points
+        )
+        # The navigation-graph walk is in-memory compute, not I/O.
+        stats.exact_distances += walk_distances
         candidates = CandidateSet(
             candidate_size,
             track_kicked=True,

@@ -17,7 +17,6 @@ their simulated latency overlaps T_io with T_comp (see
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -143,6 +142,7 @@ class BlockSearchEngine:
         stats: QueryStats,
         *,
         table: np.ndarray | None = None,
+        walk: tuple[np.ndarray, int] | None = None,
     ) -> tuple[CandidateSet, ResultSet, np.ndarray | None]:
         if self.use_pq_routing:
             # A precomputed ADC table (from the batched executor's shared
@@ -151,16 +151,15 @@ class BlockSearchEngine:
                 table = self.pq.lookup_table(query)
         else:
             table = None
-        # The navigation walk mutates provider state (``last_trace``), so the
-        # walk and its readback form one critical section when the batched
-        # executor's thread mode installs ``seed_lock``.
-        with getattr(self, "seed_lock", None) or nullcontext():
-            entries = self.entry_provider.entry_points(
+        # Likewise a precomputed entry walk (the wave engine's lockstep
+        # round 0): ``(entry ids, distance computations)``.
+        if walk is None:
+            walk = self.entry_provider.entry_walk(
                 query, self.num_entry_points
             )
-            trace = getattr(self.entry_provider, "last_trace", None)
-        if trace is not None:
-            stats.exact_distances += trace.distance_computations
+        entries, walk_distances = walk
+        # The navigation-graph walk is in-memory compute, not I/O.
+        stats.exact_distances += walk_distances
         candidates = CandidateSet(
             candidate_size,
             track_kicked=True,

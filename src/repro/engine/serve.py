@@ -673,7 +673,6 @@ class SearchService:
                 engine, graph,
                 graph.decode_cache, graph.decode_mode,
                 getattr(engine, "arena_pool", None),
-                getattr(engine, "seed_lock", None),
             ))
             if self.spec.decode_cache_blocks and graph.decode_cache is None:
                 graph.decode_cache = DecodeCache(self.spec.decode_cache_blocks)
@@ -682,16 +681,13 @@ class SearchService:
                 from .arena import ArenaPool
 
                 engine.arena_pool = ArenaPool()
-            if getattr(engine, "seed_lock", None) is None:
-                engine.seed_lock = threading.Lock()
         return saved
 
     def _uninstall_plane(self, saved: list[tuple]) -> None:
-        for engine, graph, cache, mode, pool, lock in saved:
+        for engine, graph, cache, mode, pool in saved:
             graph.decode_cache = cache
             graph.decode_mode = mode
             engine.arena_pool = pool
-            engine.seed_lock = lock
 
     # -- virtual-clock front end -------------------------------------------
 

@@ -22,6 +22,11 @@ lockstep rounds.  Per round it
    expansion through the exact round primitives of
    :class:`~repro.engine.block_search.BlockSearchEngine`.
 
+Before the first round ("round 0") the wave's entry points come from one
+:meth:`~repro.graphs.navigation.NavigationGraph.entry_points_batch` call,
+which walks the navigation graph for every query in lockstep through the
+index builders' :func:`~repro.graphs.wavebuild.wave_greedy_search` kernel.
+
 Lockstep is scheduling, not semantics (the ``wavebuild`` contract): each
 query's candidate set, result set, stopper, and counters evolve exactly as
 in its own serial :meth:`BlockSearchEngine.search` call, and queries finish
@@ -217,16 +222,21 @@ class WaveSearchEngine:
         read_blocks = dg.read_blocks
         fused_l2 = metric.name == "l2"
 
-        # Seeding is pure per-query work (the navigation walk touches no
-        # device and its trace state is read back within the call), so
-        # seeding the wave up front is invisible to each query.
+        # Round 0 — seeding is pure per-query work (the navigation walk
+        # touches no device), so the whole wave walks the navigation graph
+        # in lockstep up front; each row is the query's own scalar walk.
+        queries = np.asarray(queries, dtype=np.float32)
+        entry_ids, walk_distances = eng.entry_provider.entry_points_batch(
+            queries, eng.num_entry_points
+        )
+        walk_distances = walk_distances.tolist()
         states: list[_QueryState] = []
-        for i, query in enumerate(queries):
-            q = np.asarray(query, dtype=np.float32)
+        for i, q in enumerate(queries):
             stats = QueryStats(pipelined=eng.pipeline)
             table = tables[i] if tables is not None else None
             candidates, results, table = eng._seed(
-                q, candidate_size, stats, table=table
+                q, candidate_size, stats, table=table,
+                walk=(entry_ids[i], walk_distances[i]),
             )
             stopper = stoppers[i] if stoppers is not None else None
             if stopper is None:

@@ -69,14 +69,18 @@ class HNSWIndex:
         """Layer-0 graph — what Starling-HNSW stores on disk."""
         return self.layers[0]
 
-    def descend_entry_point(self, query: np.ndarray, *, to_level: int = 0) -> int:
+    def descend(
+        self, query: np.ndarray, *, to_level: int = 0
+    ) -> tuple[int, int]:
         """Greedy descent through the upper layers, ef=1 per layer.
 
-        Returns the entry point for a search at ``to_level`` — the HNSW-native
-        form of the navigation graph's "query-aware dynamic entry point".
+        Returns ``(entry point, distance computations)`` for a search at
+        ``to_level`` — the HNSW-native form of the navigation graph's
+        "query-aware dynamic entry point", and what finding it cost.
         """
         ep = self.entry_point
         d_ep = self.metric.distance(query, self.vectors[ep])
+        scored = 1
         for level in range(self.max_level, to_level, -1):
             improved = True
             while improved:
@@ -84,10 +88,15 @@ class HNSWIndex:
                 for v in self.layers[level].neighbors(ep):
                     v = int(v)
                     d = self.metric.distance(query, self.vectors[v])
+                    scored += 1
                     if d < d_ep:
                         ep, d_ep = v, d
                         improved = True
-        return ep
+        return ep, scored
+
+    def descend_entry_point(self, query: np.ndarray, *, to_level: int = 0) -> int:
+        """The entry point of :meth:`descend` alone."""
+        return self.descend(query, to_level=to_level)[0]
 
     def search(self, query: np.ndarray, k: int, ef: int) -> tuple[np.ndarray, np.ndarray]:
         """Full in-memory ANN search (descend, then beam on layer 0)."""

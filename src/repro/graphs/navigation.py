@@ -7,7 +7,10 @@ The baseline (DiskANN) instead starts from a fixed medoid; HNSW's upper
 layers provide a third, multi-layered variant (§7, In-memory graph).
 
 All three implement the same provider protocol so the disk search engines are
-agnostic to how entry points are produced.
+agnostic to how entry points are produced.  A provider defines one method,
+``entry_walk``, which returns the entry ids *and* the number of distances it
+computed, so the engines charge the walk to ``QueryStats.exact_distances``
+from the return value instead of reading provider state back.
 """
 
 from __future__ import annotations
@@ -22,13 +25,34 @@ from .hnsw import HNSWIndex, HNSWParams, build_hnsw
 from .nsg import NSGParams, build_nsg
 from .search import greedy_search
 from .vamana import VamanaParams, build_vamana
+from .wavebuild import wave_greedy_search
+
+#: Narrowest wave that takes the lockstep walk.  The scalar walk costs the
+#: same per query at any width; the lockstep kernel's per-round numpy
+#: dispatch is shared by the wave, so its cost per query falls with the
+#: width.  Measured (docs/PERFORMANCE.md, "Round 0"), they cross at width
+#: ≈ 8 on 150–300-sample graphs and ≈ 16 on a 30-sample one; 16 is the
+#: width from which lockstep never lost.
+LOCKSTEP_MIN_WAVE = 16
 
 
 class EntryPointProvider(Protocol):
     """Anything that can seed a disk-graph search with entry points."""
 
+    def entry_walk(self, query: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+        """``(ids, distance_computations)``: global vertex IDs to start the
+        disk search from, and the distances computed to find them."""
+        ...
+
     def entry_points(self, query: np.ndarray, count: int) -> np.ndarray:
-        """Global vertex IDs to start the disk search from."""
+        """The ids of :meth:`entry_walk` alone."""
+        ...
+
+    def entry_points_batch(
+        self, queries: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`entry_walk` for every row of ``queries``:
+        ``(ids[B, count], distance_computations[B])``."""
         ...
 
     @property
@@ -37,21 +61,40 @@ class EntryPointProvider(Protocol):
         ...
 
 
-class FixedEntryPoint:
+class _WalkProvider:
+    """The provider protocol in terms of ``entry_walk``."""
+
+    def entry_points(self, query: np.ndarray, count: int) -> np.ndarray:
+        return self.entry_walk(query, count)[0]
+
+    def entry_points_batch(
+        self, queries: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        walks = [self.entry_walk(q, count) for q in queries]
+        # Every query explores from the same entry, so a provider that comes
+        # up short (fewer reachable vertices than ``count``) does so by the
+        # same amount on every row.
+        return (
+            np.stack([ids for ids, _ in walks]),
+            np.asarray([scored for _, scored in walks], dtype=np.int64),
+        )
+
+
+class FixedEntryPoint(_WalkProvider):
     """The baseline strategy: always start from one fixed vertex (medoid)."""
 
     def __init__(self, vertex_id: int) -> None:
         self.vertex_id = vertex_id
 
-    def entry_points(self, query: np.ndarray, count: int) -> np.ndarray:
-        return np.asarray([self.vertex_id], dtype=np.int64)
+    def entry_walk(self, query: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+        return np.asarray([self.vertex_id], dtype=np.int64), 0
 
     @property
     def memory_bytes(self) -> int:
         return 8
 
 
-class NavigationGraph:
+class NavigationGraph(_WalkProvider):
     """Sampled in-memory graph returning query-aware dynamic entry points."""
 
     def __init__(
@@ -72,13 +115,46 @@ class NavigationGraph:
         self.search_ef = search_ef
         self.last_trace = None
 
-    def entry_points(self, query: np.ndarray, count: int) -> np.ndarray:
+    def entry_walk(self, query: np.ndarray, count: int) -> tuple[np.ndarray, int]:
         ids, _, trace = greedy_search(
             self.graph, self.sample_vectors, self.metric, query,
             [self.entry], max(self.search_ef, count), count,
         )
         self.last_trace = trace
-        return self.sample_ids[ids]
+        return self.sample_ids[ids], trace.distance_computations
+
+    def entry_points_batch(
+        self, queries: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Walk a whole wave of queries in lockstep.
+
+        Row ``i`` equals ``entry_walk(queries[i], count)`` bit for bit.  The
+        wave runs through the index builders' multi-query kernel; narrow
+        waves (below :data:`LOCKSTEP_MIN_WAVE`) and IP waves take the scalar
+        walk — the scalar IP kernel is BLAS ``base @ q``, which the
+        lockstep kernel's row-paired einsum does not reproduce bit for bit
+        — and so does any row the kernel reports as tied.  The kernel's
+        visited plane is per-call scratch of ``len(queries) × num_samples``
+        bytes; nothing derived is cached on the graph.
+        """
+        queries = np.asarray(queries, dtype=np.float32)
+        if len(queries) < LOCKSTEP_MIN_WAVE or self.metric.name != "l2":
+            return super().entry_points_batch(queries, count)
+        _, pool = wave_greedy_search(
+            self.graph.neighbor_lists(), self.sample_vectors, self.metric,
+            queries, [self.entry], max(self.search_ef, count),
+            as_matrix=True, with_pool=True,
+        )
+        # A graph with fewer reachable samples than ``count`` leaves -1
+        # padding in the pool; trim it (by the same amount on every row)
+        # before it can index ``sample_ids``.
+        local = pool.ids[:, :count]
+        local = local[:, : int((local[0] >= 0).sum())]
+        ids = self.sample_ids[local]
+        scored = pool.scored
+        for i in np.flatnonzero(pool.tied):
+            ids[i], scored[i] = self.entry_walk(queries[i], count)
+        return ids, scored
 
     @property
     def num_samples(self) -> int:
@@ -91,7 +167,7 @@ class NavigationGraph:
         return self.sample_vectors.nbytes + edge_bytes + self.sample_ids.nbytes
 
 
-class HNSWUpperLayers:
+class HNSWUpperLayers(_WalkProvider):
     """HNSW's upper layers as a multi-layered navigation structure (§6.7).
 
     Used by Starling-HNSW: the layer-0 graph lives on disk, the higher layers
@@ -101,9 +177,9 @@ class HNSWUpperLayers:
     def __init__(self, index: HNSWIndex) -> None:
         self.index = index
 
-    def entry_points(self, query: np.ndarray, count: int) -> np.ndarray:
-        ep = self.index.descend_entry_point(query)
-        return np.asarray([ep], dtype=np.int64)
+    def entry_walk(self, query: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+        ep, scored = self.index.descend(query)
+        return np.asarray([ep], dtype=np.int64), scored
 
     @property
     def memory_bytes(self) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,29 @@ from .nsg import NSGParams, _ensure_connectivity
 from .vamana import VamanaParams, medoid
 
 
+class WavePool(NamedTuple):
+    """Where each query of a lockstep wave stopped.
+
+    Attributes:
+        ids: ``(num_queries, ef)`` final pools in ascending distance, padded
+            with -1 where fewer than ``ef`` vertices were reachable.
+        dists: The matching distances (``inf`` padding).
+        scored: ``(num_queries,)`` vertices whose distance was computed —
+            the serial search's ``SearchTrace.distance_computations``.
+        tied: ``(num_queries,)`` rows where some merge saw two equal
+            distances among the kept pool plus the first entry it dropped.
+            The serial heaps break such ties by id and by arrival order,
+            the stable merge here by position, so a tied row may differ
+            from :func:`~repro.graphs.search.greedy_search`; an untied
+            row's pool, ``scored`` and visited set equal it bit for bit.
+    """
+
+    ids: np.ndarray
+    dists: np.ndarray
+    scored: np.ndarray
+    tied: np.ndarray
+
+
 def wave_greedy_search(
     neighbor_lists,
     vectors: np.ndarray,
@@ -55,7 +78,8 @@ def wave_greedy_search(
     ef: int,
     *,
     as_matrix: bool = False,
-) -> list[np.ndarray] | np.ndarray:
+    with_pool: bool = False,
+):
     """Run a wave of greedy searches in lockstep; returns visited sets.
 
     Per query this is exactly :func:`~repro.graphs.search.greedy_search`
@@ -68,7 +92,10 @@ def wave_greedy_search(
     ``neighbor_lists`` is anything indexable by vertex id that returns the
     id array of out-neighbours (a list of arrays, or a dense-matrix view).
     Returns one sorted ``int64`` array of visited vertex ids per query, or
-    the raw ``(num_queries, n)`` visited mask when ``as_matrix`` is set.
+    the raw ``(num_queries, n)`` visited mask when ``as_matrix`` is set;
+    with ``with_pool`` the result is ``(visited, WavePool)`` — the index
+    builders consume the visited sets, the navigation graph's batch entry
+    walk the pools.
     """
     if ef <= 0:
         raise ValueError("ef must be positive")
@@ -92,6 +119,10 @@ def wave_greedy_search(
         pool_ids[:, j] = e
         pool_d[:, j] = metric.rowwise(q, np.broadcast_to(vectors[e], q.shape))
         pool_exp[:, j] = False
+    tied = np.zeros(num_queries, dtype=bool)
+    if with_pool and len(entries) > 1:
+        seeds = np.sort(pool_d[:, : len(entries)], axis=1)
+        tied |= (seeds[:, 1:] == seeds[:, :-1]).any(axis=1)
 
     row_range = np.arange(num_queries)
     while True:
@@ -134,15 +165,26 @@ def wave_greedy_search(
         cat_d = np.concatenate([pool_d[act], new_d], axis=1)
         cat_ids = np.concatenate([pool_ids[act], new_ids], axis=1)
         cat_exp = np.concatenate([pool_exp[act], new_ids == -1], axis=1)
-        order = np.argsort(cat_d, axis=1, kind="stable")[:, :ef]
-        flat_idx = order + (np.arange(act.size) * (ef + max_new))[:, None]
+        order = np.argsort(cat_d, axis=1, kind="stable")
+        row_base = (np.arange(act.size) * (ef + max_new))[:, None]
+        flat_idx = order[:, :ef] + row_base
         pool_d[act] = cat_d.ravel()[flat_idx]
         pool_ids[act] = cat_ids.ravel()[flat_idx]
         pool_exp[act] = cat_exp.ravel()[flat_idx]
+        if with_pool:
+            # One column past the pool, so a tie across the cut shows too.
+            ranked = cat_d.ravel()[order[:, : ef + 1] + row_base]
+            tied[act] |= (
+                (ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf)
+            ).any(axis=1)
 
-    if as_matrix:
-        return visited
-    return [np.flatnonzero(visited[w]) for w in range(num_queries)]
+    out = visited if as_matrix else [
+        np.flatnonzero(visited[w]) for w in range(num_queries)
+    ]
+    if with_pool:
+        # Every visited vertex was scored exactly once, when it was marked.
+        return out, WavePool(pool_ids, pool_d, visited.sum(axis=1), tied)
+    return out
 
 
 def _prune_flat(

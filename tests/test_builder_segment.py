@@ -143,6 +143,12 @@ class TestFacadeAPI:
         assert isinstance(idx.entry_provider, HNSWUpperLayers)
         r = idx.search(ds.queries[0], 10, 48)
         assert len(r) == 10
+        # Counter honesty: the descent's distances are part of the bill.
+        _, descent = idx.entry_provider.entry_walk(
+            ds.queries[0].astype("float32"), 4
+        )
+        assert descent > 0
+        assert r.stats.exact_distances == r.stats.vertices_loaded + descent
 
     def test_nsg_starling(self):
         ds = deep_like(300, 5, seed=73)

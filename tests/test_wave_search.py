@@ -32,6 +32,7 @@ from repro.engine import (
     WaveStats,
     wave_capable,
 )
+from repro.graphs.navigation import LOCKSTEP_MIN_WAVE
 from repro.storage import FaultSpec
 from repro.storage.faults import base_disk_graph
 from repro.vectors import text2image_like
@@ -70,6 +71,15 @@ def chaos_index(small_dataset, graph_config):
             resilience=RetryPolicy(max_retries=3, hedge_after_us=500.0),
         ),
     )
+
+
+@pytest.fixture(scope="module")
+def ip_index(graph_config):
+    """An inner-product index and a float32 query pool wider than two
+    lockstep crossovers."""
+    dataset = text2image_like(400, 2 * LOCKSTEP_MIN_WAVE + 1, seed=7)
+    index = build_starling(dataset, StarlingConfig(graph=graph_config))
+    return index, np.asarray(dataset.queries, dtype=np.float32)
 
 
 def _rearm(index) -> None:
@@ -147,7 +157,7 @@ class TestWaveEquivalence:
     @COMMON
     @given(
         seed=st.integers(0, 2**32 - 1),
-        nq=st.integers(1, 8),
+        nq=st.integers(1, 2 * LOCKSTEP_MIN_WAVE),
         armed=st.booleans(),
     )
     def test_random_waves_match_serial(
@@ -174,15 +184,44 @@ class TestWaveEquivalence:
         else:
             assert executor.last_wave_stats.queries == nq
 
-    def test_ip_metric_wave(self, graph_config):
+    def test_ip_metric_wave(self, ip_index):
         """The IP path (per-query kernel slices, no fused reduction)."""
-        dataset = text2image_like(400, 8, seed=7)
-        index = build_starling(dataset, StarlingConfig(graph=graph_config))
-        queries = np.asarray(dataset.queries, dtype=np.float32)
+        index, queries = ip_index
+        queries = queries[:8]
         reference = [index.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         assert executor.effective_mode() == "wave"
         _same_results(reference, executor.search_batch(queries, 10, 48))
+
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    @pytest.mark.parametrize(
+        "width",
+        [LOCKSTEP_MIN_WAVE - 1, LOCKSTEP_MIN_WAVE, 2 * LOCKSTEP_MIN_WAVE + 1],
+    )
+    def test_round_zero_walk_across_the_crossover(
+        self, starling_index, small_dataset, ip_index, metric, width
+    ):
+        """Just below the crossover the wave seeds with scalar walks, from
+        it on with one lockstep walk (L2; IP stays scalar): entry ids — and
+        so results — and the walk's share of ``exact_distances`` must not
+        depend on which."""
+        if metric == "l2":
+            index = starling_index
+            rng = np.random.default_rng(width)
+            queries = rng.integers(0, 256, size=(width, 128)).astype(
+                np.float32
+            )
+        else:
+            index, queries = ip_index
+            queries = queries[:width]
+        reference = [index.search(q, 10, 32) for q in queries]
+        out = BatchExecutor(index, ExecSpec(mode="wave")).search_batch(
+            queries, 10, 32
+        )
+        assert [r.stats.exact_distances for r in out] == [
+            r.stats.exact_distances for r in reference
+        ]
+        _same_results(reference, out)
 
     def test_range_batch_falls_back_to_batched(
         self, starling_index, small_dataset
