@@ -22,9 +22,8 @@ def test_microbench_kernels():
 
     decode = report["decode"]
     print(
-        f"\nmicrobench: decode copy {decode['copy_us_per_block']:.1f} -> "
-        f"arena {decode['arena_us_per_block']:.1f} us/block "
-        f"({decode['speedup']:.2f}x), "
+        f"\nmicrobench: decode view {decode['view_us_per_block']:.1f}, "
+        f"arena {decode['arena_us_per_block']:.1f} us/block, "
         f"adc table {report['adc']['table_build_us']:.0f} us, "
         f"frontier push {report['frontier']['push_many_us_per_batch']:.1f} "
         f"us/batch -> {path}"
@@ -33,9 +32,6 @@ def test_microbench_kernels():
     # Zero steady-state per-block allocations in the arena search path.
     assert decode["steady_state_grow_events"] == 0
     assert decode["steady_state_bytes_allocated"] == 0
-
-    # The arena path must not be slower than the per-vertex copying decode.
-    assert decode["arena_us_per_block"] <= decode["copy_us_per_block"]
 
     # The artifact must round-trip with every section present.
     with open(path) as fh:

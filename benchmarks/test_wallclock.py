@@ -3,11 +3,13 @@
 Unlike every other bench in this directory, the timings here are *measured*
 (see ``repro/bench/wallclock.py``); the hard assertions are that batching
 changes nothing observable — per-query results and I/O counters are
-identical for both comparison legs — and that neither leg is slower than
-the serial loop.  The wave leg must additionally coalesce reads: queries
-requesting the same block in the same lockstep round share one physical
-read.  The report is written to ``BENCH_wallclock.json`` (CI uploads it as
-an artifact).
+identical for both comparison legs.  Timings are reported as absolute
+ms/query per leg (every leg runs the same decode, so a ratio over the
+serial loop is no longer a headline); ``repro.bench.guard`` watches them
+against the committed baseline.  The wave leg must additionally coalesce
+reads: queries requesting the same block in the same lockstep round share
+one physical read.  The report is written to ``BENCH_wallclock.json`` (CI
+uploads it as an artifact).
 """
 
 import json
@@ -26,11 +28,9 @@ def test_wallclock_batched_vs_serial():
         f"\nwallclock [{report.family} n={report.num_vectors} "
         f"q={report.num_queries}]: "
         f"serial {report.serial_ms_per_query:.2f} ms/q, "
-        f"batched {report.batched_ms_per_query:.2f} ms/q "
-        f"({report.speedup:.2f}x), "
+        f"batched {report.batched_ms_per_query:.2f} ms/q, "
         f"wave {report.wave_ms_per_query:.2f} ms/q "
-        f"({report.wave_speedup:.2f}x, "
-        f"coalesced {report.wave_coalesced_block_reads}"
+        f"(coalesced {report.wave_coalesced_block_reads}"
         f"/{report.wave_requested_block_reads} reads) -> {path}"
     )
 
@@ -43,12 +43,6 @@ def test_wallclock_batched_vs_serial():
     assert report.results_identical
     assert report.counters_identical
 
-    # The amortizations must pay for themselves.  The default workload runs
-    # well above this floor (target: >= 2x); the bound is kept loose enough
-    # to absorb scheduler noise on small CI sizings.
-    assert report.speedup >= 1.0
-    assert report.wave_speedup >= 1.0
-
     # With many queries over a small segment, same-round block sharing must
     # actually occur — a zero here means coalescing silently stopped.
     assert report.wave_coalesced_block_reads > 0
@@ -60,7 +54,7 @@ def test_wallclock_batched_vs_serial():
     # The file must round-trip for the CI artifact consumer and the guard.
     with open(path) as fh:
         data = json.load(fh)
-    assert data["speedup"] == report.speedup
-    assert data["wave"]["speedup"] == report.wave_speedup
+    for leg in ("serial", "batched", "wave"):
+        assert data[leg]["ms_per_query"] > 0.0
     assert data["wave"]["coalesced_fraction"] == report.wave_coalesced_fraction
     assert len(data["per_query_counters"]) == report.num_queries

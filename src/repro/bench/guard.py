@@ -1,4 +1,4 @@
-"""Perf regression guard: freshly measured speedups vs committed baselines.
+"""Perf regression guard: freshly measured metrics vs committed baselines.
 
 CI re-runs the measured benches into side files (``REPRO_BENCH_*_OUT``) and
 then compares their headline metrics against the ``BENCH_*.json`` baselines
@@ -6,9 +6,15 @@ committed in the repository.  Each metric declares a direction:
 ``higher``-is-better metrics (speedups, model agreement) fail when the fresh
 value drops more than ``tolerance`` below baseline; ``lower``-is-better
 metrics (tail latency, reject rates) fail when it rises more than
-``tolerance`` above.  Moving in the good direction is always fine.  Ratios —
-not absolute seconds — are compared wherever possible, so the guard
-tolerates runner-to-runner machine variance.
+``tolerance`` above.  Moving in the good direction is always fine.  Only
+dimensionless metrics gate, and none of them is a ratio over a strawman.
+The wall-clock legs all run the same decode, so there is no honest ratio
+between them to guard; their absolute ms/query is a ``report`` metric —
+printed beside the baseline, never failing.  An absolute time compares a
+shared CI runner with whatever machine committed the baseline, and even on
+one box two consecutive runs at the CI sizing (n=1500, q=60) read 3.38 and
+4.02 ms/q on the serial leg.  Same-machine speed is what the paired
+``perf/run.py`` benchmark measures.
 
 Usage::
 
@@ -24,8 +30,9 @@ import sys
 #: headline metrics per report kind: (label, path into the dict, direction)
 METRICS: dict[str, list[tuple[str, tuple[str, ...], str]]] = {
     "wallclock": [
-        ("batched-vs-serial speedup", ("speedup",), "higher"),
-        ("wave-vs-serial speedup", ("wave", "speedup"), "higher"),
+        ("serial ms/query", ("serial", "ms_per_query"), "report"),
+        ("batched ms/query", ("batched", "ms_per_query"), "report"),
+        ("wave ms/query", ("wave", "ms_per_query"), "report"),
         # Coalescing effectiveness is a fraction of the wave's own requested
         # reads, so it is insensitive to the workload sizing (measured ≈0.50
         # at both the committed and the CI sizing).
@@ -117,6 +124,12 @@ def check_report(
     for label, path, direction in METRICS[kind]:
         base = _lookup(baseline, path)
         new = _lookup(fresh, path)
+        if direction == "report":
+            print(
+                f"[{kind}] {label}: baseline {base:.3f}, fresh {new:.3f} "
+                f"(reported, not gated)"
+            )
+            continue
         if direction == "higher":
             bound = base * (1.0 - tolerance)
             ok = new >= bound

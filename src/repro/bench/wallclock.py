@@ -96,18 +96,6 @@ class WallclockReport:
     counters: list[dict[str, int]] = field(default_factory=list)
 
     @property
-    def speedup(self) -> float:
-        if not self.batched_s:
-            return 0.0
-        return self.serial_s / self.batched_s
-
-    @property
-    def wave_speedup(self) -> float:
-        if not self.wave_s:
-            return 0.0
-        return self.serial_s / self.wave_s
-
-    @property
     def wave_coalesced_fraction(self) -> float:
         """Fraction of the wave's requested physical reads saved by
         cross-query coalescing — sizing-independent (≈ how often a round's
@@ -140,17 +128,27 @@ class WallclockReport:
         ]
         return bool(legs) and all(legs)
 
+    def _ms_per_query(self, total_s: float | None) -> float:
+        return (total_s or 0.0) / self.num_queries * 1e3
+
+    def _leg(self, total_s: float) -> dict:
+        """Absolute numbers for one leg: total seconds and ms/query."""
+        return {
+            "total_s": total_s,
+            "ms_per_query": self._ms_per_query(total_s),
+        }
+
     @property
     def serial_ms_per_query(self) -> float:
-        return self.serial_s / self.num_queries * 1e3
+        return self._ms_per_query(self.serial_s)
 
     @property
     def batched_ms_per_query(self) -> float:
-        return (self.batched_s or 0.0) / self.num_queries * 1e3
+        return self._ms_per_query(self.batched_s)
 
     @property
     def wave_ms_per_query(self) -> float:
-        return (self.wave_s or 0.0) / self.num_queries * 1e3
+        return self._ms_per_query(self.wave_s)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -162,27 +160,17 @@ class WallclockReport:
                 "candidate_size": self.candidate_size,
                 "repeats": self.repeats,
             },
-            "serial": {
-                "total_s": self.serial_s,
-                "ms_per_query": self.serial_ms_per_query,
-            },
+            "serial": self._leg(self.serial_s),
         }
         if self.batched_s is not None:
             out["batched"] = {
-                "total_s": self.batched_s,
-                "ms_per_query": self.batched_ms_per_query,
-                "speedup": self.speedup,
+                **self._leg(self.batched_s),
                 "results_identical": self.batched_results_identical,
                 "counters_identical": self.batched_counters_identical,
             }
-            # Historical top-level alias for the batched-vs-serial ratio
-            # (the guard's long-standing metric path).
-            out["speedup"] = self.speedup
         if self.wave_s is not None:
             out["wave"] = {
-                "total_s": self.wave_s,
-                "ms_per_query": self.wave_ms_per_query,
-                "speedup": self.wave_speedup,
+                **self._leg(self.wave_s),
                 "results_identical": self.wave_results_identical,
                 "counters_identical": self.wave_counters_identical,
                 "requested_block_reads": self.wave_requested_block_reads,

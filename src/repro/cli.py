@@ -515,15 +515,11 @@ def _cmd_bench_wallclock(args) -> int:
         f"serial {report.serial_ms_per_query:.2f} ms/q"
     )
     if report.batched_s is not None:
-        line += (
-            f", batched {report.batched_ms_per_query:.2f} ms/q "
-            f"({report.speedup:.2f}x)"
-        )
+        line += f", batched {report.batched_ms_per_query:.2f} ms/q"
     if report.wave_s is not None:
         line += (
             f", wave {report.wave_ms_per_query:.2f} ms/q "
-            f"({report.wave_speedup:.2f}x, "
-            f"coalesced {report.wave_coalesced_block_reads} reads)"
+            f"(coalesced {report.wave_coalesced_block_reads} reads)"
         )
     line += (
         f", identical="

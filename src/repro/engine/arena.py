@@ -1,9 +1,9 @@
 """Preallocated decode arenas: the zero-copy data plane's memory owner.
 
-A block decoded the legacy way costs one ``np.frombuffer`` + ``.copy()`` per
-vertex field — thousands of small allocations per query.  An :class:`Arena`
-owns three contiguous arrays sized for a whole search round (vector matrix,
-CSR-style neighbour count and padded neighbour-ID arrays) into which
+Gathering a round's block vectors with ``np.concatenate`` allocates a fresh
+kernel-input matrix every round.  An :class:`Arena` owns three contiguous
+arrays sized for a whole search round (vector matrix, CSR-style neighbour
+count and padded neighbour-ID arrays) into which
 :meth:`~repro.storage.codec.VertexFormat.decode_block_into` bulk-copies
 records; every downstream consumer then works on zero-copy views of the
 arena.  Arenas are reused across rounds and queries through an

@@ -23,14 +23,11 @@ Four amortizations, each individually counter-neutral:
   *behind* the I/O accounting, skipping only the Python-side payload
   decode), so per-query I/O counters are untouched while the dominant
   decode cost is paid once per block instead of once per (query, block).
-- **Zero-copy data plane** — for the duration of the batch, the physical
-  disk graph decodes payloads into zero-copy strided views
-  (``decode_mode="view"``) and the engine's round kernels gather their
-  input through a reused :class:`~repro.engine.arena.ArenaPool` instead of
-  allocating per-round matrices.  View values equal copy values and the
-  gathered layout equals the allocated one, so results and counters are
-  bit-identical; the ``serial`` reference path keeps the legacy copying
-  decode (it is defined as "no amortization at all").
+- **Arena pool** — for the duration of the batch the engine's round
+  kernels gather their input through a reused
+  :class:`~repro.engine.arena.ArenaPool` instead of allocating per-round
+  matrices.  The gathered layout equals the allocated one, so results and
+  counters are bit-identical.
 - **Fan-out** — optional thread or process pools
   (:class:`concurrent.futures`) for genuinely parallel machines.  Thread
   mode serializes the entry-point walk (the navigation graph keeps per-walk
@@ -88,11 +85,9 @@ class ExecSpec:
             call up front.
         decode_cache: Install a shared decoded-block cache on the physical
             disk graph for the duration of the batch.
-        zero_copy: Install the zero-copy data plane (view-mode decode +
-            arena-backed round kernels) for the duration of the batch.
         gc_pause: Pause the cyclic garbage collector for the span of the
             batch (restored — and left to collect — afterwards).  The
-            zero-copy plane already removes the bulk of per-round
+            arena pool already removes the bulk of per-round
             allocations; pausing the collector stops the remaining
             transient churn from triggering generation scans mid-batch.
             Purely a scheduling choice: it cannot affect results.
@@ -105,7 +100,6 @@ class ExecSpec:
     workers: int = 4
     share_tables: bool = True
     decode_cache: bool = True
-    zero_copy: bool = True
     gc_pause: bool = True
     start_method: str | None = None
 
@@ -277,40 +271,29 @@ class BatchExecutor:
             graph.decode_cache = previous
 
     @contextmanager
-    def _zero_copy_plane(self, enabled: bool):
-        """Install view-mode decode and an arena pool for the batch.
+    def _arena_pool(self):
+        """Install an arena pool on the engine for the batch.
 
-        The plane is an executor amortization like the shared decode cache:
-        the ``serial`` reference loop never sees it, and it is uninstalled
-        (legacy copying decode restored) when the batch ends.  Blocks that
-        outlive the batch in an LRU cache stay valid — their views keep the
-        immutable payload bytes alive.
+        The pool is an executor amortization like the shared decode cache:
+        the ``serial`` reference loop never sees it, and it is removed when
+        the batch ends.
         """
-        graph = base_disk_graph(self.engine.disk_graph)
         if (
-            not enabled
-            or not hasattr(graph, "decode_mode")
-            or not hasattr(self.engine, "arena_pool")
+            not hasattr(self.engine, "arena_pool")
+            or self.engine.arena_pool is not None
         ):
-            yield
-            return
-        if graph.decode_mode == "view" and self.engine.arena_pool is not None:
-            # The plane is already installed by a long-lived owner (the
-            # serving layer); reuse it rather than swapping pools out from
-            # under concurrent batches.
+            # No arena seam, or a long-lived owner (the serving layer)
+            # already installed a pool; reuse it rather than swapping pools
+            # out from under concurrent batches.
             yield
             return
         from .arena import ArenaPool
 
-        prev_mode = graph.decode_mode
-        prev_pool = self.engine.arena_pool
-        graph.decode_mode = "view"
         self.engine.arena_pool = ArenaPool()
         try:
             yield
         finally:
-            graph.decode_mode = prev_mode
-            self.engine.arena_pool = prev_pool
+            self.engine.arena_pool = None
 
     @contextmanager
     def _gc_pause(self, enabled: bool):
@@ -384,7 +367,7 @@ class BatchExecutor:
                 self._bind_stopper_costs(stoppers)
             wave = WaveSearchEngine(self.engine)
             with self._shared_decode_cache(self.spec.decode_cache), \
-                    self._zero_copy_plane(self.spec.zero_copy), \
+                    self._arena_pool(), \
                     self._gc_pause(self.spec.gc_pause):
                 results = wave.search_wave(
                     queries, k, candidate_size,
@@ -411,7 +394,7 @@ class BatchExecutor:
                 queries, tables,
             )
         with self._shared_decode_cache(self.spec.decode_cache), \
-                self._zero_copy_plane(self.spec.zero_copy), \
+                self._arena_pool(), \
                 self._gc_pause(self.spec.gc_pause):
             if mode == "batched":
                 return [one(i) for i in range(len(queries))]
@@ -459,7 +442,7 @@ class BatchExecutor:
                 queries, tables,
             )
         with self._shared_decode_cache(self.spec.decode_cache), \
-                self._zero_copy_plane(self.spec.zero_copy), \
+                self._arena_pool(), \
                 self._gc_pause(self.spec.gc_pause):
             if mode == "batched":
                 return [one(i) for i in range(len(queries))]
@@ -474,8 +457,8 @@ class BatchExecutor:
     def _run_processes(self, worker, tasks: list, queries, tables) -> list:
         """Run a process pool over index positions.
 
-        ``fork`` workers inherit the index (and the installed zero-copy
-        plane) by address-space copy; other start methods map the heavy
+        ``fork`` workers inherit the index (and the installed arena pool)
+        by address-space copy; other start methods map the heavy
         payloads through the shared-memory export and rebuild the index per
         worker.  Workers accumulate device counters and decode caches in
         their own address spaces; the per-query stats inside each returned
@@ -490,7 +473,7 @@ class BatchExecutor:
         _FORK_STATE = (self.index, queries, tables)
         try:
             context = multiprocessing.get_context("fork")
-            with self._zero_copy_plane(self.spec.zero_copy):
+            with self._arena_pool():
                 with ProcessPoolExecutor(
                     max_workers=self.spec.workers, mp_context=context
                 ) as pool:
@@ -508,8 +491,7 @@ class BatchExecutor:
         from .shm import export_index
 
         image, export = export_index(
-            self.index, self.engine, queries, tables,
-            zero_copy=self.spec.zero_copy,
+            self.index, self.engine, queries, tables
         )
         try:
             context = multiprocessing.get_context(

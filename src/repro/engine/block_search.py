@@ -216,18 +216,18 @@ class BlockSearchEngine:
             dists = all_dists[offset:offset + size]
             offset += size
             ids = block.ids_list()
-            nbrs = block.neighbor_lists
+            neighbors_of = block.neighbors_of
 
+            # Targets live in this block by construction.
+            index_of = block.index_of
             if len(targets) == 1:
-                target_pos = [block.index_of(targets[0])]
+                target_pos = [index_of(targets[0])]
             else:
-                target_pos = sorted(
-                    {block.index_of(v) for v in targets}
-                )
+                target_pos = sorted({index_of(v) for v in targets})
             for pos in target_pos:
                 res_ids.append(ids[pos])
                 res_dists.append(dists[pos])
-                explore_parts.append(nbrs[pos])
+                explore_parts.append(neighbors_of(pos))
 
             # Block pruning: examine only the top-((ε−1)·σ) non-target
             # vertices; distant co-located vertices are discarded early.
@@ -243,7 +243,7 @@ class BlockSearchEngine:
                 chosen = rest[:keep]
                 keep_ids.extend([ids[i] for i in chosen])
                 keep_dists.extend([dists[i] for i in chosen])
-                explore_parts.extend([nbrs[i] for i in chosen])
+                explore_parts.extend([neighbors_of(i) for i in chosen])
         return (
             res_ids, res_dists, keep_ids, keep_dists, explore_parts,
             loaded, used,

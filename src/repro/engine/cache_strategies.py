@@ -351,10 +351,10 @@ class LocalityBlockCache(DelegatingDiskGraph):
             if block is None:
                 continue
             try:
-                pos = block.index_of(int(vid))
-            except (KeyError, ValueError):
+                pos = block.index_of(vid)
+            except KeyError:
                 continue
-            nbrs = block.neighbor_lists[pos]
+            nbrs = block.neighbors_of(pos)
             if len(nbrs) == 0:
                 continue
             dest = np.unique(vertex_to_block[np.asarray(nbrs, dtype=np.int64)])

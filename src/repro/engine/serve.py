@@ -15,7 +15,7 @@ it fronts a :class:`~repro.core.coordinator.SegmentCoordinator` with
 - **micro-batching**: a freed worker drains up to ``max_batch`` waiting
   queries into one shared-ADC batch through
   :meth:`SegmentCoordinator.search_batch`, reusing the batched executor's
-  amortizations (shared lookup tables, shared decode cache, zero-copy plane);
+  amortizations (shared lookup tables, shared decode cache, arena pool);
 - **graceful degradation**: under sustained overload the service sheds to
   lower ``candidate_size`` tiers (``shed_tiers``) chosen from queue occupancy
   instead of letting every query time out — latency degrades smoothly, recall
@@ -43,9 +43,9 @@ Two front ends share all of that policy code:
 
 While a service is live it installs a **persistent data plane** on every
 disk-graph segment: a bounded thread-safe
-:class:`~repro.engine.block_cache.DecodeCache`, view-mode decode, a shared
-:class:`~repro.engine.arena.ArenaPool`, and a seed lock — the executor's
-per-batch amortizations made long-lived and concurrency-safe.  The batched
+:class:`~repro.engine.block_cache.DecodeCache` and a shared
+:class:`~repro.engine.arena.ArenaPool` — the executor's per-batch
+amortizations made long-lived and concurrency-safe.  The batched
 executor detects an installed plane and leaves it alone, so concurrent
 micro-batches share one cache instead of tearing down each other's.
 """
@@ -657,7 +657,8 @@ class SearchService:
     # -- persistent data plane ---------------------------------------------
 
     def _install_plane(self) -> list[tuple]:
-        """Install the long-lived zero-copy plane on every disk segment.
+        """Install the long-lived decode cache and arena pool on every disk
+        segment.
 
         Returns the saved state for :meth:`_uninstall_plane`.  Segments
         without a disk graph (SPANN) are left untouched.
@@ -671,12 +672,10 @@ class SearchService:
             graph = base_disk_graph(dg)
             saved.append((
                 engine, graph,
-                graph.decode_cache, graph.decode_mode,
-                getattr(engine, "arena_pool", None),
+                graph.decode_cache, getattr(engine, "arena_pool", None),
             ))
             if self.spec.decode_cache_blocks and graph.decode_cache is None:
                 graph.decode_cache = DecodeCache(self.spec.decode_cache_blocks)
-            graph.decode_mode = "view"
             if getattr(engine, "arena_pool", None) is None:
                 from .arena import ArenaPool
 
@@ -684,9 +683,8 @@ class SearchService:
         return saved
 
     def _uninstall_plane(self, saved: list[tuple]) -> None:
-        for engine, graph, cache, mode, pool in saved:
+        for engine, graph, cache, pool in saved:
             graph.decode_cache = cache
-            graph.decode_mode = mode
             engine.arena_pool = pool
 
     # -- virtual-clock front end -------------------------------------------

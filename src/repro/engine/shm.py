@@ -167,7 +167,6 @@ class IndexImage:
     entry_provider: object  # the in-memory navigation structure (small)
     engine_kwargs: dict
     cache: object | None  # HotVertexCache for the baseline
-    zero_copy: bool
     # batch payload
     queries: ArraySpec
     tables: ArraySpec | None
@@ -218,7 +217,6 @@ def _device_image(device: BlockDevice) -> np.ndarray:
 
 def export_index(
     index, engine, queries: np.ndarray, tables: np.ndarray | None,
-    *, zero_copy: bool = True,
 ) -> tuple[IndexImage, ShmExport]:
     """Export ``index``'s big payloads to shared memory.
 
@@ -299,7 +297,6 @@ def export_index(
             entry_provider=engine.entry_provider,
             engine_kwargs=engine_kwargs,
             cache=cache,
-            zero_copy=zero_copy,
             queries=queries_spec,
             tables=tables_spec,
         )
@@ -401,9 +398,7 @@ def build_worker_state(image: IndexImage):
             graph, pq, metric, image.entry_provider,
             cache=image.cache, **image.engine_kwargs,
         )
-    if image.zero_copy:
-        graph.decode_mode = "view"
-        engine.arena_pool = ArenaPool()
+    engine.arena_pool = ArenaPool()
 
     queries = attach(image.queries)
     tables = attach(image.tables) if image.tables is not None else None

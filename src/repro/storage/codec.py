@@ -103,23 +103,6 @@ class VertexFormat:
         count = np.asarray([neighbors.size], dtype=ID_DTYPE)
         return vector.tobytes() + count.tobytes() + padded.tobytes()
 
-    def decode_vertex(self, record: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of :meth:`encode_vertex`; returns ``(vector, neighbors)``."""
-        record = memoryview(record)
-        if len(record) != self.record_bytes:
-            raise ValueError(
-                f"record of {len(record)} B; expected {self.record_bytes} B"
-            )
-        vb = self.vector_bytes
-        vector = np.frombuffer(record[:vb], dtype=self.dtype).copy()
-        count = int(np.frombuffer(record[vb : vb + ID_BYTES], dtype=ID_DTYPE)[0])
-        if count > self.max_degree:
-            raise ValueError(f"corrupt record: degree {count} > Λ={self.max_degree}")
-        ids = np.frombuffer(
-            record[vb + ID_BYTES : vb + ID_BYTES + count * ID_BYTES], dtype=ID_DTYPE
-        ).copy()
-        return vector, ids
-
     def encode_block(
         self,
         vectors: np.ndarray,
@@ -140,24 +123,6 @@ class VertexFormat:
         payload = b"".join(parts)
         return payload + b"\x00" * (self.block_bytes - len(payload))
 
-    def decode_block(
-        self, block: bytes | memoryview, count: int
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Unpack the first ``count`` records of a block."""
-        block = memoryview(block)
-        if len(block) != self.block_bytes:
-            raise ValueError(f"block of {len(block)} B; expected {self.block_bytes} B")
-        if not 0 <= count <= self.vertices_per_block:
-            raise ValueError(f"count {count} out of range 0..{self.vertices_per_block}")
-        vectors = np.empty((count, self.dim), dtype=self.dtype)
-        neighbor_lists: list[np.ndarray] = []
-        rb = self.record_bytes
-        for i in range(count):
-            vec, nbrs = self.decode_vertex(block[i * rb : (i + 1) * rb])
-            vectors[i] = vec
-            neighbor_lists.append(nbrs)
-        return vectors, neighbor_lists
-
     def split_block_views(
         self, block: bytes | memoryview, count: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,9 +137,9 @@ class VertexFormat:
         contiguous (the record fields are laid out contiguously), so
         per-row consumers see ordinary contiguous 1-D arrays.
 
-        Raises the same errors as :meth:`decode_block` for short blocks,
-        out-of-range counts, and corrupt degree words, so torn or truncated
-        payloads cannot silently decode.
+        Raises ``ValueError`` for short blocks, out-of-range counts, and
+        corrupt degree words, so torn or truncated payloads cannot silently
+        decode.
         """
         block = memoryview(block)
         if len(block) != self.block_bytes:
@@ -203,8 +168,7 @@ class VertexFormat:
         shapes).  Records ``[0, count)`` land in arena rows
         ``[offset, offset + count)`` via three bulk strided copies — no
         per-vertex work — and the returned ``(vectors, degrees,
-        neighbor_ids)`` are zero-copy views of those arena rows.  Element
-        values are identical to :meth:`decode_block`'s copies; error
+        neighbor_ids)`` are zero-copy views of those arena rows.  Error
         behaviour matches :meth:`split_block_views` (a corrupt block writes
         nothing into the arena).
         """

@@ -166,8 +166,7 @@ def _rederive_nav(gen_dir: Path, manifest: Manifest) -> bytes | None:
         for b in range(offsets.size - 1):
             ids = flat[offsets[b]: offsets[b + 1]].astype(np.int64)
             block = payload[b * fmt.block_bytes: (b + 1) * fmt.block_bytes]
-            vecs, _ = fmt.decode_block(block, ids.size)
-            vectors[ids] = vecs
+            vectors[ids] = fmt.split_block_views(block, ids.size)[0]
         cfg = meta["config"]
         provider = build_navigation_graph(
             vectors, meta["metric"],

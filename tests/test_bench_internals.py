@@ -93,13 +93,18 @@ class TestSweepEdgeCases:
             summarize("x", starling_index, [], 1.0)
 
 
-class TestPerfGuard:
-    """The CI regression guard: fresh speedups vs committed baselines."""
-
-    WALLCLOCK = {
-        "speedup": 2.0,
-        "wave": {"speedup": 2.2, "coalesced_fraction": 0.5},
+def _wallclock_report(serial=4.0, batched=3.0, wave=2.5, coalesced=0.5):
+    return {
+        "serial": {"ms_per_query": serial},
+        "batched": {"ms_per_query": batched},
+        "wave": {"ms_per_query": wave, "coalesced_fraction": coalesced},
     }
+
+
+class TestPerfGuard:
+    """The CI regression guard: fresh metrics vs committed baselines."""
+
+    WALLCLOCK = _wallclock_report()
     BUILD = {
         "phases": {"total_speedup": 1.4},
         "graph_build": {"speedup": 3.5},
@@ -114,31 +119,27 @@ class TestPerfGuard:
     def test_within_tolerance_passes(self):
         from repro.bench.guard import check_report
 
-        fresh = {
-            "speedup": 2.0 * 0.85,  # 15% down, under the 20% gate
-            "wave": {"speedup": 2.2 * 0.85, "coalesced_fraction": 0.45},
-        }
+        # coalescing 10% down, under the 20% gate
+        fresh = _wallclock_report(coalesced=0.45)
         assert check_report("wallclock", fresh, self.WALLCLOCK) == []
 
     def test_regression_beyond_tolerance_fails(self):
         from repro.bench.guard import check_report
 
-        fresh = {
-            "speedup": 2.0 * 0.7,
-            "wave": {"speedup": 2.2, "coalesced_fraction": 0.5},
-        }
+        fresh = _wallclock_report(coalesced=0.5 * 0.7)
         failures = check_report("wallclock", fresh, self.WALLCLOCK)
         assert len(failures) == 1
-        assert "batched-vs-serial speedup" in failures[0]
+        assert "coalesced" in failures[0]
 
     def test_wave_metrics_checked_independently(self):
         from repro.bench.guard import check_report
 
-        fresh = {
-            "speedup": 2.0,
-            # wall clock fine, coalescing collapsed: must be caught
-            "wave": {"speedup": 2.2, "coalesced_fraction": 0.1},
-        }
+        # A slower machine is not a regression: absolute ms/query is
+        # printed beside the baseline and never gates.
+        fresh = _wallclock_report(4.0 * 3, 3.0 * 3, 2.5 * 3)
+        assert check_report("wallclock", fresh, self.WALLCLOCK) == []
+        # wall clock fine, coalescing collapsed: must be caught
+        fresh = _wallclock_report(coalesced=0.1)
         failures = check_report("wallclock", fresh, self.WALLCLOCK)
         assert len(failures) == 1
         assert "coalesced" in failures[0]
@@ -146,11 +147,18 @@ class TestPerfGuard:
     def test_faster_than_baseline_passes(self):
         from repro.bench.guard import check_report
 
-        fresh = {
-            "speedup": 4.0,
-            "wave": {"speedup": 4.5, "coalesced_fraction": 0.6},
-        }
+        fresh = _wallclock_report(2.0, 1.5, 1.2, 0.6)
         assert check_report("wallclock", fresh, self.WALLCLOCK) == []
+
+    def test_no_strawman_ratio_is_guarded(self):
+        """With one decode the serial leg is no strawman: ratios over it
+        left the guard, and each leg's absolute ms/query is reported."""
+        from repro.bench.guard import METRICS
+
+        by_path = {path: d for _, path, d in METRICS["wallclock"]}
+        assert not any("speedup" in path for path in by_path)
+        for leg in ("serial", "batched", "wave"):
+            assert by_path[(leg, "ms_per_query")] == "report"
 
     def test_build_metrics_checked_independently(self):
         from repro.bench.guard import check_report
@@ -209,15 +217,9 @@ class TestPerfGuard:
         base = tmp_path / "base.json"
         base.write_text(json.dumps(self.WALLCLOCK))
         ok = tmp_path / "ok.json"
-        ok.write_text(json.dumps(
-            {"speedup": 2.1,
-             "wave": {"speedup": 2.3, "coalesced_fraction": 0.5}}
-        ))
+        ok.write_text(json.dumps(_wallclock_report(serial=8.0)))
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(
-            {"speedup": 1.0,
-             "wave": {"speedup": 2.3, "coalesced_fraction": 0.5}}
-        ))
+        bad.write_text(json.dumps(_wallclock_report(coalesced=0.1)))
 
         assert main(["wallclock", str(ok), str(base)]) == 0
         assert main(["wallclock", str(bad), str(base)]) == 1

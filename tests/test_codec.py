@@ -5,6 +5,8 @@ import pytest
 
 from repro.storage import VertexFormat
 
+from .oracles import decode_block, decode_vertex
+
 
 @pytest.fixture
 def fmt():
@@ -59,25 +61,25 @@ class TestVertexRoundtrip:
         nbrs = np.array([3, 1, 9], dtype=np.uint32)
         record = fmt.encode_vertex(vec, nbrs)
         assert len(record) == fmt.record_bytes
-        out_vec, out_nbrs = fmt.decode_vertex(record)
+        out_vec, out_nbrs = decode_vertex(fmt, record)
         assert np.array_equal(out_vec, vec)
         assert np.array_equal(out_nbrs, nbrs)
 
     def test_preserves_neighbor_order(self, fmt):
         vec = np.zeros(16, dtype=np.uint8)
         nbrs = np.array([7, 2, 5, 1], dtype=np.uint32)
-        _, out = fmt.decode_vertex(fmt.encode_vertex(vec, nbrs))
+        _, out = decode_vertex(fmt, fmt.encode_vertex(vec, nbrs))
         assert out.tolist() == [7, 2, 5, 1]
 
     def test_empty_neighbors(self, fmt):
         vec = np.ones(16, dtype=np.uint8)
-        _, out = fmt.decode_vertex(fmt.encode_vertex(vec, np.empty(0)))
+        _, out = decode_vertex(fmt, fmt.encode_vertex(vec, np.empty(0)))
         assert out.size == 0
 
     def test_max_degree_neighbors(self, fmt):
         nbrs = np.arange(8, dtype=np.uint32)
-        _, out = fmt.decode_vertex(
-            fmt.encode_vertex(np.zeros(16, dtype=np.uint8), nbrs)
+        _, out = decode_vertex(
+            fmt, fmt.encode_vertex(np.zeros(16, dtype=np.uint8), nbrs)
         )
         assert np.array_equal(out, nbrs)
 
@@ -93,19 +95,19 @@ class TestVertexRoundtrip:
 
     def test_rejects_wrong_record_size(self, fmt):
         with pytest.raises(ValueError, match="expected"):
-            fmt.decode_vertex(b"\x00" * (fmt.record_bytes - 1))
+            decode_vertex(fmt, b"\x00" * (fmt.record_bytes - 1))
 
     def test_rejects_corrupt_degree(self, fmt):
         record = bytearray(fmt.encode_vertex(np.zeros(16, np.uint8), np.empty(0)))
         record[16:20] = (200).to_bytes(4, "little")  # degree 200 > Λ=8
         with pytest.raises(ValueError, match="corrupt"):
-            fmt.decode_vertex(bytes(record))
+            decode_vertex(fmt, bytes(record))
 
     def test_float_dtype_roundtrip(self, rng):
         fmt = VertexFormat(dim=8, dtype=np.float32, max_degree=4,
                            block_bytes=256)
         vec = rng.normal(size=8).astype(np.float32)
-        out_vec, _ = fmt.decode_vertex(fmt.encode_vertex(vec, [1]))
+        out_vec, _ = decode_vertex(fmt, fmt.encode_vertex(vec, [1]))
         assert np.array_equal(out_vec, vec)
 
 
@@ -120,7 +122,7 @@ class TestBlockRoundtrip:
         nbr_lists = [np.unique(a) for a in nbr_lists]
         block = fmt.encode_block(vecs, nbr_lists)
         assert len(block) == fmt.block_bytes
-        out_vecs, out_lists = fmt.decode_block(block, eps)
+        out_vecs, out_lists = decode_block(fmt, block, eps)
         assert np.array_equal(out_vecs, vecs)
         for got, want in zip(out_lists, nbr_lists):
             assert np.array_equal(got, want)
@@ -129,7 +131,7 @@ class TestBlockRoundtrip:
         vecs = np.zeros((2, 16), dtype=np.uint8)
         block = fmt.encode_block(vecs, [np.empty(0)] * 2)
         assert len(block) == fmt.block_bytes
-        out_vecs, out_lists = fmt.decode_block(block, 2)
+        out_vecs, out_lists = decode_block(fmt, block, 2)
         assert out_vecs.shape == (2, 16)
         assert len(out_lists) == 2
 
@@ -148,8 +150,8 @@ class TestBlockRoundtrip:
             np.zeros((1, 16), dtype=np.uint8), [np.empty(0)]
         )
         with pytest.raises(ValueError):
-            fmt.decode_block(block, fmt.vertices_per_block + 1)
+            decode_block(fmt, block, fmt.vertices_per_block + 1)
 
     def test_decode_rejects_bad_size(self, fmt):
         with pytest.raises(ValueError):
-            fmt.decode_block(b"\x00" * (fmt.block_bytes + 1), 1)
+            decode_block(fmt, b"\x00" * (fmt.block_bytes + 1), 1)

@@ -73,7 +73,7 @@ class TestDiskGraphReads:
         assert block.vertex_ids.tolist() == layout[1]
         for pos, vid in enumerate(layout[1]):
             assert np.array_equal(block.vectors[pos], vectors[vid])
-            assert np.array_equal(block.neighbor_lists[pos], neighbors[vid])
+            assert np.array_equal(block.neighbors_of(pos), neighbors[vid])
 
     def test_index_of(self, tiny_graph):
         dg, _, _, _ = tiny_graph
@@ -81,6 +81,40 @@ class TestDiskGraphReads:
         assert block.index_of(5) == 1
         with pytest.raises(KeyError):
             block.index_of(1)
+
+    def test_index_of_foreign_vertex_is_key_error(self, tiny_graph):
+        """Regression: the position lookup is a list scan now, whose own
+        miss is a ``ValueError``; callers catch ``KeyError``."""
+        dg, _, _, layout = tiny_graph
+        block = dg.read_block(0)
+        foreign = layout[1][0]
+        with pytest.raises(KeyError, match=f"vertex {foreign} not in block 0"):
+            block.index_of(foreign)
+        with pytest.raises(KeyError):
+            block.index_of(np.uint32(foreign))
+        # a member is found whatever integer type names it
+        assert block.index_of(np.uint32(layout[0][1])) == 1
+
+    def test_neighbors_of_keeps_each_slice(self, tiny_graph):
+        """A cache-resident block slices a position once, not per query."""
+        dg, _, neighbors, layout = tiny_graph
+        block = dg.read_block(0)
+        for pos, vid in enumerate(layout[0]):
+            first = block.neighbors_of(pos)
+            assert np.array_equal(first, neighbors[vid])
+            assert block.neighbors_of(pos) is first
+            assert not first.flags.writeable
+
+    def test_peek_vertex_returns_read_only_views(self, tiny_graph):
+        dg, vectors, neighbors, _ = tiny_graph
+        vec, nbrs = dg.peek_vertex(6)
+        assert not vec.flags.writeable and not nbrs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            nbrs[0] = 0
+        assert np.array_equal(vec, vectors[6])
+        assert np.array_equal(nbrs, neighbors[6])
 
     def test_read_blocks_of_dedupes(self, tiny_graph):
         dg, _, _, _ = tiny_graph

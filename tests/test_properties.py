@@ -20,6 +20,8 @@ from repro.layout import (
 from repro.quantization import kmeans
 from repro.storage import VertexFormat
 
+from .oracles import decode_block, decode_vertex
+
 COMMON = settings(
     max_examples=40, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -71,7 +73,7 @@ class TestCodecProperties:
         dim, max_degree, vec, nbrs = record
         fmt = VertexFormat(dim=dim, dtype=np.uint8, max_degree=max_degree,
                            block_bytes=4096)
-        out_vec, out_nbrs = fmt.decode_vertex(fmt.encode_vertex(vec, nbrs))
+        out_vec, out_nbrs = decode_vertex(fmt, fmt.encode_vertex(vec, nbrs))
         assert np.array_equal(out_vec, vec)
         assert np.array_equal(out_nbrs, nbrs)
 
@@ -93,7 +95,7 @@ class TestCodecProperties:
         stores vectors in the kernel compute dtype, so values — not dtypes —
         are compared)."""
         fmt, payload, count = block
-        ref_vecs, ref_nbrs = fmt.decode_block(payload, count)
+        ref_vecs, ref_nbrs = decode_block(fmt, payload, count)
         arena = Arena(fmt, capacity=offset + count + 2)
         vec_v, deg_v, ids_v = fmt.decode_block_into(
             payload, count, arena, offset
@@ -115,7 +117,7 @@ class TestCodecProperties:
         arena.nbr_counts[:] = -7  # sentinel
         torn = payload[: len(payload) // 2]
         with pytest.raises(ValueError):
-            fmt.decode_block(torn, count)
+            decode_block(fmt, torn, count)
         with pytest.raises(ValueError):
             fmt.decode_block_into(torn, count, arena)
         if count:

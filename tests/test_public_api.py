@@ -27,6 +27,20 @@ class TestExports:
     def test_updates_exported(self):
         from repro.core import DynamicIndex, UpdatableSegment  # noqa: F401
 
+    def test_one_decode_has_no_switches(self):
+        """There is one decode: no executor knob selects it and the codec
+        carries no second decoder (the copying one is ``tests/oracles.py``)."""
+        import dataclasses
+
+        from repro.engine import ExecSpec
+        from repro.storage import VertexFormat
+
+        assert "zero_copy" not in {
+            f.name for f in dataclasses.fields(ExecSpec)
+        }
+        assert not hasattr(VertexFormat, "decode_block")
+        assert not hasattr(VertexFormat, "decode_vertex")
+
 
 class TestDeterminism:
     def test_starling_search_deterministic(self, starling_index,

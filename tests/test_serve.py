@@ -49,6 +49,15 @@ def coordinator(serve_segments):
     return SegmentCoordinator(segments, list(offsets))
 
 
+def _plane_state(coordinator) -> list[tuple]:
+    """Everything the service's data plane installs, per disk segment."""
+    return [
+        (base_disk_graph(seg.engine.disk_graph).decode_cache,
+         seg.engine.arena_pool)
+        for seg in coordinator.segments
+    ]
+
+
 def burst(n: int, at_us: float = 0.0) -> list[float]:
     """``n`` arrivals at the same instant — maximal queue pressure."""
     return [at_us] * n
@@ -221,17 +230,18 @@ class TestRunTrace:
 
     def test_plane_installed_only_while_running(self, coordinator,
                                                 serve_dataset):
-        """The persistent decode cache / view mode / arena pool are a
-        service-lifetime installation, restored exactly on teardown."""
-        graphs = [
-            base_disk_graph(seg.engine.disk_graph)
-            for seg in coordinator.segments
-        ]
-        before = [(g.decode_cache, g.decode_mode) for g in graphs]
+        """The persistent decode cache and arena pool are a
+        service-lifetime installation, restored exactly on teardown —
+        and they are all the plane installs: there is no decode mode."""
+        before = _plane_state(coordinator)
         service = SearchService(coordinator, ServeSpec())
+        saved = service._install_plane()
+        # (engine, graph, decode_cache, arena_pool) and nothing else
+        assert all(len(entry) == 4 for entry in saved)
+        service._uninstall_plane(saved)
+        assert _plane_state(coordinator) == before
         service.run_trace(burst(4), serve_dataset.queries)
-        after = [(g.decode_cache, g.decode_mode) for g in graphs]
-        assert after == before
+        assert _plane_state(coordinator) == before
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +422,20 @@ class TestLiveService:
     def test_start_twice_rejected_and_stop_restores_plane(self, coordinator,
                                                           serve_dataset):
         service = SearchService(coordinator, ServeSpec(workers=1))
-        graphs = [
-            base_disk_graph(seg.engine.disk_graph)
-            for seg in coordinator.segments
-        ]
-        before = [(g.decode_cache, g.decode_mode) for g in graphs]
+        before = _plane_state(coordinator)
         for _ in range(3):  # repeated start/stop cycles must be clean
             service.start()
             assert service.running
             with pytest.raises(RuntimeError, match="already running"):
                 service.start()
             # while live, every disk segment runs the persistent plane
-            assert all(g.decode_mode == "view" for g in graphs)
-            assert all(g.decode_cache is not None for g in graphs)
+            assert all(
+                cache is not None and pool is not None
+                for cache, pool in _plane_state(coordinator)
+            )
             service.stop()
             assert not service.running
-            after = [(g.decode_cache, g.decode_mode) for g in graphs]
-            assert after == before
+            assert _plane_state(coordinator) == before
 
 
 # ---------------------------------------------------------------------------
