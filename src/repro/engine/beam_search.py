@@ -124,6 +124,7 @@ class BeamSearchEngine:
         stats: QueryStats,
         *,
         table: np.ndarray | None = None,
+        track_kicked: bool = False,
     ) -> tuple[CandidateSet, ResultSet, np.ndarray | None]:
         if self.use_pq_routing:
             # A precomputed ADC table (from the batched executor's shared
@@ -139,7 +140,7 @@ class BeamSearchEngine:
         stats.exact_distances += walk_distances
         candidates = CandidateSet(
             candidate_size,
-            track_kicked=True,
+            track_kicked=track_kicked,
             max_vertex_id=self.disk_graph.num_vertices - 1,
         )
         results = ResultSet()

@@ -143,7 +143,16 @@ class BlockSearchEngine:
         *,
         table: np.ndarray | None = None,
         walk: tuple[np.ndarray, int] | None = None,
+        track_kicked: bool = False,
+        candidates: CandidateSet | None = None,
     ) -> tuple[CandidateSet, ResultSet, np.ndarray | None]:
+        """Seed one query's candidate and result sets from its entry walk.
+
+        ``track_kicked`` is the range-search driver's (§5.3); a top-k
+        search never reads the kicked set.  ``candidates`` is an empty set
+        to seed in place of a fresh one — the wave engine passes a row of
+        its :class:`~repro.engine.frontier.FrontierPlane`.
+        """
         if self.use_pq_routing:
             # A precomputed ADC table (from the batched executor's shared
             # lookup_tables build) is bit-identical to building it here.
@@ -160,11 +169,12 @@ class BlockSearchEngine:
         entries, walk_distances = walk
         # The navigation-graph walk is in-memory compute, not I/O.
         stats.exact_distances += walk_distances
-        candidates = CandidateSet(
-            candidate_size,
-            track_kicked=True,
-            max_vertex_id=self.disk_graph.num_vertices - 1,
-        )
+        if candidates is None:
+            candidates = CandidateSet(
+                candidate_size,
+                track_kicked=track_kicked,
+                max_vertex_id=self.disk_graph.num_vertices - 1,
+            )
         results = ResultSet()
         ids = np.asarray(entries, dtype=np.int64)
         dists = self._routing_distances(query, table, ids, stats)

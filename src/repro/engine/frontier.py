@@ -19,6 +19,12 @@ of the non-entering bulk with one vectorized mask, and the sequential
 :meth:`CandidateSet.push` remains for the small seed/readmit paths; the two
 are outcome-identical by construction (see the stability argument in
 ``push_many``).
+
+A wide wave of queries keeps all of its candidate sets in one
+:class:`FrontierPlane` — the same arrays, stacked ``[B, Γ]`` / ``[B, n]``,
+with each query's :class:`CandidateSet` a row view — so the pop, the
+visited-push and the push of new candidates run once per round over the
+whole wave instead of once per query.
 """
 
 from __future__ import annotations
@@ -494,6 +500,259 @@ class CandidateSet:
     @property
     def num_visited(self) -> int:
         return self._num_visited
+
+
+def _plane_counter(which: int) -> property:
+    """A :class:`_PlaneRow` counter stored in the plane's per-row array."""
+
+    def fget(self) -> int:
+        return int(self._counters[which][self._q])
+
+    def fset(self, value: int) -> None:
+        self._counters[which][self._q] = value
+
+    return property(fget, fset)
+
+
+class _PlaneRow(CandidateSet):
+    """Row ``q`` of a :class:`FrontierPlane` as a :class:`CandidateSet`.
+
+    Storage only: every array attribute is a view of the plane's row and
+    the three counters read and write the plane's per-row counter arrays,
+    so all of :class:`CandidateSet`'s scalar methods run unchanged on the
+    plane's state (the seed pushes, the tie fallback, the tests' reads).
+    It references the plane's arrays, never the plane, so a finished wave's
+    storage is freed by reference count rather than the cycle collector.
+    """
+
+    def __init__(self, plane: "FrontierPlane", q: int) -> None:
+        self._q = q
+        self._counters = (plane.size, plane.num_visited, plane.unvis)
+        self.capacity = plane.capacity
+        self._ids = plane.ids[q]
+        self._dists = plane.dists[q]
+        # rows never run concurrently, so one scratch pair serves them all
+        self._scratch_i = plane._scratch_i
+        self._scratch_d = plane._scratch_d
+        self._in_set = plane.in_set[q]
+        self._vis = plane.vis[q]
+        self._seen = plane.seen[q]
+        self._key = plane.key[q]
+        self._complete = True
+        self.track_kicked = False
+        self.kicked = []
+
+    _size = _plane_counter(0)
+    _num_visited = _plane_counter(1)
+    _unvis_count = _plane_counter(2)
+
+    def grow(self, new_capacity: int) -> None:
+        raise TypeError("a frontier-plane row has the plane's fixed capacity")
+
+
+class FrontierPlane:
+    """The candidate sets of one wide wave, struct-of-arrays.
+
+    Row ``q`` *is* query ``q``'s candidate set: ``ids[q, :size[q]]`` /
+    ``dists[q, :size[q]]`` hold its ``(dist, id)``-sorted prefix and
+    ``in_set[q]`` / ``vis[q]`` / ``seen[q]`` / ``key[q]`` its id-indexed
+    flags; :meth:`row` hands out the :class:`CandidateSet` over that
+    storage.  The plane adds the three frontier steps of a block-search
+    round as one array pass over every live row — :meth:`pop`,
+    :meth:`push_visited`, :meth:`push_new` — each leaving every row exactly
+    where the row's own scalar ``pop_unvisited`` / ``push_visited_many`` /
+    ``push_many`` would.
+
+    Both pushes share one kernel: new items are laid beside the row's
+    prefix, the ``[rows, capacity + new]`` plane is ``lexsort``-ed by
+    ``(dist, id)`` and cut at ``capacity``.  Sequential pushes keep the
+    ``capacity`` best of everything offered and let an incumbent win a
+    distance tie, so the cut equals their outcome whenever the distances on
+    its two sides differ; a row where they are equal is **not** committed
+    and re-runs the step through its scalar row instead.
+
+    Two layout conventions keep the passes free of masks: the flag planes
+    have one extra *sink* column (id ``n``) that pads every prefix past
+    ``size`` — with distance ``+inf``, so padding sorts last and
+    ``dists[q, capacity - 1]`` is the eviction threshold of a full row and
+    ``+inf`` of a filling one — and the sink's ``vis`` flag is set, so
+    padding never reads as an unvisited candidate.  The scalar methods only
+    ever touch ``[:size]`` and ``size`` never shrinks, so they preserve
+    both.  The kicked set is not tracked (top-k searches never read it).
+    """
+
+    def __init__(self, width: int, capacity: int, num_vertices: int) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._sink = num_vertices
+        self._stride = stride = num_vertices + 1
+        self.ids = np.full((width, capacity), num_vertices, dtype=np.int64)
+        self.dists = np.full((width, capacity), np.inf, dtype=np.float64)
+        self.size = np.zeros(width, dtype=np.int64)
+        self.num_visited = np.zeros(width, dtype=np.int64)
+        #: in-set entries whose visited flag is still False, per row
+        self.unvis = np.zeros(width, dtype=np.int64)
+        self.in_set = np.zeros((width, stride), dtype=bool)
+        self.vis = np.zeros((width, stride), dtype=bool)
+        self.vis[:, num_vertices] = True
+        self.seen = np.zeros((width, stride), dtype=bool)
+        self.key = np.zeros((width, stride), dtype=np.float64)
+        # flat ``q * stride + id`` views: one 1-D gather per pass
+        self._in_set_f = self.in_set.reshape(-1)
+        self._vis_f = self.vis.reshape(-1)
+        self._seen_f = self.seen.reshape(-1)
+        self._key_f = self.key.reshape(-1)
+        self._scratch_i = np.empty(capacity, dtype=np.int64)
+        self._scratch_d = np.empty(capacity, dtype=np.float64)
+        self._rows = [_PlaneRow(self, q) for q in range(width)]
+
+    def row(self, q: int) -> CandidateSet:
+        """Query ``q``'s candidate set, backed by this plane's row ``q``."""
+        return self._rows[q]
+
+    def flat(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """``rows * stride + ids`` — the flag planes' flat addresses (and a
+        wave-unique key for a (row, vertex) pair)."""
+        return rows * self._stride + ids
+
+    def unseen(self, flat: np.ndarray) -> np.ndarray:
+        """:meth:`CandidateSet.unseen` for flat ``(row, id)`` addresses."""
+        return ~self._seen_f[flat]
+
+    # -- the three wave-wide passes ------------------------------------------
+
+    def pop(self, rows: np.ndarray, count: int) -> list[list[int]]:
+        """:meth:`CandidateSet.pop_unvisited` for every row of ``rows``."""
+        cur = self.ids[rows]
+        flat = (rows * self._stride)[:, None] + cur
+        unvisited = ~self._vis_f[flat]
+        take = unvisited & (unvisited.cumsum(axis=1) <= count)
+        self._vis_f[flat[take]] = True
+        took = take.sum(axis=1)
+        self.num_visited[rows] += took
+        self.unvis[rows] -= took
+        popped = cur[take].tolist()
+        out = []
+        start = 0
+        for n in took.tolist():
+            out.append(popped[start:start + n])
+            start += n
+        return out
+
+    def push_visited(
+        self, item_rows: np.ndarray, ids: np.ndarray, dists: np.ndarray
+    ) -> None:
+        """:meth:`CandidateSet.push_visited_many` for every row named in
+        ``item_rows``: item ``j`` goes to row ``item_rows[j]``.
+
+        ``item_rows`` is ascending and ids are unique within a row.
+        Members take keep-smaller on a *copy* of the prefix before the
+        merge, so a tied row is untouched when it falls back.
+        """
+        rows, local = np.unique(item_rows, return_inverse=True)
+        flat = self.flat(item_rows, ids)
+        cur_ids = self.ids[rows]
+        cur_dists = self.dists[rows]
+        member = self._in_set_f[flat]
+        lower = member & (dists < self._key_f[flat])
+        if lower.any():
+            at = local[lower]
+            pos = (cur_ids[at] == ids[lower][:, None]).argmax(axis=1)
+            cur_dists[at, pos] = dists[lower]
+        fresh = ~member
+        merged = self._merge(
+            rows, cur_ids, cur_dists, local[fresh], ids[fresh], dists[fresh]
+        )
+        # every item of a committing row ends visited, entered or not
+        mine = ~merged[-1][local]
+        flat, marked = flat[mine], local[mine]
+        newly = ~self._vis_f[flat]
+        self._vis_f[flat] = True
+        self._seen_f[flat] = True
+        self.num_visited[rows] += np.bincount(
+            marked[newly], minlength=rows.size
+        )
+        self._settle(
+            rows, cur_ids, merged, local, ids, dists, "push_visited_many"
+        )
+
+    def push_new(
+        self, item_rows: np.ndarray, ids: np.ndarray, dists: np.ndarray
+    ) -> None:
+        """:meth:`CandidateSet.push_many` for every row named in
+        ``item_rows`` (ascending): items are new to their row — unique,
+        neither in the set nor visited.
+
+        The eviction threshold of a full row only falls, so an item at or
+        past it now is rejected at its sequential turn too; only the rest,
+        and only the rows that have any, reach the merge.
+        """
+        under = dists < self.dists[item_rows, self.capacity - 1]
+        if not under.any():
+            return
+        ids, dists = ids[under], dists[under]
+        rows, local = np.unique(item_rows[under], return_inverse=True)
+        cur_ids = self.ids[rows]
+        merged = self._merge(rows, cur_ids, self.dists[rows], local, ids, dists)
+        self._settle(rows, cur_ids, merged, local, ids, dists, "push_many")
+
+    # -- the shared merge ------------------------------------------------------
+
+    def _merge(self, rows, cur_ids, cur_dists, local, ids, dists):
+        """Sort ``rows``' prefixes together with their new items and cut at
+        ``capacity``: ``(ids, dists, size, tied)`` per row, nothing stored.
+
+        ``tied`` flags the rows whose cut separates equal distances.
+        """
+        cap = self.capacity
+        counts = np.bincount(local, minlength=rows.size)
+        extra = int(counts.max())
+        tot_ids = np.full((rows.size, cap + extra), self._sink, dtype=np.int64)
+        tot_dists = np.full((rows.size, cap + extra), np.inf)
+        tot_ids[:, :cap] = cur_ids
+        tot_dists[:, :cap] = cur_dists
+        if extra:
+            rank = np.arange(ids.size) - (np.cumsum(counts) - counts)[local]
+            tot_ids[local, cap + rank] = ids
+            tot_dists[local, cap + rank] = dists
+        order = np.lexsort((tot_ids, tot_dists), axis=1)[:, :cap + 1]
+        tot_ids = np.take_along_axis(tot_ids, order, axis=1)
+        tot_dists = np.take_along_axis(tot_dists, order, axis=1)
+        total = self.size[rows] + counts
+        if extra:
+            tied = (total > cap) & (tot_dists[:, cap - 1] == tot_dists[:, cap])
+        else:
+            tied = np.zeros(rows.size, dtype=bool)
+        return (
+            tot_ids[:, :cap], tot_dists[:, :cap], np.minimum(total, cap), tied
+        )
+
+    def _settle(self, rows, old_ids, merged, local, ids, dists, scalar) -> None:
+        """Finish a push: tied rows re-run it through their row's ``scalar``
+        method on the untouched state, the rest store their merged prefix
+        and re-derive their membership flags (``seen == in_set | vis``
+        holds for every id a row ever held)."""
+        new_ids, new_dists, new_size, tied = merged
+        if tied.any():
+            for j in np.flatnonzero(tied).tolist():
+                mine = local == j
+                getattr(self._rows[rows[j]], scalar)(ids[mine], dists[mine])
+            ok = ~tied
+            rows, old_ids, new_size = rows[ok], old_ids[ok], new_size[ok]
+            new_ids, new_dists = new_ids[ok], new_dists[ok]
+        base = (rows * self._stride)[:, None]
+        old = base + old_ids
+        self._in_set_f[old] = False
+        self._seen_f[old] = self._vis_f[old]
+        new = base + new_ids
+        self._in_set_f[new] = True
+        self._seen_f[new] = True
+        self._key_f[new] = new_dists
+        self.ids[rows] = new_ids
+        self.dists[rows] = new_dists
+        self.size[rows] = new_size
+        self.unvis[rows] = np.count_nonzero(~self._vis_f[new], axis=1)
 
 
 class ResultSet:

@@ -52,7 +52,7 @@ def incremental_range_search(
     query = np.asarray(query, dtype=np.float32)
     stats = QueryStats(pipelined=getattr(engine, "pipeline", False))
     candidates, results, table = engine._seed(
-        query, initial_candidate_size, stats, table=table
+        query, initial_candidate_size, stats, table=table, track_kicked=True
     )
     while True:
         engine._run(query, candidates, results, table, stats)

@@ -8,8 +8,10 @@ are paid once per (query, round).  This module applies the
 :class:`WaveSearchEngine` advances a whole wave of in-flight queries in
 lockstep rounds.  Per round it
 
-1. checks every live query's stopper and pops every live query's frontier
-   (``beam_width`` closest unvisited candidates each),
+1. checks every live query's stopper, then pops the frontier
+   (``beam_width`` closest unvisited candidates) of every query still
+   live — per query on a narrow wave, as **one** masked scan over the
+   wave's :class:`~repro.engine.frontier.FrontierPlane` on a wide one,
 2. dedupes the union of the wave's requested block IDs and issues **one**
    coalesced :meth:`~repro.storage.disk_graph.DiskGraph.read_blocks` call —
    a block requested by several queries in the same round is physically
@@ -18,9 +20,24 @@ lockstep rounds.  Per round it
    each query's subtraction into its span of the shared scratch plane, and
    runs **one** fused row-paired distance reduction
    (:func:`~repro.vectors.metrics.fused_sq_norms`) across the whole wave,
-4. runs the per-query target/pruning selection and PQ-routed frontier
-   expansion through the exact round primitives of
-   :class:`~repro.engine.block_search.BlockSearchEngine`.
+4. runs the per-query target/pruning selection through the exact round
+   primitive of :class:`~repro.engine.block_search.BlockSearchEngine`
+   (``_select_round``), then the visited-push of the kept co-located
+   vertices and the PQ-routed frontier expansion — through the engine's
+   per-query primitives on a narrow wave; on a wide one as **one** pass
+   each over the plane: one freshness gather and first-occurrence dedup on
+   the ``(query, vertex)`` key, one flat ADC gather over the wave's
+   ``[B, M, ks]`` tables, and one sorted merge of every row's survivors
+   into its ``Γ``-prefix.
+
+The plane is the wave's candidate sets as ``[B, Γ]`` / ``[B, n]`` arrays;
+each query's :class:`~repro.engine.frontier.CandidateSet` is a row view of
+it, so seeding and the rare tied row (equal distances across the ``Γ`` cut,
+re-run through the row's scalar push) share its state.  Width alone picks
+the path — ``len(queries) >= LOCKSTEP_MIN_WAVE``, the entry walk's
+constant: below it the plane's per-round numpy dispatch costs more than the
+per-query calls it replaces (docs/PERFORMANCE.md, "The wave frontier
+plane"), and a narrow wave allocates none.
 
 Before the first round ("round 0") the wave's entry points come from one
 :meth:`~repro.graphs.navigation.NavigationGraph.entry_points_batch` call,
@@ -65,11 +82,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..graphs.navigation import LOCKSTEP_MIN_WAVE
 from ..storage.disk_graph import DiskGraph
 from ..vectors.metrics import fused_sq_norms
 from .block_search import BlockSearchEngine
 from .cost import QueryStats
 from .early_stop import AdaptiveEarlyStopper
+from .frontier import FrontierPlane
 from .results import SearchResult
 
 
@@ -132,12 +151,14 @@ class _QueryState:
     """One query's independent traversal state inside a wave."""
 
     __slots__ = (
-        "query", "table", "stats", "candidates", "results", "stopper",
+        "row", "query", "table", "stats", "candidates", "results", "stopper",
         "kernel", "hops", "loaded", "used",
     )
 
-    def __init__(self, query, table, stats, candidates, results, stopper,
-                 kernel) -> None:
+    def __init__(self, row, query, table, stats, candidates, results,
+                 stopper, kernel) -> None:
+        #: position in the wave: the query's row in ``tables`` and the plane
+        self.row = row
         self.query = query
         self.table = table
         self.stats = stats
@@ -192,6 +213,30 @@ class WaveSearchEngine:
             self._diff = buf
         return buf[:count]
 
+    def _expand_plane(self, plane, tables, states, item_rows, ids) -> None:
+        """:meth:`BlockSearchEngine._expand_frontier` for the whole wave in
+        one pass: ``ids`` are the round's explored neighbour IDs, ``ids[j]``
+        explored by query (plane and table row) ``item_rows[j]``, queries
+        in ascending order.
+
+        The freshness mask and the first-occurrence dedup run on the flat
+        ``(row, id)`` address, which keeps each query's survivors in its
+        serial order; one flat ADC gather routes them all.
+        """
+        key = plane.flat(item_rows, ids)
+        fresh = np.flatnonzero(plane.unseen(key))
+        if not fresh.size:
+            return
+        first = np.unique(key[fresh], return_index=True)[1]
+        first.sort()
+        fresh = fresh[first]
+        item_rows = item_rows[fresh]
+        ids = ids[fresh].astype(np.int64)
+        for row, routed in enumerate(np.bincount(item_rows).tolist()):
+            states[row].stats.pq_distances += routed
+        route = self.engine.pq.distances_from_tables(tables, item_rows, ids)
+        plane.push_new(item_rows, ids, route.astype(np.float64))
+
     def search_wave(
         self,
         queries: np.ndarray,
@@ -230,13 +275,22 @@ class WaveSearchEngine:
             queries, eng.num_entry_points
         )
         walk_distances = walk_distances.tolist()
+        if tables is None:
+            tables = eng.pq.lookup_tables(queries)
+        # A wave wide enough for the lockstep entry walk keeps its
+        # frontiers in one plane (same crossover, same constant); a
+        # narrower one allocates none and runs the per-query primitives.
+        plane = (
+            FrontierPlane(len(queries), candidate_size, dg.num_vertices)
+            if len(queries) >= LOCKSTEP_MIN_WAVE else None
+        )
         states: list[_QueryState] = []
         for i, q in enumerate(queries):
             stats = QueryStats(pipelined=eng.pipeline)
-            table = tables[i] if tables is not None else None
             candidates, results, table = eng._seed(
-                q, candidate_size, stats, table=table,
+                q, candidate_size, stats, table=tables[i],
                 walk=(entry_ids[i], walk_distances[i]),
+                candidates=plane.row(i) if plane is not None else None,
             )
             stopper = stoppers[i] if stoppers is not None else None
             if stopper is None:
@@ -247,7 +301,7 @@ class WaveSearchEngine:
             elif hasattr(stopper, "bind"):
                 stopper.bind(stats)
             states.append(_QueryState(
-                q, table, stats, candidates, results, stopper,
+                i, q, table, stats, candidates, results, stopper,
                 None if fused_l2 else metric.distances_kernel(q),
             ))
 
@@ -261,20 +315,30 @@ class WaveSearchEngine:
                 # Phase 1 — per-query stopper check + frontier pop, in the
                 # exact order of the serial round head; queries whose
                 # frontier drained (or whose stopper fired) finish here.
+                live = [
+                    st for st in live
+                    if st.candidates.has_unvisited() and not (
+                        st.stopper is not None
+                        and st.stopper.update(st.results)
+                    )
+                ]
+                if not live:
+                    break
+                if plane is None:
+                    batches = [
+                        st.candidates.pop_unvisited(beam_width) for st in live
+                    ]
+                else:
+                    live_rows = np.fromiter(
+                        (st.row for st in live), np.int64, len(live)
+                    )
+                    batches = plane.pop(live_rows, beam_width)
                 entries: list[tuple] = []
                 # Insertion-ordered set of the wave's requested block IDs
                 # (values unused; filled via C-level dict updates).
                 union: dict[int, object] = {}
                 requested = 0
-                next_live: list[_QueryState] = []
-                for st in live:
-                    if not st.candidates.has_unvisited():
-                        continue
-                    if st.stopper is not None and st.stopper.update(
-                        st.results
-                    ):
-                        continue
-                    batch = st.candidates.pop_unvisited(beam_width)
+                for st, batch in zip(live, batches):
                     st.hops += len(batch)
                     bids = vertex_to_block[batch].tolist()
                     targets_by_block: dict[int, list[int]] = {}
@@ -288,10 +352,6 @@ class WaveSearchEngine:
                     requested += len(q_unique)
                     union.update(targets_by_block)
                     entries.append((st, q_unique, targets_by_block))
-                    next_live.append(st)
-                live = next_live
-                if not entries:
-                    break
                 wave.rounds += 1
                 wave.requested_block_reads += requested
 
@@ -350,8 +410,16 @@ class WaveSearchEngine:
                         else parts[0]
                     ).tolist()
 
-                # Phase 4 — per-query selection + frontier expansion via
-                # the serial engine's own round primitives.
+                # Phase 4 — per-query target/pruning selection through the
+                # serial engine's own primitive; the visited-push and the
+                # frontier expansion run per query on a narrow wave and as
+                # one pass each over the plane on a wide one.
+                # (the wave-wide lists stay empty on a narrow wave)
+                keep_counts: list[int] = []
+                wave_keep_ids: list[int] = []
+                wave_keep_dists: list[float] = []
+                explore_counts: list[int] = []
+                wave_explore: list[np.ndarray] = []
                 for st, q_blocks, targets_by_block, start, end in spans:
                     (
                         res_ids, res_dists, keep_ids, keep_dists,
@@ -365,12 +433,36 @@ class WaveSearchEngine:
                     if keep_ids:
                         res_ids.extend(keep_ids)
                         res_dists.extend(keep_dists)
-                        st.candidates.push_visited_many(keep_ids, keep_dists)
+                        if plane is None:
+                            st.candidates.push_visited_many(
+                                keep_ids, keep_dists
+                            )
                     if res_ids:
                         st.results.add_many(res_ids, res_dists)
-                    eng._expand_frontier(
-                        st.query, st.table, st.candidates, explore_parts,
-                        st.stats,
+                    if plane is None:
+                        eng._expand_frontier(
+                            st.query, st.table, st.candidates, explore_parts,
+                            st.stats,
+                        )
+                    else:
+                        keep_counts.append(len(keep_ids))
+                        wave_keep_ids.extend(keep_ids)
+                        wave_keep_dists.extend(keep_dists)
+                        explore_counts.append(
+                            sum(map(len, explore_parts))
+                        )
+                        wave_explore.extend(explore_parts)
+                if wave_keep_ids:
+                    plane.push_visited(
+                        np.repeat(live_rows, keep_counts),
+                        np.asarray(wave_keep_ids, dtype=np.int64),
+                        np.asarray(wave_keep_dists, dtype=np.float64),
+                    )
+                if wave_explore:
+                    self._expand_plane(
+                        plane, tables, states,
+                        np.repeat(live_rows, explore_counts),
+                        np.concatenate(wave_explore),
                     )
         finally:
             if pool is not None:

@@ -33,6 +33,14 @@ from .wavebuild import wave_greedy_search
 #: width.  Measured (docs/PERFORMANCE.md, "Round 0"), they cross at width
 #: ≈ 8 on 150–300-sample graphs and ≈ 16 on a 30-sample one; 16 is the
 #: width from which lockstep never lost.
+#:
+#: It is the one wide-wave switch: ``WaveSearchEngine.search_wave`` keeps a
+#: wave of at least this width in a ``FrontierPlane`` (same trade, per-round
+#: dispatch shared by the wave).  The plane's own crossover sits lower —
+#: level with the per-query frontier at width 4, +13 % at 8, +20 % at 16,
+#: +34 % at 32, +45 % at 64 on ``batch_uniform``'s index
+#: (docs/PERFORMANCE.md, "The wave frontier plane") — so 16 is safely on
+#: its winning side.
 LOCKSTEP_MIN_WAVE = 16
 
 

@@ -160,6 +160,10 @@ class OptimizedProductQuantizer:
                              ids: np.ndarray) -> np.ndarray:
         return self.pq.distances_from_table(table, ids)
 
+    def distances_from_tables(self, tables: np.ndarray, rows: np.ndarray,
+                              ids: np.ndarray) -> np.ndarray:
+        return self.pq.distances_from_tables(tables, rows, ids)
+
     # -- diagnostics -----------------------------------------------------------------
 
     def reconstruction_error(self, vectors: np.ndarray) -> float:

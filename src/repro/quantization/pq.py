@@ -253,6 +253,17 @@ class ProductQuantizer:
         """
         return self.lookup_tables(np.asarray(query)[None, :])[0]
 
+    def _code_offsets(self, ids: np.ndarray) -> np.ndarray:
+        """``m * ks + codes[id, m]``: each id's entries in a flat table."""
+        if self.codes is None:
+            raise RuntimeError("fit_dataset() must be called first")
+        if self._flat_offsets is None:
+            self._flat_offsets = (
+                np.arange(self.num_subspaces, dtype=np.int64)
+                * self.num_centroids
+            )
+        return self.codes[np.asarray(ids, dtype=np.int64)] + self._flat_offsets
+
     def distances_from_table(
         self, table: np.ndarray, ids: np.ndarray
     ) -> np.ndarray:
@@ -263,15 +274,20 @@ class ProductQuantizer:
         ``sum`` reduction order, a fraction of the indexing overhead on the
         beam-sized id lists this runs on.
         """
-        if self.codes is None:
-            raise RuntimeError("fit_dataset() must be called first")
-        if self._flat_offsets is None:
-            self._flat_offsets = (
-                np.arange(self.num_subspaces, dtype=np.int64)
-                * self.num_centroids
-            )
-        codes = self.codes[np.asarray(ids, dtype=np.int64)]
-        return table.reshape(-1)[codes + self._flat_offsets].sum(axis=1)
+        return table.reshape(-1)[self._code_offsets(ids)].sum(axis=1)
+
+    def distances_from_tables(
+        self, tables: np.ndarray, rows: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Element ``j`` is ``distances_from_table(tables[rows[j]], ids[j])``,
+        for all ``j`` in one gather over the ``(Q, M, ks)`` stack.
+
+        The same ``M`` table entries reach the same last-axis ``sum`` as in
+        the per-table form, so every element is bit-identical to it.
+        """
+        offsets = self._code_offsets(ids)
+        offsets += (rows * (self.num_subspaces * self.num_centroids))[:, None]
+        return tables.reshape(-1)[offsets].sum(axis=1)
 
     # -- accounting ------------------------------------------------------------
 

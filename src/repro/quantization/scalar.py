@@ -104,3 +104,16 @@ class ScalarQuantizer:
             raise RuntimeError("fit_dataset() must be called first")
         rows = self.decode(self.codes[np.asarray(ids, dtype=np.int64)])
         return self.metric.distances(table, rows).astype(np.float64)
+
+    def distances_from_tables(self, tables: np.ndarray, rows: np.ndarray,
+                              ids: np.ndarray) -> np.ndarray:
+        """Element ``j`` is ``distances_from_table(tables[rows[j]], ids[j])``.
+
+        The metric kernel takes one query, so this is one
+        :meth:`distances_from_table` call per distinct row.
+        """
+        out = np.empty(ids.size, dtype=np.float64)
+        for r in np.unique(rows).tolist():
+            mine = rows == r
+            out[mine] = self.distances_from_table(tables[r], ids[mine])
+        return out

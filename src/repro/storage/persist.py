@@ -277,6 +277,9 @@ def _common_files(index) -> tuple[dict[str, bytes], dict]:
         ),
     }
     fmt = dg.fmt
+    # No build timings: wall clock in a saved artefact makes two saves of
+    # one index differ in bytes.  A loaded index reports ``BuildTimings()``
+    # (a "timings" key in an older save is ignored).
     meta = {
         "format_version": _FORMAT_VERSION,
         "metric": index.metric.name,
@@ -291,7 +294,6 @@ def _common_files(index) -> tuple[dict[str, bytes], dict]:
             "num_subspaces": pq.num_subspaces,
             "num_centroids": pq.num_centroids,
         },
-        "timings": asdict(index.timings),
         "memory": asdict(index.memory),
         "disk_spec": asdict(index.disk_spec),
         "compute_spec": asdict(index.compute_spec),
@@ -511,7 +513,7 @@ def load_starling(
 
     return StarlingIndex(
         disk_graph, pq, metric, provider, cfg,
-        BuildTimings(**meta["timings"]),
+        BuildTimings(),
         MemoryFootprint(**meta["memory"]),
         layout_or=float(meta["layout_or"]),
         disk_spec=DiskSpec(**meta["disk_spec"]),
@@ -591,7 +593,7 @@ def load_diskann(
         cache = HotVertexCache(npz["ids"], npz["vectors"], lists)
     return DiskANNIndex(
         disk_graph, pq, metric, FixedEntryPoint(int(meta["fixed_entry"])),
-        cfg, BuildTimings(**meta["timings"]),
+        cfg, BuildTimings(),
         MemoryFootprint(**meta["memory"]), cache=cache,
         disk_spec=DiskSpec(**meta["disk_spec"]),
         compute_spec=ComputeSpec(**meta["compute_spec"]),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.baselines import SPANNConfig, build_spann
 from repro.core import (
@@ -23,6 +24,21 @@ from repro.vectors import bigann_like, deep_like, knn
 
 SMALL_N = 600
 SMALL_QUERIES = 12
+
+# ``--hypothesis-profile=ci``: the CI step that re-runs the frontier and
+# wave equivalence suites with a search budget tier-1 cannot afford, on
+# fresh random examples every run.
+settings.register_profile(
+    "ci", max_examples=500, derandomize=False, deadline=None
+)
+
+
+def example_budget(tier1: int) -> int:
+    """``max_examples`` for a property test too slow for hypothesis's
+    default 100: ``tier1`` examples normally, the profile's own budget once
+    a profile has raised it."""
+    active = settings.default.max_examples
+    return active if active > 100 else tier1
 
 
 @pytest.fixture(scope="session")

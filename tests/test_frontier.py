@@ -1,9 +1,12 @@
-"""Unit tests for CandidateSet and ResultSet."""
+"""Unit tests for CandidateSet, FrontierPlane and ResultSet."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import CandidateSet, ResultSet
+from repro.engine.frontier import FrontierPlane
 
 
 class TestCandidateSetBasics:
@@ -185,6 +188,155 @@ class TestBulkPushEquivalence:
                     seq.push(vid, d)
                 assert bulk.entries() == seq.entries()
                 assert sorted(bulk.kicked) == sorted(seq.kicked)
+
+
+# ---------------------------------------------------------------------------
+# the wave's frontier plane: every row is a CandidateSet
+
+
+def _items(draw, num_ids: int):
+    """Unique ids with small integer distances, so ties — at the capacity
+    cut and inside it — are the common case."""
+    ids = draw(st.lists(
+        st.integers(0, num_ids - 1), min_size=1, max_size=num_ids,
+        unique=True,
+    ))
+    dists = draw(st.lists(
+        st.integers(0, 4), min_size=len(ids), max_size=len(ids)
+    ))
+    return (
+        np.asarray(ids, dtype=np.int64), np.asarray(dists, dtype=np.float64)
+    )
+
+
+def _gather(rows, per_row):
+    """Per-row ``(ids, dists)`` pairs as the passes' flat arguments."""
+    item_rows = np.repeat(
+        np.asarray(rows, dtype=np.int64), [ids.size for ids, _ in per_row]
+    )
+    ids = np.concatenate([ids for ids, _ in per_row])
+    dists = np.concatenate([dists for _, dists in per_row])
+    return item_rows, ids, dists
+
+
+def _assert_rows_equal(plane, reference, num_ids):
+    for q, ref in enumerate(reference):
+        row = plane.row(q)
+        assert row.entries() == ref.entries()
+        assert len(row) == len(ref)
+        assert row.has_unvisited() == ref.has_unvisited()
+        assert row.num_visited == ref.num_visited
+        for flags in ("in_set", "vis", "seen"):
+            assert np.array_equal(
+                getattr(plane, flags)[q, :num_ids],
+                getattr(ref, "_" + flags)[:num_ids],
+            ), flags
+
+
+class TestFrontierPlane:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_random_interleavings_match_candidate_sets(self, data):
+        """pop / visited-push / push-new passes over a plane leave every
+        row where an independent CandidateSet driven with the same
+        per-row operations ends up — boundary ties included, which only
+        the scalar fallback gets right."""
+        draw = data.draw
+        width = draw(st.integers(1, 4), label="width")
+        capacity = draw(st.integers(1, 5), label="capacity")
+        num_ids = draw(st.integers(capacity + 1, 14), label="ids")
+        plane = FrontierPlane(width, capacity, num_ids)
+        reference = [
+            CandidateSet(capacity, max_vertex_id=num_ids - 1)
+            for _ in range(width)
+        ]
+        for _ in range(draw(st.integers(1, 10), label="steps")):
+            op = draw(st.sampled_from(["seed", "pop", "visited", "new"]))
+            rows = sorted(draw(st.sets(
+                st.integers(0, width - 1), min_size=1
+            ), label=op))
+            if op == "seed":
+                # the engine seeds through the row's scalar push
+                for q in rows:
+                    vid = draw(st.integers(0, num_ids - 1))
+                    d = float(draw(st.integers(0, 4)))
+                    assert plane.row(q).push(vid, d) == reference[q].push(
+                        vid, d
+                    )
+            elif op == "pop":
+                count = draw(st.integers(1, 3))
+                popped = plane.pop(np.asarray(rows, dtype=np.int64), count)
+                assert popped == [
+                    reference[q].pop_unvisited(count) for q in rows
+                ]
+            elif op == "visited":
+                per_row = [_items(draw, num_ids) for _ in rows]
+                plane.push_visited(*_gather(rows, per_row))
+                for q, (ids, dists) in zip(rows, per_row):
+                    reference[q].push_visited_many(ids, dists)
+            else:
+                per_row = []
+                for q in rows:
+                    ids, dists = _items(draw, num_ids)
+                    fresh = reference[q].unseen(ids)
+                    assert np.array_equal(
+                        plane.unseen(plane.flat(q, ids)), fresh
+                    )
+                    per_row.append((ids[fresh], dists[fresh]))
+                plane.push_new(*_gather(rows, per_row))
+                for q, (ids, dists) in zip(rows, per_row):
+                    reference[q].push_many(ids, dists)
+            _assert_rows_equal(plane, reference, num_ids)
+
+    @pytest.mark.parametrize("step", ["push_many", "push_visited_many"])
+    def test_boundary_tie_row_takes_the_scalar_fallback(
+        self, monkeypatch, step
+    ):
+        """Row 0's merge has equal distances on both sides of the cut: the
+        sequential order keeps the *first* tied item (id 9), a sort by
+        ``(dist, id)`` would keep id 4 — so that row, and only that row,
+        must re-run through its scalar method."""
+        plane = FrontierPlane(2, 2, 12)
+        reference = [CandidateSet(2, max_vertex_id=11) for _ in range(2)]
+        for q in range(2):
+            for vid, d in ((1, 1.0), (2, 5.0)):
+                plane.row(q).push(vid, d)
+                reference[q].push(vid, d)
+        fell_back = []
+        scalar = getattr(CandidateSet, step)
+
+        def spy(self, ids, dists):
+            fell_back.append(self)
+            return scalar(self, ids, dists)
+
+        monkeypatch.setattr(CandidateSet, step, spy)
+        per_row = [
+            (np.array([9, 4]), np.array([3.0, 3.0])),   # tie across the cut
+            (np.array([9, 4]), np.array([3.0, 4.0])),   # no tie
+        ]
+        if step == "push_many":
+            plane.push_new(*_gather([0, 1], per_row))
+        else:
+            plane.push_visited(*_gather([0, 1], per_row))
+        assert fell_back == [plane.row(0)]
+        monkeypatch.undo()
+        for ref, (ids, dists) in zip(reference, per_row):
+            getattr(ref, step)(ids, dists)
+        assert [vid for _, vid in plane.row(0).entries()] == [1, 9]
+        _assert_rows_equal(plane, reference, 12)
+
+    def test_rows_share_the_planes_storage(self):
+        plane = FrontierPlane(3, 4, 10)
+        row = plane.row(1)
+        row.push(7, 2.0)
+        row.push(3, 1.0)
+        assert plane.ids[1, :2].tolist() == [3, 7]
+        assert plane.size.tolist() == [0, 2, 0]
+        assert plane.in_set[1, 7] and not plane.in_set[0, 7]
+        assert plane.pop(np.array([1]), 1) == [[3]]
+        assert row.is_visited(3) and row.num_visited == 1
+        with pytest.raises(TypeError):
+            row.grow(8)
 
 
 class TestResultSet:

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.core import StarlingConfig, build_starling
+from repro.core import BuildTimings, StarlingConfig, build_starling
 from repro.storage import (
     DigestMismatchError,
     IndexLoadError,
@@ -74,9 +74,31 @@ class TestStarlingPersistence:
         assert loaded.config == starling_index.config
         assert loaded.memory_bytes == starling_index.memory_bytes
         assert loaded.disk_bytes == starling_index.disk_bytes
-        assert loaded.timings.total_s == pytest.approx(
-            starling_index.timings.total_s
-        )
+        # wall clock is not part of a saved index
+        assert loaded.timings == BuildTimings()
+
+    def test_saving_twice_is_byte_identical(self, starling_index, tmp_path):
+        """No wall clock in the artefact: two saves of one built index
+        write the same ``meta.json`` (and so the same directory size)."""
+        metas = []
+        for name in ("a", "b"):
+            save_starling(starling_index, tmp_path / name)
+            metas.append(
+                (index_files_dir(tmp_path / name) / "meta.json").read_bytes()
+            )
+        assert metas[0] == metas[1]
+        assert b"timings" not in metas[0]
+
+    def test_old_save_with_timings_still_loads(
+        self, starling_index, tmp_path
+    ):
+        save_starling(starling_index, tmp_path / "idx")
+        meta_path = index_files_dir(tmp_path / "idx") / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["timings"] = {"disk_graph_s": 1.5}
+        meta_path.write_text(json.dumps(meta))
+        _resign(tmp_path / "idx")
+        assert load_starling(tmp_path / "idx").timings == BuildTimings()
 
     def test_fixed_entry_point_variant(self, small_dataset, graph_config,
                                        tmp_path):

@@ -41,6 +41,37 @@ class TestExports:
         assert not hasattr(VertexFormat, "decode_block")
         assert not hasattr(VertexFormat, "decode_vertex")
 
+    def test_frontier_plane_has_one_switch(self):
+        """The wide-wave frontier plane is chosen by wave width through the
+        entry walk's constant alone: no spec field, constructor argument,
+        ``search_wave`` parameter or environment variable selects it."""
+        import dataclasses
+        import inspect
+
+        from repro.engine import ExecSpec, ServeSpec, WaveSearchEngine
+        from repro.engine import frontier, wave_search
+        from repro.graphs import navigation
+
+        assert {f.name for f in dataclasses.fields(ExecSpec)} == {
+            "mode", "workers", "share_tables", "decode_cache", "gc_pause",
+            "start_method",
+        }
+        assert {f.name for f in dataclasses.fields(ServeSpec)} == {
+            "workers", "queue_depth", "deadline_us", "shed_tiers",
+            "max_batch", "shed_low", "shed_high", "breaker_probe_us",
+            "breaker_backoff", "decode_cache_blocks", "min_rounds", "wave",
+            "ingest_queue_depth",
+        }
+        assert list(inspect.signature(WaveSearchEngine).parameters) == [
+            "engine"
+        ]
+        assert list(
+            inspect.signature(WaveSearchEngine.search_wave).parameters
+        ) == ["self", "queries", "k", "candidate_size", "tables", "stoppers"]
+        assert wave_search.LOCKSTEP_MIN_WAVE is navigation.LOCKSTEP_MIN_WAVE
+        for module in (wave_search, frontier):
+            assert "environ" not in inspect.getsource(module)
+
 
 class TestDeterminism:
     def test_starling_search_deterministic(self, starling_index,

@@ -11,6 +11,7 @@ stopper cadence, the determinism gates, and the serving-layer opt-in.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -32,15 +33,19 @@ from repro.engine import (
     WaveStats,
     wave_capable,
 )
+from repro.engine import wave_search
+from repro.engine.frontier import CandidateSet, FrontierPlane
 from repro.graphs.navigation import LOCKSTEP_MIN_WAVE
 from repro.storage import FaultSpec
 from repro.storage.faults import base_disk_graph
-from repro.vectors import text2image_like
+from repro.vectors import deep_like, knn, text2image_like
+
+from .conftest import example_budget
 
 # The indexes behind the function-scoped fixture wrappers are session-scoped
 # and read-only, so reusing them across generated examples is sound.
 COMMON = settings(
-    max_examples=15, deadline=None,
+    max_examples=example_budget(15), deadline=None,
     suppress_health_check=[
         HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
     ],
@@ -78,6 +83,19 @@ def ip_index(graph_config):
     """An inner-product index and a float32 query pool wider than two
     lockstep crossovers."""
     dataset = text2image_like(400, 2 * LOCKSTEP_MIN_WAVE + 1, seed=7)
+    index = build_starling(dataset, StarlingConfig(graph=graph_config))
+    return index, np.asarray(dataset.queries, dtype=np.float32)
+
+
+@pytest.fixture(scope="module")
+def duplicated_index(graph_config):
+    """A float index whose second half repeats its first, so equal PQ
+    distances — inside a candidate set and across its capacity cut — are
+    the common case, plus a float32 query pool."""
+    dataset = deep_like(600, 2 * LOCKSTEP_MIN_WAVE + 1, seed=11)
+    vectors = dataset.vectors.copy()
+    vectors[300:] = vectors[:300]
+    dataset = dataclasses.replace(dataset, vectors=vectors)
     index = build_starling(dataset, StarlingConfig(graph=graph_config))
     return index, np.asarray(dataset.queries, dtype=np.float32)
 
@@ -223,6 +241,26 @@ class TestWaveEquivalence:
         ]
         _same_results(reference, out)
 
+    def test_tables_built_once_when_not_handed_in(
+        self, starling_index, small_dataset, monkeypatch
+    ):
+        """Without the executor's tables a wave makes one batched ADC
+        build, not one ``lookup_table`` per seed."""
+        queries = np.asarray(small_dataset.queries[:5], dtype=np.float32)
+        pq = starling_index.engine.pq
+        builds = []
+        batched = pq.lookup_tables
+        monkeypatch.setattr(
+            pq, "lookup_tables",
+            lambda qs: builds.append(len(qs)) or batched(qs),
+        )
+        out = WaveSearchEngine(starling_index.engine).search_wave(
+            queries, 10, 48
+        )
+        assert builds == [5]
+        monkeypatch.undo()
+        _same_results([starling_index.search(q, 10, 48) for q in queries], out)
+
     def test_range_batch_falls_back_to_batched(
         self, starling_index, small_dataset
     ):
@@ -233,6 +271,183 @@ class TestWaveEquivalence:
         out = executor.range_batch(queries, radius)
         _same_results(reference, out)
         assert executor.last_wave_stats is None
+
+
+# ---------------------------------------------------------------------------
+# the frontier plane: chosen by wave width alone, invisible in every output
+
+WIDTHS = [LOCKSTEP_MIN_WAVE - 1, LOCKSTEP_MIN_WAVE, 2 * LOCKSTEP_MIN_WAVE + 1]
+
+
+def _wave(index, queries, k, gamma, stoppers=None):
+    """One wave through the executor: results, WaveStats, device delta."""
+    device = base_disk_graph(index.disk_graph).device
+    before = device.counters.snapshot()
+    executor = BatchExecutor(index, ExecSpec(mode="wave"))
+    out = executor.search_batch(queries, k, gamma, stoppers=stoppers)
+    return out, executor.last_wave_stats, device.counters.since(before)
+
+
+def _assert_plane_invisible(
+    monkeypatch, index, queries, k, gamma, make_stoppers=None
+):
+    """The wave equals the serial loop per query, and — run again with the
+    plane switched off — itself in WaveStats and device counters."""
+    stoppers = make_stoppers or (lambda: None)
+    serial = BatchExecutor(index, ExecSpec(mode="serial")).search_batch(
+        queries, k, gamma, stoppers=stoppers()
+    )
+    out, wave_stats, io = _wave(index, queries, k, gamma, stoppers())
+    _same_results(serial, out)
+    with monkeypatch.context() as patch:
+        patch.setattr(wave_search, "LOCKSTEP_MIN_WAVE", len(queries) + 1)
+        per_query, ref_stats, ref_io = _wave(
+            index, queries, k, gamma, stoppers()
+        )
+    _same_results(serial, per_query)
+    assert wave_stats == ref_stats
+    assert io == ref_io
+    return out
+
+
+class TestFrontierPlaneWaves:
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_uint8_l2_fixture(
+        self, monkeypatch, starling_index, small_dataset, width
+    ):
+        rng = np.random.default_rng(width)
+        picks = rng.integers(0, len(small_dataset.vectors), size=width)
+        queries = (
+            small_dataset.vectors[picks].astype(np.float32)
+            + rng.normal(0.0, 12.0, size=(width, 128)).astype(np.float32)
+        )
+        out = _assert_plane_invisible(
+            monkeypatch, starling_index, queries, 10, 12
+        )
+        truth, _ = knn(
+            small_dataset.vectors, queries, 10, small_dataset.metric
+        )
+        hits = sum(
+            len(set(r.ids.tolist()) & set(t.tolist()))
+            for r, t in zip(out, truth)
+        )
+        # an operating point where a wrong frontier can show
+        assert hits < 10 * width
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_duplicated_vectors(self, monkeypatch, duplicated_index, width):
+        """Boundary ties are real on this data: the wide waves must hit the
+        scalar fallback and still match."""
+        index, queries = duplicated_index
+        fallbacks = []
+        for name in ("push_many", "push_visited_many"):
+            scalar = getattr(CandidateSet, name)
+            monkeypatch.setattr(
+                CandidateSet, name,
+                lambda self, *a, _scalar=scalar, _name=name: (
+                    fallbacks.append((_name, type(self))),
+                    _scalar(self, *a),
+                )[1],
+            )
+        _assert_plane_invisible(monkeypatch, index, queries[:width], 10, 12)
+        on_rows = {
+            name for name, kind in fallbacks if kind is not CandidateSet
+        }
+        if width >= LOCKSTEP_MIN_WAVE:
+            assert on_rows == {"push_many", "push_visited_many"}
+        else:
+            assert not on_rows
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_ip_index(self, monkeypatch, ip_index, width):
+        index, queries = ip_index
+        _assert_plane_invisible(monkeypatch, index, queries[:width], 10, 24)
+
+    @pytest.mark.parametrize("quantizer", ["opq", "sq8"])
+    def test_other_routers(
+        self, monkeypatch, small_float_dataset, graph_config, quantizer
+    ):
+        """OPQ and SQ8 route through their own ``distances_from_tables``."""
+        index = build_starling(
+            small_float_dataset,
+            StarlingConfig(graph=graph_config, quantizer=quantizer),
+        )
+        rng = np.random.default_rng(5)
+        queries = rng.normal(size=(LOCKSTEP_MIN_WAVE + 3, 96)).astype(
+            np.float32
+        )
+        _assert_plane_invisible(monkeypatch, index, queries, 10, 16)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("kind", ["adaptive", "deadline"])
+    def test_stoppers(
+        self, monkeypatch, starling_index, small_dataset, width, kind
+    ):
+        rng = np.random.default_rng(100 + width)
+        queries = rng.integers(0, 256, size=(width, 128)).astype(np.float32)
+        if kind == "adaptive":
+            def make():
+                return [
+                    AdaptiveEarlyStopper(10, 1, min_hops=2) for _ in queries
+                ]
+        else:
+            full = [starling_index.search(q, 10, 32) for q in queries]
+            budget = 0.5 * min(starling_index.latency_us(r) for r in full)
+
+            def make():
+                return [DeadlineStopper(budget) for _ in queries]
+        out = _assert_plane_invisible(
+            monkeypatch, starling_index, queries, 10, 32, make
+        )
+        untruncated = [starling_index.search(q, 10, 32) for q in queries]
+        assert any(
+            r.stats.round_trips < f.stats.round_trips
+            for r, f in zip(out, untruncated)
+        )
+
+    def test_width_alone_selects_the_plane(
+        self, monkeypatch, starling_index
+    ):
+        """A narrow wave constructs no plane; from ``LOCKSTEP_MIN_WAVE`` on
+        there is exactly one per ``search_wave`` call."""
+        built = []
+
+        class Spy(FrontierPlane):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(wave_search, "FrontierPlane", Spy)
+        rng = np.random.default_rng(1)
+        for width in WIDTHS:
+            queries = rng.integers(0, 256, size=(width, 128)).astype(
+                np.float32
+            )
+            del built[:]
+            _wave(starling_index, queries, 10, 24)
+            if width < LOCKSTEP_MIN_WAVE:
+                assert built == []
+            else:
+                assert built == [
+                    (width, 24, starling_index.disk_graph.num_vertices)
+                ]
+
+    def test_anns_search_tracks_no_kicked_set(
+        self, starling_index, diskann_index, small_dataset
+    ):
+        query = np.asarray(small_dataset.queries[0], dtype=np.float32)
+        for index in (starling_index, diskann_index):
+            engine = index.engine
+            stats = type(index.search(query, 10, 8).stats)()
+            candidates, results, table = engine._seed(query, 8, stats)
+            engine._run(query, candidates, results, table, stats)
+            assert len(results) > 8      # the set overflowed: vertices fell off
+            assert not candidates.track_kicked
+            assert candidates.kicked == []
+            tracked, _, _ = engine._seed(
+                query, 8, type(stats)(), track_kicked=True
+            )
+            assert tracked.track_kicked
 
 
 # ---------------------------------------------------------------------------
