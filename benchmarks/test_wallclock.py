@@ -1,13 +1,12 @@
-"""Wall-clock benchmark: serial loop vs the batched and wave executors.
+"""Wall-clock benchmark: serial loop vs the wave executor.
 
 Unlike every other bench in this directory, the timings here are *measured*
 (see ``repro/bench/wallclock.py``); the hard assertions are that batching
 changes nothing observable — per-query results and I/O counters are
-identical for both comparison legs.  Timings are reported as absolute
-ms/query per leg (every leg runs the same decode, so a ratio over the
-serial loop is no longer a headline); ``repro.bench.guard`` watches them
-against the committed baseline.  The wave leg must additionally coalesce
-reads: queries requesting the same block in the same lockstep round share
+identical.  Timings are reported as absolute ms/query per leg (both legs
+run the same decode, so a ratio over the serial loop is no longer a
+headline); ``repro.bench.guard`` watches them against the committed
+baseline.  The wave leg must additionally coalesce reads: queries requesting the same block in the same lockstep round share
 one physical read.  The report is written to ``BENCH_wallclock.json`` (CI
 uploads it as an artifact).
 """
@@ -28,7 +27,6 @@ def test_wallclock_batched_vs_serial():
         f"\nwallclock [{report.family} n={report.num_vectors} "
         f"q={report.num_queries}]: "
         f"serial {report.serial_ms_per_query:.2f} ms/q, "
-        f"batched {report.batched_ms_per_query:.2f} ms/q, "
         f"wave {report.wave_ms_per_query:.2f} ms/q "
         f"(coalesced {report.wave_coalesced_block_reads}"
         f"/{report.wave_requested_block_reads} reads) -> {path}"
@@ -36,10 +34,6 @@ def test_wallclock_batched_vs_serial():
 
     # Correctness is non-negotiable: batching and lockstep waves must be
     # invisible in results and in every per-query I/O counter.
-    assert report.batched_results_identical
-    assert report.batched_counters_identical
-    assert report.wave_results_identical
-    assert report.wave_counters_identical
     assert report.results_identical
     assert report.counters_identical
 
@@ -54,7 +48,7 @@ def test_wallclock_batched_vs_serial():
     # The file must round-trip for the CI artifact consumer and the guard.
     with open(path) as fh:
         data = json.load(fh)
-    for leg in ("serial", "batched", "wave"):
+    for leg in ("serial", "wave"):
         assert data[leg]["ms_per_query"] > 0.0
     assert data["wave"]["coalesced_fraction"] == report.wave_coalesced_fraction
     assert len(data["per_query_counters"]) == report.num_queries

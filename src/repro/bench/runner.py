@@ -5,13 +5,12 @@ against brute-force ground truth, and return a :class:`PerfSummary` — the
 row format every table and figure bench prints.
 
 Batches run through :class:`~repro.engine.batch.BatchExecutor`, so the
-wall-clock cost of producing a table is amortized (shared ADC tables and a
-shared decode cache) while every *simulated* number in the summary — I/Os,
-round trips, latency, QPS — is bit-identical to the plain per-query loop.
-The ``threads`` parameter plays two roles kept deliberately consistent: it
-is the simulated pool width of the paper's QPS model
-(``QPS = threads / mean_latency``, see :mod:`repro.metrics.perf`) and the
-default worker count of the executor's optional fan-out modes.
+wall-clock cost of producing a table is amortized (shared ADC tables, a
+shared decode cache, lockstep waves) while every *simulated* number in the
+summary — I/Os, round trips, latency, QPS — is bit-identical to the plain
+per-query loop.  The ``threads`` parameter is the simulated pool width of
+the paper's QPS model (``QPS = threads / mean_latency``, see
+:mod:`repro.metrics.perf`); it schedules nothing.
 """
 
 from __future__ import annotations
@@ -28,16 +27,6 @@ from ..vectors.ground_truth import knn as brute_knn
 from ..vectors.ground_truth import range_search as brute_range
 
 
-def _executor(index, threads: int, exec_spec: ExecSpec | None) -> BatchExecutor:
-    """The batch executor for a runner call.
-
-    An explicit ``exec_spec`` wins; otherwise the default in-order
-    ``batched`` mode is used with ``threads`` as the worker count a caller
-    would get by switching the mode to a fan-out one.
-    """
-    return BatchExecutor(index, exec_spec or ExecSpec(workers=threads))
-
-
 def run_anns(
     label: str,
     index,
@@ -50,7 +39,7 @@ def run_anns(
     exec_spec: ExecSpec | None = None,
 ) -> PerfSummary:
     """Run an ANNS batch and summarize accuracy + simulated performance."""
-    results = _executor(index, threads, exec_spec).search_batch(
+    results = BatchExecutor(index, exec_spec).search_batch(
         queries, k, candidate_size
     )
     recall = mean_recall_at_k([r.ids for r in results], truth_ids, k)
@@ -68,7 +57,7 @@ def run_range(
     exec_spec: ExecSpec | None = None,
 ) -> PerfSummary:
     """Run an RS batch and summarize AP + simulated performance."""
-    results = _executor(index, threads, exec_spec).range_batch(queries, radius)
+    results = BatchExecutor(index, exec_spec).range_batch(queries, radius)
     ap = mean_average_precision([r.ids for r in results], truth_lists)
     return summarize(label, index, results, ap, threads=threads)
 
@@ -108,7 +97,7 @@ def sweep_range(
     """Latency/QPS-vs-AP curve by sweeping the initial candidate size."""
     if not hasattr(index, "range_search"):
         raise TypeError(f"{index!r} does not support range search")
-    executor = _executor(index, threads, exec_spec)
+    executor = BatchExecutor(index, exec_spec)
     curves = []
     for size in initial_sizes:
         try:

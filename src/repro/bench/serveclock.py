@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.batch import ExecSpec
 from ..engine.concurrency import ThroughputSimulator
 from ..engine.serve import SearchService, ServeSpec, poisson_arrivals_us
 from .envinfo import environment_metadata
@@ -109,10 +108,7 @@ class ServeBenchReport:
 
 def _profile_latencies(coordinator, queries, k: int, candidate_size: int):
     """Per-query simulated latency at the full-quality tier."""
-    results = coordinator.search_batch(
-        queries, k, candidate_size,
-        exec_spec=ExecSpec(mode="batched", gc_pause=False),
-    )
+    results = coordinator.search_batch(queries, k, candidate_size)
     return np.asarray(
         [r.parallel_latency_us for r in results], dtype=np.float64
     ), results

@@ -10,13 +10,11 @@ Python process itself to show that the
 tables, shared decode cache, lockstep wave coalescing) cut real execution
 time while leaving every simulated counter untouched.
 
-Three legs run on the same fixed workload: the ``serial`` per-query loop
-(the reference), the in-order ``batched`` mode, and the lockstep ``wave``
-mode.  The wave leg additionally reports its coalescing counters
-(requested/issued/saved physical block reads) from
-:class:`~repro.engine.wave_search.WaveStats` — the wall-clock gain of
-coalescing is modest on a machine where the decode cache already makes
-repeat reads cheap, but the physical-read saving is large and exact.
+Two legs run on the same fixed workload: the ``serial`` per-query loop (the
+reference) and the ``wave`` mode.  The wave leg additionally reports its
+coalescing counters (requested/issued/saved physical block reads) from
+:class:`~repro.engine.cost.WaveStats` — the physical-read saving is large
+and exact.
 
 The workload is fixed so runs are comparable: the 256-dimensional ``ssnpp``
 synthetic family (the widest vectors of the four, hence the largest
@@ -51,9 +49,6 @@ DEFAULT_FAMILY = "ssnpp"
 #: fixed per-query seeding cost, which is the regime batching targets
 DEFAULT_CANDIDATE_SIZE = 96
 
-#: comparison legs timed against the serial reference (in run order)
-BENCH_MODES = ("batched", "wave")
-
 
 def query_counters(results) -> list[dict[str, int]]:
     """The per-query I/O counters that must survive batching unchanged."""
@@ -69,13 +64,7 @@ def query_counters(results) -> list[dict[str, int]]:
 
 @dataclass
 class WallclockReport:
-    """Measured serial-vs-batched-vs-wave timings on the fixed workload.
-
-    Per-leg fields are ``None`` when that leg was skipped (the CLI's
-    ``--exec-mode`` restricts the comparison legs); the aggregate
-    :attr:`results_identical` / :attr:`counters_identical` properties AND
-    over the legs that ran.
-    """
+    """Measured serial-vs-wave timings on the fixed workload."""
 
     family: str
     num_vectors: int
@@ -84,15 +73,12 @@ class WallclockReport:
     candidate_size: int
     repeats: int
     serial_s: float
-    batched_s: float | None = None
-    wave_s: float | None = None
-    batched_results_identical: bool | None = None
-    batched_counters_identical: bool | None = None
-    wave_results_identical: bool | None = None
-    wave_counters_identical: bool | None = None
-    wave_requested_block_reads: int | None = None
-    wave_issued_block_reads: int | None = None
-    wave_coalesced_block_reads: int | None = None
+    wave_s: float
+    results_identical: bool
+    counters_identical: bool
+    wave_requested_block_reads: int
+    wave_issued_block_reads: int
+    wave_coalesced_block_reads: int
     counters: list[dict[str, int]] = field(default_factory=list)
 
     @property
@@ -107,51 +93,15 @@ class WallclockReport:
         )
 
     @property
-    def results_identical(self) -> bool:
-        legs = [
-            flag
-            for flag in (
-                self.batched_results_identical, self.wave_results_identical
-            )
-            if flag is not None
-        ]
-        return bool(legs) and all(legs)
-
-    @property
-    def counters_identical(self) -> bool:
-        legs = [
-            flag
-            for flag in (
-                self.batched_counters_identical, self.wave_counters_identical
-            )
-            if flag is not None
-        ]
-        return bool(legs) and all(legs)
-
-    def _ms_per_query(self, total_s: float | None) -> float:
-        return (total_s or 0.0) / self.num_queries * 1e3
-
-    def _leg(self, total_s: float) -> dict:
-        """Absolute numbers for one leg: total seconds and ms/query."""
-        return {
-            "total_s": total_s,
-            "ms_per_query": self._ms_per_query(total_s),
-        }
-
-    @property
     def serial_ms_per_query(self) -> float:
-        return self._ms_per_query(self.serial_s)
-
-    @property
-    def batched_ms_per_query(self) -> float:
-        return self._ms_per_query(self.batched_s)
+        return self.serial_s / self.num_queries * 1e3
 
     @property
     def wave_ms_per_query(self) -> float:
-        return self._ms_per_query(self.wave_s)
+        return self.wave_s / self.num_queries * 1e3
 
     def to_dict(self) -> dict:
-        out: dict = {
+        return {
             "workload": {
                 "family": self.family,
                 "num_vectors": self.num_vectors,
@@ -160,29 +110,23 @@ class WallclockReport:
                 "candidate_size": self.candidate_size,
                 "repeats": self.repeats,
             },
-            "serial": self._leg(self.serial_s),
-        }
-        if self.batched_s is not None:
-            out["batched"] = {
-                **self._leg(self.batched_s),
-                "results_identical": self.batched_results_identical,
-                "counters_identical": self.batched_counters_identical,
-            }
-        if self.wave_s is not None:
-            out["wave"] = {
-                **self._leg(self.wave_s),
-                "results_identical": self.wave_results_identical,
-                "counters_identical": self.wave_counters_identical,
+            "serial": {
+                "total_s": self.serial_s,
+                "ms_per_query": self.serial_ms_per_query,
+            },
+            "wave": {
+                "total_s": self.wave_s,
+                "ms_per_query": self.wave_ms_per_query,
                 "requested_block_reads": self.wave_requested_block_reads,
                 "issued_block_reads": self.wave_issued_block_reads,
                 "coalesced_block_reads": self.wave_coalesced_block_reads,
                 "coalesced_fraction": self.wave_coalesced_fraction,
-            }
-        out["results_identical"] = self.results_identical
-        out["counters_identical"] = self.counters_identical
-        out["environment"] = environment_metadata()
-        out["per_query_counters"] = self.counters
-        return out
+            },
+            "results_identical": self.results_identical,
+            "counters_identical": self.counters_identical,
+            "environment": environment_metadata(),
+            "per_query_counters": self.counters,
+        }
 
     def write_json(self, path: str) -> str:
         with open(path, "w") as fh:
@@ -207,22 +151,14 @@ def run_wallclock(
     k: int = 10,
     candidate_size: int = DEFAULT_CANDIDATE_SIZE,
     repeats: int = 3,
-    modes: tuple[str, ...] = BENCH_MODES,
 ) -> WallclockReport:
-    """Time the serial loop against the batched and wave executors.
+    """Time the serial loop against the wave executor.
 
     Each side runs ``repeats`` times and keeps its best (minimum) total —
     the standard way to suppress scheduler noise in wall-clock
     micro-benchmarks.  The serial reference is the executor's ``serial``
-    mode, i.e. the plain per-query loop with no amortization; ``modes``
-    selects the comparison legs (a subset of :data:`BENCH_MODES`).
+    mode, i.e. the plain per-query loop with no amortization.
     """
-    unknown = set(modes) - set(BENCH_MODES)
-    if unknown:
-        raise ValueError(
-            f"unknown wallclock modes {sorted(unknown)}; "
-            f"expected a subset of {BENCH_MODES}"
-        )
     # Imported lazily so the memoized builders are shared with the other
     # benches without making them an import-time dependency of the package.
     from .workloads import dataset, starling_index
@@ -236,6 +172,7 @@ def run_wallclock(
     queries = np.asarray(ds.queries, dtype=np.float32)[:num_queries]
 
     serial = BatchExecutor(index, ExecSpec(mode="serial"))
+    wave = BatchExecutor(index, ExecSpec(mode="wave"))
 
     # Warm-up: JIT-free Python still pays first-touch costs (imports, lazy
     # caches, branch warm-up) that belong to neither side.
@@ -251,8 +188,12 @@ def run_wallclock(
         return best_s, out
 
     serial_s, serial_results = timed(serial)
-    counters_serial = query_counters(serial_results)
-    report = WallclockReport(
+    wave_s, wave_results = timed(wave)
+    counters = query_counters(serial_results)
+    # One WaveStats per search_batch call: the last timed run's coalescing
+    # telemetry (identical across runs — the traversal is deterministic).
+    stats = wave.last_wave_stats
+    return WallclockReport(
         family=family,
         num_vectors=index.num_vectors,
         num_queries=len(queries),
@@ -260,38 +201,11 @@ def run_wallclock(
         candidate_size=candidate_size,
         repeats=repeats,
         serial_s=serial_s,
-        counters=counters_serial,
+        wave_s=wave_s,
+        results_identical=_results_equal(serial_results, wave_results),
+        counters_identical=counters == query_counters(wave_results),
+        wave_requested_block_reads=stats.requested_block_reads,
+        wave_issued_block_reads=stats.issued_block_reads,
+        wave_coalesced_block_reads=stats.coalesced_block_reads,
+        counters=counters,
     )
-
-    if "batched" in modes:
-        batched = BatchExecutor(index, ExecSpec(mode="batched"))
-        report.batched_s, results = timed(batched)
-        report.batched_results_identical = _results_equal(
-            serial_results, results
-        )
-        report.batched_counters_identical = (
-            counters_serial == query_counters(results)
-        )
-    if "wave" in modes:
-        wave = BatchExecutor(index, ExecSpec(mode="wave"))
-        report.wave_s, results = timed(wave)
-        report.wave_results_identical = _results_equal(
-            serial_results, results
-        )
-        report.wave_counters_identical = (
-            counters_serial == query_counters(results)
-        )
-        # One WaveStats per search_batch call: the last timed run's
-        # coalescing telemetry (identical across runs — the traversal is
-        # deterministic).  None when the executor gated back to batched.
-        stats = wave.last_wave_stats
-        report.wave_requested_block_reads = (
-            stats.requested_block_reads if stats is not None else 0
-        )
-        report.wave_issued_block_reads = (
-            stats.issued_block_reads if stats is not None else 0
-        )
-        report.wave_coalesced_block_reads = (
-            stats.coalesced_block_reads if stats is not None else 0
-        )
-    return report

@@ -1,9 +1,9 @@
 """How an index build is executed (:class:`BuildSpec`).
 
-The query path's :class:`~repro.engine.batch.ExecSpec` has a build-side
-mirror: index construction is dominated by thousands of independent greedy
-searches plus per-vertex edge selection, and the same three strategies
-apply.
+The build-side counterpart of the query path's
+:class:`~repro.engine.batch.ExecSpec`: index construction is dominated by
+thousands of independent greedy searches plus per-vertex edge selection,
+which three strategies schedule.
 
 - ``serial`` — the reference per-point loop.  Bit-identical to the
   historical builders: every adjacency list, layout, and codebook matches a

@@ -318,9 +318,7 @@ def _cmd_search(args) -> int:
 
     from .engine import BatchExecutor, ExecSpec
 
-    executor = BatchExecutor(
-        index, ExecSpec(mode=args.exec_mode, workers=args.workers)
-    )
+    executor = BatchExecutor(index, ExecSpec(mode=args.exec_mode))
     results = executor.search_batch(dataset.queries, args.k, args.gamma)
     ios = sum(r.stats.num_ios for r in results) / len(results)
     latency = sum(index.latency_us(r) for r in results) / len(results)
@@ -492,41 +490,27 @@ def _cmd_bench_churn(args) -> int:
 
 
 def _cmd_bench_wallclock(args) -> int:
-    """Measure the batched/wave executors against the serial loop."""
-    from .bench.wallclock import (
-        BENCH_MODES,
-        DEFAULT_CANDIDATE_SIZE,
-        run_wallclock,
-    )
+    """Measure the wave executor against the serial loop."""
+    from .bench.wallclock import DEFAULT_CANDIDATE_SIZE, run_wallclock
 
-    modes = BENCH_MODES if args.exec_mode == "all" else (args.exec_mode,)
     report = run_wallclock(
         args.family,
         num_queries=args.num_queries,
         k=args.k,
         candidate_size=args.gamma or DEFAULT_CANDIDATE_SIZE,
         repeats=args.repeats,
-        modes=modes,
     )
     path = report.write_json(args.out)
-    line = (
+    print(
         f"wallclock [{report.family} n={report.num_vectors} "
         f"q={report.num_queries}]: "
-        f"serial {report.serial_ms_per_query:.2f} ms/q"
-    )
-    if report.batched_s is not None:
-        line += f", batched {report.batched_ms_per_query:.2f} ms/q"
-    if report.wave_s is not None:
-        line += (
-            f", wave {report.wave_ms_per_query:.2f} ms/q "
-            f"(coalesced {report.wave_coalesced_block_reads} reads)"
-        )
-    line += (
-        f", identical="
+        f"serial {report.serial_ms_per_query:.2f} ms/q, "
+        f"wave {report.wave_ms_per_query:.2f} ms/q "
+        f"(coalesced {report.wave_coalesced_block_reads} reads), "
+        f"identical="
         f"{report.results_identical and report.counters_identical} "
         f"-> {path}"
     )
-    print(line)
     return 0
 
 
@@ -734,12 +718,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", help="ground-truth file for recall")
     p.add_argument("--show", type=int, default=0,
                    help="print the ids of the first N queries")
-    p.add_argument("--exec-mode", default="batched", choices=EXEC_MODES,
+    p.add_argument("--exec-mode", default="wave", choices=EXEC_MODES,
                    help="batch execution strategy (results are identical in "
-                        "every mode; with chaos armed, the wave and fan-out "
-                        "modes fall back to in-order batched execution)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="pool size for the threads/processes exec modes")
+                        "both: 'serial' is the plain per-query loop, 'wave' "
+                        "shares ADC tables and decoded blocks and runs the "
+                        "batch as one lockstep wave — or, with a cache or "
+                        "chaos armed, as in-order waves of one)")
     p.add_argument("--cache-strategy", default=None,
                    choices=CACHE_STRATEGY_NAMES,
                    help="override the persisted block-cache strategy at "
@@ -774,8 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="micro-batch size per worker dispatch")
     p.add_argument("--wave", action=argparse.BooleanOptionalAction,
                    default=None,
-                   help="execute each micro-batch as one lockstep wave "
-                        "(coalesces shared block reads; results identical)")
+                   help="execute each micro-batch through the wave executor "
+                        "(on by default; --no-wave selects the serial "
+                        "reference loop; results identical)")
     p.add_argument("--offered-qps", type=float, default=None,
                    help="open-loop arrival rate (default: 1.5x the "
                         "profiled analytical saturation)")
@@ -827,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench-wallclock",
-        help="measure serial vs batched wall clock -> BENCH_wallclock.json",
+        help="measure serial vs wave wall clock -> BENCH_wallclock.json",
     )
     p.add_argument("--family", default="ssnpp",
                    choices=("bigann", "deep", "ssnpp", "text2image"))
@@ -837,10 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate set size Γ (default: the benchmark's "
                         "deep-search default)")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--exec-mode", default="all",
-                   choices=("all", "batched", "wave"),
-                   help="comparison legs to time against the serial "
-                        "reference (default: both)")
     p.add_argument("--out", default="BENCH_wallclock.json")
     p.set_defaults(func=_cmd_bench_wallclock)
 

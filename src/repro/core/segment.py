@@ -142,6 +142,16 @@ class _SegmentIndexBase:
             self.pq.num_subspaces,
         )
 
+    def _bind_costs(self, stopper) -> None:
+        """Attach this segment's cost model to a cost-aware stopper (the
+        serving layer's deadline budgets), so its clock prices I/O and
+        compute exactly like :meth:`latency_us`."""
+        if stopper is not None and hasattr(stopper, "bind_costs"):
+            stopper.bind_costs(
+                self.disk_spec, self.compute_spec, self.dim,
+                self.pq.num_subspaces,
+            )
+
 
 class StarlingIndex(_SegmentIndexBase):
     """Starling on one data segment: shuffled layout + navigation graph +
@@ -225,23 +235,31 @@ class StarlingIndex(_SegmentIndexBase):
         self, query: np.ndarray, k: int = 10, candidate_size: int = 64,
         *, table: np.ndarray | None = None, stopper=None,
     ) -> SearchResult:
-        """Approximate k-nearest-neighbour search (Algorithm 2).
+        """Approximate k-nearest-neighbour search (Algorithm 2) — the
+        engine runs it as a wave of one.
 
         ``table`` is an optional precomputed ADC table (one row of the
         batched executor's shared :meth:`ProductQuantizer.lookup_tables`
         build) — bit-identical to the table built per query.  ``stopper``
-        overrides the engine's early termination; stoppers exposing
-        ``bind_costs`` (the serving layer's deadline budgets) get this
-        segment's cost model attached so their clock prices I/O and
-        compute exactly like :meth:`latency_us`.
+        overrides the engine's early termination.
         """
-        if stopper is not None and hasattr(stopper, "bind_costs"):
-            stopper.bind_costs(
-                self.disk_spec, self.compute_spec, self.dim,
-                self.pq.num_subspaces,
-            )
+        self._bind_costs(stopper)
         return self.engine.search(
             query, k, candidate_size, table=table, stopper=stopper
+        )
+
+    def search_wave(
+        self, queries: np.ndarray, k: int = 10, candidate_size: int = 64,
+        *, tables: np.ndarray | None = None, stoppers=None, wave_stats=None,
+    ) -> list[SearchResult]:
+        """One query per row of ``queries`` through the engine's round loop
+        (:meth:`BlockSearchEngine.search_wave`), with this segment's cost
+        model bound to every cost-aware stopper."""
+        for stopper in stoppers or ():
+            self._bind_costs(stopper)
+        return self.engine.search_wave(
+            queries, k, candidate_size,
+            tables=tables, stoppers=stoppers, wave_stats=wave_stats,
         )
 
     def range_search(
@@ -302,11 +320,7 @@ class DiskANNIndex(_SegmentIndexBase):
         *, table: np.ndarray | None = None, stopper=None,
     ) -> SearchResult:
         """Approximate k-nearest-neighbour search (vertex beam search)."""
-        if stopper is not None and hasattr(stopper, "bind_costs"):
-            stopper.bind_costs(
-                self.disk_spec, self.compute_spec, self.dim,
-                self.pq.num_subspaces,
-            )
+        self._bind_costs(stopper)
         return self.engine.search(
             query, k, candidate_size, table=table, stopper=stopper
         )

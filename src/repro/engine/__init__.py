@@ -1,7 +1,7 @@
 """Disk search engines: cost model, candidate sets, beam & block search, RS."""
 
 from .arena import Arena, ArenaPool
-from .batch import EXEC_MODES, BatchExecutor, ExecSpec
+from .batch import EXEC_MODES, BatchExecutor, ExecSpec, order_sensitive
 from .beam_search import BeamSearchEngine
 from .block_cache import CachedDiskGraph, DecodeCache
 from .block_search import BlockSearchEngine
@@ -19,13 +19,12 @@ from .concurrency import (
     ThroughputSimulator,
     schedule_from_stats,
 )
-from .cost import ComputeSpec, FaultStats, QueryStats
+from .cost import ComputeSpec, FaultStats, QueryStats, WaveStats
 from .early_stop import AdaptiveEarlyStopper, DeadlineStopper
 from .frontier import CandidateSet, ResultSet, ordered_unique
 from .range_search import incremental_range_search, repeated_anns_range_search
 from .resilience import RetryPolicy, resilient_read_blocks_of
 from .results import RangeResult, SearchResult
-from .wave_search import WaveSearchEngine, WaveStats, wave_capable
 from .serve import (
     CircuitBreaker,
     Overloaded,
@@ -71,12 +70,11 @@ __all__ = [
     "SimulationReport",
     "ThroughputSimulator",
     "Ticket",
-    "WaveSearchEngine",
     "WaveStats",
     "schedule_from_stats",
-    "wave_capable",
     "build_hot_vertex_cache",
     "incremental_range_search",
+    "order_sensitive",
     "ordered_unique",
     "poisson_arrivals_us",
     "repeated_anns_range_search",

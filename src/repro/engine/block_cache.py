@@ -70,23 +70,24 @@ class DecodeCache:
             self._blocks.clear()
 
 
-class CachedDiskGraph:
-    """A DiskGraph wrapper adding an LRU cache of decoded blocks.
+class DelegatingDiskGraph:
+    """The one cache seam: a disk-graph wrapper with a block cache in front.
 
-    Exposes the same read API as :class:`DiskGraph`; construction-time and
-    analysis helpers delegate to the wrapped instance.
+    Exposes the same non-read API as :class:`DiskGraph` by forwarding to
+    ``inner``, and implements every read in terms of two hooks a strategy
+    supplies — :meth:`_lookup` (the cached block, or ``None``) and
+    :meth:`_admit` (offer a freshly read block to the cache).  The one
+    partition loop (:meth:`_partition`) splits a request into hits and
+    misses and keeps the ``hits`` / ``misses`` counters; misses cost one
+    device round trip and are charged exactly (see
+    :mod:`repro.engine.cache_strategies` for the honesty rules).
 
-    Args:
-        inner: The disk graph to wrap.
-        capacity_blocks: Maximum blocks held (0 disables caching).
+    The ``inner`` attribute is also what marks a read path as stateful
+    (:func:`repro.engine.batch.order_sensitive`).
     """
 
-    def __init__(self, inner: DiskGraph, capacity_blocks: int) -> None:
-        if capacity_blocks < 0:
-            raise ValueError("capacity_blocks must be non-negative")
+    def __init__(self, inner: DiskGraph) -> None:
         self.inner = inner
-        self.capacity_blocks = capacity_blocks
-        self._lru: OrderedDict[int, DiskBlock] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -132,7 +133,114 @@ class CachedDiskGraph:
     def peek_vertex(self, vertex_id: int):
         return self.inner.peek_vertex(vertex_id)
 
-    # -- cache accounting --------------------------------------------------------
+    # -- cache accounting ------------------------------------------------------
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    # -- strategy hooks ----------------------------------------------------------
+
+    def _lookup(self, block_id: int) -> DiskBlock | None:
+        """The cached block (refreshing whatever the strategy tracks), or
+        ``None`` on a miss."""
+        raise NotImplementedError
+
+    def _admit(self, block: DiskBlock) -> None:
+        """Offer a block just read from the device to the cache."""
+
+    # -- reads -------------------------------------------------------------------
+
+    def _partition(
+        self, block_ids: Sequence[int]
+    ) -> tuple[dict[int, DiskBlock], list[int]]:
+        """``(hits by id, missing ids in request order)``, counted."""
+        found: dict[int, DiskBlock] = {}
+        missing: list[int] = []
+        for bid in block_ids:
+            block = self._lookup(bid)
+            if block is None:
+                missing.append(bid)
+            else:
+                found[bid] = block
+        self.hits += len(block_ids) - len(missing)
+        self.misses += len(missing)
+        return found, missing
+
+    def _read_counted(
+        self, block_ids: Sequence[int]
+    ) -> tuple[list[DiskBlock], int]:
+        """``(blocks in request order, blocks fetched from the device)``:
+        hits come from memory, the misses cost one round trip."""
+        found, missing = self._partition(block_ids)
+        if missing:
+            for block in self.inner.read_blocks(missing):
+                self._admit(block)
+                found[block.block_id] = block
+        return [found[bid] for bid in block_ids], len(missing)
+
+    def read_block(self, block_id: int) -> DiskBlock:
+        found, missing = self._partition((block_id,))
+        if not missing:
+            return found[block_id]
+        block = self.inner.read_block(block_id)
+        self._admit(block)
+        return block
+
+    def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
+        return self._read_counted(block_ids)[0]
+
+    def try_read_blocks(
+        self, block_ids: Sequence[int]
+    ) -> tuple[dict[int, DiskBlock], dict[int, str]]:
+        """Fault-tolerant batched read through the cache.
+
+        Cached blocks never fault (they are in memory); only device misses
+        can fail, and only successfully read blocks are admitted — a
+        corrupt payload is never cached.
+        """
+        ok, missing = self._partition(block_ids)
+        failed: dict[int, str] = {}
+        if missing:
+            fetched, failed = self.inner.try_read_blocks(missing)
+            for block in fetched.values():
+                self._admit(block)
+            ok.update(fetched)
+        return ok, failed
+
+    def read_block_of(self, vertex_id: int) -> DiskBlock:
+        return self.read_block(self.inner.block_of(vertex_id))
+
+    def read_blocks_of(self, vertex_ids: Sequence[int]) -> list[DiskBlock]:
+        return self.read_blocks(self.inner._unique_blocks_of(vertex_ids))
+
+    def read_blocks_of_counted(
+        self, vertex_ids: Sequence[int]
+    ) -> tuple[list[DiskBlock], int]:
+        """Cache-aware counted read: ``(blocks, blocks fetched from device)``.
+
+        The fetch count is this call's misses — computed locally, not from
+        device-counter deltas, so concurrent queries can't misattribute
+        each other's reads.
+        """
+        return self._read_counted(self.inner._unique_blocks_of(vertex_ids))
+
+
+class CachedDiskGraph(DelegatingDiskGraph):
+    """A DiskGraph wrapper adding an LRU cache of decoded blocks.
+
+    Args:
+        inner: The disk graph to wrap.
+        capacity_blocks: Maximum blocks held (0 disables caching).
+    """
+
+    def __init__(self, inner: DiskGraph, capacity_blocks: int) -> None:
+        if capacity_blocks < 0:
+            raise ValueError("capacity_blocks must be non-negative")
+        super().__init__(inner)
+        self.capacity_blocks = capacity_blocks
+        self._lru: OrderedDict[int, DiskBlock] = OrderedDict()
 
     @property
     def cached_blocks(self) -> int:
@@ -144,115 +252,21 @@ class CachedDiskGraph:
         proportional, so the raw block size is the honest budget unit)."""
         return self.capacity_blocks * self.fmt.block_bytes
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def clear(self) -> None:
         self._lru.clear()
         self.hits = 0
         self.misses = 0
 
-    # -- cached reads ----------------------------------------------------------------
-
-    def _get_cached(self, block_id: int) -> DiskBlock | None:
+    def _lookup(self, block_id: int) -> DiskBlock | None:
         block = self._lru.get(block_id)
         if block is not None:
             self._lru.move_to_end(block_id)
         return block
 
-    def _insert(self, block: DiskBlock) -> None:
+    def _admit(self, block: DiskBlock) -> None:
         if self.capacity_blocks == 0:
             return
         self._lru[block.block_id] = block
         self._lru.move_to_end(block.block_id)
         while len(self._lru) > self.capacity_blocks:
             self._lru.popitem(last=False)
-
-    def read_block(self, block_id: int) -> DiskBlock:
-        cached = self._get_cached(block_id)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        block = self.inner.read_block(block_id)
-        self._insert(block)
-        return block
-
-    def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
-        """Batched read: hits come from memory, misses cost one round-trip."""
-        out: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in block_ids:
-            cached = self._get_cached(bid)
-            if cached is not None:
-                self.hits += 1
-                out[bid] = cached
-            else:
-                missing.append(bid)
-        if missing:
-            self.misses += len(missing)
-            for block in self.inner.read_blocks(missing):
-                self._insert(block)
-                out[block.block_id] = block
-        return [out[bid] for bid in block_ids]
-
-    def try_read_blocks(
-        self, block_ids: Sequence[int]
-    ) -> tuple[dict[int, DiskBlock], dict[int, str]]:
-        """Fault-tolerant batched read through the cache.
-
-        Cached blocks never fault (they are in memory); only device misses
-        can fail, and only successfully read blocks enter the LRU — a
-        corrupt payload is never cached.
-        """
-        ok: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in block_ids:
-            cached = self._get_cached(bid)
-            if cached is not None:
-                self.hits += 1
-                ok[bid] = cached
-            else:
-                missing.append(bid)
-        failed: dict[int, str] = {}
-        if missing:
-            self.misses += len(missing)
-            fetched, failed = self.inner.try_read_blocks(missing)
-            for block in fetched.values():
-                self._insert(block)
-            ok.update(fetched)
-        return ok, failed
-
-    def read_block_of(self, vertex_id: int) -> DiskBlock:
-        return self.read_block(self.block_of(vertex_id))
-
-    def read_blocks_of(self, vertex_ids: Sequence[int]) -> list[DiskBlock]:
-        return self.read_blocks(self.inner._unique_blocks_of(vertex_ids))
-
-    def read_blocks_of_counted(
-        self, vertex_ids: Sequence[int]
-    ) -> tuple[list[DiskBlock], int]:
-        """Cache-aware counted read: ``(blocks, blocks fetched from device)``.
-
-        The fetch count equals the LRU misses of this call — the same value
-        the engines used to recover from device-counter deltas, but computed
-        locally so concurrent queries can't misattribute each other's reads.
-        """
-        bids = self.inner._unique_blocks_of(vertex_ids)
-        out: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in bids:
-            cached = self._get_cached(bid)
-            if cached is not None:
-                self.hits += 1
-                out[bid] = cached
-            else:
-                missing.append(bid)
-        if missing:
-            self.misses += len(missing)
-            for block in self.inner.read_blocks(missing):
-                self._insert(block)
-                out[block.block_id] = block
-        return [out[bid] for bid in bids], len(missing)

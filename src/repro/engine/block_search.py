@@ -12,6 +12,46 @@ The third optimization — the I/O-and-computation pipeline — is modelled in
 the cost layer: results produced by this engine carry ``pipelined=True`` so
 their simulated latency overlaps T_io with T_comp (see
 :meth:`repro.engine.cost.QueryStats.latency_us`).
+
+**One driver.**  Every block search runs the lockstep round loop of
+:meth:`BlockSearchEngine._rounds`: :meth:`~BlockSearchEngine.search_wave`
+advances a whole wave of queries through it, :meth:`~BlockSearchEngine.search`
+is a wave of one, and range search (§5.3) resumes one already-seeded query
+through it via :meth:`~BlockSearchEngine._run`.  Scheduling chooses nothing
+but the wave's *width* (:func:`repro.engine.batch.order_sensitive`).  Per
+round the loop
+
+1. checks every live query's stopper, then pops the frontier
+   (``beam_width`` closest unvisited candidates) of every query still live —
+   per query on a narrow wave, as **one** masked scan over the wave's
+   :class:`~repro.engine.frontier.FrontierPlane` on a wide one
+   (``len(queries) >= LOCKSTEP_MIN_WAVE``, the entry walk's constant);
+2. reads the frontier's blocks.  This is the loop's one fork: over a plain
+   :class:`~repro.storage.disk_graph.DiskGraph` with no
+   :class:`~repro.engine.resilience.RetryPolicy` the wave's requests are
+   deduplicated into **one** coalesced ``read_blocks`` call (a block several
+   queries want is read and decoded once; each query is still charged its
+   own unique blocks, the saving shows only in
+   :class:`~repro.engine.cost.WaveStats`); otherwise each live query reads
+   its own blocks through :func:`~repro.engine.io_util.counted_read_blocks_of`
+   in (round, query-index) order, so cache hits, prefetch attribution,
+   retries, hedges and abandoned blocks are accounted per query;
+3. optionally folds each query's co-resident candidates into its targets
+   (the bamg contract — it touches only that query's state, so it composes
+   at every width);
+4. gathers every query's block vectors into one shared plane and runs
+   **one** fused row-paired L2 reduction across the wave (IP routes through
+   BLAS, whose fusion across queries is not bit-stable, so IP runs one
+   kernel call per query on its contiguous slice);
+5. runs the per-query target/pruning selection (:meth:`_select_round`), the
+   visited-push of the kept co-located vertices and the PQ-routed frontier
+   expansion — per query on a narrow wave, one pass each over the plane on a
+   wide one.
+
+Lockstep is scheduling, not semantics: each query's candidate set, result
+set, stopper and counters evolve exactly as in the scalar Algorithm 2
+(``tests/oracles.py::oracle_block_search`` — the reference the equivalence
+suites compare against), and queries finish independently.
 """
 
 from __future__ import annotations
@@ -20,14 +60,50 @@ import math
 
 import numpy as np
 
+from ..graphs.navigation import LOCKSTEP_MIN_WAVE
 from ..quantization.pq import ProductQuantizer
 from ..storage.disk_graph import DiskGraph
-from ..vectors.metrics import Metric
-from .cost import QueryStats
-from .frontier import CandidateSet, ResultSet, ordered_unique
+from ..vectors.metrics import Metric, fused_sq_norms
+from .cost import QueryStats, WaveStats
+from .frontier import CandidateSet, FrontierPlane, ResultSet, ordered_unique
 from .early_stop import AdaptiveEarlyStopper
 from .io_util import counted_read_blocks_of
 from .results import SearchResult
+
+
+class _QueryState:
+    """One query's independent traversal state inside a wave."""
+
+    __slots__ = (
+        "row", "query", "table", "stats", "candidates", "results", "stopper",
+        "kernel", "hops", "loaded", "used",
+    )
+
+    def __init__(self, row, query, table, stats, candidates, results,
+                 stopper, kernel) -> None:
+        #: position in the wave: the query's row in ``tables`` and the plane
+        self.row = row
+        self.query = query
+        self.table = table
+        self.stats = stats
+        self.candidates = candidates
+        self.results = results
+        self.stopper = stopper
+        #: per-query exact-distance kernel; ``None`` under the fused L2 path
+        self.kernel = kernel
+        # Per-round counter updates accumulate here and flush to ``stats``
+        # once — accurate even when a fault aborts the loop mid-round.
+        self.hops = 0
+        self.loaded = 0
+        self.used = 0
+
+    def flush(self) -> None:
+        stats = self.stats
+        stats.hops += self.hops
+        stats.vertices_loaded += self.loaded
+        stats.exact_distances += self.loaded
+        stats.vertices_used += self.used
+        self.hops = self.loaded = self.used = 0
 
 
 class BlockSearchEngine:
@@ -96,10 +172,10 @@ class BlockSearchEngine:
             raise ValueError("early_termination patience must be >= 1")
         self.early_termination = early_termination
         #: optional :class:`~repro.engine.arena.ArenaPool` installed by the
-        #: batched executor's zero-copy plane.  When set, each round's exact-
-        #: distance kernel input is gathered into a reused arena instead of a
-        #: freshly allocated ``np.concatenate`` — same contiguous layout and
-        #: values, so the kernel output is bit-identical.
+        #: executor (per batch) or the service (while live).  When set, each
+        #: round's exact-distance kernel input is gathered into a reused arena
+        #: instead of a freshly allocated ``np.concatenate`` — same contiguous
+        #: layout and values, so the kernel output is bit-identical.
         self.arena_pool = None
 
     # -- helpers ---------------------------------------------------------------
@@ -150,18 +226,18 @@ class BlockSearchEngine:
 
         ``track_kicked`` is the range-search driver's (§5.3); a top-k
         search never reads the kicked set.  ``candidates`` is an empty set
-        to seed in place of a fresh one — the wave engine passes a row of
-        its :class:`~repro.engine.frontier.FrontierPlane`.
+        to seed in place of a fresh one — a wide wave passes a row of its
+        :class:`~repro.engine.frontier.FrontierPlane`.
         """
         if self.use_pq_routing:
-            # A precomputed ADC table (from the batched executor's shared
-            # lookup_tables build) is bit-identical to building it here.
+            # A precomputed ADC table (one row of a shared lookup_tables
+            # build) is bit-identical to building it here.
             if table is None:
                 table = self.pq.lookup_table(query)
         else:
             table = None
-        # Likewise a precomputed entry walk (the wave engine's lockstep
-        # round 0): ``(entry ids, distance computations)``.
+        # Likewise a precomputed entry walk (a wave's round 0):
+        # ``(entry ids, distance computations)``.
         if walk is None:
             walk = self.entry_provider.entry_walk(
                 query, self.num_entry_points
@@ -184,14 +260,12 @@ class BlockSearchEngine:
 
     # -- round primitives --------------------------------------------------------
     #
-    # One lockstep round of Algorithm 2 decomposes into (a) reading the
-    # frontier's blocks, (b) one fused exact-distance kernel call, (c) the
-    # per-block target/pruning selection below, and (d) the PQ-routed
-    # frontier expansion.  (c) and (d) are factored out so the serial
-    # ``_drain`` and the multi-query :class:`~repro.engine.wave_search.
-    # WaveSearchEngine` run literally the same selection code — their
-    # per-query outcomes are identical by construction, not by parallel
-    # maintenance of two copies.
+    # One round of Algorithm 2 decomposes into (a) reading the frontier's
+    # blocks, (b) one fused exact-distance kernel call, (c) the per-block
+    # target/pruning selection below, and (d) the PQ-routed frontier
+    # expansion.  (c), the fold and the narrow-wave form of (d) are per-query
+    # primitives the round loop calls for every live query; the scalar
+    # oracle in ``tests/oracles.py`` calls the same ones.
 
     def _select_round(
         self,
@@ -320,7 +394,7 @@ class BlockSearchEngine:
         table: np.ndarray | None = None,
         stopper=None,
     ) -> SearchResult:
-        """Answer one ANNS query per Algorithm 2.
+        """Answer one ANNS query per Algorithm 2: a wave of one.
 
         ``stopper`` overrides the engine's own adaptive early termination;
         the serving layer passes a :class:`DeadlineStopper` here.  Stoppers
@@ -328,20 +402,84 @@ class BlockSearchEngine:
         walk starts.
         """
         query = np.asarray(query, dtype=np.float32)
-        stats = QueryStats(pipelined=self.pipeline)
-        candidates, results, table = self._seed(
-            query, candidate_size, stats, table=table
+        return self.search_wave(
+            query[None], k, candidate_size,
+            tables=None if table is None else table[None],
+            stoppers=None if stopper is None else [stopper],
+        )[0]
+
+    def search_wave(
+        self,
+        queries: np.ndarray,
+        k: int,
+        candidate_size: int,
+        *,
+        tables: np.ndarray | None = None,
+        stoppers=None,
+        wave_stats: WaveStats | None = None,
+    ) -> list[SearchResult]:
+        """Answer one ANNS query per row of ``queries`` in lockstep rounds.
+
+        ``tables`` optionally carries a shared ADC build (row per query);
+        ``stoppers`` one early-stop object per query, checked every round
+        for every live query.  ``wave_stats``, when given, accumulates the
+        wave-level counters of this call.  Returns per-query
+        :class:`~repro.engine.results.SearchResult` objects in query order;
+        each equals what the query's own wave of one returns whenever the
+        read path is stateless (see :func:`repro.engine.batch.
+        order_sensitive` — the executor keeps stateful ones at width 1).
+        """
+        queries = np.asarray(queries, dtype=np.float32)
+        if not len(queries):
+            return []
+        # Round 0 — the navigation walk touches no device, so the whole
+        # wave walks up front (in lockstep from ``LOCKSTEP_MIN_WAVE`` on);
+        # each row is the query's own scalar walk.
+        entry_ids, walk_distances = self.entry_provider.entry_points_batch(
+            queries, self.num_entry_points
         )
-        if stopper is None:
-            stopper = (
-                AdaptiveEarlyStopper(k, self.early_termination)
-                if self.early_termination is not None else None
+        walk_distances = walk_distances.tolist()
+        if tables is None and self.use_pq_routing:
+            tables = self.pq.lookup_tables(queries)
+        # A wave wide enough for the lockstep entry walk keeps its
+        # frontiers in one plane (same crossover, same constant); a
+        # narrower one allocates none and runs the per-query primitives.
+        # The plane's expansion is an ADC gather, so it needs PQ routing.
+        plane = (
+            FrontierPlane(
+                len(queries), candidate_size, self.disk_graph.num_vertices
             )
-        elif hasattr(stopper, "bind"):
-            stopper.bind(stats)
-        self._run(query, candidates, results, table, stats, stopper=stopper)
-        ids, dists = results.top_k(k)
-        return SearchResult(ids, dists, stats, degraded=stats.fault.degraded)
+            if len(queries) >= LOCKSTEP_MIN_WAVE and self.use_pq_routing
+            else None
+        )
+        states: list[_QueryState] = []
+        for i, q in enumerate(queries):
+            stats = QueryStats(pipelined=self.pipeline)
+            candidates, results, table = self._seed(
+                q, candidate_size, stats,
+                table=tables[i] if tables is not None else None,
+                walk=(entry_ids[i], walk_distances[i]),
+                candidates=plane.row(i) if plane is not None else None,
+            )
+            stopper = stoppers[i] if stoppers is not None else None
+            if stopper is None:
+                stopper = (
+                    AdaptiveEarlyStopper(k, self.early_termination)
+                    if self.early_termination is not None else None
+                )
+            elif hasattr(stopper, "bind"):
+                stopper.bind(stats)
+            states.append(self._state(
+                i, q, table, stats, candidates, results, stopper
+            ))
+        self._rounds(states, plane, tables, wave_stats)
+        return [
+            SearchResult(
+                *st.results.top_k(k), st.stats,
+                degraded=st.stats.fault.degraded,
+            )
+            for st in states
+        ]
 
     def _run(
         self,
@@ -353,143 +491,284 @@ class BlockSearchEngine:
         *,
         stopper: AdaptiveEarlyStopper | None = None,
     ) -> None:
-        """Drain the candidate set (shared with the range-search driver)."""
-        pool = self.arena_pool
-        arena = pool.acquire(self.disk_graph.fmt) if pool is not None else None
-        try:
-            self._drain(
-                query, candidates, results, table, stats,
-                stopper=stopper, arena=arena,
-            )
-        finally:
-            if pool is not None:
-                pool.release(arena)
+        """Drain one already-seeded query through the round loop (the
+        range-search driver's resume, §5.3)."""
+        state = self._state(
+            0, query, table, stats, candidates, results, stopper
+        )
+        self._rounds([state], None, None, None)
 
-    def _drain(
-        self,
-        query: np.ndarray,
-        candidates: CandidateSet,
-        results: ResultSet,
-        table: np.ndarray | None,
-        stats: QueryStats,
-        *,
-        stopper: AdaptiveEarlyStopper | None,
-        arena,
-    ) -> None:
+    def _state(self, row, query, table, stats, candidates, results, stopper):
+        # L2 distances come from the wave-wide fused reduction; any other
+        # metric runs its own kernel per query.
+        return _QueryState(
+            row, query, table, stats, candidates, results, stopper,
+            None if self.metric.name == "l2"
+            else self.metric.distances_kernel(query),
+        )
+
+    def _expand_plane(self, plane, tables, states, item_rows, ids) -> None:
+        """:meth:`_expand_frontier` for a whole wide wave in one pass:
+        ``ids`` are the round's explored neighbour IDs, ``ids[j]`` explored
+        by query (plane and table row) ``item_rows[j]``, queries in
+        ascending order.
+
+        The freshness mask and the first-occurrence dedup run on the flat
+        ``(row, id)`` address, which keeps each query's survivors in its
+        scalar order; one flat ADC gather routes them all.
+        """
+        key = plane.flat(item_rows, ids)
+        fresh = np.flatnonzero(plane.unseen(key))
+        if not fresh.size:
+            return
+        first = np.unique(key[fresh], return_index=True)[1]
+        first.sort()
+        fresh = fresh[first]
+        item_rows = item_rows[fresh]
+        ids = ids[fresh].astype(np.int64)
+        for row, routed in enumerate(np.bincount(item_rows).tolist()):
+            states[row].stats.pq_distances += routed
+        route = self.pq.distances_from_tables(tables, item_rows, ids)
+        plane.push_new(item_rows, ids, route.astype(np.float64))
+
+    def _rounds(self, states, plane, tables, wave_stats) -> None:
+        """The block-search round loop: advance ``states`` in lockstep until
+        every query's frontier drains or its stopper fires.
+
+        ``plane`` is the wave's :class:`FrontierPlane` (``None`` on a narrow
+        wave, whose states then own plain candidate sets) and ``tables`` its
+        ``[B, M, ks]`` ADC build.  All scratch is local to the call or to
+        the arena it holds, so concurrent calls on one engine are safe.
+        """
         dg = self.disk_graph
         beam_width = self.beam_width
         keep_quota = math.ceil(
             (dg.fmt.vertices_per_block - 1) * self.pruning_ratio
         )
-        # Fused fast path for the plain disk graph: one vertex→block
-        # gather serves both the deduplicated read batch and the target
-        # grouping (the generic helper and the per-vertex ``block_of``
-        # loop each redo the lookup).  Read order and accounting match
-        # ``counted_read_blocks_of`` exactly: first-occurrence block
-        # order, one round-trip, zero cache hits — and plain reads raise
-        # on failure, so no block can be missing.
-        fast = self.resilience is None and type(dg) is DiskGraph
-        if fast:
-            vertex_to_block = dg.vertex_to_block
-            read_blocks = dg.read_blocks
-            round_trip_append = stats.round_trip_blocks.append
-        metric_kernel = self.metric.distances_kernel(query)
-        # Per-round counter updates accumulate in locals and flush to
-        # ``stats`` in the ``finally`` — one attribute store per drain
-        # instead of several per block, with accurate counts even when a
-        # fault aborts the drain mid-round.
-        hops = vertices_loaded = exact_distances = vertices_used = 0
+        # The read fork.  A plain disk graph with no retry policy is
+        # stateless and raises on failure, so the wave's requests can be
+        # merged into one union read with no block ever missing; anything
+        # else reads per query through the counted (cache-aware, resilient)
+        # path, where a block may come back absent.
+        resilience = self.resilience
+        coalesce = resilience is None and type(dg) is DiskGraph
+        vertex_to_block = dg.vertex_to_block
+        fold = self.fold_coresident
+        fused_l2 = self.metric.name == "l2"
+        select_round = self._select_round
+        diff: np.ndarray | None = None
+        pool = self.arena_pool
+        arena = pool.acquire(dg.fmt) if pool is not None else None
+        rounds = requested = issued = 0
+        live = states
         try:
-            while candidates.has_unvisited():
-                if stopper is not None and stopper.update(results):
+            while True:
+                # Phase 1 — per-query stopper check + frontier pop; queries
+                # whose frontier drained (or whose stopper fired) finish.
+                live = [
+                    st for st in live
+                    if st.candidates.has_unvisited() and not (
+                        st.stopper is not None
+                        and st.stopper.update(st.results)
+                    )
+                ]
+                if not live:
                     break
-                batch = candidates.pop_unvisited(beam_width)
-                hops += len(batch)
-                targets_by_block: dict[int, list[int]] = {}
-                if fast:
-                    bids = vertex_to_block[batch].tolist()
-                    round_blocks = read_blocks(list(dict.fromkeys(bids)))
-                    round_trip_append(len(round_blocks))
-                    for vid, bid in zip(batch, bids):
-                        targets_by_block.setdefault(bid, []).append(vid)
+                if plane is None:
+                    batches = [
+                        st.candidates.pop_unvisited(beam_width) for st in live
+                    ]
                 else:
-                    blocks = counted_read_blocks_of(
-                        dg, batch, stats, self.resilience
+                    live_rows = np.fromiter(
+                        (st.row for st in live), np.int64, len(live)
                     )
-                    for vid in batch:
-                        targets_by_block.setdefault(
-                            dg.block_of(vid), []
-                        ).append(vid)
-                    by_block = {b.block_id: b for b in blocks}
-                    for block_id, targets in targets_by_block.items():
-                        if block_id not in by_block:
-                            # Unreadable after retries: skip these targets,
-                            # keep draining the rest of the frontier.
-                            stats.fault.vertices_abandoned += len(targets)
-                    round_blocks = blocks
-                if self.fold_coresident and round_blocks:
-                    self._fold_coresident_targets(
-                        candidates, round_blocks, targets_by_block
-                    )
+                    batches = plane.pop(live_rows, beam_width)
+                rounds += 1
 
-                # Exact distances to every vertex of every block in the
-                # round — the I/O is already paid, the computation is what
-                # block pruning bounds.  One fused kernel call for the whole
-                # round; the L2 kernel is row-wise consistent, so the
-                # per-block slices equal what per-block calls would produce.
-                all_dists: list[float] = []
-                if round_blocks:
-                    if arena is not None:
-                        # Zero-copy plane: gather the round's vectors into a
-                        # reused arena (no per-round matrix allocation; the
-                        # arena is held for the whole drain and reset each
-                        # round) and run the kernel against the arena's
-                        # scratch workspace, so the steady-state round makes
-                        # no data allocations at all.  The rows are the
-                        # blocks' kernel-dtype matrices — the same promotion
-                        # the metric applies to the concatenate below — so
-                        # the fused kernel sees identical input either way.
-                        rows = arena.load_rows(
-                            [b.kernel_vectors() for b in round_blocks]
+                # Phase 2 — read.  ``targets_by_block`` keeps first-
+                # occurrence order, so its keys are the query's
+                # deduplicated read batch.
+                entries: list[tuple] = []
+                # Insertion-ordered set of the wave's requested block IDs
+                # (values unused; filled via C-level dict updates).
+                union: dict[int, object] = {}
+                for st, batch in zip(live, batches):
+                    st.hops += len(batch)
+                    targets_by_block: dict[int, list[int]] = {}
+                    if coalesce:
+                        bids = vertex_to_block[batch].tolist()
+                        for vid, bid in zip(batch, bids):
+                            targets_by_block.setdefault(bid, []).append(vid)
+                        # Charged to this query in full, whoever else in
+                        # the wave asked for the same block.
+                        st.stats.round_trip_blocks.append(
+                            len(targets_by_block)
                         )
-                        all_dists = metric_kernel(
-                            rows, arena.scratch_rows(rows.shape[0])
-                        ).tolist()
+                        union.update(targets_by_block)
+                        q_blocks = None
                     else:
-                        all_dists = metric_kernel(
-                            np.concatenate([b.vectors for b in round_blocks])
-                            if len(round_blocks) > 1
-                            else round_blocks[0].vectors,
-                        ).tolist()
-                # Per-block work is ε-sized (~a dozen vertices), where plain
-                # Python lists beat numpy call overhead, so the selection
-                # runs on the ``tolist()`` view; the result-set fold and the
-                # visited-push are deferred to one bulk call per round
-                # (min-merge is order-independent and the pushed ids are
-                # unique across the round, so the per-block and per-round
-                # folds are outcome-identical).
-                (
-                    res_ids, res_dists, keep_ids, keep_dists,
-                    explore_parts, loaded, used,
-                ) = self._select_round(
-                    round_blocks, targets_by_block, all_dists, keep_quota
-                )
-                vertices_loaded += loaded
-                exact_distances += loaded
-                vertices_used += used
-                if keep_ids:
-                    res_ids.extend(keep_ids)
-                    res_dists.extend(keep_dists)
-                    # They are in memory now; never fetch them again.
-                    candidates.push_visited_many(keep_ids, keep_dists)
-                if res_ids:
-                    results.add_many(res_ids, res_dists)
+                        q_blocks = counted_read_blocks_of(
+                            dg, batch, st.stats, resilience
+                        )
+                        for vid in batch:
+                            targets_by_block.setdefault(
+                                dg.block_of(vid), []
+                            ).append(vid)
+                        if len(q_blocks) < len(targets_by_block):
+                            # Unreadable after retries: skip those blocks'
+                            # targets, keep draining the frontier.
+                            got = {b.block_id for b in q_blocks}
+                            st.stats.fault.vertices_abandoned += sum(
+                                len(targets)
+                                for bid, targets in targets_by_block.items()
+                                if bid not in got
+                            )
+                        issued += len(targets_by_block)
+                    requested += len(targets_by_block)
+                    entries.append((st, targets_by_block, q_blocks))
+                if union:
+                    # One physical read for the wave-wide union; each block
+                    # decodes once.  A lone live query's union is its own
+                    # read batch, in order.
+                    union_ids = list(union)
+                    union_blocks = dg.read_blocks(union_ids)
+                    issued += len(union_ids)
+                    if len(live) > 1:
+                        by_block = dict(zip(union_ids, union_blocks))
 
-                self._expand_frontier(
-                    query, table, candidates, explore_parts, stats
-                )
+                # Phase 3 — exact distances to every vertex of every block
+                # in the round (the I/O is paid; block pruning bounds the
+                # computation).  Every query's blocks are gathered
+                # contiguously; L2 stages each query's subtraction into its
+                # span and reduces the whole plane in one row-wise-
+                # consistent call, IP runs its kernel per span.
+                mats = []
+                spans: list[tuple] = []
+                total = 0
+                for st, targets_by_block, q_blocks in entries:
+                    if q_blocks is None:
+                        q_blocks = (
+                            [by_block[bid] for bid in targets_by_block]
+                            if len(live) > 1 else union_blocks
+                        )
+                    if fold and q_blocks:
+                        self._fold_coresident_targets(
+                            st.candidates, q_blocks, targets_by_block
+                        )
+                    start = total
+                    for block in q_blocks:
+                        # Pre-promoted rows make the arena gather a memcpy;
+                        # without an arena the kernel's own promotion of the
+                        # raw rows is the cheaper cast.
+                        m = (
+                            block.kernel_vectors() if arena is not None
+                            else block.vectors
+                        )
+                        mats.append(m)
+                        total += m.shape[0]
+                    spans.append(
+                        (st, q_blocks, targets_by_block, start, total)
+                    )
+                all_dists: list[float] = []
+                if mats:
+                    if arena is not None:
+                        rows = arena.load_rows(mats)
+                    else:
+                        rows = (
+                            np.concatenate(mats) if len(mats) > 1 else mats[0]
+                        )
+                    if fused_l2:
+                        if arena is not None:
+                            diff = arena.scratch_rows(total)
+                        elif diff is None or diff.shape[0] < total:
+                            have = 0 if diff is None else diff.shape[0]
+                            # the kernel's compute dtype: float rows as
+                            # they are, integer rows as float32
+                            diff = np.empty(
+                                (max(total, have * 2), rows.shape[1]),
+                                dtype=rows.dtype if rows.dtype.kind == "f"
+                                else np.float32,
+                            )
+                        for st, _, _, start, end in spans:
+                            np.subtract(
+                                rows[start:end], st.query,
+                                out=diff[start:end],
+                            )
+                        all_dists = fused_sq_norms(diff[:total]).tolist()
+                    else:
+                        parts = [
+                            st.kernel(rows[start:end])
+                            for st, _, _, start, end in spans if end > start
+                        ]
+                        all_dists = (
+                            np.concatenate(parts) if len(parts) > 1
+                            else parts[0]
+                        ).tolist()
+
+                # Phase 4 — per-query target/pruning selection; the
+                # visited-push and the frontier expansion run per query on
+                # a narrow wave and as one pass each over the plane on a
+                # wide one.
+                if plane is not None:
+                    keep_counts: list[int] = []
+                    wave_keep_ids: list[int] = []
+                    wave_keep_dists: list[float] = []
+                    explore_counts: list[int] = []
+                    wave_explore: list[np.ndarray] = []
+                for st, q_blocks, targets_by_block, start, end in spans:
+                    (
+                        res_ids, res_dists, keep_ids, keep_dists,
+                        explore_parts, loaded, used,
+                    ) = select_round(
+                        q_blocks, targets_by_block,
+                        all_dists[start:end], keep_quota,
+                    )
+                    st.loaded += loaded
+                    st.used += used
+                    if keep_ids:
+                        res_ids.extend(keep_ids)
+                        res_dists.extend(keep_dists)
+                    if res_ids:
+                        st.results.add_many(res_ids, res_dists)
+                    if plane is None:
+                        if keep_ids:
+                            # They are in memory now; never fetch them again.
+                            st.candidates.push_visited_many(
+                                keep_ids, keep_dists
+                            )
+                        self._expand_frontier(
+                            st.query, st.table, st.candidates, explore_parts,
+                            st.stats,
+                        )
+                    else:
+                        keep_counts.append(len(keep_ids))
+                        wave_keep_ids.extend(keep_ids)
+                        wave_keep_dists.extend(keep_dists)
+                        explore_counts.append(
+                            sum(map(len, explore_parts))
+                        )
+                        wave_explore.extend(explore_parts)
+                if plane is None:
+                    continue
+                if wave_keep_ids:
+                    plane.push_visited(
+                        np.repeat(live_rows, keep_counts),
+                        np.asarray(wave_keep_ids, dtype=np.int64),
+                        np.asarray(wave_keep_dists, dtype=np.float64),
+                    )
+                if wave_explore:
+                    self._expand_plane(
+                        plane, tables, states,
+                        np.repeat(live_rows, explore_counts),
+                        np.concatenate(wave_explore),
+                    )
         finally:
-            stats.hops += hops
-            stats.vertices_loaded += vertices_loaded
-            stats.exact_distances += exact_distances
-            stats.vertices_used += vertices_used
+            if pool is not None:
+                pool.release(arena)
+            for st in states:
+                st.flush()
+            if wave_stats is not None:
+                wave_stats.queries += len(states)
+                wave_stats.rounds += rounds
+                wave_stats.requested_block_reads += requested
+                wave_stats.issued_block_reads += issued

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from ..storage.disk_graph import DiskBlock, DiskGraph
-from .block_cache import CachedDiskGraph
+from .block_cache import CachedDiskGraph, DelegatingDiskGraph
 
 CACHE_STRATEGY_NAMES = ("none", "lru", "hot", "locality")
 
@@ -51,65 +51,6 @@ CACHE_STRATEGY_NAMES = ("none", "lru", "hot", "locality")
 def cache_params_dict(params) -> dict:
     """Tuple-of-pairs cache params → dict (tuple form keeps configs hashable)."""
     return {str(k): v for k, v in (params or ())}
-
-
-class DelegatingDiskGraph:
-    """Shared delegation surface for block-cache wrappers.
-
-    Exposes the same non-read API as :class:`DiskGraph` by forwarding to
-    ``inner``.  The ``inner`` attribute is also the signal the batched
-    executor keys its determinism gates on (stateful caches degrade the
-    fan-out/wave modes to in-order batched execution).
-    """
-
-    def __init__(self, inner: DiskGraph) -> None:
-        self.inner = inner
-
-    @property
-    def device(self):
-        return self.inner.device
-
-    @property
-    def fmt(self):
-        return self.inner.fmt
-
-    @property
-    def vertex_to_block(self):
-        return self.inner.vertex_to_block
-
-    @property
-    def num_vertices(self) -> int:
-        return self.inner.num_vertices
-
-    @property
-    def num_blocks(self) -> int:
-        return self.inner.num_blocks
-
-    @property
-    def mapping_bytes(self) -> int:
-        return self.inner.mapping_bytes
-
-    @property
-    def disk_bytes(self) -> int:
-        return self.inner.disk_bytes
-
-    def block_of(self, vertex_id: int) -> int:
-        return self.inner.block_of(vertex_id)
-
-    def blocks_of(self, vertex_ids):
-        return self.inner.blocks_of(vertex_ids)
-
-    def vertices_in_block(self, block_id: int):
-        return self.inner.vertices_in_block(block_id)
-
-    def peek_vertex(self, vertex_id: int):
-        return self.inner.peek_vertex(vertex_id)
-
-    def read_block_of(self, vertex_id: int) -> DiskBlock:
-        return self.read_block(self.inner.block_of(vertex_id))
-
-    def read_blocks_of(self, vertex_ids: Sequence[int]) -> list[DiskBlock]:
-        return self.read_blocks(self.inner._unique_blocks_of(vertex_ids))
 
 
 class PinnedBlockCache(DelegatingDiskGraph):
@@ -133,8 +74,6 @@ class PinnedBlockCache(DelegatingDiskGraph):
         self._pinned: dict[int, DiskBlock] = {
             block.block_id: block for block in inner.read_blocks(ids)
         } if ids else {}
-        self.hits = 0
-        self.misses = 0
 
     @property
     def cached_blocks(self) -> int:
@@ -144,72 +83,8 @@ class PinnedBlockCache(DelegatingDiskGraph):
     def memory_bytes(self) -> int:
         return len(self._pinned) * self.fmt.block_bytes
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def read_block(self, block_id: int) -> DiskBlock:
-        block = self._pinned.get(block_id)
-        if block is not None:
-            self.hits += 1
-            return block
-        self.misses += 1
-        return self.inner.read_block(block_id)
-
-    def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
-        out: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in block_ids:
-            block = self._pinned.get(bid)
-            if block is not None:
-                self.hits += 1
-                out[bid] = block
-            else:
-                missing.append(bid)
-        if missing:
-            self.misses += len(missing)
-            for block in self.inner.read_blocks(missing):
-                out[block.block_id] = block
-        return [out[bid] for bid in block_ids]
-
-    def try_read_blocks(
-        self, block_ids: Sequence[int]
-    ) -> tuple[dict[int, DiskBlock], dict[int, str]]:
-        ok: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in block_ids:
-            block = self._pinned.get(bid)
-            if block is not None:
-                self.hits += 1
-                ok[bid] = block
-            else:
-                missing.append(bid)
-        failed: dict[int, str] = {}
-        if missing:
-            self.misses += len(missing)
-            fetched, failed = self.inner.try_read_blocks(missing)
-            ok.update(fetched)
-        return ok, failed
-
-    def read_blocks_of_counted(
-        self, vertex_ids: Sequence[int]
-    ) -> tuple[list[DiskBlock], int]:
-        bids = self.inner._unique_blocks_of(vertex_ids)
-        out: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in bids:
-            block = self._pinned.get(bid)
-            if block is not None:
-                self.hits += 1
-                out[bid] = block
-            else:
-                missing.append(bid)
-        if missing:
-            self.misses += len(missing)
-            for block in self.inner.read_blocks(missing):
-                out[block.block_id] = block
-        return [out[bid] for bid in bids], len(missing)
+    def _lookup(self, block_id: int) -> DiskBlock | None:
+        return self._pinned.get(block_id)
 
 
 class LocalityBlockCache(DelegatingDiskGraph):
@@ -276,8 +151,6 @@ class LocalityBlockCache(DelegatingDiskGraph):
         self._last_tick: dict[int, int] = {}
         self._tick = 0
         self._predicted: set[int] = set()
-        self.hits = 0
-        self.misses = 0
         self.prefetch_issued = 0
         self.prefetch_hits = 0
         self._unclaimed_prefetch = 0
@@ -291,11 +164,6 @@ class LocalityBlockCache(DelegatingDiskGraph):
     @property
     def memory_bytes(self) -> int:
         return self.capacity_blocks * self.fmt.block_bytes
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def take_prefetched(self) -> int:
         """Prefetched-block count since the last call (io_util drains this
@@ -382,93 +250,39 @@ class LocalityBlockCache(DelegatingDiskGraph):
 
     # -- reads ---------------------------------------------------------------
 
+    def _partition(self, block_ids):
+        self._tick += 1
+        return super()._partition(block_ids)
+
     def _lookup(self, block_id: int) -> DiskBlock | None:
         block = self._cache.get(block_id)
-        if block is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return block
-
-    def read_block(self, block_id: int) -> DiskBlock:
-        self._tick += 1
-        block = self._lookup(block_id)
         self._bump(block_id, 1.0)
-        if block is not None:
-            return block
-        block = self.inner.read_block(block_id)
-        self._admit(block)
         return block
-
-    def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
-        blocks, _ = self._read_counted(list(block_ids), prefetch=False)
-        return blocks
-
-    def _read_counted(
-        self, bids: list[int], *, prefetch: bool
-    ) -> tuple[list[DiskBlock], int]:
-        self._tick += 1
-        out: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in bids:
-            block = self._lookup(bid)
-            self._bump(bid, 1.0)
-            if block is not None:
-                out[bid] = block
-            else:
-                missing.append(bid)
-        pulled = (
-            self._pick_prefetch(set(bids), len(missing)) if prefetch else []
-        )
-        fetched = len(missing) + len(pulled)
-        if missing or pulled:
-            wanted = set(missing)
-            for block in self.inner.read_blocks(missing + pulled):
-                self._admit(block)
-                if block.block_id in wanted:
-                    out[block.block_id] = block
-        if pulled:
-            self.prefetch_issued += len(pulled)
-            self._unclaimed_prefetch += len(pulled)
-        return [out[bid] for bid in bids], fetched
-
-    def try_read_blocks(
-        self, block_ids: Sequence[int]
-    ) -> tuple[dict[int, DiskBlock], dict[int, str]]:
-        """Fault-tolerant batched read; corrupt payloads are never cached."""
-        self._tick += 1
-        ok: dict[int, DiskBlock] = {}
-        missing: list[int] = []
-        for bid in block_ids:
-            block = self._lookup(bid)
-            self._bump(bid, 1.0)
-            if block is not None:
-                ok[bid] = block
-            else:
-                missing.append(bid)
-        failed: dict[int, str] = {}
-        if missing:
-            fetched, failed = self.inner.try_read_blocks(missing)
-            for block in fetched.values():
-                self._admit(block)
-            ok.update(fetched)
-        return ok, failed
 
     def read_blocks_of_counted(
         self, vertex_ids: Sequence[int]
     ) -> tuple[list[DiskBlock], int]:
         """Counted frontier read: ``(blocks, blocks fetched from device)``.
 
-        The fetch count includes any prefetched blocks — they left the
-        device in this round trip and must appear in the query's I/O bill;
+        The one read that prefetches: predicted blocks ride the misses'
+        round trip.  The fetch count includes them — they left the device
+        in this round trip and must appear in the query's I/O bill;
         :func:`repro.engine.io_util.counted_read_blocks_of` splits the
         prefetch share back out via :meth:`take_prefetched`.
         """
         bids = self.inner._unique_blocks_of(vertex_ids)
-        blocks, fetched = self._read_counted(list(bids), prefetch=True)
-        by_block = {b.block_id: b for b in blocks}
-        self._credit_adjacency(vertex_ids, by_block)
-        return blocks, fetched
+        found, missing = self._partition(bids)
+        pulled = self._pick_prefetch(set(bids), len(missing))
+        if missing or pulled:
+            for block in self.inner.read_blocks(missing + pulled):
+                self._admit(block)
+                found[block.block_id] = block
+        if pulled:
+            self.prefetch_issued += len(pulled)
+            self._unclaimed_prefetch += len(pulled)
+        blocks = [found[bid] for bid in bids]
+        self._credit_adjacency(vertex_ids, {b.block_id: b for b in blocks})
+        return blocks, len(missing) + len(pulled)
 
 
 def select_hot_blocks(

@@ -214,3 +214,41 @@ class QueryStats:
         self.prefetch_blocks += other.prefetch_blocks
         self.restarts += other.restarts
         self.fault.merge(other.fault)
+
+
+@dataclass
+class WaveStats:
+    """Wave-level traversal counters (per-query stats live in QueryStats).
+
+    Attributes:
+        queries: Queries advanced through the round loop.
+        rounds: Lockstep rounds advanced (a round serves every live query).
+        requested_block_reads: Σ over (query, round) of the query's unique
+            requested blocks — what the per-query ``round_trip_blocks``
+            charge on the coalesced path, i.e. the reads a sequence of
+            waves of one would issue.
+        issued_block_reads: Σ over rounds of the deduplicated wave-wide
+            union — the reads physically issued.  Equal to the requested
+            count wherever the loop reads per query (width 1, caches,
+            resilience): nothing is coalesced there.
+    """
+
+    queries: int = 0
+    rounds: int = 0
+    requested_block_reads: int = 0
+    issued_block_reads: int = 0
+
+    @property
+    def coalesced_block_reads(self) -> int:
+        """Physical reads saved by cross-query coalescing (the honest
+        counter for sharing: per-query charges stay width-independent)."""
+        return self.requested_block_reads - self.issued_block_reads
+
+    def to_dict(self) -> dict:
+        return {
+            "queries": self.queries,
+            "rounds": self.rounds,
+            "requested_block_reads": self.requested_block_reads,
+            "issued_block_reads": self.issued_block_reads,
+            "coalesced_block_reads": self.coalesced_block_reads,
+        }

@@ -48,6 +48,13 @@ disk-graph segment: a bounded thread-safe
 amortizations made long-lived and concurrency-safe.  The batched
 executor detects an installed plane and leaves it alone, so concurrent
 micro-batches share one cache instead of tearing down each other's.
+
+Live workers share each segment's one engine, whose round loop keeps no
+per-engine scratch.  What is *not* safe to share is a read path with state
+(:func:`~repro.engine.batch.order_sensitive`: a cache wrapper, an armed fault
+injector, full-precision routing); the service asks that predicate of the
+coordinator's current segments at every dispatch and, when it holds,
+serializes the workers' coordinator calls through one lock.
 """
 
 from __future__ import annotations
@@ -58,13 +65,14 @@ import queue as queue_mod
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from ..storage.faults import FaultInjector, base_disk_graph
-from .batch import ExecSpec
+from ..storage.faults import base_disk_graph
+from .batch import ExecSpec, order_sensitive
 from .block_cache import DecodeCache
 from .early_stop import DeadlineStopper
 
@@ -105,11 +113,12 @@ class ServeSpec:
             installed per segment while the service is live (0 disables it).
         min_rounds: Search rounds always granted to a deadline-limited query
             so a late dispatch still returns partial results.
-        wave: Execute each dispatched micro-batch as one lockstep wave
-            (``ExecSpec`` mode ``wave``) so queries landing in the same
-            batch coalesce shared block reads.  Results stay bit-identical
-            to the default in-order mode; when the segment is not
-            wave-capable the executor falls back to ``batched`` on its own.
+        wave: Execute each dispatched micro-batch through the executor's
+            ``wave`` mode (the default): shared ADC tables and, on a
+            stateless read path, one lockstep wave per segment, so queries
+            landing in the same batch coalesce shared block reads.
+            ``False`` selects the ``serial`` reference loop; results are
+            bit-identical either way.
         ingest_queue_depth: Admission bound for concurrent ingest calls
             (:meth:`SearchService.ingest` / :meth:`SearchService.remove`):
             writes beyond it are rejected with :class:`Overloaded` instead
@@ -128,7 +137,7 @@ class ServeSpec:
     breaker_backoff: float = 2.0
     decode_cache_blocks: int = 4096
     min_rounds: int = 1
-    wave: bool = False
+    wave: bool = True
     ingest_queue_depth: int = 64
 
     def __post_init__(self) -> None:
@@ -497,10 +506,8 @@ class SearchService:
             CircuitBreaker(i, self.spec)
             for i in range(coordinator.num_segments)
         ]
-        # Wave mode gates itself back to "batched" per segment when the
-        # engine is not wave-capable, so opting in is always safe.
         self._exec_spec = ExecSpec(
-            mode="wave" if self.spec.wave else "batched", gc_pause=False
+            mode="wave" if self.spec.wave else "serial", gc_pause=False
         )
         # Live-mode state (None while stopped).
         self._queue: queue_mod.Queue | None = None
@@ -512,14 +519,9 @@ class SearchService:
         self._live_decisions: list[tuple] = []
         self._started_us = 0.0
         self._submit_seq = itertools.count()
-        # Fault injection and the LRU graph wrapper are read-order
-        # sensitive and not thread-safe; with either present, live-mode
-        # workers serialize their coordinator calls through one lock.
+        # Held around a live worker's coordinator call whenever a segment
+        # is order-sensitive *at that dispatch* (see ``_serve_live_batch``).
         self._exec_lock = threading.Lock()
-        self._serialize = any(
-            self._order_sensitive(segment)
-            for segment in coordinator.segments
-        )
         # Ingest admission (write-side mirror of the query queue).
         self._ingest_target = None
         self._ingest_gate = threading.Lock()
@@ -528,17 +530,6 @@ class SearchService:
         self.ingest_rejected = 0
 
     # -- shared policy helpers ---------------------------------------------
-
-    @staticmethod
-    def _order_sensitive(segment) -> bool:
-        engine = getattr(segment, "engine", segment)
-        dg = getattr(engine, "disk_graph", None)
-        if dg is None:
-            return False
-        if hasattr(dg, "inner"):
-            return True
-        device = getattr(base_disk_graph(dg), "device", None)
-        return isinstance(device, FaultInjector) and device.fault_spec.enabled
 
     def tier_for_occupancy(self, occupancy: float) -> int:
         """Deterministic shed-tier choice from queue occupancy in [0, 1].
@@ -960,13 +951,13 @@ class SearchService:
                 "dispatch", round(now, 3),
                 tuple(item.index for item in live), tier, candidate_size,
             ))
-        if self._serialize:
-            with self._exec_lock:
-                results = self._execute_batch(
-                    [item.query for item in live], live[0].k,
-                    candidate_size, stoppers,
-                )
-        else:
+        # Asked per dispatch, not once at construction: a cache strategy
+        # applied, or a segment replaced, while the service is live must not
+        # leave an unlocked stateful wrapper shared by the workers.
+        serialize = any(
+            order_sensitive(s) for s in self.coordinator.segments
+        )
+        with self._exec_lock if serialize else nullcontext():
             results = self._execute_batch(
                 [item.query for item in live], live[0].k,
                 candidate_size, stoppers,

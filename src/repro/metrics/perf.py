@@ -11,8 +11,8 @@ latency is derived from each query's exact I/O and compute counters through
 :class:`~repro.engine.cost.ComputeSpec`, so summaries are deterministic,
 machine-independent, and unaffected by how the batch was actually executed
 — the ``threads`` in the QPS model is a *modelled* pool width, not a count
-of real threads, and it need not match the worker count of the
-:class:`~repro.engine.batch.BatchExecutor` that produced the results.  The
+of real threads (the :class:`~repro.engine.batch.BatchExecutor` that
+produced the results runs on the calling thread).  The
 one deliberately *measured* timer in the repository lives in
 :mod:`repro.bench.wallclock`, which times the executor's amortizations and
 checks they leave every counter aggregated here untouched.

@@ -1,17 +1,33 @@
-"""Test-side oracles for the one decode ``src/`` performs.
+"""Test-side oracles: the references ``src/`` is checked against.
 
-The per-vertex copying decoder used to live on
+**The one decode.**  The per-vertex copying decoder used to live on
 :class:`~repro.storage.codec.VertexFormat`; it is kept here, byte for byte,
 as the reference the production view decode
 (:meth:`~repro.storage.codec.VertexFormat.split_block_views`) is checked
 against.  :class:`CopyDecodeDiskGraph` plugs it under a real index so whole
 searches can be compared, not just single blocks.
+
+**The one driver.**  The scalar Algorithm 2 loop used to live on
+:class:`~repro.engine.block_search.BlockSearchEngine` as ``_seed`` +
+``_drain`` (one query at a time, a "fast" and a counted/resilient read
+branch).  It is kept here — :class:`OracleBlockSearch` /
+:func:`oracle_block_search` — as the reference the production lockstep round
+loop (``BlockSearchEngine._rounds``) is checked against at every width.  It
+seeds through the scalar entry walk and the per-query ADC table, so it also
+checks the wave's batched round 0.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.engine.cost import QueryStats
+from repro.engine.early_stop import AdaptiveEarlyStopper
+from repro.engine.frontier import CandidateSet, ResultSet
+from repro.engine.io_util import counted_read_blocks_of
+from repro.engine.results import SearchResult
 from repro.storage.codec import ID_BYTES, ID_DTYPE, VertexFormat
 from repro.storage.disk_graph import DiskBlock, DiskGraph
 
@@ -91,3 +107,189 @@ class CopyDecodeDiskGraph(DiskGraph):
         if cache is not None:
             cache[block_id] = block
         return block
+
+
+class OracleBlockSearch:
+    """Scalar Algorithm 2 over a :class:`BlockSearchEngine`'s configuration.
+
+    One query at a time, no waves, no plane, no arena: the loop
+    ``BlockSearchEngine`` ran before its lockstep round loop became the only
+    driver.  Exposes the ``_seed`` / ``_run`` / ``search`` protocol, so
+    :func:`repro.engine.range_search.incremental_range_search` can be driven
+    by it (the oracle range loop).  It shares the engine's per-query round
+    primitives (``_routing_distances``, ``_select_round``,
+    ``_fold_coresident_targets``, ``_expand_frontier``) and nothing else.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.pipeline = engine.pipeline
+
+    def _seed(
+        self,
+        query: np.ndarray,
+        candidate_size: int,
+        stats: QueryStats,
+        *,
+        table: np.ndarray | None = None,
+        track_kicked: bool = False,
+    ) -> tuple[CandidateSet, ResultSet, np.ndarray | None]:
+        eng = self.engine
+        if eng.use_pq_routing:
+            if table is None:
+                table = eng.pq.lookup_table(query)
+        else:
+            table = None
+        entries, walk_distances = eng.entry_provider.entry_walk(
+            query, eng.num_entry_points
+        )
+        # The navigation-graph walk is in-memory compute, not I/O.
+        stats.exact_distances += walk_distances
+        candidates = CandidateSet(
+            candidate_size,
+            track_kicked=track_kicked,
+            max_vertex_id=eng.disk_graph.num_vertices - 1,
+        )
+        results = ResultSet()
+        ids = np.asarray(entries, dtype=np.int64)
+        dists = eng._routing_distances(query, table, ids, stats)
+        for vid, d in zip(ids.tolist(), dists.tolist()):
+            candidates.push(vid, d)
+        return candidates, results, table
+
+    def search(
+        self,
+        query: np.ndarray,
+        k: int,
+        candidate_size: int,
+        *,
+        table: np.ndarray | None = None,
+        stopper=None,
+    ) -> SearchResult:
+        eng = self.engine
+        query = np.asarray(query, dtype=np.float32)
+        stats = QueryStats(pipelined=eng.pipeline)
+        candidates, results, table = self._seed(
+            query, candidate_size, stats, table=table
+        )
+        if stopper is None:
+            stopper = (
+                AdaptiveEarlyStopper(k, eng.early_termination)
+                if eng.early_termination is not None else None
+            )
+        elif hasattr(stopper, "bind"):
+            stopper.bind(stats)
+        self._run(query, candidates, results, table, stats, stopper=stopper)
+        ids, dists = results.top_k(k)
+        return SearchResult(ids, dists, stats, degraded=stats.fault.degraded)
+
+    def _run(
+        self,
+        query: np.ndarray,
+        candidates: CandidateSet,
+        results: ResultSet,
+        table: np.ndarray | None,
+        stats: QueryStats,
+        *,
+        stopper=None,
+    ) -> None:
+        eng = self.engine
+        dg = eng.disk_graph
+        beam_width = eng.beam_width
+        keep_quota = math.ceil(
+            (dg.fmt.vertices_per_block - 1) * eng.pruning_ratio
+        )
+        # Fused fast path for the plain disk graph: one vertex→block
+        # gather serves both the deduplicated read batch and the target
+        # grouping.  Read order and accounting match
+        # ``counted_read_blocks_of`` exactly: first-occurrence block
+        # order, one round-trip, zero cache hits — and plain reads raise
+        # on failure, so no block can be missing.
+        fast = eng.resilience is None and type(dg) is DiskGraph
+        if fast:
+            vertex_to_block = dg.vertex_to_block
+            read_blocks = dg.read_blocks
+            round_trip_append = stats.round_trip_blocks.append
+        metric_kernel = eng.metric.distances_kernel(query)
+        # Per-round counter updates accumulate in locals and flush to
+        # ``stats`` in the ``finally`` — accurate counts even when a fault
+        # aborts the drain mid-round.
+        hops = vertices_loaded = exact_distances = vertices_used = 0
+        try:
+            while candidates.has_unvisited():
+                if stopper is not None and stopper.update(results):
+                    break
+                batch = candidates.pop_unvisited(beam_width)
+                hops += len(batch)
+                targets_by_block: dict[int, list[int]] = {}
+                if fast:
+                    bids = vertex_to_block[batch].tolist()
+                    round_blocks = read_blocks(list(dict.fromkeys(bids)))
+                    round_trip_append(len(round_blocks))
+                    for vid, bid in zip(batch, bids):
+                        targets_by_block.setdefault(bid, []).append(vid)
+                else:
+                    blocks = counted_read_blocks_of(
+                        dg, batch, stats, eng.resilience
+                    )
+                    for vid in batch:
+                        targets_by_block.setdefault(
+                            dg.block_of(vid), []
+                        ).append(vid)
+                    by_block = {b.block_id: b for b in blocks}
+                    for block_id, targets in targets_by_block.items():
+                        if block_id not in by_block:
+                            # Unreadable after retries: skip these targets,
+                            # keep draining the rest of the frontier.
+                            stats.fault.vertices_abandoned += len(targets)
+                    round_blocks = blocks
+                if eng.fold_coresident and round_blocks:
+                    eng._fold_coresident_targets(
+                        candidates, round_blocks, targets_by_block
+                    )
+
+                # Exact distances to every vertex of every block in the
+                # round; one fused kernel call (the L2 kernel is row-wise
+                # consistent, so the per-block slices equal what per-block
+                # calls would produce).
+                all_dists: list[float] = []
+                if round_blocks:
+                    all_dists = metric_kernel(
+                        np.concatenate([b.vectors for b in round_blocks])
+                        if len(round_blocks) > 1
+                        else round_blocks[0].vectors,
+                    ).tolist()
+                (
+                    res_ids, res_dists, keep_ids, keep_dists,
+                    explore_parts, loaded, used,
+                ) = eng._select_round(
+                    round_blocks, targets_by_block, all_dists, keep_quota
+                )
+                vertices_loaded += loaded
+                exact_distances += loaded
+                vertices_used += used
+                if keep_ids:
+                    res_ids.extend(keep_ids)
+                    res_dists.extend(keep_dists)
+                    # They are in memory now; never fetch them again.
+                    candidates.push_visited_many(keep_ids, keep_dists)
+                if res_ids:
+                    results.add_many(res_ids, res_dists)
+
+                eng._expand_frontier(
+                    query, table, candidates, explore_parts, stats
+                )
+        finally:
+            stats.hops += hops
+            stats.vertices_loaded += vertices_loaded
+            stats.exact_distances += exact_distances
+            stats.vertices_used += vertices_used
+
+
+def oracle_block_search(
+    engine, query, k, candidate_size, *, table=None, stopper=None
+) -> SearchResult:
+    """One ANNS query through the scalar oracle loop."""
+    return OracleBlockSearch(engine).search(
+        query, k, candidate_size, table=table, stopper=stopper
+    )

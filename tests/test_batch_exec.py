@@ -1,16 +1,18 @@
 """BatchExecutor equivalence: batching must be observably invisible.
 
-The contract of :class:`repro.engine.batch.BatchExecutor` is that every
-execution mode returns results bit-identical to the plain per-query loop —
-same ids, same distances, same :class:`~repro.engine.cost.QueryStats`
-counters (including :class:`~repro.engine.cost.FaultStats` when a fault
-injector is armed).  These tests check the contract on both engines and
-exercise the determinism gates that keep it true.
+The contract of :class:`repro.engine.batch.BatchExecutor` is that however a
+batch is scheduled, every query comes back bit-identical to the plain
+per-query loop — same ids, same distances, same
+:class:`~repro.engine.cost.QueryStats` counters (including
+:class:`~repro.engine.cost.FaultStats` when a fault injector is armed).
+These tests check the contract on both engines and the one rule that keeps
+it true: an order-sensitive index runs as waves of one.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -18,14 +20,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import StarlingConfig, build_starling
-from repro.engine import BatchExecutor, CachedDiskGraph, ExecSpec, RetryPolicy
+from repro.engine import (
+    BatchExecutor,
+    CachedDiskGraph,
+    ExecSpec,
+    RetryPolicy,
+    order_sensitive,
+)
 from repro.storage import FaultSpec
 from repro.storage.faults import base_disk_graph
+
+from .conftest import example_budget
 
 # The indexes behind the function-scoped fixture wrapper are session-scoped
 # and read-only, so reusing them across generated examples is sound.
 COMMON = settings(
-    max_examples=15, deadline=None,
+    max_examples=example_budget(15), deadline=None,
     suppress_health_check=[
         HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
     ],
@@ -47,44 +57,113 @@ def disk_index(request):
     return request.getfixturevalue(request.param)
 
 
+def _shards(n: int, parts: int) -> list[slice]:
+    bounds = np.linspace(0, n, parts + 1).astype(int)
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _run_schedule(schedule: str, index, queries, call) -> list:
+    """Drive ``call(executor, queries)`` the way a deleted exec mode did.
+
+    The fan-out modes are gone, but the ways they *called* the engine are
+    ways any client may call the one executor, and each must stay
+    invisible in the output (the ids keep the modes' names):
+
+    ``batched``    the whole batch, one call.
+    ``processes``  contiguous shards, one call each (how process mode cut a
+                   batch): the answer must not depend on the batch split.
+    ``threads``    the shards again, from concurrent caller threads sharing
+                   the index (what live service workers do).
+    """
+    if schedule == "batched":
+        return call(BatchExecutor(index), queries)
+    shards = _shards(len(queries), 3)
+    if schedule == "processes":
+        return [
+            r for shard in shards
+            for r in call(BatchExecutor(index), queries[shard])
+        ]
+    assert schedule == "threads"
+    parts: list = [None] * len(shards)
+
+    def work(i: int) -> None:
+        parts[i] = call(BatchExecutor(index), queries[shards[i]])
+
+    workers = [
+        threading.Thread(target=work, args=(i,)) for i in range(len(shards))
+    ]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in workers)
+    return [r for part in parts for r in part]
+
+
+SCHEDULES = ["batched", "threads", "processes"]
+
+
 class TestExecSpec:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             ExecSpec(mode="warp")
+        for gone in ("batched", "threads", "processes"):
+            with pytest.raises(ValueError):
+                ExecSpec(mode=gone)
 
     def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            ExecSpec(workers=0)
+        """``workers`` left with the fan-out modes: any value is an error
+        now, not just a non-positive one."""
+        for workers in (0, 4):
+            with pytest.raises(TypeError):
+                ExecSpec(workers=workers)
+
+    def test_default_is_wave(self):
+        assert ExecSpec() == ExecSpec(mode="wave", gc_pause=True)
 
 
 class TestSearchEquivalence:
-    @pytest.mark.parametrize("mode", ["batched", "threads", "processes"])
+    @pytest.mark.parametrize("mode", SCHEDULES)
     def test_matches_serial_loop(self, disk_index, small_dataset, mode):
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         reference = [disk_index.search(q, 10, 48) for q in queries]
-        out = BatchExecutor(disk_index, ExecSpec(mode=mode)).search_batch(
-            queries, 10, 48
+        out = _run_schedule(
+            mode, disk_index, queries,
+            lambda ex, qs: ex.search_batch(qs, 10, 48),
         )
         _same_results(reference, out)
 
     def test_serial_mode_is_the_reference(self, disk_index, small_dataset):
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         reference = [disk_index.search(q, 10, 48) for q in queries]
-        out = BatchExecutor(disk_index, ExecSpec(mode="serial")).search_batch(
-            queries, 10, 48
-        )
-        _same_results(reference, out)
+        executor = BatchExecutor(disk_index, ExecSpec(mode="serial"))
+        _same_results(reference, executor.search_batch(queries, 10, 48))
+        assert executor.last_wave_stats is None
 
     def test_empty_batch(self, disk_index):
         assert BatchExecutor(disk_index).search_batch(
             np.zeros((0, 128), dtype=np.float32)
         ) == []
+        assert BatchExecutor(disk_index).range_batch(
+            np.zeros((0, 128), dtype=np.float32), 1.0
+        ) == []
 
-    def test_amortizations_can_be_disabled(self, disk_index, small_dataset):
+    def test_amortizations_can_be_disabled(
+        self, disk_index, small_dataset, monkeypatch
+    ):
+        """``gc_pause`` is the one amortization left with a switch; off, the
+        collector is never touched and the answers are the same."""
+        import gc
+
         queries = np.asarray(small_dataset.queries[:4], dtype=np.float32)
         reference = [disk_index.search(q, 10, 48) for q in queries]
-        spec = ExecSpec(share_tables=False, decode_cache=False)
+        toggles = []
+        monkeypatch.setattr(gc, "disable", lambda: toggles.append("off"))
+        spec = ExecSpec(gc_pause=False)
         out = BatchExecutor(disk_index, spec).search_batch(queries, 10, 48)
+        assert toggles == []
+        BatchExecutor(disk_index).search_batch(queries, 10, 48)
+        assert toggles == ["off"]
         _same_results(reference, out)
 
     @COMMON
@@ -96,15 +175,23 @@ class TestSearchEquivalence:
         out = BatchExecutor(disk_index).search_batch(queries, 10, 32)
         _same_results(reference, out)
 
+    def test_bare_engine(self, disk_index, small_dataset):
+        """A bare engine is a valid executor target for ANNS batches."""
+        queries = np.asarray(small_dataset.queries[:5], dtype=np.float32)
+        reference = [disk_index.search(q, 10, 32) for q in queries]
+        out = BatchExecutor(disk_index.engine).search_batch(queries, 10, 32)
+        _same_results(reference, out)
+
 
 class TestRangeEquivalence:
-    @pytest.mark.parametrize("mode", ["batched", "threads", "processes"])
+    @pytest.mark.parametrize("mode", SCHEDULES)
     def test_matches_serial_loop(self, disk_index, small_dataset, mode):
         radius = small_dataset.default_radius or 120_000.0
         queries = np.asarray(small_dataset.queries[:6], dtype=np.float32)
         reference = [disk_index.range_search(q, radius) for q in queries]
-        out = BatchExecutor(disk_index, ExecSpec(mode=mode)).range_batch(
-            queries, radius
+        out = _run_schedule(
+            mode, disk_index, queries,
+            lambda ex, qs: ex.range_batch(qs, radius),
         )
         _same_results(reference, out)
 
@@ -132,10 +219,25 @@ class TestDeterminismGates:
         injector._rng = random.Random(self.CHAOS.seed)
         injector._pending_extra_us = 0.0
 
-    def test_fanout_gates_to_batched_when_faults_armed(self, chaos_index):
-        for mode in ("threads", "processes"):
-            executor = BatchExecutor(chaos_index, ExecSpec(mode=mode))
-            assert executor.effective_mode() == "batched"
+    def test_fanout_gates_to_batched_when_faults_armed(
+        self, chaos_index, small_dataset
+    ):
+        """Armed faults make the index order-sensitive, so the batch runs
+        as waves of one: nothing coalesces, and the device sees exactly the
+        reads the queries were charged, one query after another."""
+        assert order_sensitive(chaos_index)
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        device = base_disk_graph(chaos_index.disk_graph).device
+        self._rearm(chaos_index)
+        before = device.counters.snapshot()
+        executor = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
+        out = executor.search_batch(queries, 10, 48)
+        io = device.counters.since(before)
+        stats = executor.last_wave_stats
+        assert stats.queries == len(queries)
+        assert stats.coalesced_block_reads == 0
+        assert stats.rounds >= max(len(r.stats.round_trip_blocks) for r in out)
+        assert sum(r.stats.num_ios for r in out) == io.blocks_read
 
     def test_fault_stats_identical_serial_vs_batched(
         self, chaos_index, small_dataset
@@ -150,18 +252,32 @@ class TestDeterminismGates:
         assert any(r.stats.fault.any for r in reference)
 
     def test_lru_cache_gates_to_batched(self, small_dataset, graph_config):
+        """A stateful cache wrapper runs as waves of one: hit accounting —
+        per query and on the wrapper — equals the serial loop's."""
         index = build_starling(
             small_dataset, StarlingConfig(graph=graph_config)
         )
-        index.engine.disk_graph = CachedDiskGraph(
-            index.engine.disk_graph, capacity_blocks=8
+        plain = index.engine.disk_graph
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+
+        index.engine.disk_graph = serial_lru = CachedDiskGraph(plain, 8)
+        assert order_sensitive(index)
+        reference = [index.search(q, 10, 48) for q in queries]
+
+        index.engine.disk_graph = wave_lru = CachedDiskGraph(plain, 8)
+        executor = BatchExecutor(index, ExecSpec(mode="wave"))
+        _same_results(reference, executor.search_batch(queries, 10, 48))
+        assert (wave_lru.hits, wave_lru.misses) == (
+            serial_lru.hits, serial_lru.misses
         )
-        executor = BatchExecutor(index, ExecSpec(mode="threads"))
-        assert executor.effective_mode() == "batched"
+        assert wave_lru.hits > 0
+        assert executor.last_wave_stats.coalesced_block_reads == 0
 
     def test_spann_falls_back_to_serial(self, spann_index, small_dataset):
-        executor = BatchExecutor(spann_index, ExecSpec(mode="batched"))
-        assert executor.effective_mode() == "serial"
+        """No disk graph, nothing to share: the plain loop, in any mode."""
+        executor = BatchExecutor(spann_index, ExecSpec(mode="wave"))
         queries = np.asarray(small_dataset.queries[:4], dtype=np.float32)
         reference = [spann_index.search(q, 10, 48) for q in queries]
         _same_results(reference, executor.search_batch(queries, 10, 48))
+        assert executor.last_wave_stats is None
+        assert not order_sensitive(spann_index)

@@ -93,10 +93,9 @@ class TestSweepEdgeCases:
             summarize("x", starling_index, [], 1.0)
 
 
-def _wallclock_report(serial=4.0, batched=3.0, wave=2.5, coalesced=0.5):
+def _wallclock_report(serial=4.0, wave=2.5, coalesced=0.5):
     return {
         "serial": {"ms_per_query": serial},
-        "batched": {"ms_per_query": batched},
         "wave": {"ms_per_query": wave, "coalesced_fraction": coalesced},
     }
 
@@ -136,7 +135,7 @@ class TestPerfGuard:
 
         # A slower machine is not a regression: absolute ms/query is
         # printed beside the baseline and never gates.
-        fresh = _wallclock_report(4.0 * 3, 3.0 * 3, 2.5 * 3)
+        fresh = _wallclock_report(4.0 * 3, 2.5 * 3)
         assert check_report("wallclock", fresh, self.WALLCLOCK) == []
         # wall clock fine, coalescing collapsed: must be caught
         fresh = _wallclock_report(coalesced=0.1)
@@ -147,7 +146,7 @@ class TestPerfGuard:
     def test_faster_than_baseline_passes(self):
         from repro.bench.guard import check_report
 
-        fresh = _wallclock_report(2.0, 1.5, 1.2, 0.6)
+        fresh = _wallclock_report(2.0, 1.2, 0.6)
         assert check_report("wallclock", fresh, self.WALLCLOCK) == []
 
     def test_no_strawman_ratio_is_guarded(self):
@@ -157,7 +156,7 @@ class TestPerfGuard:
 
         by_path = {path: d for _, path, d in METRICS["wallclock"]}
         assert not any("speedup" in path for path in by_path)
-        for leg in ("serial", "batched", "wave"):
+        for leg in ("serial", "wave"):
             assert by_path[(leg, "ms_per_query")] == "report"
 
     def test_build_metrics_checked_independently(self):

@@ -72,6 +72,32 @@ class TestBuildAndSearch:
         out = capsys.readouterr().out
         assert "q0:" in out and "q1:" in out
 
+    def test_exec_modes_print_the_same_line(self, built, capsys):
+        """``search --exec-mode {serial,wave}`` — plain, cached and under
+        chaos (where ``wave`` means in-order waves of one) — print identical
+        lines; the fan-out modes and ``--workers`` left the subcommand."""
+        base = [
+            "search", "--index", str(built), "--synthetic", "deep:400",
+            "--num-queries", "8", "--gamma", "24",
+        ]
+        args = build_parser().parse_args(base)
+        assert args.exec_mode == "wave" and not hasattr(args, "workers")
+        for extra in (
+            [],
+            ["--cache-strategy", "lru", "--cache-blocks", "6"],
+            ["--fault-transient", "0.2", "--fault-seed", "3"],
+        ):
+            lines = []
+            for mode in ("serial", "wave"):
+                assert main(base + extra + ["--exec-mode", mode]) == 0
+                lines.append(capsys.readouterr().out)
+            assert lines[0] == lines[1]
+        assert "faults:" in lines[0]
+        for gone in (["--exec-mode", "threads"], ["--workers", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + gone)
+        capsys.readouterr()
+
     def test_diskann_framework(self, tmp_path, capsys):
         out = tmp_path / "didx"
         assert main([

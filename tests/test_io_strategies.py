@@ -16,7 +16,7 @@ from repro.engine import (
     PinnedBlockCache,
     wrap_with_cache_strategy,
 )
-from repro.engine.wave_search import wave_capable
+from repro.engine.batch import order_sensitive
 from repro.graphs import from_neighbor_lists
 from repro.layout import (
     LAYOUT_STRATEGY_NAMES,
@@ -229,17 +229,29 @@ class TestFoldCoresident:
 
         assert trips(folded) < trips(unfolded)
 
-    def test_fold_engine_not_wave_capable(self, small_dataset, graph_config):
+    def test_fold_engine_runs_full_width_waves(
+        self, small_dataset, graph_config
+    ):
+        """The fold is a per-query step of the round loop, so a bamg index
+        takes the whole batch as one coalescing wave — and still answers
+        exactly as the per-query loop does."""
         idx = build_starling(
             small_dataset,
             StarlingConfig(graph=graph_config, layout_strategy="bamg"),
         )
-        assert not wave_capable(idx.engine)
+        assert not order_sensitive(idx)
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        reference = [idx.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(idx, ExecSpec(mode="wave"))
-        assert executor.effective_mode() == "batched"
+        out = executor.search_batch(queries, 10, 48)
+        for a, b in zip(reference, out):
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.dists, b.dists)
+            assert a.stats.__dict__ == b.stats.__dict__
+        assert executor.last_wave_stats.coalesced_block_reads > 0
 
     def test_default_engine_stays_wave_capable(self, starling_index):
-        assert wave_capable(starling_index.engine)
+        assert not order_sensitive(starling_index)
 
 
 # -- cache strategy registry ---------------------------------------------------

@@ -48,13 +48,12 @@ class TestExports:
         import dataclasses
         import inspect
 
-        from repro.engine import ExecSpec, ServeSpec, WaveSearchEngine
-        from repro.engine import frontier, wave_search
+        from repro.engine import BlockSearchEngine, ExecSpec, ServeSpec
+        from repro.engine import block_search, frontier
         from repro.graphs import navigation
 
         assert {f.name for f in dataclasses.fields(ExecSpec)} == {
-            "mode", "workers", "share_tables", "decode_cache", "gc_pause",
-            "start_method",
+            "mode", "gc_pause",
         }
         assert {f.name for f in dataclasses.fields(ServeSpec)} == {
             "workers", "queue_depth", "deadline_us", "shed_tiers",
@@ -62,15 +61,35 @@ class TestExports:
             "breaker_backoff", "decode_cache_blocks", "min_rounds", "wave",
             "ingest_queue_depth",
         }
-        assert list(inspect.signature(WaveSearchEngine).parameters) == [
-            "engine"
-        ]
+        # width is computed from the batch, never passed: ``wave_stats`` is
+        # an out-parameter for the wave-level counters, not a switch
         assert list(
-            inspect.signature(WaveSearchEngine.search_wave).parameters
-        ) == ["self", "queries", "k", "candidate_size", "tables", "stoppers"]
-        assert wave_search.LOCKSTEP_MIN_WAVE is navigation.LOCKSTEP_MIN_WAVE
-        for module in (wave_search, frontier):
+            inspect.signature(BlockSearchEngine.search_wave).parameters
+        ) == [
+            "self", "queries", "k", "candidate_size", "tables", "stoppers",
+            "wave_stats",
+        ]
+        assert block_search.LOCKSTEP_MIN_WAVE is navigation.LOCKSTEP_MIN_WAVE
+        for module in (block_search, frontier):
             assert "environ" not in inspect.getsource(module)
+
+    def test_one_driver_two_modes(self):
+        """Scheduling picks a width, not a loop: two exec modes, one
+        order-sensitivity predicate, no fan-out and no second driver."""
+        import importlib
+
+        import repro.engine as engine
+        from repro.engine import EXEC_MODES, BlockSearchEngine, batch, serve
+
+        assert EXEC_MODES == ("serial", "wave")
+        for gone in ("shm", "wave_search"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.engine.{gone}")
+        for gone in ("WaveSearchEngine", "wave_capable"):
+            assert not hasattr(engine, gone)
+        assert not hasattr(BlockSearchEngine, "_drain")
+        assert not hasattr(batch.BatchExecutor, "effective_mode")
+        assert serve.order_sensitive is batch.order_sensitive
 
 
 class TestDeterminism:

@@ -419,6 +419,60 @@ class TestLiveService:
                     outcome.result.dists, expected[i].dists
                 )
 
+    def test_serialisation_is_decided_per_dispatch(self, serve_segments,
+                                                   serve_dataset):
+        """A cache applied *after* the service was constructed must still be
+        served under the lock: the stateful wrapper is shared by the live
+        workers.  Answers equal the scalar oracle, and the queries were
+        charged exactly what the device saw."""
+        from .oracles import oracle_block_search
+
+        segments, offsets = serve_segments
+        segment = segments[0]
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        expected = [
+            oracle_block_search(segment.engine, q, 10, 32) for q in queries
+        ]
+        service = SearchService(
+            segment,
+            ServeSpec(workers=2, queue_depth=64, max_batch=2,
+                      shed_tiers=(32,)),
+        )
+        config = segment.config
+        segment.apply_cache_strategy("lru", 6)
+        unlocked = []
+        execute = service._execute_batch
+
+        def checked(*args):
+            if not service._exec_lock.locked():
+                unlocked.append(args)
+            return execute(*args)
+
+        service._execute_batch = checked
+        device = base_disk_graph(segment.disk_graph).device
+        before = device.counters.snapshot()
+        try:
+            service.start()
+            try:
+                tickets = [
+                    service.submit(q, k=10) for _ in range(3) for q in queries
+                ]
+            finally:
+                service.stop()
+            io = device.counters.since(before)
+        finally:
+            segment.apply_cache_strategy("none", 0)
+            segment.config = config
+        assert unlocked == []
+        outcomes = [t.result(timeout=5.0) for t in tickets]
+        assert all(o is not None and o.ok for o in outcomes)
+        for i, outcome in enumerate(outcomes):
+            want = expected[i % len(queries)]
+            np.testing.assert_array_equal(outcome.result.ids, want.ids)
+            np.testing.assert_array_equal(outcome.result.dists, want.dists)
+        assert sum(o.result.stats.block_cache_hits for o in outcomes) > 0
+        assert sum(o.result.stats.num_ios for o in outcomes) == io.blocks_read
+
     def test_start_twice_rejected_and_stop_restores_plane(self, coordinator,
                                                           serve_dataset):
         service = SearchService(coordinator, ServeSpec(workers=1))

@@ -1,18 +1,23 @@
-"""Lockstep wave traversal: coalesced reads, bit-identical per-query output.
+"""The one block-search driver: every width equals the scalar oracle.
 
-The contract of :class:`repro.engine.wave_search.WaveSearchEngine` is the
-``wavebuild`` one — lockstep is scheduling, not semantics.  Per-query
-results and :class:`~repro.engine.cost.QueryStats` must be bit-identical to
-the serial loop while the wave's cross-query read sharing shows up only in
-the batch-level :class:`~repro.engine.wave_search.WaveStats`.  These tests
-pin the identity under random workloads and wave sizes, the per-round
-stopper cadence, the determinism gates, and the serving-layer opt-in.
+``BlockSearchEngine._rounds`` is the only loop that runs Algorithm 2 in
+``src/``; a single query is a wave of one.  Lockstep is scheduling, not
+semantics: per-query results and :class:`~repro.engine.cost.QueryStats` must
+be bit-identical to ``tests/oracles.py::oracle_block_search`` (the scalar
+loop the engine used to carry) at every wave width and over every read path
+— while cross-query read sharing shows up only in the batch-level
+:class:`~repro.engine.cost.WaveStats`.  These tests pin that identity as
+one matrix (width × read path / feature), plus the per-round stopper
+cadence, the width rule, concurrency on one engine, and the serving layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,18 +27,21 @@ from hypothesis import strategies as st
 from repro.core import StarlingConfig, build_starling
 from repro.engine import (
     AdaptiveEarlyStopper,
+    ArenaPool,
     BatchExecutor,
     CachedDiskGraph,
     DeadlineStopper,
     ExecSpec,
+    LocalityBlockCache,
+    PinnedBlockCache,
     RetryPolicy,
     SearchService,
     ServeSpec,
-    WaveSearchEngine,
     WaveStats,
-    wave_capable,
+    incremental_range_search,
+    order_sensitive,
 )
-from repro.engine import wave_search
+from repro.engine import block_search
 from repro.engine.frontier import CandidateSet, FrontierPlane
 from repro.graphs.navigation import LOCKSTEP_MIN_WAVE
 from repro.storage import FaultSpec
@@ -41,6 +49,7 @@ from repro.storage.faults import base_disk_graph
 from repro.vectors import deep_like, knn, text2image_like
 
 from .conftest import example_budget
+from .oracles import OracleBlockSearch, oracle_block_search
 
 # The indexes behind the function-scoped fixture wrappers are session-scoped
 # and read-only, so reusing them across generated examples is sound.
@@ -56,6 +65,10 @@ CHAOS = FaultSpec(
     corruption_rate=0.02, latency_spike_rate=0.1,
 )
 
+WIDTHS = [
+    1, LOCKSTEP_MIN_WAVE - 1, LOCKSTEP_MIN_WAVE, 2 * LOCKSTEP_MIN_WAVE + 1,
+]
+
 
 def _same_results(a, b) -> None:
     assert len(a) == len(b)
@@ -65,6 +78,7 @@ def _same_results(a, b) -> None:
         # Dataclass __dict__ equality covers every counter, including the
         # nested FaultStats and the per-round-trip block counts.
         assert x.stats.__dict__ == y.stats.__dict__
+        assert x.degraded == y.degraded
 
 
 @pytest.fixture(scope="module")
@@ -108,52 +122,408 @@ def _rearm(index) -> None:
     injector._pending_extra_us = 0.0
 
 
+@pytest.fixture(scope="module")
+def fold_index(small_dataset, graph_config):
+    """A bamg-pruned index: the co-resident fold is on."""
+    index = build_starling(
+        small_dataset,
+        StarlingConfig(graph=graph_config, layout_strategy="bamg"),
+    )
+    assert index.engine.fold_coresident
+    return index
+
+
+def _noisy_queries(dataset, count: int, seed: int = 0) -> np.ndarray:
+    """Base vectors plus noise: near the data, so a shallow search misses
+    some true neighbours (recall@10 < 1 — a wrong frontier can show)."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(dataset.vectors), size=count)
+    noise = rng.normal(0.0, 12.0, size=(count, dataset.vectors.shape[1]))
+    return (dataset.vectors[picks] + noise).astype(np.float32)
+
+
+def _oracle(index, queries, k, gamma, stoppers=None) -> list:
+    """The scalar reference: one query after another, in order."""
+    out = []
+    for i, q in enumerate(queries):
+        stopper = stoppers[i] if stoppers is not None else None
+        index._bind_costs(stopper)
+        out.append(
+            oracle_block_search(index.engine, q, k, gamma, stopper=stopper)
+        )
+    return out
+
+
+def _rounds_one_by_one(index, queries, k, gamma) -> int:
+    """Rounds the round loop advances when every query is its own call —
+    what a batch run as waves of one adds up to (rounds are a property of
+    the traversal, not of the read path's state)."""
+    total = 0
+    for q in queries:
+        executor = BatchExecutor(index, ExecSpec(mode="wave"))
+        executor.search_batch(q[None], k, gamma)
+        total += executor.last_wave_stats.rounds
+    return total
+
+
+def _rounds_of(result) -> int:
+    """Rounds one query advanced on the coalesced path (one charge each)."""
+    return len(result.stats.round_trip_blocks)
+
+
 # ---------------------------------------------------------------------------
-# eligibility
+# the equivalence matrix: width × read path / feature, against the oracle
+
+
+@contextmanager
+def _engine_attr(index, **attrs):
+    engine = index.engine
+    saved = {name: getattr(engine, name) for name in attrs}
+    for name, value in attrs.items():
+        setattr(engine, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(engine, name, value)
+
+
+class _Case:
+    """One cell row of the matrix: an index, its queries, and ``fresh()`` —
+    called before *each* run so the oracle and the engine both start from
+    the same read-path state (a new cache wrapper, a rewound fault RNG)."""
+
+    def __init__(self, index, queries, *, k=10, gamma=12, wrap=None,
+                 rearm=False, stoppers=None, **engine_attrs):
+        self.index = index
+        self.queries = queries
+        self.k = k
+        self.gamma = gamma
+        self.wrap = wrap
+        self.rearm = rearm
+        self.stoppers = stoppers or (lambda n: None)
+        self.engine_attrs = engine_attrs
+        self.plain = index.engine.disk_graph
+
+    def fresh(self) -> None:
+        if self.wrap is not None:
+            self.index.engine.disk_graph = self.wrap(self.plain)
+        if self.rearm:
+            _rearm(self.index)
+
+    @contextmanager
+    def installed(self):
+        with _engine_attr(self.index, **self.engine_attrs):
+            try:
+                yield self
+            finally:
+                self.index.engine.disk_graph = self.plain
+
+
+def _lru(plain):
+    return CachedDiskGraph(plain, capacity_blocks=8)
+
+
+def _hot(plain):
+    return PinnedBlockCache(plain, range(0, plain.num_blocks, 5))
+
+
+def _locality(plain):
+    return LocalityBlockCache(plain, 8, prefetch_blocks=2)
+
+
+CASES = [
+    "plain", "lru", "hot", "locality_prefetch", "retry_unarmed",
+    "faults_retry", "faults_no_retry", "fold", "fold_lru", "exact_routing",
+    "ip", "duplicated", "adaptive", "deadline",
+]
+
+
+@pytest.fixture()
+def matrix_case(
+    request, small_dataset, starling_index, chaos_index, fold_index,
+    ip_index, duplicated_index,
+):
+    name = request.param
+    pool = _noisy_queries(small_dataset, WIDTHS[-1])
+    if name in ("plain", "lru", "hot", "locality_prefetch"):
+        wrap = {"plain": None, "lru": _lru, "hot": _hot,
+                "locality_prefetch": _locality}[name]
+        case = _Case(starling_index, pool, wrap=wrap)
+    elif name == "retry_unarmed":
+        case = _Case(starling_index, pool, resilience=RetryPolicy())
+    elif name == "faults_retry":
+        case = _Case(chaos_index, pool, rearm=True)
+    elif name == "faults_no_retry":
+        case = _Case(chaos_index, pool, rearm=True,
+                     resilience=RetryPolicy(max_retries=0))
+    elif name == "fold":
+        case = _Case(fold_index, pool)
+    elif name == "fold_lru":
+        case = _Case(fold_index, pool, wrap=_lru)
+    elif name == "exact_routing":
+        case = _Case(starling_index, pool, use_pq_routing=False)
+    elif name == "ip":
+        case = _Case(*ip_index, gamma=24)
+    elif name == "duplicated":
+        case = _Case(*duplicated_index)
+    elif name == "adaptive":
+        case = _Case(
+            starling_index, pool, gamma=32,
+            stoppers=lambda n: [
+                AdaptiveEarlyStopper(10, 1, min_hops=2) for _ in range(n)
+            ],
+        )
+    else:
+        assert name == "deadline"
+        full = [starling_index.search(q, 10, 32) for q in pool]
+        budget = 0.5 * min(starling_index.latency_us(r) for r in full)
+        case = _Case(
+            starling_index, pool, gamma=32,
+            stoppers=lambda n: [DeadlineStopper(budget) for _ in range(n)],
+        )
+    with case.installed():
+        yield name, case
+
+
+class TestEquivalenceMatrix:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("matrix_case", CASES, indirect=True)
+    def test_wave_equals_oracle(self, matrix_case, width):
+        """ids, dists, the whole QueryStats and ``degraded`` equal the
+        scalar oracle; at width 1 the queries were charged exactly what the
+        device saw; a plain wide wave coalesces."""
+        name, case = matrix_case
+        index, k, gamma = case.index, case.k, case.gamma
+        queries = case.queries[:width]
+        device = base_disk_graph(case.plain).device
+
+        case.fresh()
+        want_stoppers = case.stoppers(width)
+        reference = _oracle(index, queries, k, gamma, want_stoppers)
+
+        case.fresh()
+        got_stoppers = case.stoppers(width)
+        sensitive = order_sensitive(index)
+        before = device.counters.snapshot()
+        executor = BatchExecutor(index, ExecSpec(mode="wave"))
+        out = executor.search_batch(queries, k, gamma, stoppers=got_stoppers)
+        io = device.counters.since(before)
+        stats = executor.last_wave_stats
+
+        _same_results(reference, out)
+        if name == "deadline":
+            assert [s.fired for s in want_stoppers] == [
+                s.fired for s in got_stoppers
+            ]
+        assert stats.queries == width
+        assert sensitive == (name in (
+            "lru", "hot", "locality_prefetch", "faults_retry",
+            "faults_no_retry", "fold_lru", "exact_routing",
+        ))
+        if sensitive or width == 1:
+            # waves of one: nothing shared, every charge is a device read
+            assert stats.coalesced_block_reads == 0
+            assert sum(r.stats.num_ios for r in out) == io.blocks_read
+        elif name != "retry_unarmed":
+            # one wave: as many rounds as its longest query, reads shared
+            assert stats.rounds == max(_rounds_of(r) for r in out)
+            assert stats.requested_block_reads == sum(
+                r.stats.num_ios for r in out
+            )
+            assert stats.issued_block_reads == io.blocks_read
+            if name == "plain":
+                assert stats.coalesced_block_reads > 0
+
+    @pytest.mark.parametrize(
+        "matrix_case", ["plain", "lru", "faults_no_retry", "fold",
+                        "deadline"],
+        indirect=True,
+    )
+    def test_matrix_is_not_vacuous(self, matrix_case, small_dataset):
+        """Each feature the matrix claims to cover actually fires at this
+        operating point — and recall is below 1, so a wrong frontier shows."""
+        name, case = matrix_case
+        case.fresh()
+        out = _oracle(
+            case.index, case.queries, case.k, case.gamma,
+            case.stoppers(len(case.queries)),
+        )
+        if name == "plain":
+            truth, _ = knn(
+                small_dataset.vectors, case.queries, 10, small_dataset.metric
+            )
+            hits = sum(
+                len(set(r.ids.tolist()) & set(t.tolist()))
+                for r, t in zip(out, truth)
+            )
+            assert hits < 10 * len(out)
+        elif name == "lru":
+            assert sum(r.stats.block_cache_hits for r in out) > 0
+        elif name == "faults_no_retry":
+            assert sum(r.stats.fault.blocks_abandoned for r in out) > 0
+            assert sum(r.stats.fault.vertices_abandoned for r in out) > 0
+            assert any(r.degraded for r in out)
+        elif name == "fold":
+            with _engine_attr(case.index, fold_coresident=False):
+                unfolded = _oracle(case.index, case.queries, 10, case.gamma)
+            assert sum(r.stats.round_trips for r in out) < sum(
+                r.stats.round_trips for r in unfolded
+            )
+        else:
+            untruncated = _oracle(case.index, case.queries, 10, case.gamma)
+            assert any(
+                r.stats.round_trips < f.stats.round_trips
+                for r, f in zip(out, untruncated)
+            )
+
+    @pytest.mark.parametrize(
+        "matrix_case", ["plain", "lru", "fold", "faults_retry"],
+        indirect=True,
+    )
+    def test_range_search_equals_oracle_range_loop(
+        self, matrix_case, small_dataset
+    ):
+        """§5.3 only *resumes* Algorithm 2: ``range_search`` (restarts, the
+        kicked set) through the round loop equals the same range driver
+        over the scalar oracle."""
+        _, case = matrix_case
+        radius = small_dataset.default_radius or 120_000.0
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        case.fresh()
+        oracle = OracleBlockSearch(case.index.engine)
+        reference = [
+            incremental_range_search(
+                oracle, q, radius, initial_candidate_size=8
+            )
+            for q in queries
+        ]
+        case.fresh()
+        out = BatchExecutor(case.index).range_batch(
+            queries, radius, initial_candidate_size=8
+        )
+        _same_results(reference, out)
+        assert [r.final_candidate_size for r in out] == [
+            r.final_candidate_size for r in reference
+        ]
+        assert any(r.final_candidate_size > 8 for r in out)  # it restarted
+
+    @COMMON
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nq=st.integers(1, 2 * LOCKSTEP_MIN_WAVE),
+        cut=st.integers(0, 2 * LOCKSTEP_MIN_WAVE),
+        armed=st.booleans(),
+    )
+    def test_random_batch_splits_match_oracle(
+        self, starling_index, chaos_index, seed, nq, cut, armed
+    ):
+        """Random queries, random batch sizes, a random split of the batch
+        into two calls, armed/unarmed faults: the answers never depend on
+        how the batch was cut."""
+        index = chaos_index if armed else starling_index
+        rng = np.random.default_rng(seed)
+        queries = rng.integers(0, 256, size=(nq, 128)).astype(np.float32)
+        cut = min(cut, nq)
+        if armed:
+            _rearm(index)
+        reference = _oracle(index, queries, 10, 32)
+        if armed:
+            _rearm(index)
+        executor = BatchExecutor(index, ExecSpec(mode="wave"))
+        out = executor.search_batch(queries[:cut], 10, 32)
+        out += executor.search_batch(queries[cut:], 10, 32)
+        _same_results(reference, out)
+
+
+# ---------------------------------------------------------------------------
+# the width rule: one predicate, observable in the wave counters
 
 
 class TestWaveCapability:
-    def test_starling_engine_is_capable(self, starling_index):
-        assert wave_capable(starling_index.engine)
+    def test_starling_engine_is_capable(self, starling_index, small_dataset):
+        assert not order_sensitive(starling_index)
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
+        out = executor.search_batch(queries, 10, 48)
+        # the whole batch was one wave
+        assert executor.last_wave_stats.rounds == max(map(_rounds_of, out))
 
-    def test_beam_engine_is_not(self, diskann_index):
-        assert not wave_capable(diskann_index.engine)
-        with pytest.raises(ValueError, match="wave-capable"):
-            WaveSearchEngine(diskann_index.engine)
+    def test_beam_engine_is_not(self, diskann_index, small_dataset):
+        """The DiskANN baseline keeps its own driver: in order, no wave."""
+        assert not hasattr(diskann_index.engine, "search_wave")
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        executor = BatchExecutor(diskann_index, ExecSpec(mode="wave"))
+        _same_results(
+            [diskann_index.search(q, 10, 48) for q in queries],
+            executor.search_batch(queries, 10, 48),
+        )
+        assert executor.last_wave_stats is None
 
-    def test_resilience_layer_is_not(self, chaos_index):
-        assert not wave_capable(chaos_index.engine)
+    def test_resilience_layer_is_not(self, starling_index, chaos_index,
+                                     small_dataset):
+        """An armed injector is order-sensitive; a retry policy over a
+        healthy device is not — it runs at full width, reading per query."""
+        assert order_sensitive(chaos_index)
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        with _engine_attr(starling_index, resilience=RetryPolicy()):
+            assert not order_sensitive(starling_index)
+            executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
+            out = executor.search_batch(queries, 10, 48)
+        stats = executor.last_wave_stats
+        assert stats.rounds == max(map(_rounds_of, out))
+        assert stats.coalesced_block_reads == 0
 
-    def test_full_precision_routing_is_not(self, starling_index):
-        engine = starling_index.engine
-        engine.use_pq_routing = False
-        try:
-            assert not wave_capable(engine)
-        finally:
-            engine.use_pq_routing = True
+    def test_full_precision_routing_is_not(self, starling_index,
+                                           small_dataset):
+        queries = np.asarray(small_dataset.queries[:3], dtype=np.float32)
+        with _engine_attr(starling_index, use_pq_routing=False):
+            assert order_sensitive(starling_index)
+            executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
+            out = executor.search_batch(queries, 10, 16)
+            one_by_one = _rounds_one_by_one(starling_index, queries, 10, 16)
+        assert all(r.stats.pq_distances == 0 for r in out)
+        assert executor.last_wave_stats.rounds == one_by_one
 
-    def test_lru_wrapper_gates_to_batched(self, starling_index):
+    def test_lru_wrapper_gates_to_batched(self, starling_index,
+                                          small_dataset):
+        """A stateful wrapper runs as in-order waves of one: the rounds add
+        up query by query instead of overlapping."""
         engine = starling_index.engine
         plain = engine.disk_graph
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
         engine.disk_graph = CachedDiskGraph(plain, capacity_blocks=8)
         try:
-            assert not wave_capable(engine)
+            assert order_sensitive(starling_index)
             executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
-            assert executor.effective_mode() == "batched"
+            executor.search_batch(queries, 10, 48)
+            one_by_one = _rounds_one_by_one(starling_index, queries, 10, 48)
         finally:
             engine.disk_graph = plain
+        assert executor.last_wave_stats.rounds == one_by_one
+        assert executor.last_wave_stats.coalesced_block_reads == 0
 
-    def test_armed_faults_gate_to_batched(self, chaos_index):
+    def test_armed_faults_gate_to_batched(self, chaos_index, small_dataset):
+        assert order_sensitive(chaos_index)
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        _rearm(chaos_index)
         executor = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
-        assert executor.effective_mode() == "batched"
+        executor.search_batch(queries, 10, 48)
+        assert executor.last_wave_stats.coalesced_block_reads == 0
 
-    def test_spann_falls_back_to_serial(self, spann_index):
+    def test_spann_falls_back_to_serial(self, spann_index, small_dataset):
+        assert not order_sensitive(spann_index)
+        queries = np.asarray(small_dataset.queries[:3], dtype=np.float32)
         executor = BatchExecutor(spann_index, ExecSpec(mode="wave"))
-        assert executor.effective_mode() == "serial"
+        out = executor.search_batch(queries, 10, 48)
+        assert [r.ids.tolist() for r in out] == [
+            spann_index.search(q, 10, 48).ids.tolist() for q in queries
+        ]
+        assert executor.last_wave_stats is None
 
 
 # ---------------------------------------------------------------------------
-# bit-identity
+# bit-identity to the public per-query surface
 
 
 class TestWaveEquivalence:
@@ -161,16 +531,20 @@ class TestWaveEquivalence:
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         reference = [starling_index.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
-        assert executor.effective_mode() == "wave"
         _same_results(reference, executor.search_batch(queries, 10, 48))
 
     def test_single_query_wave(self, starling_index, small_dataset):
+        """``search`` *is* a wave of one — and both are the oracle."""
         queries = np.asarray(small_dataset.queries[:1], dtype=np.float32)
-        reference = [starling_index.search(queries[0], 10, 48)]
+        reference = _oracle(starling_index, queries, 10, 48)
+        _same_results(reference, [starling_index.search(queries[0], 10, 48)])
         out = BatchExecutor(
             starling_index, ExecSpec(mode="wave")
         ).search_batch(queries, 10, 48)
         _same_results(reference, out)
+        assert starling_index.engine.search_wave(
+            np.zeros((0, 128), dtype=np.float32), 10, 48
+        ) == []
 
     @COMMON
     @given(
@@ -183,9 +557,9 @@ class TestWaveEquivalence:
     ):
         """Wave sizes 1..N, random queries, armed/unarmed fault injection.
 
-        With faults armed the executor gates to in-order batched execution
-        (coalescing would reorder the injector's RNG draws) — the output
-        must *still* be bit-identical to the serial loop.
+        With faults armed the executor runs waves of one (coalescing would
+        reorder the injector's RNG draws) — the output must *still* be
+        bit-identical to the serial loop.
         """
         index = chaos_index if armed else starling_index
         rng = np.random.default_rng(seed)
@@ -197,10 +571,9 @@ class TestWaveEquivalence:
             _rearm(index)
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         _same_results(reference, executor.search_batch(queries, 10, 32))
+        assert executor.last_wave_stats.queries == nq
         if armed:
-            assert executor.last_wave_stats is None
-        else:
-            assert executor.last_wave_stats.queries == nq
+            assert executor.last_wave_stats.coalesced_block_reads == 0
 
     def test_ip_metric_wave(self, ip_index):
         """The IP path (per-query kernel slices, no fused reduction)."""
@@ -208,7 +581,6 @@ class TestWaveEquivalence:
         queries = queries[:8]
         reference = [index.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
-        assert executor.effective_mode() == "wave"
         _same_results(reference, executor.search_batch(queries, 10, 48))
 
     @pytest.mark.parametrize("metric", ["l2", "ip"])
@@ -245,7 +617,8 @@ class TestWaveEquivalence:
         self, starling_index, small_dataset, monkeypatch
     ):
         """Without the executor's tables a wave makes one batched ADC
-        build, not one ``lookup_table`` per seed."""
+        build, not one ``lookup_table`` per seed — and none at all when PQ
+        routing is off."""
         queries = np.asarray(small_dataset.queries[:5], dtype=np.float32)
         pq = starling_index.engine.pq
         builds = []
@@ -254,9 +627,11 @@ class TestWaveEquivalence:
             pq, "lookup_tables",
             lambda qs: builds.append(len(qs)) or batched(qs),
         )
-        out = WaveSearchEngine(starling_index.engine).search_wave(
-            queries, 10, 48
-        )
+        out = starling_index.engine.search_wave(queries, 10, 48)
+        assert builds == [5]
+        with _engine_attr(starling_index, use_pq_routing=False):
+            starling_index.engine.search_wave(queries[:2], 10, 8)
+            BatchExecutor(starling_index).search_batch(queries[:2], 10, 8)
         assert builds == [5]
         monkeypatch.undo()
         _same_results([starling_index.search(q, 10, 48) for q in queries], out)
@@ -264,6 +639,7 @@ class TestWaveEquivalence:
     def test_range_batch_falls_back_to_batched(
         self, starling_index, small_dataset
     ):
+        """A range batch resumes each query on its own, in order."""
         radius = small_dataset.default_radius or 120_000.0
         queries = np.asarray(small_dataset.queries[:4], dtype=np.float32)
         reference = [starling_index.range_search(q, radius) for q in queries]
@@ -272,11 +648,52 @@ class TestWaveEquivalence:
         _same_results(reference, out)
         assert executor.last_wave_stats is None
 
+    def test_concurrent_waves_on_one_engine(self, starling_index,
+                                            small_dataset):
+        """Service workers share one engine: the round loop keeps no
+        per-engine scratch, so concurrent ``search_wave`` calls (wide and
+        narrow, with and without an arena pool) equal the sequential ones."""
+        engine = starling_index.engine
+        pool = _noisy_queries(small_dataset, WIDTHS[-1], seed=4)
+        batches = [pool[:LOCKSTEP_MIN_WAVE + 1], pool[LOCKSTEP_MIN_WAVE + 1:],
+                   pool[:3], pool[5:6]]
+        sequential = [engine.search_wave(b, 10, 12) for b in batches]
+        failures: list = []
+
+        def work(i: int) -> None:
+            try:
+                for _ in range(6):
+                    _same_results(
+                        sequential[i], engine.search_wave(batches[i], 10, 12)
+                    )
+            except BaseException as exc:  # surfaced by the main thread
+                failures.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for pooled in (None, ArenaPool()):
+                engine.arena_pool = pooled
+                workers = [
+                    threading.Thread(target=work, args=(i,))
+                    for i in range(len(batches))
+                ]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in workers)
+                assert failures == []
+        finally:
+            engine.arena_pool = None
+            sys.setswitchinterval(interval)
+
 
 # ---------------------------------------------------------------------------
 # the frontier plane: chosen by wave width alone, invisible in every output
 
-WIDTHS = [LOCKSTEP_MIN_WAVE - 1, LOCKSTEP_MIN_WAVE, 2 * LOCKSTEP_MIN_WAVE + 1]
+PLANE_WIDTHS = WIDTHS[1:]
 
 
 def _wave(index, queries, k, gamma, stoppers=None):
@@ -300,7 +717,7 @@ def _assert_plane_invisible(
     out, wave_stats, io = _wave(index, queries, k, gamma, stoppers())
     _same_results(serial, out)
     with monkeypatch.context() as patch:
-        patch.setattr(wave_search, "LOCKSTEP_MIN_WAVE", len(queries) + 1)
+        patch.setattr(block_search, "LOCKSTEP_MIN_WAVE", len(queries) + 1)
         per_query, ref_stats, ref_io = _wave(
             index, queries, k, gamma, stoppers()
         )
@@ -311,7 +728,7 @@ def _assert_plane_invisible(
 
 
 class TestFrontierPlaneWaves:
-    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("width", PLANE_WIDTHS)
     def test_uint8_l2_fixture(
         self, monkeypatch, starling_index, small_dataset, width
     ):
@@ -334,7 +751,7 @@ class TestFrontierPlaneWaves:
         # an operating point where a wrong frontier can show
         assert hits < 10 * width
 
-    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("width", PLANE_WIDTHS)
     def test_duplicated_vectors(self, monkeypatch, duplicated_index, width):
         """Boundary ties are real on this data: the wide waves must hit the
         scalar fallback and still match."""
@@ -358,7 +775,7 @@ class TestFrontierPlaneWaves:
         else:
             assert not on_rows
 
-    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("width", PLANE_WIDTHS)
     def test_ip_index(self, monkeypatch, ip_index, width):
         index, queries = ip_index
         _assert_plane_invisible(monkeypatch, index, queries[:width], 10, 24)
@@ -378,7 +795,7 @@ class TestFrontierPlaneWaves:
         )
         _assert_plane_invisible(monkeypatch, index, queries, 10, 16)
 
-    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("width", PLANE_WIDTHS)
     @pytest.mark.parametrize("kind", ["adaptive", "deadline"])
     def test_stoppers(
         self, monkeypatch, starling_index, small_dataset, width, kind
@@ -417,9 +834,9 @@ class TestFrontierPlaneWaves:
                 built.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(wave_search, "FrontierPlane", Spy)
+        monkeypatch.setattr(block_search, "FrontierPlane", Spy)
         rng = np.random.default_rng(1)
-        for width in WIDTHS:
+        for width in PLANE_WIDTHS:
             queries = rng.integers(0, 256, size=(width, 128)).astype(
                 np.float32
             )
@@ -500,9 +917,9 @@ class TestWaveStats:
         assert executor.last_wave_stats is not None
         executor.range_batch(queries, 120_000.0)
         assert executor.last_wave_stats is None
-        batched = BatchExecutor(starling_index, ExecSpec(mode="batched"))
-        batched.search_batch(queries, 10, 48)
-        assert batched.last_wave_stats is None
+        serial = BatchExecutor(starling_index, ExecSpec(mode="serial"))
+        serial.search_batch(queries, 10, 48)
+        assert serial.last_wave_stats is None
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +1009,18 @@ class TestWaveStoppers:
 
 class TestServeWave:
     def test_spec_round_trip(self):
-        spec = ServeSpec(wave=True)
+        spec = ServeSpec(wave=False)
         assert ServeSpec.from_dict(spec.to_dict()) == spec
-        assert ServeSpec.from_dict(ServeSpec().to_dict()).wave is False
+        assert ServeSpec.from_dict(ServeSpec().to_dict()).wave is True
 
     def test_service_exec_mode(self, starling_index):
-        assert SearchService(
-            starling_index, ServeSpec(wave=True)
-        )._exec_spec.mode == "wave"
+        """The one engine by default; ``wave=False`` is the reference."""
         assert SearchService(
             starling_index, ServeSpec()
-        )._exec_spec.mode == "batched"
+        )._exec_spec.mode == "wave"
+        assert SearchService(
+            starling_index, ServeSpec(wave=False)
+        )._exec_spec.mode == "serial"
 
     def test_trace_outcomes_identical_with_wave(
         self, starling_index, small_dataset
@@ -612,10 +1030,10 @@ class TestServeWave:
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         trace = [float(i) * 50.0 for i in range(len(queries))]
         spec = ServeSpec(workers=2, max_batch=4, deadline_us=1e9)
-        plain = SearchService(starling_index, spec).run_trace(trace, queries)
-        waved = SearchService(
-            starling_index, spec.with_(wave=True)
+        plain = SearchService(
+            starling_index, spec.with_(wave=False)
         ).run_trace(trace, queries)
+        waved = SearchService(starling_index, spec).run_trace(trace, queries)
         assert plain.completed == waved.completed
         for a, b in zip(plain.outcomes, waved.outcomes):
             assert a.status == b.status
