@@ -18,35 +18,44 @@ their simulated latency overlaps T_io with T_comp (see
 advances a whole wave of queries through it, :meth:`~BlockSearchEngine.search`
 is a wave of one, and range search (§5.3) resumes one already-seeded query
 through it via :meth:`~BlockSearchEngine._run`.  Scheduling chooses nothing
-but the wave's *width* (:func:`repro.engine.batch.order_sensitive`).  Per
-round the loop
+but the wave's *width* (:func:`repro.engine.batch.order_sensitive`), and the
+width chooses the form of a round's work: a narrow wave runs the per-query
+primitives below; a wide one (``len(queries) >= LOCKSTEP_MIN_WAVE``, the
+entry walk's constant and the one wide-wave switch) keeps its candidate sets
+in a :class:`~repro.engine.frontier.FrontierPlane` and runs each step as one
+array pass over the wave (:class:`_BlockPlane`).  Per round the loop
 
 1. checks every live query's stopper, then pops the frontier
    (``beam_width`` closest unvisited candidates) of every query still live —
-   per query on a narrow wave, as **one** masked scan over the wave's
-   :class:`~repro.engine.frontier.FrontierPlane` on a wide one
-   (``len(queries) >= LOCKSTEP_MIN_WAVE``, the entry walk's constant);
+   per query, or as one masked scan over the plane that hands back flat
+   ``(row, vertex)`` items;
 2. reads the frontier's blocks.  This is the loop's one fork: over a plain
    :class:`~repro.storage.disk_graph.DiskGraph` with no
    :class:`~repro.engine.resilience.RetryPolicy` the wave's requests are
-   deduplicated into **one** coalesced ``read_blocks`` call (a block several
-   queries want is read and decoded once; each query is still charged its
-   own unique blocks, the saving shows only in
-   :class:`~repro.engine.cost.WaveStats`); otherwise each live query reads
-   its own blocks through :func:`~repro.engine.io_util.counted_read_blocks_of`
-   in (round, query-index) order, so cache hits, prefetch attribution,
-   retries, hedges and abandoned blocks are accounted per query;
+   deduplicated into **one** coalesced read (a block several queries want is
+   read and decoded once; each query is still charged its own unique
+   blocks, the saving shows only in :class:`~repro.engine.cost.WaveStats`);
+   otherwise each live query reads its own blocks through
+   :func:`~repro.engine.io_util.counted_read_blocks_of` in (round,
+   query-index) order, so cache hits, prefetch attribution, retries, hedges
+   and abandoned blocks are accounted per query.  A wide wave holds the
+   round's blocks as one :class:`~repro.storage.disk_graph.BlockStack`,
+   addressed by its (query, block) *pairs* — each query's distinct blocks in
+   first-occurrence order;
 3. optionally folds each query's co-resident candidates into its targets
-   (the bamg contract — it touches only that query's state, so it composes
-   at every width);
-4. gathers every query's block vectors into one shared plane and runs
-   **one** fused row-paired L2 reduction across the wave (IP routes through
-   BLAS, whose fusion across queries is not bit-stable, so IP runs one
-   kernel call per query on its contiguous slice);
-5. runs the per-query target/pruning selection (:meth:`_select_round`), the
-   visited-push of the kept co-located vertices and the PQ-routed frontier
-   expansion — per query on a narrow wave, one pass each over the plane on a
-   wide one.
+   (the bamg contract — it touches only that query's state, so it is a
+   per-query step at every width);
+4. computes exact distances to every vertex of every block with **one**
+   fused row-paired L2 reduction across the wave — over the queries' blocks
+   gathered contiguously, or over a wide wave's ``[pairs · ε, dim]``
+   difference plane (IP routes through BLAS, whose fusion across queries is
+   not bit-stable, so IP runs one kernel call per query);
+5. selects (target extraction plus block pruning) and hands the chosen
+   vertices to the result set, the visited-push and the PQ-routed frontier
+   expansion: :meth:`_select_round` and the per-query pushes on a narrow
+   wave; on a wide one :func:`_select_plane` — one stable sort over
+   ``[pairs, ε]`` — then one neighbour-row gather and one pass each over
+   the frontier plane.
 
 Lockstep is scheduling, not semantics: each query's candidate set, result
 set, stopper and counters evolve exactly as in the scalar Algorithm 2
@@ -62,7 +71,7 @@ import numpy as np
 
 from ..graphs.navigation import LOCKSTEP_MIN_WAVE
 from ..quantization.pq import ProductQuantizer
-from ..storage.disk_graph import DiskGraph
+from ..storage.disk_graph import BlockStack, DiskGraph
 from ..vectors.metrics import Metric, fused_sq_norms
 from .cost import QueryStats, WaveStats
 from .frontier import CandidateSet, FrontierPlane, ResultSet, ordered_unique
@@ -104,6 +113,206 @@ class _QueryState:
         stats.exact_distances += self.loaded
         stats.vertices_used += self.used
         self.hops = self.loaded = self.used = 0
+
+
+def _first_occurrence(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, group)``: the distinct keys in order of first occurrence
+    and every key's index among them."""
+    distinct, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return distinct[order], rank[inverse]
+
+
+def _select_plane(
+    slot_ids: np.ndarray, valid: np.ndarray, dist: np.ndarray,
+    item_pair: np.ndarray, vids: np.ndarray, keep_quota: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`BlockSearchEngine._select_round` for every (query, block) pair
+    of a round at once.
+
+    ``slot_ids`` / ``valid`` / ``dist`` are the pairs' ``[P, ε]`` vertex
+    ids, occupied-slot mask and exact distances; target ``vids[j]`` lives in
+    pair ``item_pair[j]`` (``KeyError`` if it does not, as ``index_of``
+    raises).  Returns ``(sel_pair, sel_slot, kept)``: every chosen ``(pair,
+    slot)`` in the scalar loop's explore order — pair by pair, a pair's
+    targets by position, then the first ``min(keep_quota, #rest)`` of its
+    co-located vertices by distance, flagged ``kept``.  The sort is stable,
+    so equal distances keep their in-block order, and keyed by class first,
+    so an empty slot never outranks a vertex whatever its distance.
+    """
+    hit = (slot_ids[item_pair] == vids[:, None]) & valid[item_pair]
+    found = hit.any(axis=1)
+    if not found.all():
+        lost = int(vids[np.flatnonzero(~found)[0]])
+        raise KeyError(f"vertex {lost} is not in the block it maps to")
+    target = np.zeros(valid.shape, dtype=bool)
+    target[item_pair, hit.argmax(axis=1)] = True
+    slots = np.arange(valid.shape[1])
+    order = np.lexsort((
+        np.where(target, slots, dist),
+        np.where(target, 0, np.where(valid, 1, 2)),
+    ), axis=1)
+    n_target = target.sum(axis=1)
+    n_keep = np.minimum(keep_quota, valid.sum(axis=1) - n_target)
+    sel_pair, sel_rank = np.nonzero(slots < (n_target + n_keep)[:, None])
+    return sel_pair, order[sel_pair, sel_rank], sel_rank >= n_target[sel_pair]
+
+
+class _BlockPlane:
+    """A wide wave's round as array passes over its (query, block) pairs
+    instead of a Python loop per pair: the popped ``(row, vertex)`` items
+    give the pairs, the round's blocks arrive as one ``BlockStack`` (the
+    coalesced union read decoded in place, or the per-query counted reads'
+    blocks stacked), and exact distances, selection and the neighbour gather
+    run once over ``[pairs, ε]`` arrays in the scalar order.
+    """
+
+    def __init__(self, engine, plane, tables, states, coalesce, keep_quota):
+        self.engine = engine
+        self.plane = plane
+        self.tables = tables
+        self.states = states
+        self.coalesce = coalesce
+        self.keep_quota = keep_quota
+        self.queries = np.stack([st.query for st in states])
+        #: per-query hops / vertices loaded / vertices used, handed to the
+        #: states once by :meth:`flush`
+        self.counts = np.zeros((3, len(states)), dtype=np.int64)
+
+    def flush(self) -> None:
+        for st, counts in zip(self.states, self.counts.T.tolist()):
+            st.hops, st.loaded, st.used = counts
+
+    def round(self, live) -> tuple[int, int]:
+        """Advance every live query one round; returns the wave's block
+        reads ``(requested, issued)``."""
+        eng, width = self.engine, len(self.states)
+        dg = eng.disk_graph
+        live_rows = np.fromiter((st.row for st in live), np.int64, len(live))
+        item_rows, vids = self.plane.pop_flat(live_rows, eng.beam_width)
+        self.counts[0] += np.bincount(item_rows, minlength=width)
+
+        def spans(rows: np.ndarray):
+            """``(state, lo, hi)`` per live query: its run ``[lo, hi)`` of
+            an ascending per-item row list."""
+            per_row = np.bincount(rows, minlength=width)
+            ends = np.cumsum(per_row[live_rows]).tolist()
+            return zip(live, [0] + ends, ends)
+
+        # The round's pairs: distinct (row, block) in first-occurrence
+        # order — row-major, so grouped by query.
+        pair_key, item_pair = _first_occurrence(
+            item_rows * dg.num_blocks + dg.vertex_to_block[vids]
+        )
+        pair_row, pair_bid = np.divmod(pair_key, dg.num_blocks)
+        asked = issued = pair_key.size
+        if self.coalesce:
+            # Charged to each query in full, whoever else in the wave
+            # asked for the same block; read once for the whole wave.
+            for st, lo, hi in spans(pair_row):
+                st.stats.round_trip_blocks.append(hi - lo)
+            union, pair_u = _first_occurrence(pair_bid)
+            stack = dg.read_block_stack(union.tolist())
+            issued = union.size
+        else:
+            blocks: list = []
+            got: list[int] = []
+            for st, lo, hi in spans(item_rows):
+                mine = counted_read_blocks_of(
+                    dg, vids[lo:hi].tolist(), st.stats, eng.resilience
+                )
+                blocks += mine
+                got += [st.row * dg.num_blocks + b.block_id for b in mine]
+            if len(blocks) < asked:
+                # Unreadable after retries: those pairs drop out and their
+                # targets are abandoned; the rest of the frontier drains.
+                back = np.isin(pair_key, got)
+                lost = ~back[item_pair]
+                for st, lo, hi in spans(item_rows):
+                    st.stats.fault.vertices_abandoned += int(lost[lo:hi].sum())
+                vids = vids[~lost]
+                item_pair = (np.cumsum(back) - 1)[item_pair[~lost]]
+                pair_row, pair_bid = pair_row[back], pair_bid[back]
+                if not blocks:
+                    return asked, issued
+            stack = BlockStack.of_blocks(blocks, dg.fmt)
+            pair_u = np.arange(len(blocks))
+        if eng.fold_coresident:
+            item_pair, vids = self._fold(
+                spans(pair_row), pair_bid, item_pair, vids
+            )
+
+        # Exact distances to every slot of every pair.  L2 is one fused
+        # row-wise reduction (bit-identical per row to a per-query call);
+        # IP routes through BLAS, whose result depends on the matrix it is
+        # handed, so each query's occupied slots go through its own kernel.
+        slot_ids = stack.vertex_ids[pair_u]
+        sizes = stack.sizes[pair_u]
+        valid = np.arange(slot_ids.shape[1]) < sizes[:, None]
+        vectors = stack.vectors[pair_u]
+        if eng.metric.name == "l2":
+            diff = vectors - self.queries[pair_row][:, None, :]
+            dist = fused_sq_norms(
+                diff.reshape(-1, diff.shape[2])
+            ).reshape(valid.shape)
+        else:
+            dist = np.zeros(valid.shape)
+            for st, lo, hi in spans(pair_row):
+                occupied = valid[lo:hi]
+                dist[lo:hi][occupied] = st.kernel(vectors[lo:hi][occupied])
+        sel_pair, sel_slot, kept = _select_plane(
+            slot_ids, valid, dist, item_pair, vids, self.keep_quota
+        )
+
+        # Hand-off.  ``sel`` walks every pair's chosen slots in explore
+        # order, pairs grouped by query.  A result set is an id →
+        # min-distance map, so each query takes its run of ``sel`` as is.
+        sel_row = pair_row[sel_pair]
+        sel_ids = slot_ids[sel_pair, sel_slot].astype(np.int64)
+        sel_dist = dist[sel_pair, sel_slot].astype(np.float64)
+        self.counts[1] += np.bincount(
+            pair_row, weights=sizes, minlength=width
+        ).astype(np.int64)
+        self.counts[2] += np.bincount(sel_row, minlength=width)
+        ids, dists = sel_ids.tolist(), sel_dist.tolist()
+        for st, lo, hi in spans(sel_row):
+            st.results.add_many(ids[lo:hi], dists[lo:hi])
+        if kept.any():
+            # They are in memory now; never fetch them again.
+            self.plane.push_visited(
+                sel_row[kept], sel_ids[kept], sel_dist[kept]
+            )
+        sel_u = pair_u[sel_pair]
+        degree = stack.nbr_counts[sel_u, sel_slot]
+        explore = np.arange(dg.fmt.max_degree) < degree[:, None]
+        if explore.any():
+            eng._expand_plane(
+                self.plane, self.tables, self.states,
+                np.repeat(sel_row, degree),
+                stack.nbr_ids[sel_u, sel_slot][explore],
+            )
+        return asked, issued
+
+    def _fold(self, pair_spans, pair_bid, item_pair, vids):
+        """:meth:`BlockSearchEngine._fold_coresident_targets` per live query:
+        its co-resident candidates become extra ``(pair, vertex)`` items."""
+        vertex_to_block = self.engine.disk_graph.vertex_to_block
+        pairs, folded = item_pair.tolist(), vids.tolist()
+        for st, lo, hi in pair_spans:
+            pending = st.candidates.unvisited_members()
+            pair_of = dict(zip(pair_bid[lo:hi].tolist(), range(lo, hi)))
+            for vid, bid in zip(
+                pending.tolist(), vertex_to_block[pending].tolist()
+            ):
+                if bid in pair_of:
+                    pairs.append(pair_of[bid])
+                    folded.append(vid)
+                    st.candidates.mark_visited(vid)
+        return np.asarray(pairs), np.asarray(folded)
 
 
 class BlockSearchEngine:
@@ -263,9 +472,10 @@ class BlockSearchEngine:
     # One round of Algorithm 2 decomposes into (a) reading the frontier's
     # blocks, (b) one fused exact-distance kernel call, (c) the per-block
     # target/pruning selection below, and (d) the PQ-routed frontier
-    # expansion.  (c), the fold and the narrow-wave form of (d) are per-query
-    # primitives the round loop calls for every live query; the scalar
-    # oracle in ``tests/oracles.py`` calls the same ones.
+    # expansion.  (c), the fold and (d) are per-query primitives the round
+    # loop calls for every live query of a narrow wave; the scalar oracle in
+    # ``tests/oracles.py`` calls the same ones, and a wide wave's
+    # ``_BlockPlane`` reproduces their order over arrays.
 
     def _select_round(
         self,
@@ -559,6 +769,10 @@ class BlockSearchEngine:
         diff: np.ndarray | None = None
         pool = self.arena_pool
         arena = pool.acquire(dg.fmt) if pool is not None else None
+        if plane is not None:
+            wave = _BlockPlane(
+                self, plane, tables, states, coalesce, keep_quota
+            )
         rounds = requested = issued = 0
         live = states
         try:
@@ -574,16 +788,17 @@ class BlockSearchEngine:
                 ]
                 if not live:
                     break
-                if plane is None:
-                    batches = [
-                        st.candidates.pop_unvisited(beam_width) for st in live
-                    ]
-                else:
-                    live_rows = np.fromiter(
-                        (st.row for st in live), np.int64, len(live)
-                    )
-                    batches = plane.pop(live_rows, beam_width)
                 rounds += 1
+                if plane is not None:
+                    # A wide wave: phases 1–4 as array passes over the
+                    # round's (query, block) pairs.
+                    asked, read = wave.round(live)
+                    requested += asked
+                    issued += read
+                    continue
+                batches = [
+                    st.candidates.pop_unvisited(beam_width) for st in live
+                ]
 
                 # Phase 2 — read.  ``targets_by_block`` keeps first-
                 # occurrence order, so its keys are the query's
@@ -705,16 +920,8 @@ class BlockSearchEngine:
                             else parts[0]
                         ).tolist()
 
-                # Phase 4 — per-query target/pruning selection; the
-                # visited-push and the frontier expansion run per query on
-                # a narrow wave and as one pass each over the plane on a
-                # wide one.
-                if plane is not None:
-                    keep_counts: list[int] = []
-                    wave_keep_ids: list[int] = []
-                    wave_keep_dists: list[float] = []
-                    explore_counts: list[int] = []
-                    wave_explore: list[np.ndarray] = []
+                # Phase 4 — per-query target/pruning selection, the
+                # visited-push and the frontier expansion.
                 for st, q_blocks, targets_by_block, start, end in spans:
                     (
                         res_ids, res_dists, keep_ids, keep_dists,
@@ -728,43 +935,19 @@ class BlockSearchEngine:
                     if keep_ids:
                         res_ids.extend(keep_ids)
                         res_dists.extend(keep_dists)
+                        # They are in memory now; never fetch them again.
+                        st.candidates.push_visited_many(keep_ids, keep_dists)
                     if res_ids:
                         st.results.add_many(res_ids, res_dists)
-                    if plane is None:
-                        if keep_ids:
-                            # They are in memory now; never fetch them again.
-                            st.candidates.push_visited_many(
-                                keep_ids, keep_dists
-                            )
-                        self._expand_frontier(
-                            st.query, st.table, st.candidates, explore_parts,
-                            st.stats,
-                        )
-                    else:
-                        keep_counts.append(len(keep_ids))
-                        wave_keep_ids.extend(keep_ids)
-                        wave_keep_dists.extend(keep_dists)
-                        explore_counts.append(
-                            sum(map(len, explore_parts))
-                        )
-                        wave_explore.extend(explore_parts)
-                if plane is None:
-                    continue
-                if wave_keep_ids:
-                    plane.push_visited(
-                        np.repeat(live_rows, keep_counts),
-                        np.asarray(wave_keep_ids, dtype=np.int64),
-                        np.asarray(wave_keep_dists, dtype=np.float64),
-                    )
-                if wave_explore:
-                    self._expand_plane(
-                        plane, tables, states,
-                        np.repeat(live_rows, explore_counts),
-                        np.concatenate(wave_explore),
+                    self._expand_frontier(
+                        st.query, st.table, st.candidates, explore_parts,
+                        st.stats,
                     )
         finally:
             if pool is not None:
                 pool.release(arena)
+            if plane is not None:
+                wave.flush()
             for st in states:
                 st.flush()
             if wave_stats is not None:

@@ -558,7 +558,7 @@ class FrontierPlane:
     ``in_set[q]`` / ``vis[q]`` / ``seen[q]`` / ``key[q]`` its id-indexed
     flags; :meth:`row` hands out the :class:`CandidateSet` over that
     storage.  The plane adds the three frontier steps of a block-search
-    round as one array pass over every live row — :meth:`pop`,
+    round as one array pass over every live row — :meth:`pop_flat`,
     :meth:`push_visited`, :meth:`push_new` — each leaving every row exactly
     where the row's own scalar ``pop_unvisited`` / ``push_visited_many`` /
     ``push_many`` would.
@@ -622,8 +622,13 @@ class FrontierPlane:
 
     # -- the three wave-wide passes ------------------------------------------
 
-    def pop(self, rows: np.ndarray, count: int) -> list[list[int]]:
-        """:meth:`CandidateSet.pop_unvisited` for every row of ``rows``."""
+    def pop_flat(
+        self, rows: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`CandidateSet.pop_unvisited` for every row of ``rows``, as
+        flat ``(item_rows, ids)``: vertex ``ids[j]`` was popped from row
+        ``item_rows[j]``; rows in the order given, each row's ids closest
+        first."""
         cur = self.ids[rows]
         flat = (rows * self._stride)[:, None] + cur
         unvisited = ~self._vis_f[flat]
@@ -632,13 +637,12 @@ class FrontierPlane:
         took = take.sum(axis=1)
         self.num_visited[rows] += took
         self.unvis[rows] -= took
-        popped = cur[take].tolist()
-        out = []
-        start = 0
-        for n in took.tolist():
-            out.append(popped[start:start + n])
-            start += n
-        return out
+        return np.repeat(rows, took), cur[take]
+
+    def pop(self, rows: np.ndarray, count: int) -> list[list[int]]:
+        """:meth:`pop_flat` regrouped: one id list per row of ``rows``."""
+        item_rows, ids = self.pop_flat(rows, count)
+        return [ids[item_rows == q].tolist() for q in rows.tolist()]
 
     def push_visited(
         self, item_rows: np.ndarray, ids: np.ndarray, dists: np.ndarray

@@ -34,13 +34,15 @@ from .wavebuild import wave_greedy_search
 #: ≈ 8 on 150–300-sample graphs and ≈ 16 on a 30-sample one; 16 is the
 #: width from which lockstep never lost.
 #:
-#: It is the one wide-wave switch: ``WaveSearchEngine.search_wave`` keeps a
-#: wave of at least this width in a ``FrontierPlane`` (same trade, per-round
-#: dispatch shared by the wave).  The plane's own crossover sits lower —
-#: level with the per-query frontier at width 4, +13 % at 8, +20 % at 16,
-#: +34 % at 32, +45 % at 64 on ``batch_uniform``'s index
-#: (docs/PERFORMANCE.md, "The wave frontier plane") — so 16 is safely on
-#: its winning side.
+#: It is the one wide-wave switch: ``BlockSearchEngine.search_wave`` keeps a
+#: wave of at least this width in a ``FrontierPlane`` and runs its rounds as
+#: array passes over the wave's (query, block) pairs (same trade, per-round
+#: dispatch shared by the wave).  The planes' own crossover sits lower —
+#: against the per-query primitives on ``batch_uniform``'s index they read
+#: 0.5–0.6 at width 1, 0.73 at 2, 1.0–1.1 at 4, 1.19 at 8, 1.37 at 12,
+#: 1.34–1.40 at 16, 1.45–1.55 at 24, 1.41–1.63 at 32, 1.63–1.83 at 64 and
+#: 1.8 at 128 (docs/PERFORMANCE.md, "The wave block plane") — so 16 is
+#: safely on their winning side, and width-1 paths must not take them.
 LOCKSTEP_MIN_WAVE = 16
 
 
@@ -121,14 +123,12 @@ class NavigationGraph(_WalkProvider):
         self.entry = entry
         self.metric = metric
         self.search_ef = search_ef
-        self.last_trace = None
 
     def entry_walk(self, query: np.ndarray, count: int) -> tuple[np.ndarray, int]:
         ids, _, trace = greedy_search(
             self.graph, self.sample_vectors, self.metric, query,
             [self.entry], max(self.search_ef, count), count,
         )
-        self.last_trace = trace
         return self.sample_ids[ids], trace.distance_computations
 
     def entry_points_batch(

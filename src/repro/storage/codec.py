@@ -124,15 +124,23 @@ class VertexFormat:
         return payload + b"\x00" * (self.block_bytes - len(payload))
 
     def split_block_views(
-        self, block: bytes | memoryview, count: int
+        self, block: bytes | memoryview, count: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy strided views of the first ``count`` records of a block.
+        """Zero-copy strided views of the records of a block, or of a stack.
 
-        Returns ``(vectors, degrees, neighbor_ids)`` where ``vectors`` is a
-        ``(count, dim)`` view, ``degrees`` a ``(count,)`` int64 array (the
-        λ words — materialized, they must be validated and are 4 B each),
-        and ``neighbor_ids`` the ``(count, Λ)`` padded ID matrix view.  The
-        views alias ``block``: no record bytes are copied, and they are
+        With an integer ``count``, ``block`` is one block and the views
+        cover its first ``count`` records: ``(vectors, degrees,
+        neighbor_ids)`` where ``vectors`` is a ``(count, dim)`` view,
+        ``degrees`` a ``(count,)`` int64 array (the λ words — materialized,
+        they must be validated and are 4 B each), and ``neighbor_ids`` the
+        ``(count, Λ)`` padded ID matrix view.  With an array of ``U``
+        per-block record counts, ``block`` is ``U`` blocks back to back and
+        the views cover all ε slots of each — ``(U, ε, dim)``, ``(U, ε)``,
+        ``(U, ε, Λ)`` — with the degree of every slot past its block's
+        count read as 0 and never validated.  One block is a stack of one:
+        both shapes come from the same field views.
+
+        The views alias ``block``: no record bytes are copied, and they are
         read-only whenever the payload is.  Rows of both matrix views are
         contiguous (the record fields are laid out contiguously), so
         per-row consumers see ordinary contiguous 1-D arrays.
@@ -142,20 +150,38 @@ class VertexFormat:
         decode.
         """
         block = memoryview(block)
-        if len(block) != self.block_bytes:
-            raise ValueError(f"block of {len(block)} B; expected {self.block_bytes} B")
-        if not 0 <= count <= self.vertices_per_block:
-            raise ValueError(f"count {count} out of range 0..{self.vertices_per_block}")
+        eps = self.vertices_per_block
         rb, vb = self.record_bytes, self.vector_bytes
-        raw = np.frombuffer(block, dtype=np.uint8, count=count * rb)
-        raw = raw.reshape(count, rb)
-        vectors = raw[:, :vb].view(self.dtype)
-        degrees = raw[:, vb : vb + ID_BYTES].view(ID_DTYPE).astype(np.int64)
-        degrees = degrees.reshape(count)
-        if count and int(degrees.max()) > self.max_degree:
+        stacked = not isinstance(count, (int, np.integer))
+        if stacked:
+            count = np.asarray(count, dtype=np.int64)
+            blocks = count.size
+            low, high = (int(count.min()), int(count.max())) if blocks else (0, 0)
+        else:
+            blocks, low, high = 1, count, count
+        if len(block) != blocks * self.block_bytes:
+            raise ValueError(
+                f"{len(block)} B for {blocks} block(s); expected "
+                f"{self.block_bytes} B each"
+            )
+        if not 0 <= low <= high <= eps:
+            raise ValueError(f"count {count} out of range 0..{eps}")
+        if stacked:
+            raw = np.frombuffer(block, dtype=np.uint8)
+            raw = raw.reshape(blocks, self.block_bytes)[:, : eps * rb]
+            raw = raw.reshape(blocks, eps, rb)
+        else:
+            raw = np.frombuffer(block, dtype=np.uint8, count=count * rb)
+            raw = raw.reshape(count, rb)
+        vectors = raw[..., :vb].view(self.dtype)
+        degrees = raw[..., vb : vb + ID_BYTES].view(ID_DTYPE)[..., 0]
+        degrees = degrees.astype(np.int64)
+        if stacked and low < eps:
+            degrees[np.arange(eps) >= count[:, None]] = 0
+        if degrees.size and int(degrees.max()) > self.max_degree:
             bad = int(degrees.max())
             raise ValueError(f"corrupt record: degree {bad} > Λ={self.max_degree}")
-        neighbor_ids = raw[:, vb + ID_BYTES :].view(ID_DTYPE)
+        neighbor_ids = raw[..., vb + ID_BYTES :].view(ID_DTYPE)
         return vectors, degrees, neighbor_ids
 
     def decode_block_into(

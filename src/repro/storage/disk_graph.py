@@ -11,7 +11,7 @@ explicit mapping, whose memory footprint is charged in the paper's Fig. 8(b).
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,10 +26,12 @@ class DiskBlock:
 
     ``vectors``, ``nbr_counts`` (the validated λ words) and ``nbr_ids`` (the
     padded ``(c, Λ)`` ID matrix) are what
-    :meth:`~repro.storage.codec.VertexFormat.split_block_views` returns:
-    the two matrices are zero-copy views of the block payload, read-only
-    whenever the payload is.  Engines read adjacency through
-    :meth:`neighbors_of` for the few positions a round keeps.
+    :meth:`~repro.storage.codec.VertexFormat.split_block_views` returns for
+    one block: the two matrices are zero-copy views of the block payload,
+    read-only whenever the payload is.  The per-query round primitives read
+    adjacency through :meth:`neighbors_of` for the few positions a round
+    keeps; a wide wave never builds these objects on its coalesced path —
+    it reads a whole round's blocks as one :class:`BlockStack`.
     """
 
     __slots__ = (
@@ -87,10 +89,10 @@ class DiskBlock:
         Applies exactly the input promotion the metrics module performs
         (float dtypes pass through, integer dtypes cast to float32 —
         lossless for every storage dtype the codec supports), cached on the
-        block.  Under the batched executor's decode cache the cast runs once
-        per block lifetime instead of once per search round, and the arena
-        gather becomes a same-dtype memcpy; the kernel input values are
-        bit-identical to casting at call time.
+        block.  Under a decode cache (:attr:`DiskGraph.decode_cache`) the
+        cast runs once per block lifetime instead of once per search round,
+        and the arena gather becomes a same-dtype memcpy; the kernel input
+        values are bit-identical to casting at call time.
         """
         kv = self._kernel_vectors
         if kv is None:
@@ -118,6 +120,62 @@ class DiskBlock:
             ) from None
 
 
+class BlockStack(NamedTuple):
+    """A batch of blocks decoded side by side: entry ``u`` is one block.
+
+    ``vertex_ids`` ``[U, ε]`` and ``sizes`` ``[U]`` say which vertices each
+    block stores; ``vectors`` ``[U, ε, dim]``, ``nbr_counts`` ``[U, ε]`` and
+    ``nbr_ids`` ``[U, ε, Λ]`` are the stacked form of what a
+    :class:`DiskBlock` holds.  A slot past its block's size stores no
+    vertex — id 0, degree 0, vector unspecified — so consumers mask by
+    ``sizes``.
+    """
+
+    vertex_ids: np.ndarray
+    sizes: np.ndarray
+    vectors: np.ndarray
+    nbr_counts: np.ndarray
+    nbr_ids: np.ndarray
+
+    @classmethod
+    def of_blocks(
+        cls, blocks: Sequence[DiskBlock], fmt: VertexFormat
+    ) -> "BlockStack":
+        """Stack already-decoded blocks (what a per-query counted read — a
+        cache wrapper, the resilient path — hands back)."""
+        eps = fmt.vertices_per_block
+        sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
+        valid = np.arange(eps) < sizes[:, None]
+        shape = (len(blocks), eps)
+        fields = []
+        for name, tail in (
+            ("vertex_ids", ()), ("vectors", (fmt.dim,)),
+            ("nbr_counts", ()), ("nbr_ids", (fmt.max_degree,)),
+        ):
+            parts = [getattr(b, name) for b in blocks]
+            field = np.zeros(shape + tail, dtype=parts[0].dtype)
+            field[valid] = np.concatenate(parts)
+            fields.append(field)
+        return cls(fields[0], sizes, *fields[1:])
+
+
+def _id_table(
+    block_ids: Sequence[np.ndarray], eps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids[num_blocks, ε], sizes[num_blocks])`` of a ragged per-block
+    vertex-id list; zero past each block's size, read-only."""
+    sizes = np.fromiter(map(len, block_ids), np.int64, len(block_ids))
+    if sizes.size and int(sizes.max()) > eps:
+        raise ValueError(
+            f"a block lists {int(sizes.max())} vertices, exceeding ε={eps}"
+        )
+    table = np.zeros((len(block_ids), eps), dtype=np.uint32)
+    if sizes.sum():
+        table[np.arange(eps) < sizes[:, None]] = np.concatenate(block_ids)
+    table.flags.writeable = sizes.flags.writeable = False
+    return table, sizes
+
+
 class DiskGraph:
     """Graph index stored block-wise on a simulated device.
 
@@ -131,21 +189,27 @@ class DiskGraph:
         device: BlockDevice,
         fmt: VertexFormat,
         vertex_to_block: np.ndarray,
-        block_ids: list[np.ndarray],
+        block_ids: Sequence[np.ndarray],
     ) -> None:
         self.device = device
         self.fmt = fmt
         self.vertex_to_block = vertex_to_block
-        self._block_ids = block_ids
+        # ``layout[b]`` as one ``[num_blocks, ε]`` table plus the block
+        # sizes, built here once (index build, persist load) and read-only
+        # afterwards: a single block slices a row, a stack gathers rows.
+        self._block_ids, self._block_sizes = _id_table(
+            block_ids, fmt.vertices_per_block
+        )
         #: per-block CRC32 table (uint32); computed lazily by
         #: :meth:`enable_checksum_verification`
         self.block_checksums: np.ndarray | None = None
         self.verify_checksums = False
         #: optional {block_id: DiskBlock} map of already-decoded blocks.  When
-        #: set (by the batched executor), :meth:`_decode` serves repeat decodes
-        #: from it.  The device read itself is still issued and counted — the
-        #: cache amortizes only the Python-side decode, so I/O counters stay
-        #: byte-identical to uncached execution.
+        #: set (by :class:`~repro.engine.batch.BatchExecutor` for one batch,
+        #: by the serving layer while it is live), :meth:`_decode` serves
+        #: repeat decodes from it.  The device read itself is still issued
+        #: and counted — the cache amortizes only the Python-side decode, so
+        #: I/O counters stay byte-identical to uncached execution.
         self.decode_cache: dict[int, DiskBlock] | None = None
         #: read by nothing under ``src/``: ``perf/probes.py`` still saves and
         #: restores it, so it stays assignable until the next benchmark PR
@@ -187,7 +251,7 @@ class DiskGraph:
         ].astype(np.int64)
 
     def vertices_in_block(self, block_id: int) -> np.ndarray:
-        return self._block_ids[block_id]
+        return self._block_ids[block_id, : self._block_sizes[block_id]]
 
     # -- integrity -----------------------------------------------------------
 
@@ -222,7 +286,7 @@ class DiskGraph:
             hit = cache.get(block_id)
             if hit is not None:
                 return hit
-        ids = self._block_ids[block_id]
+        ids = self.vertices_in_block(block_id)
         block = DiskBlock(
             block_id, ids, *self.fmt.split_block_views(payload, len(ids))
         )
@@ -236,6 +300,35 @@ class DiskGraph:
         if not self._payload_ok(block_id, payload):
             raise ChecksumError(block_id)
         return self._decode(block_id, payload)
+
+    def read_payloads(
+        self, block_ids: Sequence[int], failed: dict[int, str] | None = None
+    ) -> list[bytes | None]:
+        """The verified raw read every batched read is built on: one device
+        round-trip for ``block_ids``, each payload checked against its CRC.
+
+        A block that cannot be read or fails its checksum raises
+        (:class:`~repro.storage.faults.ReadFaultError` /
+        :class:`~repro.storage.faults.ChecksumError`) — unless the caller
+        passes a ``failed`` dict, in which case it is reported there as
+        ``{block_id: fault_kind}`` and its payload reads ``None``.
+        """
+        try:
+            payloads = self.device.read_blocks(block_ids)
+        except ReadFaultError as exc:
+            if failed is None:
+                raise
+            failed.update(exc.failed)
+            payloads = [exc.payloads.get(bid) for bid in block_ids]
+        if self.verify_checksums:
+            for i, (bid, payload) in enumerate(zip(block_ids, payloads)):
+                if payload is None or self._payload_ok(bid, payload):
+                    continue
+                if failed is None:
+                    raise ChecksumError(bid)
+                failed[bid] = KIND_CHECKSUM
+                payloads[i] = None
+        return payloads
 
     def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
         """Read a batch of blocks in one round-trip."""
@@ -256,11 +349,19 @@ class DiskGraph:
                 if blocks:
                     self.device.charge_batched_read(len(blocks))
                 return blocks
-        payloads = self.device.read_blocks(block_ids)
-        for bid, payload in zip(block_ids, payloads):
-            if not self._payload_ok(bid, payload):
-                raise ChecksumError(bid)
+        payloads = self.read_payloads(block_ids)
         return [self._decode(bid, p) for bid, p in zip(block_ids, payloads)]
+
+    def read_block_stack(self, block_ids: Sequence[int]) -> BlockStack:
+        """Read a batch of blocks in one round-trip, decoded as one stack
+        (one set of field views over the joined payloads, no per-block
+        object) — how a wide wave reads the union of a round's blocks."""
+        sizes = self._block_sizes[block_ids]
+        payload = b"".join(self.read_payloads(block_ids))
+        return BlockStack(
+            self._block_ids[block_ids], sizes,
+            *self.fmt.split_block_views(payload, sizes),
+        )
 
     def try_read_blocks(
         self, block_ids: Sequence[int]
@@ -274,17 +375,11 @@ class DiskGraph:
         """
         ids = list(block_ids)
         failed: dict[int, str] = {}
-        try:
-            raw = dict(zip(ids, self.device.read_blocks(ids)))
-        except ReadFaultError as exc:
-            failed.update(exc.failed)
-            raw = exc.payloads
-        ok: dict[int, DiskBlock] = {}
-        for bid, payload in raw.items():
-            if self._payload_ok(bid, payload):
-                ok[bid] = self._decode(bid, payload)
-            else:
-                failed[bid] = KIND_CHECKSUM
+        payloads = self.read_payloads(ids, failed)
+        ok = {
+            bid: self._decode(bid, payload)
+            for bid, payload in zip(ids, payloads) if payload is not None
+        }
         return ok, failed
 
     def read_block_of(self, vertex_id: int) -> DiskBlock:

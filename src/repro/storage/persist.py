@@ -366,7 +366,13 @@ def _load_common(files_dir: Path, meta: dict):
                 f"layout.npz describes {len(block_ids)} blocks; meta.json "
                 f"says {meta['num_blocks']}"
             )
-        disk_graph = DiskGraph(device, fmt, vertex_to_block, block_ids)
+        try:
+            disk_graph = DiskGraph(device, fmt, vertex_to_block, block_ids)
+        except ValueError as exc:
+            raise IndexLoadError(
+                f"layout.npz in {files_dir} does not fit the vertex format: "
+                f"{exc}"
+            ) from exc
 
         metric = get_metric(meta["metric"])
         try:

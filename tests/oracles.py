@@ -85,7 +85,8 @@ class CopyDecodeDiskGraph(DiskGraph):
         if type(graph) is not DiskGraph:
             raise TypeError("adopt() wants the physical DiskGraph, unwrapped")
         twin = cls(
-            graph.device, graph.fmt, graph.vertex_to_block, graph._block_ids
+            graph.device, graph.fmt, graph.vertex_to_block,
+            [graph.vertices_in_block(b) for b in range(graph.num_blocks)],
         )
         twin.block_checksums = graph.block_checksums
         twin.verify_checksums = graph.verify_checksums
@@ -97,7 +98,7 @@ class CopyDecodeDiskGraph(DiskGraph):
             hit = cache.get(block_id)
             if hit is not None:
                 return hit
-        ids = self._block_ids[block_id]
+        ids = self.vertices_in_block(block_id)
         vectors, lists = decode_block(self.fmt, payload, len(ids))
         counts = np.asarray([len(a) for a in lists], dtype=np.int64)
         padded = np.zeros((len(ids), self.fmt.max_degree), dtype=ID_DTYPE)

@@ -39,12 +39,7 @@ class TestNavigationSearchEf:
             sample_ratio=0.2, search_ef=64, seed=2,
         )
         q = small_dataset.queries[0].astype(np.float32)
-        small.entry_points(q, 1)
-        large.entry_points(q, 1)
-        assert (
-            large.last_trace.distance_computations
-            >= small.last_trace.distance_computations
-        )
+        assert large.entry_walk(q, 1)[1] >= small.entry_walk(q, 1)[1]
 
 
 class TestSPANNSchedules:

@@ -88,11 +88,14 @@ class TestNavigationGraph:
         large = build_navigation_graph(ds.vectors, ds.metric, sample_ratio=0.5)
         assert large.memory_bytes > small.memory_bytes
 
-    def test_last_trace_records_compute(self, ds):
+    def test_entry_walk_reports_compute(self, ds):
+        """The walk's distance count is its return value — the provider
+        keeps no per-call state for concurrent waves to overwrite."""
         nav = build_navigation_graph(ds.vectors, ds.metric, sample_ratio=0.1)
-        nav.entry_points(ds.queries[0].astype(np.float32), 2)
-        assert nav.last_trace is not None
-        assert nav.last_trace.distance_computations > 0
+        ids, scored = nav.entry_walk(ds.queries[0].astype(np.float32), 2)
+        assert len(ids) == 2
+        assert scored > 0
+        assert not hasattr(nav, "last_trace")
 
     @pytest.mark.parametrize("algorithm", ["vamana", "nsg", "hnsw"])
     def test_algorithms(self, ds, algorithm):

@@ -72,6 +72,25 @@ class TestExports:
         assert block_search.LOCKSTEP_MIN_WAVE is navigation.LOCKSTEP_MIN_WAVE
         for module in (block_search, frontier):
             assert "environ" not in inspect.getsource(module)
+        # The wave block plane rides the same switch: the modules it spans
+        # define no second width constant (``ID_BYTES`` is the record
+        # format's word size) and read no environment.
+        from repro.storage import codec, disk_graph
+
+        int_constants = {
+            module.__name__.rsplit(".", 1)[1]: {
+                name for name, value in vars(module).items()
+                if name.isupper() and isinstance(value, int)
+            }
+            for module in (block_search, frontier, disk_graph, codec)
+        }
+        assert int_constants == {
+            "block_search": {"LOCKSTEP_MIN_WAVE"}, "frontier": set(),
+            "disk_graph": set(), "codec": {"ID_BYTES"},
+        }
+        for module in (disk_graph, codec):
+            assert "environ" not in inspect.getsource(module)
+            assert "getenv" not in inspect.getsource(module)
 
     def test_one_driver_two_modes(self):
         """Scheduling picks a width, not a loop: two exec modes, one

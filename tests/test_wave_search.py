@@ -46,7 +46,7 @@ from repro.engine.frontier import CandidateSet, FrontierPlane
 from repro.graphs.navigation import LOCKSTEP_MIN_WAVE
 from repro.storage import FaultSpec
 from repro.storage.faults import base_disk_graph
-from repro.vectors import deep_like, knn, text2image_like
+from repro.vectors import bigann_like, deep_like, knn, text2image_like
 
 from .conftest import example_budget
 from .oracles import OracleBlockSearch, oracle_block_search
@@ -112,6 +112,22 @@ def duplicated_index(graph_config):
     dataset = dataclasses.replace(dataset, vectors=vectors)
     index = build_starling(dataset, StarlingConfig(graph=graph_config))
     return index, np.asarray(dataset.queries, dtype=np.float32)
+
+
+@pytest.fixture(scope="module")
+def short_block_index(graph_config):
+    """n is not a multiple of ε: the layout's last block is not full, so a
+    wide wave's ``[pairs, ε]`` planes carry empty slots."""
+    dataset = bigann_like(607, 4, seed=9)
+    index = build_starling(dataset, StarlingConfig(graph=graph_config))
+    dg = index.disk_graph
+    last = dg.vertices_in_block(dg.num_blocks - 1)
+    assert 0 < len(last) < dg.fmt.vertices_per_block
+    queries = _noisy_queries(dataset, WIDTHS[-1], seed=2)
+    # the first queries sit on the short block's own vertices: every width
+    # of the matrix reads it
+    queries[:len(last)] = dataset.vectors[last].astype(np.float32) + 1.0
+    return index, queries
 
 
 def _rearm(index) -> None:
@@ -236,13 +252,14 @@ CASES = [
     "plain", "lru", "hot", "locality_prefetch", "retry_unarmed",
     "faults_retry", "faults_no_retry", "fold", "fold_lru", "exact_routing",
     "ip", "duplicated", "adaptive", "deadline",
+    "short_block", "sigma_0", "sigma_1", "beam_1", "beam_8",
 ]
 
 
 @pytest.fixture()
 def matrix_case(
     request, small_dataset, starling_index, chaos_index, fold_index,
-    ip_index, duplicated_index,
+    ip_index, duplicated_index, short_block_index,
 ):
     name = request.param
     pool = _noisy_queries(small_dataset, WIDTHS[-1])
@@ -267,6 +284,14 @@ def matrix_case(
         case = _Case(*ip_index, gamma=24)
     elif name == "duplicated":
         case = _Case(*duplicated_index)
+    elif name == "short_block":
+        case = _Case(*short_block_index)
+    elif name in ("sigma_0", "sigma_1"):
+        # σ = 1 keeps every co-located vertex: an empty slot of the short
+        # block that passed for one would surface as a result
+        case = _Case(*short_block_index, pruning_ratio=float(name[-1]))
+    elif name in ("beam_1", "beam_8"):
+        case = _Case(*short_block_index, beam_width=int(name[-1]))
     elif name == "adaptive":
         case = _Case(
             starling_index, pool, gamma=32,
@@ -826,28 +851,101 @@ class TestFrontierPlaneWaves:
         self, monkeypatch, starling_index
     ):
         """A narrow wave constructs no plane; from ``LOCKSTEP_MIN_WAVE`` on
-        there is exactly one per ``search_wave`` call."""
+        there is exactly one per ``search_wave`` call.  The same switch
+        picks the round's selection code: a narrow wave never enters the
+        block plane, a wide one never calls ``_select_round``."""
         built = []
+        block_rounds = []
+        scalar_selects = []
 
         class Spy(FrontierPlane):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
+        class BlockSpy(block_search._BlockPlane):
+            def round(self, live):
+                block_rounds.append(len(live))
+                return super().round(live)
+
+        select_round = block_search.BlockSearchEngine._select_round
         monkeypatch.setattr(block_search, "FrontierPlane", Spy)
+        monkeypatch.setattr(block_search, "_BlockPlane", BlockSpy)
+        monkeypatch.setattr(
+            block_search.BlockSearchEngine, "_select_round",
+            lambda self, *args: (
+                scalar_selects.append(1), select_round(self, *args)
+            )[1],
+        )
         rng = np.random.default_rng(1)
         for width in PLANE_WIDTHS:
             queries = rng.integers(0, 256, size=(width, 128)).astype(
                 np.float32
             )
-            del built[:]
-            _wave(starling_index, queries, 10, 24)
+            del built[:], block_rounds[:], scalar_selects[:]
+            _, wave_stats, _ = _wave(starling_index, queries, 10, 24)
             if width < LOCKSTEP_MIN_WAVE:
                 assert built == []
+                assert block_rounds == []
+                assert scalar_selects
             else:
                 assert built == [
                     (width, 24, starling_index.disk_graph.num_vertices)
                 ]
+                assert len(block_rounds) == wave_stats.rounds
+                assert scalar_selects == []
+
+    @pytest.mark.parametrize(
+        "name", ["abandoned", "retried", "fold_lru", "fold_retry", "ip_retry"]
+    )
+    def test_counted_reads_under_a_wide_wave(
+        self, monkeypatch, small_dataset, chaos_index, fold_index, ip_index,
+        name,
+    ):
+        """The executor keeps stateful read paths at width 1, but
+        ``search_wave`` itself takes any width: a wide wave over per-query
+        counted reads — blocks abandoned after retries, a cache wrapper, the
+        fold, IP — issues them in the same (round, query) order as the
+        per-query primitives at that width, so the two must agree on every
+        result, counter and device read."""
+        pool = _noisy_queries(small_dataset, WIDTHS[-1], seed=6)
+        if name in ("abandoned", "retried"):
+            case = _Case(
+                chaos_index, pool, rearm=True,
+                **({"resilience": RetryPolicy(max_retries=0)}
+                   if name == "abandoned" else {}),
+            )
+        elif name == "fold_lru":
+            case = _Case(fold_index, pool, wrap=_lru)
+        elif name == "fold_retry":
+            case = _Case(fold_index, pool, resilience=RetryPolicy())
+        else:
+            case = _Case(*ip_index, gamma=24, resilience=RetryPolicy())
+        device = base_disk_graph(case.plain).device
+
+        def run():
+            case.fresh()
+            stats = WaveStats()
+            before = device.counters.snapshot()
+            out = case.index.engine.search_wave(
+                case.queries, case.k, case.gamma, wave_stats=stats
+            )
+            return out, stats, device.counters.since(before)
+
+        with case.installed():
+            wide = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    block_search, "LOCKSTEP_MIN_WAVE", len(case.queries) + 1
+                )
+                narrow = run()
+        _same_results(narrow[0], wide[0])
+        assert wide[1:] == narrow[1:]
+        assert wide[1].coalesced_block_reads == 0
+        if name == "abandoned":
+            assert sum(r.stats.fault.vertices_abandoned for r in wide[0]) > 0
+        elif name == "fold_lru":
+            assert sum(r.stats.block_cache_hits for r in wide[0]) > 0
 
     def test_anns_search_tracks_no_kicked_set(
         self, starling_index, diskann_index, small_dataset
