@@ -1,10 +1,8 @@
 """Benchmark harness: workload runners, presets, and table rendering."""
 
 from .build_cache import BuildCache, cache_key
-from .buildclock import BuildclockReport, run_buildclock
 from .report import MarkdownReport, markdown_table
 from .runner import ground_truth_for, run_anns, run_range, sweep_anns, sweep_range
-from .wallclock import WallclockReport, query_counters, run_wallclock
 from .tables import (
     PERF_HEADERS,
     format_table,
@@ -24,12 +22,10 @@ from .workloads import (
 
 __all__ = [
     "BuildCache",
-    "BuildclockReport",
     "MarkdownReport",
     "PERF_HEADERS",
     "cache_key",
     "markdown_table",
-    "run_buildclock",
     "bench_num_queries",
     "bench_segment_size",
     "dataset",
@@ -39,14 +35,11 @@ __all__ = [
     "ground_truth_for",
     "perf_rows",
     "print_perf_table",
-    "query_counters",
     "run_anns",
     "run_range",
-    "run_wallclock",
     "spann_index",
     "speedup",
     "starling_index",
     "sweep_anns",
     "sweep_range",
-    "WallclockReport",
 ]

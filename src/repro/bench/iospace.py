@@ -6,8 +6,8 @@ each sweep cell then lays the graph out with one
 "bamg"), serializes it to a *fresh* block device, fronts it with one
 block-cache strategy at equal capacity, and runs the same serial query
 batch.  Reported per cell: the paper's I/O metrics — mean device block
-reads, mean round trips, OR(G) (Eq. 5) — plus recall@k and measured wall
-clock.
+reads, mean round trips, OR(G) (Eq. 5) — plus recall@k.  Everything in the
+report is a counter or a ratio of counters; no wall clock is recorded.
 
 Counter honesty is asserted per cell, not assumed: the sum of the
 per-query ``num_ios`` / ``round_trips`` counters must equal the device
@@ -15,8 +15,9 @@ counter delta across the batch.  Cache hits are therefore invisible (they
 never left the device) and locality prefetches are charged in full (they
 did).
 
-Three headline ratios are dimensionless, hence guardable by
-``repro.bench.guard`` across machine sizes:
+Three headline ratios are dimensionless, hence comparable across machine
+sizes; ``benchmarks/test_iospace.py`` checks them for drift against the
+committed ``BENCH_iospace.json``:
 
 - ``bamg_round_trip_ratio`` — bamg vs its own unpruned base layout, no
   cache (lower is better: the point of block-aware pruning is fewer
@@ -33,7 +34,6 @@ command; both emit ``BENCH_iospace.json``.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,7 +46,6 @@ from ..layout.strategies import get_layout_strategy
 from ..metrics import mean_recall_at_k
 from ..storage.codec import VertexFormat
 from ..storage.disk_graph import build_disk_graph
-from .envinfo import environment_metadata
 
 #: default workload family — uint8 vectors pack many vertices per block,
 #: which is the regime where layout and caching decisions matter most
@@ -87,7 +86,6 @@ class CellResult:
     mean_round_trips: float
     mean_cache_hits: float
     mean_prefetch_blocks: float
-    wall_s: float
     device_blocks_read: int
     device_round_trips: int
     counters_honest: bool
@@ -169,7 +167,6 @@ class IOSpaceReport:
             },
             "counters_honest": self.counters_honest,
             "cells": [asdict(c) for c in self.cells],
-            "environment": environment_metadata(),
         }
 
     def write_json(self, path: str) -> str:
@@ -301,11 +298,9 @@ def run_iospace(
             # Snapshot after construction so the pinned cache's preload
             # (build/load-time I/O) stays out of the per-query delta.
             before = disk_graph.device.counters.snapshot()
-            t0 = time.perf_counter()
             results = [
                 index.search(q, k, candidate_size) for q in queries
             ]
-            wall_s = time.perf_counter() - t0
             delta = disk_graph.device.counters.snapshot().since(before)
 
             sum_ios = sum(r.stats.num_ios for r in results)
@@ -326,7 +321,6 @@ def run_iospace(
                 mean_prefetch_blocks=(
                     sum(r.stats.prefetch_blocks for r in results) / n
                 ),
-                wall_s=wall_s,
                 device_blocks_read=delta.blocks_read,
                 device_round_trips=delta.round_trips,
                 counters_honest=(

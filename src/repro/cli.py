@@ -447,73 +447,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    """Open-loop offered-load sweep -> BENCH_serve.json."""
-    from .bench.serveclock import run_serveclock
-
-    report = run_serveclock(
-        args.family, k=args.k, arrivals=args.arrivals, seed=args.seed
-    )
-    path = report.write_json(args.out)
-    data = report.to_dict()
-    print(
-        f"serve [{report.family} n={report.num_vectors} "
-        f"arrivals={report.arrivals_per_point}/point]: "
-        f"analytical {data['profile']['analytical_qps']:.0f} QPS, "
-        f"validation ratio {data['validation']['qps_ratio']:.3f}, "
-        f"max-load p99 {data['max_load']['p99_ms']:.2f} ms, "
-        f"reject {data['max_load']['reject_rate']:.2f} -> {path}"
-    )
-    return 0
-
-
-def _cmd_bench_churn(args) -> int:
-    """Streaming-ingest churn cycles -> BENCH_churn.json."""
-    from .bench.churn import run_churn
-
-    report = run_churn(
-        cycles=args.cycles, batch=args.batch,
-        num_queries=args.num_queries, k=args.k, seed=args.seed,
-    )
-    path = report.write_json(args.out)
-    headline = report.headline
-    print(
-        f"churn [batch={report.batch} x2/cycle, "
-        f"{len(report.cycles)} cycles, k={report.k}]: "
-        f"min recall {headline['min_cycle_recall']:.3f}, "
-        f"p99-blocks ratio {headline['max_p99_blocks_ratio']:.3f}, "
-        f"{headline['total_compactions']} compactions, "
-        f"{headline['during_merge_searches']} during-merge probes "
-        f"-> {path}"
-    )
-    return 0
-
-
-def _cmd_bench_wallclock(args) -> int:
-    """Measure the wave executor against the serial loop."""
-    from .bench.wallclock import DEFAULT_CANDIDATE_SIZE, run_wallclock
-
-    report = run_wallclock(
-        args.family,
-        num_queries=args.num_queries,
-        k=args.k,
-        candidate_size=args.gamma or DEFAULT_CANDIDATE_SIZE,
-        repeats=args.repeats,
-    )
-    path = report.write_json(args.out)
-    print(
-        f"wallclock [{report.family} n={report.num_vectors} "
-        f"q={report.num_queries}]: "
-        f"serial {report.serial_ms_per_query:.2f} ms/q, "
-        f"wave {report.wave_ms_per_query:.2f} ms/q "
-        f"(coalesced {report.wave_coalesced_block_reads} reads), "
-        f"identical="
-        f"{report.results_identical and report.counters_identical} "
-        f"-> {path}"
-    )
-    return 0
-
-
 def _cmd_bench_iospace(args) -> int:
     """Sweep layout × cache strategies over the paper's I/O metrics."""
     from .bench.iospace import run_iospace
@@ -544,34 +477,6 @@ def _cmd_bench_iospace(args) -> int:
         f"recall x{report.bamg_recall_ratio:.3f}, "
         f"locality/lru reads x{report.locality_vs_lru_reads_ratio:.3f}, "
         f"honest={report.counters_honest} -> {path}"
-    )
-    return 0
-
-
-def _cmd_bench_build(args) -> int:
-    """Measure serial vs wave-batched index construction (wall clock)."""
-    from .bench.buildclock import run_buildclock
-
-    report = run_buildclock(
-        args.family,
-        n=args.n,
-        wave_size=args.wave_size,
-        workers=args.build_workers,
-        k=args.k,
-        repeats=args.repeats,
-        cache_dir=args.cache_dir,
-    )
-    path = report.write_json(args.out)
-    print(
-        f"buildclock [{report.family} n={report.num_vectors} "
-        f"wave={report.wave_size}]: "
-        f"vamana {report.vamana_serial_s:.2f}s -> "
-        f"{report.vamana_batched_s:.2f}s ({report.vamana_speedup:.2f}x), "
-        f"nsg {report.nsg_serial_s:.2f}s -> "
-        f"{report.nsg_batched_s:.2f}s ({report.nsg_speedup:.2f}x), "
-        f"nsg_identical={report.nsg_identical}, "
-        f"recall gap {report.recall_gap:.3f}, "
-        f"cache_hit={report.cache_second_hit} -> {path}"
     )
     return 0
 
@@ -778,70 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_load_args(p)
     _add_chaos_args(p)
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="open-loop offered-load sweep -> BENCH_serve.json",
-    )
-    p.add_argument("--family", default="bigann",
-                   choices=("bigann", "deep", "ssnpp", "text2image"))
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--arrivals", type=int, default=None,
-                   help="arrivals per sweep point "
-                        "(default: REPRO_BENCH_SERVE_ARRIVALS)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="BENCH_serve.json")
-    p.set_defaults(func=_cmd_bench_serve)
-
-    p = sub.add_parser(
-        "bench-churn",
-        help="streaming-ingest churn cycles -> BENCH_churn.json",
-    )
-    p.add_argument("--cycles", type=int, default=None,
-                   help="churn cycles (default: REPRO_BENCH_CHURN_CYCLES)")
-    p.add_argument("--batch", type=int, default=None,
-                   help="rows per sealed batch, two batches per cycle "
-                        "(default: REPRO_BENCH_CHURN_BATCH)")
-    p.add_argument("--num-queries", type=int, default=None,
-                   help="probe queries per cycle "
-                        "(default: REPRO_BENCH_CHURN_QUERIES)")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--out", default="BENCH_churn.json")
-    p.set_defaults(func=_cmd_bench_churn)
-
-    p = sub.add_parser(
-        "bench-wallclock",
-        help="measure serial vs wave wall clock -> BENCH_wallclock.json",
-    )
-    p.add_argument("--family", default="ssnpp",
-                   choices=("bigann", "deep", "ssnpp", "text2image"))
-    p.add_argument("--num-queries", type=int, default=None)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--gamma", type=int, default=None,
-                   help="candidate set size Γ (default: the benchmark's "
-                        "deep-search default)")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--out", default="BENCH_wallclock.json")
-    p.set_defaults(func=_cmd_bench_wallclock)
-
-    p = sub.add_parser(
-        "bench-build",
-        help="measure serial vs wave-batched build -> BENCH_build.json",
-    )
-    p.add_argument("--family", default="bigann",
-                   choices=("bigann", "deep", "ssnpp", "text2image"))
-    p.add_argument("--n", type=int, default=None,
-                   help="segment size (default: REPRO_BENCH_N)")
-    p.add_argument("--wave-size", type=int, default=64)
-    p.add_argument("--build-workers", type=int, default=4)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--cache-dir", default=None,
-                   help="build-artifact cache directory for the cache leg "
-                        "(a temp dir by default)")
-    p.add_argument("--out", default="BENCH_build.json")
-    p.set_defaults(func=_cmd_bench_build)
 
     p = sub.add_parser(
         "bench-iospace",

@@ -13,12 +13,6 @@ from .cache_strategies import (
     select_hot_blocks,
     wrap_with_cache_strategy,
 )
-from .concurrency import (
-    SimulatedQuery,
-    SimulationReport,
-    ThroughputSimulator,
-    schedule_from_stats,
-)
 from .cost import ComputeSpec, FaultStats, QueryStats, WaveStats
 from .early_stop import AdaptiveEarlyStopper, DeadlineStopper
 from .frontier import CandidateSet, ResultSet, ordered_unique
@@ -66,12 +60,8 @@ __all__ = [
     "ServeReport",
     "ServeSpec",
     "ServedQuery",
-    "SimulatedQuery",
-    "SimulationReport",
-    "ThroughputSimulator",
     "Ticket",
     "WaveStats",
-    "schedule_from_stats",
     "build_hot_vertex_cache",
     "incremental_range_search",
     "order_sensitive",

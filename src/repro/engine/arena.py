@@ -1,27 +1,24 @@
-"""Preallocated decode arenas: the zero-copy data plane's memory owner.
+"""Preallocated gather arenas: reused kernel-input memory for search rounds.
 
 Gathering a round's block vectors with ``np.concatenate`` allocates a fresh
-kernel-input matrix every round.  An :class:`Arena` owns three contiguous
-arrays sized for a whole search round (vector matrix, CSR-style neighbour
-count and padded neighbour-ID arrays) into which
-:meth:`~repro.storage.codec.VertexFormat.decode_block_into` bulk-copies
-records; every downstream consumer then works on zero-copy views of the
-arena.  Arenas are reused across rounds and queries through an
-:class:`ArenaPool`, so the steady-state search path performs **zero
-per-block data allocations** — the pool only allocates when a round needs
-more capacity than any round before it, and the :attr:`Arena.grow_events` /
-:attr:`Arena.bytes_allocated` counters let the microbenchmark harness
-assert exactly that.
+kernel-input matrix every round.  An :class:`Arena` owns one contiguous
+vector matrix sized for a whole search round (plus a same-shape scratch
+workspace for the distance kernel) into which the round's rows are copied
+once; the kernel then works on a zero-copy view of the arena.  Arenas are
+reused across rounds and queries through an :class:`ArenaPool`, so the
+steady-state search path performs **zero per-round gather allocations** —
+the pool only allocates when a round needs more capacity than any round
+before it.
 
 Ownership rules (documented for every consumer):
 
 - An arena's contents are valid only until the next :meth:`Arena.reset` —
-  one search round.  Views handed out by ``decode_block_into`` or
+  one search round.  Views handed out by :meth:`Arena.load_rows` or
   :meth:`Arena.rows` alias the arena and go stale with it; anything that
   must outlive the round (result ids/distances, frontier pushes) copies the
   scalars it needs, which the engines already do.
 - A pool-acquired arena is exclusively owned until released; the pool is
-  lock-protected so thread-mode executors can share one pool safely.
+  lock-protected so the service's worker threads can share one pool safely.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import threading
 
 import numpy as np
 
-from ..storage.codec import ID_DTYPE, VertexFormat
+from ..storage.codec import VertexFormat
 
 #: default row capacity of a fresh arena — beam_width × ε rarely exceeds
 #: this, so most searches never grow their arena at all
@@ -38,16 +35,14 @@ DEFAULT_CAPACITY = 256
 
 
 class Arena:
-    """Caller-owned decode target for one search round.
+    """Caller-owned gather target for one search round.
 
     Attributes:
         vectors: ``(capacity, dim)`` matrix in the distance kernel's compute
             dtype (float storage dtypes kept, integer ones promoted to
             float32 — mirroring the metric's own input promotion, so the
             values the kernel sees are bit-identical either way).
-        nbr_counts: ``(capacity,)`` int64 — λ per decoded vertex.
-        nbr_ids: ``(capacity, Λ)`` uint32 — padded neighbour IDs.
-        filled: Rows currently holding decoded records.
+        filled: Rows currently holding gathered vectors.
     """
 
     def __init__(self, fmt: VertexFormat, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -64,31 +59,15 @@ class Arena:
             if self.dtype in (np.float32, np.float64)
             else np.dtype(np.float32)
         )
-        self.max_degree = fmt.max_degree
         self.filled = 0
-        #: allocation telemetry for the zero-steady-state-allocation gate
-        self.grow_events = 0
-        self.bytes_allocated = 0
-        self._allocate(capacity)
-
-    def _allocate(self, capacity: int) -> None:
         self.vectors = np.empty((capacity, self.dim), dtype=self.kernel_dtype)
-        self.nbr_counts = np.empty(capacity, dtype=np.int64)
-        self.nbr_ids = np.empty((capacity, self.max_degree), dtype=ID_DTYPE)
-        self.bytes_allocated += (
-            self.vectors.nbytes + self.nbr_counts.nbytes + self.nbr_ids.nbytes
-        )
 
     @property
     def capacity(self) -> int:
         return self.vectors.shape[0]
 
     def compatible_with(self, fmt: VertexFormat) -> bool:
-        return (
-            self.dim == fmt.dim
-            and self.dtype == np.dtype(fmt.dtype)
-            and self.max_degree == fmt.max_degree
-        )
+        return self.dim == fmt.dim and self.dtype == np.dtype(fmt.dtype)
 
     def reset(self) -> None:
         """Start a new round; existing views into the arena go stale."""
@@ -105,45 +84,19 @@ class Arena:
         capacity = self.capacity
         if need <= capacity:
             return
-        new_capacity = max(capacity * 2, need)
-        old = self.vectors, self.nbr_counts, self.nbr_ids
-        self.grow_events += 1
-        self._allocate(new_capacity)
-        n = self.filled
-        if n:
-            self.vectors[:n] = old[0][:n]
-            self.nbr_counts[:n] = old[1][:n]
-            self.nbr_ids[:n] = old[2][:n]
-
-    def append_block(
-        self, fmt: VertexFormat, payload: bytes | memoryview, count: int
-    ) -> slice:
-        """Decode one block's records onto the end of the arena."""
-        self.ensure(count)
-        offset = self.filled
-        fmt.decode_block_into(payload, count, self, offset)
-        self.filled += count
-        return slice(offset, offset + count)
-
-    def append_rows(self, vectors: np.ndarray) -> slice:
-        """Bulk-append already-decoded vector rows (beam gather path)."""
-        n = len(vectors)
-        self.ensure(n)
-        offset = self.filled
-        self.vectors[offset : offset + n] = vectors
-        self.filled += n
-        return slice(offset, offset + n)
+        old = self.vectors
+        self.vectors = np.empty(
+            (max(capacity * 2, need), self.dim), dtype=self.kernel_dtype
+        )
+        self.vectors[: self.filled] = old[: self.filled]
 
     def rows(self) -> np.ndarray:
         """Contiguous view of every filled vector row (the kernel input)."""
         return self.vectors[: self.filled]
 
     def load_rows(self, matrices) -> np.ndarray:
-        """Reset, append each matrix, and return the filled view.
-
-        The one-call-per-round form of ``reset`` + ``append_rows`` +
-        ``rows`` used by the round kernel's gather.
-        """
+        """Reset, copy each matrix in, and return the filled view — the
+        round kernel's one-call-per-round gather."""
         total = 0
         for m in matrices:
             total += m.shape[0]
@@ -172,7 +125,6 @@ class Arena:
                 dtype=self.kernel_dtype,
             )
             self._scratch = buf
-            self.bytes_allocated += buf.nbytes
         return buf[:count]
 
 

@@ -767,7 +767,9 @@ class BlockSearchEngine:
         fused_l2 = self.metric.name == "l2"
         select_round = self._select_round
         diff: np.ndarray | None = None
-        pool = self.arena_pool
+        # Only a narrow wave gathers through an arena; the block plane of a
+        # wide one brings its own planes.
+        pool = self.arena_pool if plane is None else None
         arena = pool.acquire(dg.fmt) if pool is not None else None
         if plane is not None:
             wave = _BlockPlane(

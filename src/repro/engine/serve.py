@@ -34,7 +34,7 @@ Two front ends share all of that policy code:
   ``parallel_latency_us`` under the segment cost models, exactly the latency
   ledger the rest of the repo reports.  Deterministic by construction: the
   same trace replays to bit-identical decisions, which the determinism suite
-  and the open-loop benchmark (:mod:`repro.bench.serveclock`) rely on.
+  relies on.
 - :meth:`SearchService.start` / :meth:`~SearchService.submit` /
   :meth:`~SearchService.stop` — a **threaded** front end for long-lived use:
   worker threads drain a real :class:`queue.Queue`, callers get a
@@ -371,8 +371,7 @@ class ServeReport:
             "p50_ms": self.sojourn_percentile_us(50) / 1e3,
             "p95_ms": self.sojourn_percentile_us(95) / 1e3,
             "p99_ms": p99_us / 1e3,
-            # dimensionless tail bound — comparable across workload sizes,
-            # which is what the CI regression guard needs
+            # dimensionless tail bound — comparable across workload sizes
             "p99_over_deadline": (
                 p99_us / deadline if deadline else None
             ),

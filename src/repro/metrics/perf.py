@@ -12,10 +12,9 @@ latency is derived from each query's exact I/O and compute counters through
 machine-independent, and unaffected by how the batch was actually executed
 — the ``threads`` in the QPS model is a *modelled* pool width, not a count
 of real threads (the :class:`~repro.engine.batch.BatchExecutor` that
-produced the results runs on the calling thread).  The
-one deliberately *measured* timer in the repository lives in
-:mod:`repro.bench.wallclock`, which times the executor's amortizations and
-checks they leave every counter aggregated here untouched.
+produced the results runs on the calling thread).  Measured wall clock
+comes from one place, the ``perf/run.py`` benchmark outside the package,
+which drives the same paths end to end.
 """
 
 from __future__ import annotations

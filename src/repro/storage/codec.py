@@ -183,33 +183,3 @@ class VertexFormat:
             raise ValueError(f"corrupt record: degree {bad} > Λ={self.max_degree}")
         neighbor_ids = raw[..., vb + ID_BYTES :].view(ID_DTYPE)
         return vectors, degrees, neighbor_ids
-
-    def decode_block_into(
-        self, block: bytes | memoryview, count: int, arena, offset: int = 0
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parse a block directly into a caller-owned arena.
-
-        ``arena`` is a :class:`~repro.engine.arena.Arena` (or anything with
-        ``vectors`` / ``nbr_counts`` / ``nbr_ids`` arrays of compatible
-        shapes).  Records ``[0, count)`` land in arena rows
-        ``[offset, offset + count)`` via three bulk strided copies — no
-        per-vertex work — and the returned ``(vectors, degrees,
-        neighbor_ids)`` are zero-copy views of those arena rows.  Error
-        behaviour matches :meth:`split_block_views` (a corrupt block writes
-        nothing into the arena).
-        """
-        vec_v, deg_v, ids_v = self.split_block_views(block, count)
-        end = offset + count
-        if not 0 <= offset <= end <= arena.vectors.shape[0]:
-            raise ValueError(
-                f"records [{offset}, {end}) overrun arena of "
-                f"{arena.vectors.shape[0]} rows"
-            )
-        arena.vectors[offset:end] = vec_v
-        arena.nbr_counts[offset:end] = deg_v
-        arena.nbr_ids[offset:end] = ids_v
-        return (
-            arena.vectors[offset:end],
-            arena.nbr_counts[offset:end],
-            arena.nbr_ids[offset:end],
-        )

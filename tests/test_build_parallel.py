@@ -101,6 +101,25 @@ class TestWaveDeterminism:
         g2, _ = build_vamana(vectors, "l2", params, spec=spec)
         assert _graphs_identical(g1, g2)
 
+    def test_vamana_wave_recall_matches_serial(self, vectors):
+        """Vamana waves see stale intra-wave adjacency — a different, still
+        valid graph: recall@10 (0.97 here) within a point of serial's."""
+        from repro.metrics import mean_recall_at_k
+        from repro.vectors import knn
+
+        metric = get_metric("l2")
+        params = VamanaParams(max_degree=12, build_ef=24, seed=3)
+        rng = np.random.default_rng(11)
+        queries = rng.normal(size=(60, 16)).astype(np.float32)
+        truth, _ = knn(vectors, queries, 10, metric)
+        recalls = []
+        for spec in (None, BuildSpec(mode="batched")):
+            g, e = build_vamana(vectors, "l2", params, spec=spec)
+            found = [greedy_search(g, vectors, metric, q, [e], 16, 10)[0]
+                     for q in queries]
+            recalls.append(mean_recall_at_k(found, truth, 10))
+        assert abs(recalls[0] - recalls[1]) <= 0.01
+
     def test_nsg_waves_bit_identical_to_serial(self, vectors):
         params = NSGParams(max_degree=12, build_ef=24, knn_k=10, seed=3)
         g_serial, n_serial = build_nsg(vectors, "l2", params)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Arena, CandidateSet, ResultSet
+from repro.engine import CandidateSet, ResultSet
 from repro.graphs import from_neighbor_lists
 from repro.layout import (
     LAYOUT_STRATEGY_NAMES,
@@ -20,7 +20,7 @@ from repro.layout import (
 from repro.quantization import kmeans
 from repro.storage import VertexFormat
 
-from .oracles import decode_block, decode_vertex
+from .oracles import decode_vertex
 
 COMMON = settings(
     max_examples=40, deadline=None,
@@ -48,24 +48,6 @@ def vertex_records(draw):
     )
 
 
-@st.composite
-def encoded_blocks(draw):
-    """A random VertexFormat plus one encoded block of random records."""
-    dim = draw(st.integers(2, 48))
-    max_degree = draw(st.integers(1, 16))
-    fmt = VertexFormat(dim=dim, dtype=np.uint8, max_degree=max_degree,
-                       block_bytes=2048)
-    count = draw(st.integers(0, min(fmt.vertices_per_block, 6)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    vectors = rng.integers(0, 256, size=(count, dim), dtype=np.uint8)
-    neighbor_lists = [
-        rng.choice(2**20, size=rng.integers(0, max_degree + 1), replace=False)
-        .astype(np.uint32)
-        for _ in range(count)
-    ]
-    return fmt, fmt.encode_block(vectors, neighbor_lists), count
-
-
 class TestCodecProperties:
     @COMMON
     @given(vertex_records())
@@ -86,48 +68,6 @@ class TestCodecProperties:
         eps = fmt.vertices_per_block
         assert rho * eps >= n
         assert (rho - 1) * eps < n or n == 0
-
-    @COMMON
-    @given(encoded_blocks(), st.integers(0, 3))
-    def test_decode_block_into_matches_decode_block(self, block, offset):
-        """The arena decode path is element-identical to the copying one
-        across random layouts, dims, and degree distributions (the arena
-        stores vectors in the kernel compute dtype, so values — not dtypes —
-        are compared)."""
-        fmt, payload, count = block
-        ref_vecs, ref_nbrs = decode_block(fmt, payload, count)
-        arena = Arena(fmt, capacity=offset + count + 2)
-        vec_v, deg_v, ids_v = fmt.decode_block_into(
-            payload, count, arena, offset
-        )
-        assert np.array_equal(vec_v, ref_vecs)
-        assert deg_v.tolist() == [len(n) for n in ref_nbrs]
-        for i, nbrs in enumerate(ref_nbrs):
-            assert np.array_equal(ids_v[i, : len(nbrs)], nbrs)
-        # The views alias the arena rows they were decoded into.
-        assert vec_v.base is arena.vectors or vec_v.size == 0
-
-    @COMMON
-    @given(encoded_blocks())
-    def test_decode_block_into_rejects_torn_blocks(self, block):
-        """Truncated payloads and corrupt degree words raise on every
-        decode path and leave the arena untouched."""
-        fmt, payload, count = block
-        arena = Arena(fmt, capacity=max(count, 1) + 1)
-        arena.nbr_counts[:] = -7  # sentinel
-        torn = payload[: len(payload) // 2]
-        with pytest.raises(ValueError):
-            decode_block(fmt, torn, count)
-        with pytest.raises(ValueError):
-            fmt.decode_block_into(torn, count, arena)
-        if count:
-            # Corrupt the first record's degree word to exceed Λ.
-            vb = fmt.vector_bytes
-            bad = bytearray(payload)
-            bad[vb:vb + 4] = (fmt.max_degree + 9).to_bytes(4, "little")
-            with pytest.raises(ValueError):
-                fmt.decode_block_into(bytes(bad), count, arena)
-        assert (arena.nbr_counts == -7).all()
 
 
 # -- candidate set vs a naive model --------------------------------------------

@@ -110,6 +110,46 @@ class TestExports:
         assert not hasattr(batch.BatchExecutor, "effective_mode")
         assert serve.order_sensitive is batch.order_sensitive
 
+    def test_one_measurement_stack(self):
+        """Performance numbers come from ``perf/run.py`` alone: the bench
+        package is the paper-reproduction harness plus the counter sweep,
+        the engine carries no second discrete-event model, and the CLI and
+        environment expose no knob of the retired wall-clock layer."""
+        import re
+        from pathlib import Path
+
+        import repro.bench
+        import repro.engine as engine
+        from repro.cli import build_parser
+
+        assert set(repro.bench.__all__) == {
+            "BuildCache", "MarkdownReport", "PERF_HEADERS", "cache_key",
+            "markdown_table", "bench_num_queries", "bench_segment_size",
+            "dataset", "default_graph_config", "diskann_index",
+            "format_table", "ground_truth_for", "perf_rows",
+            "print_perf_table", "run_anns", "run_range", "spann_index",
+            "speedup", "starling_index", "sweep_anns", "sweep_range",
+        }
+        assert not [
+            name for name in dir(engine)
+            if "Simul" in name or name in ("concurrency", "schedule_from_stats")
+        ]
+        subcommands = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        assert set(subcommands.choices) == {
+            "build", "info", "fsck", "gt", "bench", "search", "serve",
+            "bench-iospace",
+        }
+        src = Path(repro.__file__).parent
+        bench_env = {
+            name
+            for path in src.rglob("*.py")
+            for name in re.findall(r"REPRO_BENCH_\w+", path.read_text())
+        }
+        assert bench_env <= {"REPRO_BENCH_N", "REPRO_BENCH_QUERIES"}
+
 
 class TestDeterminism:
     def test_starling_search_deterministic(self, starling_index,

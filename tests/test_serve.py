@@ -223,6 +223,23 @@ class TestRunTrace:
                 assert outcome.candidate_size == spec.shed_tiers[outcome.tier]
                 assert outcome.candidate_size < spec.shed_tiers[0]
 
+    def test_saturation_matches_workers_over_service_time(self, coordinator,
+                                                          serve_dataset):
+        """One tier, no deadline, no micro-batching: deep in overload the
+        service is an M/G/c queue and sustains workers / mean service time."""
+        spec = ServeSpec(workers=4, queue_depth=32, max_batch=1,
+                         shed_tiers=(64,))
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        probe = coordinator.search(queries[0], 10, 64).parallel_latency_us
+        trace = poisson_arrivals_us(3.0 * spec.workers / (probe / 1e6), 240,
+                                    seed=5)
+        report = SearchService(coordinator, spec).run_trace(trace, queries)
+        assert report.rejected > 0
+        service_us = np.mean([o.result.parallel_latency_us
+                              for o in report.outcomes if o.ok])
+        model_qps = spec.workers / (service_us / 1e6)
+        assert report.sustained_qps == pytest.approx(model_qps, rel=0.15)
+
     def test_arrivals_must_be_sorted(self, coordinator, serve_dataset):
         service = SearchService(coordinator, ServeSpec())
         with pytest.raises(ValueError, match="non-decreasing"):
