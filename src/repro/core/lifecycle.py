@@ -357,6 +357,7 @@ class SegmentLifecycle:
         } - set(self._tombstones)
 
         self._wal = WriteAheadLog(root / WAL_NAME, injector=injector)
+        self._wal.resume_after(self._applied_lsn)
         for record in self._wal.opened_with.records:
             if record.lsn <= self._applied_lsn:
                 continue  # folded into a sealed segment before the crash
@@ -386,8 +387,12 @@ class SegmentLifecycle:
         return self
 
     def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()
+        """Release the WAL; idempotent.  Writes raise afterwards — a second
+        ``open()`` of this directory may own the log now — searches do not."""
+        with self._ingest_lock:
+            if self._wal is not None:
+                self._wal.close()
+                self._wal = None
 
     # -- accounting --------------------------------------------------------
 
@@ -679,9 +684,9 @@ class SegmentLifecycle:
         leaves applied records in the WAL that replay skips.
         """
         with self._ingest_lock:
+            wal = self._require_wal()
             if not self._mem_ids:
                 return False
-            wal = self._require_wal()
             name = f"{SEG_PREFIX}{self._next_seg:06d}"
             ids = np.asarray(self._mem_ids, dtype=np.int64)
             rows = np.stack(self._mem_rows).astype(self.dtype, copy=False)
@@ -722,6 +727,7 @@ class SegmentLifecycle:
         atomically, old list to new list.
         """
         with self._ingest_lock:
+            self._require_wal()  # a closed lifecycle must not commit catalogs
             chosen = self.compaction_candidates()
             if not chosen:
                 return False

@@ -8,7 +8,10 @@ rebuilt disk-resident index — at which point block shuffling and the
 navigation graph "come into play" again.
 
 :class:`UpdatableSegment` implements exactly that scheme around any static
-segment index built by :func:`repro.core.builder.build_starling`.
+segment index built by :func:`repro.core.builder.build_starling` — in
+memory: it is the paper's model and persists nothing.  The durable write
+path is :class:`repro.core.lifecycle.SegmentLifecycle`, which reuses this
+module's input validation.
 """
 
 from __future__ import annotations
@@ -332,17 +335,11 @@ class UpdatableSegment:
 
     # -- merge ------------------------------------------------------------------------
 
-    def merge(self, persist_to=None) -> None:
+    def merge(self) -> None:
         """Fold dynamic data into a rebuilt static index (async in a real DB).
 
         Deleted vectors are dropped for good; the shuffled layout and
         navigation graph are rebuilt over the merged data (§7).
-
-        Args:
-            persist_to: Optional directory; when given, the merged segment
-                is re-persisted there atomically (a new manifest generation
-                via :func:`repro.storage.persist.save_updatable`), so a
-                crash mid-merge leaves the pre-merge generation loadable.
         """
         live_static = np.asarray(
             [vid for vid in self._static_ids.tolist()
@@ -383,7 +380,3 @@ class UpdatableSegment:
         self._dynamic_ids = []
         self._deleted = set()
         self.merges += 1
-        if persist_to is not None:
-            from ..storage.persist import save_updatable
-
-            save_updatable(self, persist_to)

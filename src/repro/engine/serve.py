@@ -582,9 +582,11 @@ class SearchService:
     def attach_ingest(self, target) -> None:
         """Register the writable segment behind :meth:`ingest`/:meth:`remove`.
 
-        ``target`` needs ``insert(vectors)`` and ``delete(ids)`` — a
-        :class:`~repro.core.lifecycle.SegmentLifecycle` (durable WAL-backed
-        writes) or an :class:`~repro.core.updates.UpdatableSegment`.
+        ``target`` needs ``insert(vectors)`` and ``delete(ids)``: a
+        :class:`~repro.core.lifecycle.SegmentLifecycle`, the durable
+        (WAL-backed) write path.  An in-memory
+        :class:`~repro.core.updates.UpdatableSegment` fits the same shape,
+        but nothing it accepts survives the process.
         """
         if not (hasattr(target, "insert") and hasattr(target, "delete")):
             raise TypeError("ingest target needs insert() and delete()")

@@ -31,11 +31,9 @@ from .persist import (
     index_files_dir,
     load_diskann,
     load_starling,
-    load_updatable,
     read_index_meta,
     save_diskann,
     save_starling,
-    save_updatable,
 )
 from .repair import FsckReport, fsck, rebuild_segment
 from .wal import (
@@ -81,7 +79,6 @@ __all__ = [
     "index_files_dir",
     "load_diskann",
     "load_starling",
-    "load_updatable",
     "read_index_meta",
     "read_manifest",
     "rebuild_segment",
@@ -89,5 +86,4 @@ __all__ = [
     "truncate_torn_tail",
     "save_diskann",
     "save_starling",
-    "save_updatable",
 ]

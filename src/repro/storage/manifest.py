@@ -285,15 +285,10 @@ class CommitTransaction:
             raise
     """
 
-    def __init__(
-        self, root: Path, kind: str, injector=None, keep_generations=()
-    ) -> None:
+    def __init__(self, root: Path, kind: str, injector=None) -> None:
         self.root = Path(root)
         self.kind = kind
         self.injector = injector
-        # Extra generations prune() must not touch — e.g. the static
-        # generation that an updatable segment's committed state still pins.
-        self._protected = frozenset(int(g) for g in keep_generations)
         self.root.mkdir(parents=True, exist_ok=True)
         try:
             pointer = read_manifest(self.root)
@@ -372,7 +367,7 @@ class CommitTransaction:
         return manifest
 
     def prune(self) -> None:
-        """Drop old generations, keeping the rollback target and any pins.
+        """Drop old generations, keeping the rollback target.
 
         The rollback target is the newest generation that actually *exists*
         below the one just committed — not ``generation - 1`` by arithmetic:
@@ -380,7 +375,7 @@ class CommitTransaction:
         self-verifying older generation would defeat fsck rollback.
         """
         existing = list_generations(self.root)
-        keep = {self.generation, *self._protected}
+        keep = {self.generation}
         previous = max(
             (g for g, _ in existing if g < self.generation), default=None
         )

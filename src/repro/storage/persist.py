@@ -21,8 +21,10 @@ before touching a byte of index data and raise typed
 :class:`IndexLoadError` subclasses on damage; ``repro-starling fsck`` (backed
 by :mod:`repro.storage.repair`) rolls back or re-derives what it can.
 
-Directories written by pre-manifest releases (files directly in the index
-directory, no ``MANIFEST.json``) still load through the legacy path.
+These two save/load pairs persist *immutable* segments only.  Durable
+updates go through :class:`repro.core.lifecycle.SegmentLifecycle`, which
+seals each segment with :func:`save_starling` and commits its own catalog;
+a directory without a ``MANIFEST.json`` is not an index.
 
 Loading never re-runs construction; the restored index answers queries with
 identical results and identical I/O counts.
@@ -47,15 +49,12 @@ from .device import BlockDevice, DiskSpec
 from .disk_graph import DiskGraph
 from .faults import CrashInjector, SimulatedCrash
 from .manifest import (
-    GEN_MANIFEST_NAME,
     CommitTransaction,
     DigestMismatchError,
     IndexLoadError,
     Manifest,
     ManifestError,
-    generation_name,
     npz_bytes,
-    read_generation_manifest,
     read_manifest,
     verify_generation,
 )
@@ -67,19 +66,16 @@ __all__ = [
     "index_files_dir",
     "load_diskann",
     "load_starling",
-    "load_updatable",
     "read_index_meta",
     "save_diskann",
     "save_starling",
-    "save_updatable",
 ]
 
 
 def index_files_dir(directory: str | os.PathLike) -> Path:
     """Resolve where an index directory's files live (no digest checks).
 
-    Manifest layouts resolve to the current generation directory; legacy
-    flat layouts resolve to the directory itself.  Raises
+    Resolves to the current generation directory.  Raises
     :class:`IndexLoadError`/:class:`ManifestError` when there is no index or
     the pointer is corrupt or stale.
     """
@@ -87,48 +83,24 @@ def index_files_dir(directory: str | os.PathLike) -> Path:
 
 
 def _resolve_files_dir(
-    directory: Path,
-    *,
-    verify: bool = True,
-    strict: bool = False,
-    generation: int | None = None,
+    directory: Path, *, verify: bool = True, strict: bool = False
 ) -> Path:
     if not directory.is_dir():
         raise IndexLoadError(f"{directory} is not an index directory")
     manifest = read_manifest(directory)  # ManifestError if corrupt
     if manifest is None:
-        if (directory / "meta.json").is_file():
-            return directory  # legacy flat layout, no digests to verify
         raise IndexLoadError(
-            f"{directory} has no meta.json or MANIFEST.json"
+            f"{directory} has no meta.json under a committed generation "
+            "(no MANIFEST.json)"
         )
-    if manifest.kind == "lifecycle":
-        # A lifecycle root's generations hold catalog metadata, not index
-        # files; its sealed segments live under <dir>/segments/<name>.
+    if manifest.kind not in ("starling", "diskann"):
+        # E.g. a lifecycle root: its generations hold catalog metadata, not
+        # index files; its sealed segments live under <dir>/segments/<name>.
         raise IndexLoadError(
-            f"{directory} is a segment-lifecycle directory; open it with "
-            "repro.core.lifecycle.SegmentLifecycle.open"
+            f"{directory} holds a {manifest.kind!r} directory, not a segment "
+            "index (repro.core.lifecycle.SegmentLifecycle.open reads a "
+            "lifecycle root)"
         )
-    if generation is not None and generation != manifest.generation:
-        # The caller pins a specific committed generation (an updatable
-        # segment's state names the static generation it was saved with).
-        # A pointer that drifted ahead — crash between the static and state
-        # commits — must not be followed: resolve the pinned generation
-        # through its own self-describing manifest copy instead; the stray
-        # newer generation is fsck's to clean up.
-        gen_dir = directory / generation_name(generation)
-        if not gen_dir.is_dir():
-            raise ManifestError(
-                f"{directory}: pinned generation {generation} is missing "
-                f"(pointer is at generation {manifest.generation})"
-            )
-        pinned = read_generation_manifest(gen_dir)
-        if pinned is None:
-            raise ManifestError(
-                f"{directory}: pinned generation {generation} has no "
-                f"{GEN_MANIFEST_NAME}"
-            )
-        manifest = pinned
     gen_dir = directory / manifest.directory
     if not gen_dir.is_dir():
         raise ManifestError(
@@ -146,7 +118,7 @@ def _resolve_files_dir(
 
 
 def read_index_meta(directory: str | os.PathLike) -> dict:
-    """Read ``meta.json`` from either layout (for tooling like ``info``)."""
+    """Read the current generation's ``meta.json`` (tooling like ``info``)."""
     files_dir = index_files_dir(directory)
     try:
         return json.loads((files_dir / "meta.json").read_text())
@@ -218,7 +190,6 @@ def _atomic_commit(
     kind: str,
     files: dict[str, bytes],
     injector: CrashInjector | None,
-    keep_generations: tuple[int, ...] = (),
 ) -> Manifest:
     """Commit serialized files as one new generation; all-or-nothing.
 
@@ -228,10 +199,7 @@ def _atomic_commit(
     precisely what the crash-consistency harness wants to find.  Returns the
     committed :class:`Manifest`.
     """
-    txn = CommitTransaction(
-        Path(directory), kind, injector=injector,
-        keep_generations=keep_generations,
-    )
+    txn = CommitTransaction(Path(directory), kind, injector=injector)
     try:
         for name, data in files.items():
             txn.write_file(name, data)
@@ -402,16 +370,13 @@ def save_starling(
     directory: str | os.PathLike,
     *,
     injector: CrashInjector | None = None,
-    keep_generations: tuple[int, ...] = (),
 ) -> Manifest:
     """Persist a StarlingIndex atomically (directory created if missing).
 
     HNSW-upper-layer navigation (Starling-HNSW) is not yet serializable;
     save such indexes after converting to a sampled navigation graph, or
-    rebuild them.  ``injector`` arms write-path fault injection (tests);
-    ``keep_generations`` pins extra generations from pruning (used by
-    :func:`save_updatable` to protect the static generation the committed
-    state still references).  Returns the committed manifest.
+    rebuild them.  ``injector`` arms write-path fault injection (tests).
+    Returns the committed manifest.
     """
     from ..core.segment import StarlingIndex
 
@@ -452,32 +417,21 @@ def save_starling(
             "only NavigationGraph and FixedEntryPoint are supported"
         )
     files["meta.json"] = json.dumps(meta, indent=2).encode()
-    return _atomic_commit(
-        directory, "starling", files, injector, keep_generations
-    )
+    return _atomic_commit(directory, "starling", files, injector)
 
 
-def load_starling(
-    directory: str | os.PathLike,
-    *,
-    strict: bool = False,
-    generation: int | None = None,
-):
+def load_starling(directory: str | os.PathLike, *, strict: bool = False):
     """Load a StarlingIndex saved by :func:`save_starling`.
 
     Manifest digests (CRC32; SHA-256 too under ``strict``) are verified
     before any index data is interpreted; damage raises a typed
     :class:`IndexLoadError` subclass instead of producing wrong neighbors.
-    ``generation`` pins a specific committed generation instead of the
-    pointer's current one (used by :func:`load_updatable`).
     """
     from ..core.config import StarlingConfig, GraphConfig, NavigationConfig, PQConfig
     from ..core.segment import BuildTimings, MemoryFootprint, StarlingIndex
     from ..engine.cost import ComputeSpec
 
-    files_dir = _resolve_files_dir(
-        Path(directory), strict=strict, generation=generation
-    )
+    files_dir = _resolve_files_dir(Path(directory), strict=strict)
     meta = _read_meta(files_dir, "starling")
     disk_graph, pq, metric = _load_common(files_dir, meta)
 
@@ -532,12 +486,11 @@ def save_diskann(
     directory: str | os.PathLike,
     *,
     injector: CrashInjector | None = None,
-    keep_generations: tuple[int, ...] = (),
 ) -> Manifest:
     """Persist a DiskANNIndex atomically (directory created if missing).
 
-    See :func:`save_starling` for ``injector``/``keep_generations``;
-    returns the committed manifest.
+    See :func:`save_starling` for ``injector``; returns the committed
+    manifest.
     """
     from ..core.segment import DiskANNIndex
 
@@ -563,25 +516,16 @@ def save_diskann(
     else:
         meta["has_cache"] = False
     files["meta.json"] = json.dumps(meta, indent=2).encode()
-    return _atomic_commit(
-        directory, "diskann", files, injector, keep_generations
-    )
+    return _atomic_commit(directory, "diskann", files, injector)
 
 
-def load_diskann(
-    directory: str | os.PathLike,
-    *,
-    strict: bool = False,
-    generation: int | None = None,
-):
+def load_diskann(directory: str | os.PathLike, *, strict: bool = False):
     """Load a DiskANNIndex saved by :func:`save_diskann`."""
     from ..core.config import DiskANNConfig, GraphConfig, PQConfig
     from ..core.segment import BuildTimings, DiskANNIndex, MemoryFootprint
     from ..engine.cost import ComputeSpec
 
-    files_dir = _resolve_files_dir(
-        Path(directory), strict=strict, generation=generation
-    )
+    files_dir = _resolve_files_dir(Path(directory), strict=strict)
     meta = _read_meta(files_dir, "diskann")
     disk_graph, pq, metric = _load_common(files_dir, meta)
 
@@ -605,169 +549,3 @@ def load_diskann(
         compute_spec=ComputeSpec(**meta["compute_spec"]),
     )
 
-
-# -- updatable segments ------------------------------------------------------
-
-_UPDATABLE_VERSION = 1
-
-
-def _pinned_static_generation(directory: Path) -> int | None:
-    """Static generation pinned by the currently committed state, if any.
-
-    Best-effort on purpose: an absent, legacy, or damaged layout simply has
-    nothing to protect from pruning.
-    """
-    try:
-        files_dir = _resolve_files_dir(directory, verify=False)
-        meta = json.loads((files_dir / "meta.json").read_text())
-        pinned = meta.get("static_generation")
-        return None if pinned is None else int(pinned)
-    except (IndexLoadError, OSError, json.JSONDecodeError,
-            TypeError, ValueError):
-        return None
-
-
-def save_updatable(
-    segment,
-    directory: str | os.PathLike,
-    *,
-    injector: CrashInjector | None = None,
-) -> None:
-    """Persist an :class:`~repro.core.updates.UpdatableSegment` atomically.
-
-    Two transactions, one consistent pair: the static index commits into
-    ``<directory>/static`` (its own manifest and generations) first, then
-    the update-layer state — dynamic vectors, the deletion bitset, id
-    bookkeeping — commits at ``<directory>`` level, recording the static
-    generation it belongs to as ``static_generation``.  A crash between the
-    two leaves the static pointer one generation ahead, but the committed
-    state still pins the previous static generation — which the static
-    commit protected from pruning — so :func:`load_updatable` always pairs
-    state with the exact static generation it was saved against, and
-    ``repro-starling fsck`` rolls the stray static pointer back.
-
-    ``injector`` is shared by both transactions, so enumerating its
-    recorded op sequence crashes the save at every boundary of either
-    commit *and* in the window between them.
-    """
-    from ..core.segment import DiskANNIndex, StarlingIndex
-    from ..core.updates import UpdatableSegment
-
-    if not isinstance(segment, UpdatableSegment):
-        raise TypeError(
-            f"expected UpdatableSegment, got {type(segment).__name__}"
-        )
-    directory = Path(directory)
-    pinned = _pinned_static_generation(directory)
-    protect = () if pinned is None else (pinned,)
-    static = segment.static_index
-    if isinstance(static, StarlingIndex):
-        static_kind = "starling"
-        static_manifest = save_starling(
-            static, directory / "static",
-            injector=injector, keep_generations=protect,
-        )
-    elif isinstance(static, DiskANNIndex):
-        static_kind = "diskann"
-        static_manifest = save_diskann(
-            static, directory / "static",
-            injector=injector, keep_generations=protect,
-        )
-    else:
-        raise NotImplementedError(
-            f"cannot persist static index {type(static).__name__}"
-        )
-
-    meta = {
-        "kind": "updatable",
-        "format_version": _UPDATABLE_VERSION,
-        "name": segment._name,
-        "metric": segment.metric.name,
-        "default_radius": (
-            None if segment._default_radius is None
-            else float(segment._default_radius)
-        ),
-        "static_kind": static_kind,
-        "static_generation": static_manifest.generation,
-        "next_id": segment._next_id,
-        "merges": segment.merges,
-    }
-    files = {
-        "state.npz": npz_bytes(
-            static_vectors=segment._static_vectors,
-            static_ids=segment._static_ids,
-            queries=segment._queries,
-            dynamic_vectors=segment.dynamic.vectors(),
-            dynamic_ids=np.asarray(segment._dynamic_ids, dtype=np.int64),
-            deleted=np.asarray(sorted(segment._deleted), dtype=np.int64),
-        ),
-        "meta.json": json.dumps(meta, indent=2).encode(),
-    }
-    _atomic_commit(directory, "updatable", files, injector)
-
-
-def load_updatable(directory: str | os.PathLike, rebuild, *, strict: bool = False):
-    """Load an :class:`~repro.core.updates.UpdatableSegment`.
-
-    Args:
-        directory: Directory written by :func:`save_updatable`.
-        rebuild: Callback ``(VectorDataset) -> static index`` used by future
-            merges (callables cannot be persisted; supply the same closure
-            the segment was constructed with).
-        strict: Also verify SHA-256 digests.
-    """
-    from ..core.updates import UpdatableSegment
-    from ..vectors.dataset import VectorDataset
-
-    directory = Path(directory)
-    files_dir = _resolve_files_dir(directory, strict=strict)
-    try:
-        meta = json.loads((files_dir / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IndexLoadError(
-            f"unreadable meta.json in {files_dir}: {exc}"
-        ) from exc
-    if meta.get("kind") != "updatable":
-        raise IndexLoadError(f"{directory} does not hold an updatable segment")
-    if meta.get("format_version") != _UPDATABLE_VERSION:
-        raise IndexLoadError(
-            f"unsupported updatable format version {meta.get('format_version')}"
-        )
-    _require_files(files_dir, ("state.npz",))
-    # Load the exact static generation this state was committed with (older
-    # saves predate the pin and fall back to the static pointer).  A static
-    # pointer that drifted ahead of the pin — crash between the static and
-    # state commits — is thereby ignored, never paired with older state.
-    pinned = meta.get("static_generation")
-    pinned = None if pinned is None else int(pinned)
-    if meta.get("static_kind") == "starling":
-        static = load_starling(
-            directory / "static", strict=strict, generation=pinned
-        )
-    else:
-        static = load_diskann(
-            directory / "static", strict=strict, generation=pinned
-        )
-    try:
-        state = np.load(files_dir / "state.npz")
-        dataset = VectorDataset(
-            name=meta["name"],
-            vectors=state["static_vectors"],
-            queries=state["queries"],
-            metric=get_metric(meta["metric"]),
-            default_radius=meta["default_radius"],
-        )
-        segment = UpdatableSegment(static, dataset, rebuild)
-        segment._static_ids = state["static_ids"].astype(np.int64)
-        dynamic = state["dynamic_vectors"]
-        if dynamic.shape[0]:
-            segment.dynamic.add(dynamic)
-        segment._dynamic_ids = state["dynamic_ids"].astype(np.int64).tolist()
-        segment._deleted = set(state["deleted"].astype(np.int64).tolist())
-        segment._next_id = int(meta["next_id"])
-        segment.merges = int(meta["merges"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise IndexLoadError(
-            f"unreadable state.npz in {files_dir}: {exc}"
-        ) from exc
-    return segment

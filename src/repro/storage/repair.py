@@ -19,11 +19,9 @@ committed directory.  :func:`fsck` walks one index directory and:
    layer quarantines the segment and rebuilds it from source vectors
    (:func:`rebuild_segment`).
 
-Updatable segments get one more pass: fsck recursively scrubs the nested
-``<dir>/static`` sub-index and enforces the state↔static pairing — the
-committed state pins the static generation it was saved with, so a static
-pointer left one generation ahead by a crash between the two commits is
-rolled back instead of serving a hybrid.
+A segment-lifecycle root (:mod:`repro.core.lifecycle`) gets one more pass:
+its sealed segments are scrubbed recursively, and its write-ahead log and
+orphaned segment directories are reconciled with the committed catalog.
 
 Exit-code contract (mirrored by the CLI): 0 clean, 1 repaired (or would
 repair, under ``--no-repair``), 2 unrecoverable.
@@ -58,8 +56,7 @@ __all__ = ["FsckReport", "fsck", "rebuild_segment"]
 
 #: canonical staging order for repaired generations (matches save_*)
 _FILE_ORDER = (
-    "disk.bin", "layout.npz", "pq.npz", "nav.npz", "cache.npz",
-    "state.npz", "meta.json",
+    "disk.bin", "layout.npz", "pq.npz", "nav.npz", "cache.npz", "meta.json",
 )
 
 
@@ -250,15 +247,8 @@ def fsck(
 ) -> FsckReport:
     """Scrub one index directory; see the module docstring for the phases.
 
-    Updatable segments nest a full index under ``<dir>/static``; fsck
-    descends into it, merges its problems/actions/status into the parent
-    report, and enforces the pairing invariant — the committed state names
-    the static generation it was saved with, so a static pointer that
-    drifted ahead (crash between the static and state commits) is rolled
-    back rather than left to serve a hybrid.
-
     Args:
-        directory: Index directory (manifest layout or legacy flat layout).
+        directory: Index directory or segment-lifecycle root.
         repair: Perform repairs; when False, only report what would be done
             (the report's status/exit code still reflects repairability).
         strict: Verify SHA-256 digests in addition to size + CRC32.
@@ -271,10 +261,6 @@ def fsck(
         and report.generation is not None
     ):
         _fsck_lifecycle(root, report, repair=repair, strict=strict)
-        return report
-    meta = _current_meta(root, report)
-    if meta is not None and meta.get("kind") == "updatable":
-        _fsck_updatable(root, report, meta, repair=repair, strict=strict)
     return report
 
 
@@ -284,163 +270,6 @@ _STATUS_ORDER = {"clean": 0, "repaired": 1, "unrecoverable": 2}
 def _escalate(report: FsckReport, status: str) -> None:
     if _STATUS_ORDER[status] > _STATUS_ORDER[report.status]:
         report.status = status
-
-
-def _current_meta(root: Path, report: FsckReport) -> dict | None:
-    """``meta.json`` of the generation (or legacy dir) fsck settled on."""
-    if report.kind == "legacy":
-        files_dir = root
-    elif report.generation is not None:
-        files_dir = root / generation_name(report.generation)
-    else:
-        return None
-    try:
-        return json.loads((files_dir / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _fsck_updatable(
-    root: Path, report: FsckReport, meta: dict, *, repair: bool, strict: bool
-) -> None:
-    """Descend into an updatable segment's ``static/`` sub-index.
-
-    After merging the sub-report, the pairing invariant is enforced: when
-    the static pointer disagrees with the generation the committed state
-    pins, the pointer is rolled back to the pinned generation (it still
-    self-verifies — pruning protects it).  If the pinned generation itself
-    is gone or damaged, two fallbacks apply in order: when the sub-fsck
-    just *re-derived* the pinned generation into a fresh one (content
-    preserved under a new number), the state is re-pinned to it; otherwise
-    fsck falls back to an older state generation whose pinned static still
-    self-verifies, and only then gives up.
-    """
-    static_root = root / "static"
-    try:
-        pre_pointer = read_manifest(static_root)
-    except ManifestError:
-        pre_pointer = None
-    sub = _fsck_root(static_root, repair=repair, strict=strict)
-    report.problems.extend(f"static: {p}" for p in sub.problems)
-    report.actions.extend(f"static: {a}" for a in sub.actions)
-    _escalate(report, sub.status)
-
-    pinned = meta.get("static_generation")
-    if pinned is None or report.status == "unrecoverable":
-        return
-    pinned = int(pinned)
-    try:
-        pointer = read_manifest(static_root)
-    except ManifestError:
-        pointer = None
-    if pointer is not None and pointer.generation == pinned:
-        return
-
-    ptr_desc = (
-        f"generation {pointer.generation}" if pointer is not None else "missing"
-    )
-    adopted = _generation_self_verifies(static_root / generation_name(pinned))
-    if adopted is not None:
-        report.problems.append(
-            f"static pointer {ptr_desc} but committed state pins generation "
-            f"{pinned} (crash between static and state commits)"
-        )
-        if repair:
-            write_pointer(static_root, adopted)
-            for gen, path in list_generations(static_root):
-                if gen > pinned:
-                    shutil.rmtree(path, ignore_errors=True)
-            report.actions.append(
-                f"rolled static pointer back to generation {pinned}"
-            )
-        else:
-            report.actions.append(
-                f"would roll static pointer back to generation {pinned}"
-            )
-        _escalate(report, "repaired")
-        return
-
-    if (
-        pre_pointer is not None
-        and pre_pointer.generation == pinned
-        and sub.status == "repaired"
-        and sub.generation is not None
-        and sub.generation > pinned
-    ):
-        # The pointer agreed with the pin before this run, and the sub-fsck
-        # moved it *forward* — that only happens when it re-derived the
-        # damaged generation into a fresh, content-equivalent one.  The
-        # state must follow: commit it anew pinning the repaired generation.
-        try:
-            parent_pointer = read_manifest(root)
-        except ManifestError:
-            parent_pointer = None
-        if parent_pointer is not None:
-            report.problems.append(
-                f"committed state pins static generation {pinned}, which was "
-                f"re-derived as generation {sub.generation}"
-            )
-            repinned = dict(meta)
-            repinned["static_generation"] = sub.generation
-            repaired = _commit_repaired(
-                root, root / parent_pointer.directory, parent_pointer,
-                {"meta.json": json.dumps(repinned, indent=2).encode()},
-            )
-            report.generation = repaired.generation
-            report.actions.append(
-                f"re-pinned state to static generation {sub.generation}"
-            )
-            _escalate(report, "repaired")
-            return
-
-    # The pinned static generation is gone or damaged: this (state, static)
-    # pair cannot be served.  Fall back to an older state generation whose
-    # pinned static still self-verifies.
-    report.problems.append(
-        f"committed state pins static generation {pinned}, which is missing "
-        "or does not self-verify"
-    )
-    for gen, prev_dir in reversed(list_generations(root)):
-        if report.generation is not None and gen >= report.generation:
-            continue
-        previous = _generation_self_verifies(prev_dir)
-        if previous is None:
-            continue
-        try:
-            prev_meta = json.loads((prev_dir / "meta.json").read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        prev_pin = prev_meta.get("static_generation")
-        if prev_pin is None:
-            continue
-        prev_pin = int(prev_pin)
-        prev_static = _generation_self_verifies(
-            static_root / generation_name(prev_pin)
-        )
-        if prev_static is None:
-            continue
-        if repair:
-            write_pointer(root, previous)
-            write_pointer(static_root, prev_static)
-            if report.generation is not None:
-                shutil.rmtree(
-                    root / generation_name(report.generation),
-                    ignore_errors=True,
-                )
-            report.actions.append(
-                f"rolled back to state {prev_dir.name} pinning static "
-                f"generation {prev_pin}"
-            )
-        else:
-            report.actions.append(
-                f"would roll back to state {prev_dir.name} pinning static "
-                f"generation {prev_pin}"
-            )
-        report.generation = previous.generation
-        _escalate(report, "repaired")
-        return
-    report.status = "unrecoverable"
-    report.actions.append("quarantine the segment and rebuild from vectors")
 
 
 def _fsck_lifecycle(
@@ -575,7 +404,7 @@ def _fsck_lifecycle(
 def _fsck_root(
     directory: str | os.PathLike, *, repair: bool = True, strict: bool = False
 ) -> FsckReport:
-    """One directory's manifest-level phases (no updatable recursion)."""
+    """One directory's manifest-level phases (no lifecycle recursion)."""
     root = Path(directory)
     report = FsckReport(path=str(root))
     if not root.is_dir():
@@ -624,24 +453,13 @@ def _fsck_root(
 
     generations = list_generations(root)
     if pointer is None and not pointer_damaged:
-        # No MANIFEST.json at all: legacy flat layout, or an orphaned
-        # generation from a crash between rename and pointer write.
+        # No MANIFEST.json at all: not an index, or an orphaned generation
+        # from a crash between rename and pointer write.
         if not generations:
-            if (root / "meta.json").is_file():
-                try:
-                    json.loads((root / "meta.json").read_text())
-                except (OSError, json.JSONDecodeError) as exc:
-                    report.status = "unrecoverable"
-                    report.problems.append(f"legacy meta.json unreadable: {exc}")
-                    return report
-                report.kind = "legacy"
-                report.actions.append(
-                    "legacy flat layout (no manifest); digests unavailable"
-                )
-                report.status = "repaired" if report.problems else "clean"
-                return report
             report.status = "unrecoverable"
-            report.problems.append("no manifest, no generations, no meta.json")
+            report.problems.append(
+                "no MANIFEST.json and no generations: not an index directory"
+            )
             return report
         report.problems.append("missing commit pointer (crash before commit)")
         pointer_damaged = True

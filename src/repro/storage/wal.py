@@ -265,6 +265,15 @@ class WriteAheadLog:
     def pending_records(self) -> int:
         return len(self._pending)
 
+    def resume_after(self, lsn: int) -> None:
+        """Never assign an LSN at or below ``lsn`` (the catalog watermark).
+
+        Truncation empties the file, so a log reopened after a seal would
+        otherwise restart at LSN 1 — and the records it then acknowledges
+        would replay as already applied, i.e. be lost.
+        """
+        self._next_lsn = max(self._next_lsn, lsn + 1)
+
     def append_insert(self, ids, vectors) -> WalRecord:
         record = WalRecord(
             lsn=self._next_lsn, op="insert",

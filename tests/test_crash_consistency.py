@@ -32,7 +32,6 @@ from repro.core import (
     LifecycleSpec,
     SegmentLifecycle,
     StarlingConfig,
-    UpdatableSegment,
     build_starling,
 )
 from repro.storage import (
@@ -42,10 +41,8 @@ from repro.storage import (
     WriteFaultSpec,
     fsck,
     load_starling,
-    load_updatable,
     read_manifest,
     save_starling,
-    save_updatable,
 )
 from repro.storage.manifest import verify_generation
 
@@ -324,176 +321,6 @@ class TestAbortLeavesNoPartialFiles:
             save_starling(starling_index, d)
         monkeypatch.undo()
         assert [p.name for p in d.iterdir()] == []
-
-
-# -- updatable segments: two commits, one consistent pair --------------------
-
-
-@pytest.fixture(scope="module")
-def updatable_pair():
-    """Old and new updatable segments over the same data, plus rebuild.
-
-    B is A's successor after inserts, deletes, and a merge — its static
-    index holds a different vector count, so the hybrid a crash between the
-    static and state commits could produce (new static, old state) cannot
-    masquerade as either endpoint.
-    """
-    from repro.core import GraphConfig
-    from repro.vectors import deep_like
-
-    ds = deep_like(300, 6, seed=41)
-    cfg = StarlingConfig(
-        graph=GraphConfig(max_degree=12, build_ef=24, seed=1)
-    )
-    rebuild = lambda d: build_starling(d, cfg)  # noqa: E731
-    seg_a = UpdatableSegment(build_starling(ds, cfg), ds, rebuild)
-    seg_b = UpdatableSegment(build_starling(ds, cfg), ds, rebuild)
-    seg_b.insert(ds.vectors[:5].astype(np.float32) + 0.004)
-    seg_b.delete([3, 7])
-    seg_b.merge()
-    return seg_a, seg_b, rebuild, ds.queries[:2]
-
-
-@pytest.fixture(scope="module")
-def updatable_save_ops(updatable_pair, tmp_path_factory):
-    """Both transactions' op sequence, recorded through one shared injector."""
-    seg_a, seg_b, _, _ = updatable_pair
-    d = tmp_path_factory.mktemp("uops") / "seg"
-    save_updatable(seg_a, d)
-    recorder = CrashInjector()
-    save_updatable(seg_b, d, injector=recorder)
-    return recorder.ops
-
-
-def _probe_updatable(seg, queries):
-    return [tuple(seg.search(q, 5).ids.tolist()) for q in queries]
-
-
-def _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries):
-    """The invariant: the loaded segment is exactly A or exactly B —
-    state and static from the *same* save, never a cross-save hybrid."""
-    loaded = load_updatable(d, rebuild)  # never a traceback
-    ref, outcome = (
-        (seg_a, "old") if loaded.merges == seg_a.merges else (seg_b, "new")
-    )
-    assert loaded._next_id == ref._next_id
-    assert loaded.num_live == ref.num_live
-    assert loaded.pending_inserts == ref.pending_inserts
-    assert _probe_updatable(loaded, queries) == _probe_updatable(ref, queries)
-    return outcome
-
-
-def _updatable_case(tmp_path, seg_a, seg_b, rebuild, spec, queries):
-    d = tmp_path / "seg"
-    save_updatable(seg_a, d)
-    crashed = False
-    try:
-        save_updatable(seg_b, d, injector=CrashInjector(spec))
-    except SimulatedCrash:
-        crashed = True
-    outcome = _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries)
-    report = fsck(d)
-    assert report.exit_code in (0, 1), report.to_dict()
-    assert _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries) == outcome
-    _OUTCOMES.append({
-        "mode": f"updatable-{spec.mode}", "crash_op": spec.crash_op,
-        "crashed": crashed, "survivor": outcome, "fsck": report.status,
-    })
-    return outcome, crashed
-
-
-class TestUpdatableCrashSweep:
-    """Kill an updatable save at every boundary of either commit — and in
-    the window between them — and the loaded segment must still pair state
-    with the exact static generation it was saved with."""
-
-    def test_injector_spans_both_commits(self, updatable_save_ops):
-        # the static commit and the state commit share one op sequence
-        assert updatable_save_ops.count("replace:MANIFEST.json") == 2
-        assert "write:state.npz" in updatable_save_ops
-        assert "write:disk.bin" in updatable_save_ops
-
-    def test_every_injection_point(self, tmp_path, updatable_pair,
-                                   updatable_save_ops):
-        seg_a, seg_b, rebuild, queries = updatable_pair
-        ops = updatable_save_ops
-        survivors = {}
-        for op in range(len(ops)):
-            case_dir = tmp_path / f"uop{op:02d}"
-            case_dir.mkdir()
-            survivors[op], _ = _updatable_case(
-                case_dir, seg_a, seg_b, rebuild,
-                WriteFaultSpec(crash_op=op, seed=CRASH_SEED), queries,
-            )
-        # the pair flips only at the *state* commit's pointer replace: every
-        # crash before it — including the whole window after the static
-        # commit — must keep serving the old pair
-        state_commit = (
-            len(ops) - 1 - ops[::-1].index("replace:MANIFEST.json")
-        )
-        assert all(
-            s == "old" for op, s in survivors.items() if op <= state_commit
-        )
-        assert survivors[len(ops) - 1] == "new"
-        assert "new" in survivors.values()
-
-    def test_torn_state_write_keeps_old_pair(self, tmp_path, updatable_pair,
-                                             updatable_save_ops):
-        seg_a, seg_b, rebuild, queries = updatable_pair
-        ops = updatable_save_ops
-        for op in [i for i, o in enumerate(ops) if o == "write:state.npz"]:
-            case_dir = tmp_path / f"utorn{op:02d}"
-            case_dir.mkdir()
-            outcome, crashed = _updatable_case(
-                case_dir, seg_a, seg_b, rebuild,
-                WriteFaultSpec(crash_op=op, mode="torn", seed=CRASH_SEED + op),
-                queries,
-            )
-            assert crashed and outcome == "old"
-
-    def test_crash_between_commits_never_pairs_hybrid(
-        self, tmp_path, updatable_pair, updatable_save_ops
-    ):
-        """The exact window the pin exists for: static committed, state not."""
-        seg_a, seg_b, rebuild, queries = updatable_pair
-        op = updatable_save_ops.index("write:state.npz")
-        d = tmp_path / "seg"
-        save_updatable(seg_a, d)
-        with pytest.raises(SimulatedCrash):
-            save_updatable(
-                seg_b, d, injector=CrashInjector(WriteFaultSpec(crash_op=op))
-            )
-        # the static pointer drifted one generation ahead of the state…
-        assert read_manifest(d / "static").generation == 2
-        # …but loading pairs the old state with its pinned old static
-        assert _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries) == "old"
-        report = fsck(d)
-        assert report.exit_code == 1, report.to_dict()
-        assert any("static pointer" in p for p in report.problems)
-        assert any("rolled static pointer back" in a for a in report.actions)
-        assert read_manifest(d / "static").generation == 1
-        assert _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries) == "old"
-
-    def test_repeated_crash_keeps_pinned_static(
-        self, tmp_path, updatable_pair, updatable_save_ops
-    ):
-        """Pruning must never evict the generation the live state pins,
-        even across several crashed saves in a row."""
-        seg_a, seg_b, rebuild, queries = updatable_pair
-        op = updatable_save_ops.index("write:state.npz")
-        d = tmp_path / "seg"
-        save_updatable(seg_a, d)
-        for _ in range(2):
-            with pytest.raises(SimulatedCrash):
-                save_updatable(
-                    seg_b, d,
-                    injector=CrashInjector(WriteFaultSpec(crash_op=op)),
-                )
-        assert (d / "static" / "gen-000001").is_dir()
-        assert _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries) == "old"
-        report = fsck(d)
-        assert report.exit_code == 1, report.to_dict()
-        assert _assert_updatable_pair(d, seg_a, seg_b, rebuild, queries) == "old"
 
 
 # -- segment lifecycle: WAL + seals + compaction under crashes ----------------

@@ -587,9 +587,13 @@ class TestPersistHardening:
             load_starling(tmp_path / "empty")
 
     def test_unparseable_meta(self, tmp_path):
+        from repro.storage.manifest import CommitTransaction
+
+        # committed as written, so digests pass and the parse is reached
         d = tmp_path / "garbled"
-        d.mkdir()
-        (d / "meta.json").write_text("{not json")
+        txn = CommitTransaction(d, "starling")
+        txn.write_file("meta.json", b"{not json")
+        txn.commit()
         with pytest.raises(IndexLoadError, match="unreadable meta.json"):
             load_starling(d)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     GraphConfig,
+    LifecycleError,
     LifecycleSpec,
     NavigationConfig,
     PQConfig,
@@ -184,6 +185,50 @@ class TestSealAndReopen:
         assert 5 not in lc2.live_ids()
         q = tail[0]
         assert int(lc2.search(q, k=1).ids[0]) == 20
+
+    def test_writes_after_sealed_reopen_survive_next_reopen(self, tmp_path,
+                                                             rng):
+        """A seal truncates the WAL; the reopened log must not restart its
+        LSNs below the catalog watermark, or replay skips the new records."""
+        lc = _make(tmp_path)
+        lc.insert(_rows(rng, 4))
+        lc.seal()
+        lc.close()
+
+        lc2 = SegmentLifecycle.open(tmp_path / "lc", rebuild)
+        assert lc2.insert(_rows(rng, 3)).tolist() == [4, 5, 6]
+        assert lc2.delete([0]) == 1
+        lc2.close()
+
+        lc3 = SegmentLifecycle.open(tmp_path / "lc", rebuild)
+        assert lc3.live_ids() == {1, 2, 3, 4, 5, 6}
+        lc3.close()
+
+    def test_closed_lifecycle_rejects_writes(self, tmp_path, rng):
+        lc = _make(tmp_path)
+        rows = _rows(rng, 4)
+        lc.insert(rows)
+        lc.delete([1])
+        before = lc.state_fingerprint()
+        lc.close()
+        lc.close()  # idempotent
+
+        for write in (
+            lambda: lc.insert(_rows(rng, 2)),
+            lambda: lc.delete([0]),
+            lc.seal,
+            lc.compact_once,
+        ):
+            with pytest.raises(LifecycleError, match="not open"):
+                write()
+        assert lc.state_fingerprint() == before
+        # reads need no WAL
+        assert int(lc.search(rows[2], k=1).ids[0]) == 2
+
+        lc2 = SegmentLifecycle.open(tmp_path / "lc", rebuild)
+        assert lc2.state_fingerprint() == before
+        assert lc2.num_live == 3
+        lc2.close()
 
     def test_tombstones_mask_across_generations(self, tmp_path, rng):
         lc = _make(tmp_path)

@@ -10,14 +10,21 @@ from repro.core import BuildTimings, StarlingConfig, build_starling
 from repro.storage import (
     DigestMismatchError,
     IndexLoadError,
+    fsck,
     index_files_dir,
     load_diskann,
     load_starling,
+    read_index_meta,
     read_manifest,
     save_diskann,
     save_starling,
 )
-from repro.storage.manifest import digest_entry, write_pointer
+from repro.storage.manifest import (
+    CommitTransaction,
+    digest_entry,
+    npz_bytes,
+    write_pointer,
+)
 
 
 def _resign(root):
@@ -35,14 +42,28 @@ def _resign(root):
     write_pointer(root, manifest)
 
 
-def _flatten_to_legacy(root):
-    """Convert a manifest-layout directory to the pre-manifest flat layout."""
+def _flat_directory(index, root):
+    """``meta.json`` + data files directly in ``root``, no ``MANIFEST.json``
+    (the layout releases before the manifest commit wrote)."""
+    save_starling(index, root)
     gen_dir = root / read_manifest(root).directory
     for child in gen_dir.iterdir():
         if child.name != "_manifest.json":
             shutil.move(str(child), str(root / child.name))
     shutil.rmtree(gen_dir)
     (root / "MANIFEST.json").unlink()
+
+
+def _updatable_directory(index, root):
+    """A cleanly committed manifest directory of kind ``"updatable"`` (the
+    top level of what the removed ``save_updatable`` wrote)."""
+    txn = CommitTransaction(root, "updatable")
+    txn.write_file("state.npz", npz_bytes(deleted=np.arange(3)))
+    txn.write_file(
+        "meta.json",
+        json.dumps({"kind": "updatable", "format_version": 1}).encode(),
+    )
+    txn.commit()
 
 
 class TestStarlingPersistence:
@@ -185,16 +206,32 @@ class TestStarlingPersistence:
             starling_index.search(q, 10, 64).ids, loaded.search(q, 10, 64).ids
         )
 
-    def test_legacy_flat_layout_still_loads(self, starling_index,
-                                            small_dataset, tmp_path):
-        save_starling(starling_index, tmp_path / "idx")
-        _flatten_to_legacy(tmp_path / "idx")
-        assert not (tmp_path / "idx" / "MANIFEST.json").exists()
-        loaded = load_starling(tmp_path / "idx")
-        q = small_dataset.queries[0]
-        assert np.array_equal(
-            starling_index.search(q, 10, 64).ids, loaded.search(q, 10, 64).ids
-        )
+    @pytest.mark.parametrize("make, fsck_exit", [
+        # not an index: nothing to recover
+        pytest.param(_flat_directory, 2, id="flat"),
+        # manifest-level scrub only
+        pytest.param(_updatable_directory, 0, id="updatable-manifest"),
+    ])
+    def test_removed_formats_are_rejected_typed(self, starling_index, tmp_path,
+                                                capsys, make, fsck_exit):
+        from repro.cli import main
+
+        d = tmp_path / "idx"
+        make(starling_index, d)
+        for read in (load_starling, load_diskann, read_index_meta):
+            with pytest.raises(IndexLoadError):
+                read(d)
+        assert main(["info", "--index", str(d)]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--index", str(d), "--synthetic", "deep:300",
+                  "--num-queries", "2"])
+        assert excinfo.value.code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2  # one line per command, no traceback
+        assert all(line.startswith("error:") for line in errors)
+        report = fsck(d)  # a report, never a traceback
+        assert report.exit_code == fsck_exit, report.to_dict()
+        assert report.actions == []
 
     def test_resave_keeps_previous_generation(self, starling_index, tmp_path):
         save_starling(starling_index, tmp_path / "idx")

@@ -150,6 +150,32 @@ class TestExports:
         }
         assert bench_env <= {"REPRO_BENCH_N", "REPRO_BENCH_QUERIES"}
 
+    def test_one_durable_write_path(self):
+        """``SegmentLifecycle`` is the only persisted update surface:
+        ``UpdatableSegment`` has no save/load pair and no merge-time persist,
+        and no save, load or commit takes a generation pin — so the second
+        path cannot return as a default-off option."""
+        import inspect
+
+        import repro.storage as storage
+        from repro.core import UpdatableSegment
+        from repro.storage.manifest import CommitTransaction
+
+        for gone in ("save_updatable", "load_updatable"):
+            assert gone not in storage.__all__
+            assert not hasattr(storage, gone)
+        for fn in (
+            storage.save_starling, storage.save_diskann,
+            storage.load_starling, storage.load_diskann,
+            CommitTransaction.__init__,
+        ):
+            assert not {"keep_generations", "generation"} & set(
+                inspect.signature(fn).parameters
+            ), fn.__qualname__
+        assert list(inspect.signature(UpdatableSegment.merge).parameters) == [
+            "self"
+        ]
+
 
 class TestDeterminism:
     def test_starling_search_deterministic(self, starling_index,

@@ -11,7 +11,6 @@ from repro.core import (
 )
 from repro.core import updates
 from repro.core.updates import DynamicIndex
-from repro.storage import load_updatable, save_updatable
 from repro.vectors import deep_like, get_metric
 
 
@@ -248,131 +247,3 @@ class TestMerge:
         assert seg.static_index is not old_static
         assert seg.static_index.num_vectors == ds.size + 5
 
-
-class TestUpdatablePersistence:
-    def test_full_lifecycle_roundtrip(self, segment, tmp_path):
-        seg, ds = segment
-        cfg = StarlingConfig(graph=GraphConfig(max_degree=12, build_ef=24))
-        rebuild = lambda d: build_starling(d, cfg)  # noqa: E731
-        new = ds.vectors[:4].astype(np.float32) + 0.002
-        new_ids = seg.insert(new)
-        seg.delete([1, 2, int(new_ids[0])])
-        save_updatable(seg, tmp_path / "seg")
-        loaded = load_updatable(tmp_path / "seg", rebuild)
-
-        assert loaded.num_live == seg.num_live
-        assert loaded.num_deleted == seg.num_deleted
-        assert loaded.pending_inserts == seg.pending_inserts
-        assert loaded._next_id == seg._next_id
-        assert loaded.merges == seg.merges
-        for q in ds.queries[:3]:
-            a, b = seg.search(q, 5), loaded.search(q, 5)
-            assert np.array_equal(a.ids, b.ids)
-            assert np.allclose(a.dists, b.dists)
-
-    def test_roundtrip_after_merge(self, segment, tmp_path):
-        seg, ds = segment
-        cfg = StarlingConfig(graph=GraphConfig(max_degree=12, build_ef=24))
-        rebuild = lambda d: build_starling(d, cfg)  # noqa: E731
-        seg.insert(ds.vectors[:2].astype(np.float32) + 0.003)
-        seg.delete([5])
-        seg.merge(persist_to=tmp_path / "seg")
-
-        loaded = load_updatable(tmp_path / "seg", rebuild)
-        assert loaded.merges == 1
-        assert loaded.pending_inserts == 0
-        assert loaded.num_live == seg.num_live
-        for q in ds.queries[:3]:
-            assert np.array_equal(seg.search(q, 5).ids, loaded.search(q, 5).ids)
-
-    def test_merge_persist_creates_new_generation(self, segment, tmp_path):
-        from repro.storage import read_manifest
-
-        seg, ds = segment
-        save_updatable(seg, tmp_path / "seg")
-        assert read_manifest(tmp_path / "seg").generation == 1
-        seg.insert(ds.vectors[0].astype(np.float32))
-        seg.merge(persist_to=tmp_path / "seg")
-        assert read_manifest(tmp_path / "seg").generation == 2
-
-
-class TestUpdatableFsck:
-    def test_state_records_pinned_static_generation(self, segment, tmp_path):
-        import json
-
-        from repro.storage import read_manifest
-        from repro.storage.persist import index_files_dir
-
-        seg, ds = segment
-        save_updatable(seg, tmp_path / "seg")
-        meta = json.loads(
-            (index_files_dir(tmp_path / "seg") / "meta.json").read_text()
-        )
-        assert meta["static_generation"] == read_manifest(
-            tmp_path / "seg" / "static"
-        ).generation
-
-    def test_fsck_descends_into_static(self, segment, tmp_path):
-        from repro.storage import fsck
-
-        seg, ds = segment
-        save_updatable(seg, tmp_path / "seg")
-        assert fsck(tmp_path / "seg").exit_code == 0
-        debris = tmp_path / "seg" / "static" / ".stage-000099"
-        debris.mkdir()
-        report = fsck(tmp_path / "seg")
-        assert report.exit_code == 1
-        assert any(p.startswith("static: ") for p in report.problems)
-        assert not debris.exists()
-        assert fsck(tmp_path / "seg").exit_code == 0
-
-    def test_fsck_rolls_back_drifted_static_pointer(self, segment, tmp_path):
-        from repro.core import StarlingConfig, GraphConfig, build_starling
-        from repro.storage import fsck, read_manifest, save_starling
-
-        seg, ds = segment
-        cfg = StarlingConfig(graph=GraphConfig(max_degree=12, build_ef=24))
-        rebuild = lambda d: build_starling(d, cfg)  # noqa: E731
-        save_updatable(seg, tmp_path / "seg")
-        # simulate the crash window: a newer static generation committed
-        # without its matching state commit
-        save_starling(
-            build_starling(ds, cfg), tmp_path / "seg" / "static"
-        )
-        assert read_manifest(tmp_path / "seg" / "static").generation == 2
-        report = fsck(tmp_path / "seg")
-        assert report.exit_code == 1
-        assert any("rolled static pointer back" in a for a in report.actions)
-        assert read_manifest(tmp_path / "seg" / "static").generation == 1
-        loaded = load_updatable(tmp_path / "seg", rebuild)
-        for q in ds.queries[:2]:
-            assert np.array_equal(seg.search(q, 5).ids, loaded.search(q, 5).ids)
-
-    def test_fsck_repins_state_after_static_rederive(self, segment, tmp_path):
-        import json
-
-        from repro.core import StarlingConfig, GraphConfig, build_starling
-        from repro.storage import fsck, read_manifest
-        from repro.storage.persist import index_files_dir
-
-        seg, ds = segment
-        cfg = StarlingConfig(graph=GraphConfig(max_degree=12, build_ef=24))
-        rebuild = lambda d: build_starling(d, cfg)  # noqa: E731
-        save_updatable(seg, tmp_path / "seg")
-        # corrupt the (derivable) navigation graph of the static index
-        nav = tmp_path / "seg" / "static" / "gen-000001" / "nav.npz"
-        data = bytearray(nav.read_bytes())
-        data[100] ^= 0xFF
-        nav.write_bytes(bytes(data))
-        report = fsck(tmp_path / "seg")
-        assert report.exit_code == 1, report.to_dict()
-        assert any("re-pinned state" in a for a in report.actions)
-        # the repaired pair is mutually consistent again
-        new_static_gen = read_manifest(tmp_path / "seg" / "static").generation
-        meta = json.loads(
-            (index_files_dir(tmp_path / "seg") / "meta.json").read_text()
-        )
-        assert meta["static_generation"] == new_static_gen
-        assert fsck(tmp_path / "seg").exit_code == 0
-        loaded = load_updatable(tmp_path / "seg", rebuild)
-        assert loaded.num_live == seg.num_live
