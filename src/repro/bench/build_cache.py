@@ -8,10 +8,6 @@ configuration and the :class:`~repro.buildspec.BuildSpec` determinism
 class — and persists the result via :mod:`repro.storage.persist`.  A
 second build with the same key loads from disk instead of rebuilding.
 
-Keys deliberately ignore the knobs that do *not* change the artifact:
-``workers`` (wave modes are seed-deterministic for any pool size) and the
-``batched``/``processes`` distinction (bit-identical by construction).
-
 Not every index is persistable (OPQ/SQ8 routers and HNSW upper-layer
 navigation are build-only); those builds bypass the cache gracefully
 rather than failing.
@@ -46,9 +42,8 @@ _CACHE_VERSION = 1
 def _spec_fingerprint(spec: BuildSpec | None) -> dict:
     """The BuildSpec fields that affect the built artifact.
 
-    ``serial`` and the wave modes build different (both valid) Vamana
-    graphs; ``batched`` vs ``processes`` and the worker count do not
-    change a single byte, so they share a key.
+    ``serial`` and ``batched`` build different (both valid) Vamana graphs,
+    and a wave build is a function of its ``wave_size``.
     """
     if spec is None or not spec.parallel:
         return {"mode": "serial"}

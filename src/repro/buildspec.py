@@ -3,7 +3,7 @@
 The build-side counterpart of the query path's
 :class:`~repro.engine.batch.ExecSpec`: index construction is dominated by
 thousands of independent greedy searches plus per-vertex edge selection,
-which three strategies schedule.
+which two strategies schedule.
 
 - ``serial`` — the reference per-point loop.  Bit-identical to the
   historical builders: every adjacency list, layout, and codebook matches a
@@ -15,24 +15,19 @@ which three strategies schedule.
   *not* bit-identical to ``serial`` (within a wave, points do not see each
   other's edges) but is fully deterministic for a fixed seed and holds
   recall within tolerance — the standard trade of parallel Vamana builds.
-- ``processes`` — the ``batched`` wave schedule with the search phase
-  fanned out over a fork-based process pool.  Wave searches are pure
-  functions of the snapshot, so the result is bit-identical to ``batched``
-  for *any* worker count; on machines without ``fork`` the mode degrades to
-  ``batched``.
 
-Quantizer training is embarrassingly parallel across the M sub-codebooks
-(each is seeded independently), so every mode trains identical codebooks;
-``processes`` merely overlaps them.
+The two modes differ only where their outputs do: Vamana.  NSG's searches
+run over a static kNN base graph, so its one (wave) build is the same graph
+under either mode, and quantizer training has no mode at all — the M
+sub-codebooks are seeded independently and trained in order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 #: build strategies understood by :class:`BuildSpec`
-BUILD_MODES = ("serial", "batched", "processes")
+BUILD_MODES = ("serial", "batched")
 
 #: default wave width — big enough to amortize one numpy kernel call across
 #: the wave, small enough that intra-wave staleness does not hurt recall
@@ -45,17 +40,13 @@ class BuildSpec:
 
     Attributes:
         mode: ``serial`` (default, bit-identical to the historical
-            builders), ``batched`` (vectorized waves), or ``processes``
-            (waves with a fork pool for the search phase).
-        workers: Pool size for ``processes``; ignored by the other modes.
-            Results are independent of ``workers`` by construction.
-        wave_size: Vertices per wave in the parallel modes.  Part of the
+            builders) or ``batched`` (vectorized waves).
+        wave_size: Vertices per wave of a ``batched`` build.  Part of the
             deterministic schedule: the same ``wave_size`` always yields
             the same graph.
     """
 
     mode: str = "serial"
-    workers: int = 4
     wave_size: int = DEFAULT_WAVE_SIZE
 
     def __post_init__(self) -> None:
@@ -63,8 +54,6 @@ class BuildSpec:
             raise ValueError(
                 f"mode must be one of {BUILD_MODES}, got {self.mode!r}"
             )
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
         if self.wave_size <= 0:
             raise ValueError("wave_size must be positive")
 
@@ -72,16 +61,3 @@ class BuildSpec:
     def parallel(self) -> bool:
         """True when the wave-batched pipeline is requested."""
         return self.mode != "serial"
-
-    def effective_mode(self) -> str:
-        """The mode actually used after platform gates.
-
-        ``processes`` needs the fork start method (the builders' state —
-        vectors, the mutable graph — is inherited, not pickled); without it
-        the wave schedule still runs, single-process.
-        """
-        if self.mode == "processes" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            return "batched"
-        return self.mode

@@ -104,7 +104,7 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 def _build_spec_from_args(args) -> BuildSpec | None:
     if args.build_mode == "serial":
         return None
-    return BuildSpec(mode=args.build_mode, workers=args.build_workers)
+    return BuildSpec(mode=args.build_mode)
 
 
 def _cmd_build(args) -> int:
@@ -568,10 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--build-mode", default="serial", choices=BUILD_MODES,
                    help="construction strategy: 'serial' reproduces the "
-                        "classic loop bit for bit; the wave modes are "
+                        "classic loop bit for bit; 'batched' waves are "
                         "seed-deterministic and faster")
-    p.add_argument("--build-workers", type=int, default=4,
-                   help="pool size for the processes build mode")
     p.add_argument("--cache-dir", default=None,
                    help="build-artifact cache directory; a repeat build "
                         "with the same dataset/config/mode loads from it")

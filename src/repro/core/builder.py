@@ -104,21 +104,16 @@ def _layout_strategy(config: StarlingConfig):
     )
 
 
-def _build_quantizer(kind: str, pq_cfg, metric, vectors, seed: int,
-                     spec: BuildSpec | None = None):
-    """Instantiate the configured approximate router (PQ / OPQ / SQ8).
-
-    ``spec`` in ``processes`` mode trains PQ/OPQ sub-codebooks
-    concurrently; SQ8 training is a single pass and ignores it.
-    """
+def _build_quantizer(kind: str, pq_cfg, metric, vectors, seed: int):
+    """Instantiate the configured approximate router (PQ / OPQ / SQ8)."""
     if kind == "pq":
         return ProductQuantizer(
             pq_cfg.num_subspaces, pq_cfg.num_centroids, metric
-        ).fit_dataset(vectors, seed=seed, spec=spec)
+        ).fit_dataset(vectors, seed=seed)
     if kind == "opq":
         return OptimizedProductQuantizer(
             pq_cfg.num_subspaces, pq_cfg.num_centroids, metric
-        ).fit_dataset(vectors, seed=seed, spec=spec)
+        ).fit_dataset(vectors, seed=seed)
     if kind == "sq8":
         return ScalarQuantizer(metric).fit_dataset(vectors, seed=seed)
     raise ValueError(f"unknown quantizer {kind!r}")
@@ -141,7 +136,7 @@ def build_starling(
         path: Optional backing file for the disk-resident graph.
         disk_spec: Disk latency model for simulated query time.
         compute_spec: Compute cost model.
-        build_spec: Build strategy (serial / wave-batched / process pool);
+        build_spec: Build strategy (serial / wave-batched);
             the default serial path is bit-identical to earlier releases.
     """
     config = config or StarlingConfig()
@@ -190,7 +185,7 @@ def build_starling(
 
     t0 = time.perf_counter()
     pq = _build_quantizer(config.quantizer, config.pq, metric, vectors,
-                          config.seed, build_spec)
+                          config.seed)
     timings.pq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -267,7 +262,7 @@ def build_diskann(
 
     t0 = time.perf_counter()
     pq = _build_quantizer(config.quantizer, config.pq, metric, vectors,
-                          config.seed, build_spec)
+                          config.seed)
     timings.pq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -674,7 +674,12 @@ class SegmentLifecycle:
         return SealedSegment(name=name, ids=ids, index=index, vectors=rows)
 
     def seal(self) -> bool:
-        """Seal the memtable into an immutable segment; returns False if empty.
+        """Seal the memtable into an immutable segment.
+
+        Returns False, leaving the memtable as it is, when it holds fewer
+        than two rows: the graph builder needs two, and a lone row is
+        already durable in the WAL, searched from the memtable and replayed
+        on reopen — it seals with the next insert.
 
         Order of operations (each a crash boundary the sweep covers):
         build + save the segment, commit the catalog that references it
@@ -685,7 +690,7 @@ class SegmentLifecycle:
         """
         with self._ingest_lock:
             wal = self._require_wal()
-            if not self._mem_ids:
+            if len(self._mem_ids) < 2:
                 return False
             name = f"{SEG_PREFIX}{self._next_seg:06d}"
             ids = np.asarray(self._mem_ids, dtype=np.int64)
@@ -719,7 +724,10 @@ class SegmentLifecycle:
         return plan_compaction(self.segment_counts(), self.spec)
 
     def compact_once(self) -> bool:
-        """Run one deterministic merge; returns False when none is due.
+        """Run one deterministic merge; returns False when none is due, or
+        when tombstones leave the due one exactly one survivor (a segment
+        the graph builder cannot build: nothing is committed, the victims
+        keep serving).
 
         The merged segment is built and saved while queries keep serving
         the old segment list; the catalog commit plus the in-memory swap
@@ -751,6 +759,8 @@ class SegmentLifecycle:
                 int(gid) for seg in victims for gid in seg.ids.tolist()
             } & set(tombstones)
 
+            if merged_ids.size == 1:
+                return False
             merged_segment: SealedSegment | None = None
             if merged_ids.size:
                 name = f"{SEG_PREFIX}{self._next_seg:06d}"

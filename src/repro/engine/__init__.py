@@ -1,6 +1,5 @@
 """Disk search engines: cost model, candidate sets, beam & block search, RS."""
 
-from .arena import Arena, ArenaPool
 from .batch import EXEC_MODES, BatchExecutor, ExecSpec, order_sensitive
 from .beam_search import BeamSearchEngine
 from .block_cache import CachedDiskGraph, DecodeCache
@@ -34,8 +33,6 @@ __all__ = [
     "CACHE_STRATEGY_NAMES",
     "EXEC_MODES",
     "AdaptiveEarlyStopper",
-    "Arena",
-    "ArenaPool",
     "BatchExecutor",
     "BeamSearchEngine",
     "BlockSearchEngine",

@@ -12,7 +12,7 @@ the plain per-query loop — same ids, same distances, same
 Two modes (:class:`ExecSpec`).  ``serial`` is the plain ``index.search``
 loop with no amortization at all: the reference, and what an index without
 a disk graph (SPANN's posting lists) always runs.  ``wave``, the default,
-shares four things across the batch, each individually counter-neutral:
+shares three things across the batch, each individually counter-neutral:
 
 - **ADC tables** — one batched
   :meth:`~repro.quantization.pq.ProductQuantizer.lookup_tables` build for
@@ -22,8 +22,6 @@ shares four things across the batch, each individually counter-neutral:
   :class:`~repro.storage.disk_graph.DiskGraph` for the duration of the
   batch.  It sits *behind* the I/O accounting (every device read is still
   issued and counted), so only the Python-side payload decode is skipped.
-- **Arena pool** — the round kernels gather their input through a reused
-  :class:`~repro.engine.arena.ArenaPool` instead of per-round allocations.
 - **Rounds** — a block-search index advances the batch through the one
   round loop (:meth:`~repro.engine.block_search.BlockSearchEngine.
   search_wave`): coalesced block reads and one fused kernel per round.
@@ -36,7 +34,7 @@ the global read order (and hence every cache hit, every injected fault and
 every :class:`~repro.engine.cost.FaultStats` counter) identical to the
 serial loop.  The DiskANN baseline's
 :class:`~repro.engine.beam_search.BeamSearchEngine` keeps its own driver and
-runs in order under the same shared tables, cache and pool.
+runs in order under the same shared tables and cache.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from typing import Sequence
 import numpy as np
 
 from ..storage.faults import FaultInjector, base_disk_graph
-from .arena import ArenaPool
 from .cost import WaveStats
 
 #: execution strategies understood by :class:`ExecSpec`
@@ -63,14 +60,13 @@ class ExecSpec:
     Attributes:
         mode: ``serial`` is the reference per-query loop with no
             amortization at all; ``wave`` (the default) shares the ADC table
-            build, the decode cache and the arena pool across the batch and
-            advances block-search indexes through the lockstep round loop,
+            build and the decode cache across the batch and advances
+            block-search indexes through the lockstep round loop,
             at the width :func:`order_sensitive` allows.
         gc_pause: Pause the cyclic garbage collector for the span of the
-            batch (restored — and left to collect — afterwards).  The
-            arena pool already removes the bulk of per-round
-            allocations; pausing the collector stops the remaining
-            transient churn from triggering generation scans mid-batch.
+            batch (restored — and left to collect — afterwards), so the
+            rounds' transient allocations do not trigger generation scans
+            mid-batch.
             Purely a scheduling choice: it cannot affect results.
     """
 
@@ -147,28 +143,22 @@ class BatchExecutor:
 
     @contextmanager
     def _amortized(self):
-        """Install the batch's shared decode cache and arena pool, and hold
-        off the cyclic collector (``spec.gc_pause``).
+        """Install the batch's shared decode cache, and hold off the cyclic
+        collector (``spec.gc_pause``).
 
         Only an *empty* slot is filled (and emptied again on exit).  One
         that is already occupied belongs to a long-lived owner (the serving
         layer's persistent plane) and is left alone: concurrent batches
-        must share one cache and one pool, not tear down each other's
-        installs.  An engine or graph without the seam has no slot.
+        must share one cache, not tear down each other's installs.  A
+        graph without the seam has no slot.
         """
         graph = base_disk_graph(self.engine.disk_graph)
-        engine = self.engine
         own_cache = (
             hasattr(graph, "decode_cache") and graph.decode_cache is None
-        )
-        own_pool = (
-            hasattr(engine, "arena_pool") and engine.arena_pool is None
         )
         pause = self.spec.gc_pause and gc.isenabled()
         if own_cache:
             graph.decode_cache = {}
-        if own_pool:
-            engine.arena_pool = ArenaPool()
         if pause:
             gc.disable()
         try:
@@ -176,8 +166,6 @@ class BatchExecutor:
         finally:
             if pause:
                 gc.enable()
-            if own_pool:
-                engine.arena_pool = None
             if own_cache:
                 graph.decode_cache = None
 

@@ -15,6 +15,7 @@ import numpy as np
 from ..quantization.pq import ProductQuantizer
 from ..storage.disk_graph import DiskGraph
 from ..vectors.metrics import Metric
+from .block_search import BlockSearchEngine
 from .cache import HotVertexCache
 from .cost import QueryStats
 from .frontier import CandidateSet, ResultSet, ordered_unique
@@ -75,80 +76,13 @@ class BeamSearchEngine:
         if early_termination is not None and early_termination < 1:
             raise ValueError("early_termination patience must be >= 1")
         self.early_termination = early_termination
-        #: optional :class:`~repro.engine.arena.ArenaPool` installed by the
-        #: batched executor's zero-copy plane; the beam's served vectors are
-        #: gathered into a reused arena instead of a per-round ``np.stack``.
-        self.arena_pool = None
 
     # -- helpers ---------------------------------------------------------------
 
-    def _routing_distances(
-        self,
-        query: np.ndarray,
-        table: np.ndarray | None,
-        ids: np.ndarray,
-        stats: QueryStats,
-    ) -> np.ndarray:
-        """Approximate (PQ) or exact (extra I/O) distances used for routing."""
-        if self.use_pq_routing:
-            stats.pq_distances += int(ids.size)
-            return self.pq.distances_from_table(table, ids)
-        # Exact routing: the full-precision vectors live on disk, so every
-        # routing decision costs block reads (this is what Fig. 11(c) shows).
-        blocks = counted_read_blocks_of(
-            self.disk_graph, [int(v) for v in ids], stats, self.resilience
-        )
-        lookup: dict[int, np.ndarray] = {}
-        for block in blocks:
-            stats.vertices_loaded += len(block)
-            for pos, vid in enumerate(block.vertex_ids):
-                lookup[int(vid)] = block.vectors[pos]
-        dists = np.empty(ids.size, dtype=np.float64)
-        for i, vid in enumerate(ids):
-            vector = lookup.get(int(vid))
-            if vector is None:
-                # Block unreadable: route this vertex to the back of the
-                # queue instead of aborting the query.
-                stats.fault.vertices_abandoned += 1
-                dists[i] = np.inf
-                continue
-            dists[i] = self.metric.distance(query, vector)
-            stats.exact_distances += 1
-            stats.vertices_used += 1
-        return dists
-
-    def _seed(
-        self,
-        query: np.ndarray,
-        candidate_size: int,
-        stats: QueryStats,
-        *,
-        table: np.ndarray | None = None,
-        track_kicked: bool = False,
-    ) -> tuple[CandidateSet, ResultSet, np.ndarray | None]:
-        if self.use_pq_routing:
-            # A precomputed ADC table (from the batched executor's shared
-            # lookup_tables build) is bit-identical to building it here.
-            if table is None:
-                table = self.pq.lookup_table(query)
-        else:
-            table = None
-        entries, walk_distances = self.entry_provider.entry_walk(
-            query, self.num_entry_points
-        )
-        # The navigation-graph walk is in-memory compute, not I/O.
-        stats.exact_distances += walk_distances
-        candidates = CandidateSet(
-            candidate_size,
-            track_kicked=track_kicked,
-            max_vertex_id=self.disk_graph.num_vertices - 1,
-        )
-        results = ResultSet()
-        ids = np.asarray(entries, dtype=np.int64)
-        dists = self._routing_distances(query, table, ids, stats)
-        for vid, d in zip(ids.tolist(), dists.tolist()):
-            candidates.push(vid, d)
-        return candidates, results, table
+    # One router and one seed for both engines: block search's are the
+    # general form (its seed also takes a precomputed walk and a plane row).
+    _routing_distances = BlockSearchEngine._routing_distances
+    _seed = BlockSearchEngine._seed
 
     # -- main loop ---------------------------------------------------------------
 
@@ -232,21 +166,8 @@ class BeamSearchEngine:
                 continue
             # One batched exact-distance evaluation over the beam's served
             # vectors (mirrors block search's per-block kernel).
-            pool = self.arena_pool
-            if pool is not None:
-                # Zero-copy plane: gather served rows into a reused arena —
-                # the row layout equals the stack below, so the kernel
-                # output is bit-identical.
-                arena = pool.acquire(self.disk_graph.fmt)
-                arena.ensure(len(served))
-                for i, (_, vector, _) in enumerate(served):
-                    arena.vectors[i] = vector
-                arena.filled = len(served)
-                dists = self.metric.distances(query, arena.rows())
-                pool.release(arena)
-            else:
-                vecs = np.stack([vector for _, vector, _ in served])
-                dists = self.metric.distances(query, vecs)
+            vecs = np.stack([vector for _, vector, _ in served])
+            dists = self.metric.distances(query, vecs)
             stats.exact_distances += len(served)
             results.add_many(
                 np.asarray([vid for vid, _, _ in served], dtype=np.int64),

@@ -380,12 +380,6 @@ class BlockSearchEngine:
         if early_termination is not None and early_termination < 1:
             raise ValueError("early_termination patience must be >= 1")
         self.early_termination = early_termination
-        #: optional :class:`~repro.engine.arena.ArenaPool` installed by the
-        #: executor (per batch) or the service (while live).  When set, each
-        #: round's exact-distance kernel input is gathered into a reused arena
-        #: instead of a freshly allocated ``np.concatenate`` — same contiguous
-        #: layout and values, so the kernel output is bit-identical.
-        self.arena_pool = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -396,9 +390,16 @@ class BlockSearchEngine:
         ids: np.ndarray,
         stats: QueryStats,
     ) -> np.ndarray:
+        """Approximate (PQ) or exact (extra I/O) distances used for routing.
+
+        The one router and, with :meth:`_seed`, the one seed of both engines:
+        :class:`~repro.engine.beam_search.BeamSearchEngine` binds the two.
+        """
         if self.use_pq_routing:
             stats.pq_distances += int(ids.size)
             return self.pq.distances_from_table(table, ids)
+        # Exact routing: the full-precision vectors live on disk, so every
+        # routing decision costs block reads (this is what Fig. 11(c) shows).
         blocks = counted_read_blocks_of(
             self.disk_graph, [int(v) for v in ids], stats, self.resilience
         )
@@ -747,8 +748,8 @@ class BlockSearchEngine:
 
         ``plane`` is the wave's :class:`FrontierPlane` (``None`` on a narrow
         wave, whose states then own plain candidate sets) and ``tables`` its
-        ``[B, M, ks]`` ADC build.  All scratch is local to the call or to
-        the arena it holds, so concurrent calls on one engine are safe.
+        ``[B, M, ks]`` ADC build.  All scratch is local to the call, so
+        concurrent calls on one engine are safe.
         """
         dg = self.disk_graph
         beam_width = self.beam_width
@@ -767,10 +768,6 @@ class BlockSearchEngine:
         fused_l2 = self.metric.name == "l2"
         select_round = self._select_round
         diff: np.ndarray | None = None
-        # Only a narrow wave gathers through an arena; the block plane of a
-        # wide one brings its own planes.
-        pool = self.arena_pool if plane is None else None
-        arena = pool.acquire(dg.fmt) if pool is not None else None
         if plane is not None:
             wave = _BlockPlane(
                 self, plane, tables, states, coalesce, keep_quota
@@ -874,13 +871,9 @@ class BlockSearchEngine:
                         )
                     start = total
                     for block in q_blocks:
-                        # Pre-promoted rows make the arena gather a memcpy;
-                        # without an arena the kernel's own promotion of the
-                        # raw rows is the cheaper cast.
-                        m = (
-                            block.kernel_vectors() if arena is not None
-                            else block.vectors
-                        )
+                        # Raw rows: the kernel's own promotion of them is
+                        # the one cast.
+                        m = block.vectors
                         mats.append(m)
                         total += m.shape[0]
                     spans.append(
@@ -888,16 +881,9 @@ class BlockSearchEngine:
                     )
                 all_dists: list[float] = []
                 if mats:
-                    if arena is not None:
-                        rows = arena.load_rows(mats)
-                    else:
-                        rows = (
-                            np.concatenate(mats) if len(mats) > 1 else mats[0]
-                        )
+                    rows = np.concatenate(mats) if len(mats) > 1 else mats[0]
                     if fused_l2:
-                        if arena is not None:
-                            diff = arena.scratch_rows(total)
-                        elif diff is None or diff.shape[0] < total:
+                        if diff is None or diff.shape[0] < total:
                             have = 0 if diff is None else diff.shape[0]
                             # the kernel's compute dtype: float rows as
                             # they are, integer rows as float32
@@ -946,8 +932,6 @@ class BlockSearchEngine:
                         st.stats,
                     )
         finally:
-            if pool is not None:
-                pool.release(arena)
             if plane is not None:
                 wave.flush()
             for st in states:

@@ -3,7 +3,7 @@
 Engines must charge a query only for the blocks that actually left the
 device — with an LRU block cache in front of the disk graph, some of a
 batch's blocks are served from memory.  Reading through this helper records
-the device-counter delta as the round-trip's size and credits the remainder
+the read's own fetch count as the round-trip's size and credits the remainder
 as block-cache hits.
 
 With a :class:`~repro.engine.resilience.RetryPolicy`, the read goes through
@@ -28,23 +28,15 @@ def counted_read_blocks_of(disk_graph, vertex_ids: Sequence[int],
     if resilience is not None:
         return resilient_read_blocks_of(disk_graph, vertex_ids, stats,
                                         resilience)
-    reader = getattr(disk_graph, "read_blocks_of_counted", None)
-    prefetched = 0
-    if reader is not None:
-        # The read reports its own fetch count, so per-query accounting does
-        # not depend on exclusive ownership of the device counters (queries
-        # may interleave on one device under the batched executor).
-        blocks, fetched = reader(vertex_ids)
-        # A locality cache may have pulled predicted blocks in the same
-        # round trip; they are inside ``fetched`` (charged in full) and are
-        # attributed — not discounted — via the prefetch counter.
-        taker = getattr(disk_graph, "take_prefetched", None)
-        if taker is not None:
-            prefetched = taker()
-    else:
-        before = disk_graph.device.counters.blocks_read
-        blocks = disk_graph.read_blocks_of(vertex_ids)
-        fetched = disk_graph.device.counters.blocks_read - before
+    # The read reports its own fetch count, so per-query accounting does not
+    # depend on exclusive ownership of the device counters (queries may
+    # interleave on one device under the batched executor).
+    blocks, fetched = disk_graph.read_blocks_of_counted(vertex_ids)
+    # A locality cache may have pulled predicted blocks in the same round
+    # trip; they are inside ``fetched`` (charged in full) and are attributed
+    # — not discounted — via the prefetch counter.
+    taker = getattr(disk_graph, "take_prefetched", None)
+    prefetched = taker() if taker is not None else 0
     if fetched:
         stats.round_trip_blocks.append(fetched)
     stats.prefetch_blocks += prefetched

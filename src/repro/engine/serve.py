@@ -15,7 +15,7 @@ it fronts a :class:`~repro.core.coordinator.SegmentCoordinator` with
 - **micro-batching**: a freed worker drains up to ``max_batch`` waiting
   queries into one shared-ADC batch through
   :meth:`SegmentCoordinator.search_batch`, reusing the batched executor's
-  amortizations (shared lookup tables, shared decode cache, arena pool);
+  amortizations (shared lookup tables, shared decode cache);
 - **graceful degradation**: under sustained overload the service sheds to
   lower ``candidate_size`` tiers (``shed_tiers``) chosen from queue occupancy
   instead of letting every query time out — latency degrades smoothly, recall
@@ -43,9 +43,8 @@ Two front ends share all of that policy code:
 
 While a service is live it installs a **persistent data plane** on every
 disk-graph segment: a bounded thread-safe
-:class:`~repro.engine.block_cache.DecodeCache` and a shared
-:class:`~repro.engine.arena.ArenaPool` — the executor's per-batch
-amortizations made long-lived and concurrency-safe.  The batched
+:class:`~repro.engine.block_cache.DecodeCache` — the executor's per-batch
+decode dict made long-lived and concurrency-safe.  The batched
 executor detects an installed plane and leaves it alone, so concurrent
 micro-batches share one cache instead of tearing down each other's.
 
@@ -649,8 +648,7 @@ class SearchService:
     # -- persistent data plane ---------------------------------------------
 
     def _install_plane(self) -> list[tuple]:
-        """Install the long-lived decode cache and arena pool on every disk
-        segment.
+        """Install the long-lived decode cache on every disk segment.
 
         Returns the saved state for :meth:`_uninstall_plane`.  Segments
         without a disk graph (SPANN) are left untouched.
@@ -662,22 +660,14 @@ class SearchService:
             if dg is None:
                 continue
             graph = base_disk_graph(dg)
-            saved.append((
-                engine, graph,
-                graph.decode_cache, getattr(engine, "arena_pool", None),
-            ))
+            saved.append((graph, graph.decode_cache))
             if self.spec.decode_cache_blocks and graph.decode_cache is None:
                 graph.decode_cache = DecodeCache(self.spec.decode_cache_blocks)
-            if getattr(engine, "arena_pool", None) is None:
-                from .arena import ArenaPool
-
-                engine.arena_pool = ArenaPool()
         return saved
 
     def _uninstall_plane(self, saved: list[tuple]) -> None:
-        for engine, graph, cache, pool in saved:
+        for graph, cache in saved:
             graph.decode_cache = cache
-            engine.arena_pool = pool
 
     # -- virtual-clock front end -------------------------------------------
 

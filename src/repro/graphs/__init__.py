@@ -26,7 +26,7 @@ from .navigation import (
     NavigationGraph,
     build_navigation_graph,
 )
-from .nsg import NSGParams, build_nsg, mrng_select
+from .nsg import NSGParams, build_nsg
 from .search import SearchTrace, greedy_search
 from .vamana import VamanaParams, build_vamana, medoid, robust_prune
 from .wavebuild import (
@@ -67,7 +67,6 @@ __all__ = [
     "knn_graph",
     "load_graph",
     "medoid",
-    "mrng_select",
     "nn_descent_knn_graph",
     "random_regular_graph",
     "robust_prune",

@@ -9,23 +9,23 @@ One of the three graph algorithms Starling supports as its disk-based graph
    the MRNG edge-selection rule over (visited ∪ kNN) candidates;
 4. graft a spanning tree from the navigating node so the graph stays
    connected (NSG's DFS step).
+
+Step 3 has one implementation, the wave build of
+:func:`repro.graphs.wavebuild.build_nsg_waves`: the searches run over the
+static kNN graph and each vertex's selection is independent, so a wave of
+vertices sees exactly what one vertex at a time would.  The per-point loop
+is the test reference (``tests/oracles.py::oracle_build_nsg``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..vectors.metrics import Metric, get_metric
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..buildspec import BuildSpec
+from ..buildspec import BuildSpec
+from ..vectors.metrics import Metric
 from .adjacency import AdjacencyGraph
-from .knn import knn_graph
-from .search import greedy_search
-from .vamana import medoid
 
 
 @dataclass(frozen=True)
@@ -44,87 +44,24 @@ class NSGParams:
             raise ValueError("knn_k must be positive")
 
 
-def mrng_select(
-    point: int,
-    candidates: np.ndarray,
-    candidate_dists: np.ndarray,
-    vectors: np.ndarray,
-    metric: Metric,
-    max_degree: int,
-) -> np.ndarray:
-    """MRNG edge selection: keep c unless a kept edge p* is closer to c.
-
-    Identical to RobustPrune with α = 1 — NSG's defining rule.
-    """
-    order = np.argsort(candidate_dists, kind="stable")
-    cand = candidates[order]
-    cand_d = candidate_dists[order]
-    mask = cand != point
-    cand, cand_d = cand[mask], cand_d[mask]
-    selected: list[int] = []
-    for c, d_c in zip(cand, cand_d):
-        if len(selected) >= max_degree:
-            break
-        c = int(c)
-        occluded = False
-        for s in selected:
-            if metric.distance(vectors[s], vectors[c]) < d_c:
-                occluded = True
-                break
-        if not occluded:
-            selected.append(c)
-    return np.asarray(selected, dtype=np.int64)
-
-
 def build_nsg(
     vectors: np.ndarray,
     metric: Metric | str = "l2",
     params: NSGParams | None = None,
     *,
-    spec: "BuildSpec | None" = None,
+    spec: BuildSpec | None = None,
 ) -> tuple[AdjacencyGraph, int]:
     """Build an NSG; returns ``(graph, navigating_node)``.
 
-    ``spec`` selects the build strategy.  NSG's searches run over the
-    static kNN base graph, so the wave-batched modes produce a graph
-    bit-identical to this serial loop — only faster.
+    ``spec`` contributes only its ``wave_size`` — how many vertices each
+    lockstep kernel call covers.  The graph does not depend on it (nor on
+    the mode): NSG has one build.
     """
-    params = params or NSGParams()
-    if spec is not None and spec.parallel:
-        from .wavebuild import build_nsg_waves
+    from .wavebuild import build_nsg_waves
 
-        return build_nsg_waves(vectors, metric, params, spec)
-    metric = get_metric(metric)
-    n = vectors.shape[0]
-    if n < 2:
-        raise ValueError("need at least two vectors")
-
-    base = knn_graph(vectors, min(params.knn_k, n - 1), metric, seed=params.seed)
-    nav = medoid(vectors, metric, seed=params.seed)
-
-    graph = AdjacencyGraph(n, params.max_degree)
-    for point in range(n):
-        _, _, trace = greedy_search(
-            base, vectors, metric, vectors[point], [nav],
-            params.build_ef, collect_visited=True,
-        )
-        cand = np.unique(
-            np.concatenate(
-                [
-                    np.asarray(trace.visited, dtype=np.int64),
-                    base.neighbors(point).astype(np.int64),
-                ]
-            )
-        )
-        cand = cand[cand != point]
-        dists = metric.distances(vectors[point], vectors[cand])
-        graph.set_neighbors(
-            point,
-            mrng_select(point, cand, dists, vectors, metric, params.max_degree),
-        )
-
-    _ensure_connectivity(graph, vectors, metric, nav)
-    return graph, nav
+    return build_nsg_waves(
+        vectors, metric, params or NSGParams(), spec or BuildSpec()
+    )
 
 
 def _ensure_connectivity(

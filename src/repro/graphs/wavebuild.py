@@ -11,12 +11,11 @@ grouped scatters instead of per-edge appends.
 Determinism contract (see :class:`~repro.buildspec.BuildSpec`):
 
 - Each query in a wave evolves independently — lockstep is scheduling, not
-  semantics — so splitting a wave across processes cannot change any
-  per-query result.  ``processes`` mode is therefore bit-identical to
-  ``batched`` for any worker count.
+  semantics.
 - For NSG the searches run over the *static* kNN base graph, so waves see
-  exactly what the serial loop sees and the batched build is bit-identical
-  to the serial one.
+  exactly what a per-point loop sees: the wave build is NSG's only build,
+  its graph independent of the wave size and bit-identical to the per-point
+  reference (``tests/oracles.py::oracle_build_nsg``).
 - For Vamana, points inside one wave do not observe each other's edges
   (staleness one wave wide), so the graph differs from serial — the
   standard trade of parallel Vamana builds — but is a pure function of
@@ -25,15 +24,13 @@ Determinism contract (see :class:`~repro.buildspec.BuildSpec`):
 The per-query kernels mirror the serial ones exactly: the lockstep search
 reproduces :func:`~repro.graphs.search.greedy_search`'s visited set (same
 pool-of-``ef`` evolution, same termination), and the lockstep prune
-reproduces :func:`~repro.graphs.vamana.robust_prune` /
-:func:`~repro.graphs.nsg.mrng_select` per point, including their stable
+reproduces :func:`~repro.graphs.vamana.robust_prune` / NSG's MRNG rule
+(``tests/oracles.py::oracle_mrng_select``) per point, including their stable
 tie-breaks.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -270,7 +267,7 @@ def robust_prune_wave(
     """Lockstep α-RNG edge selection for a wave of points.
 
     Per point this reproduces :func:`~repro.graphs.vamana.robust_prune`
-    exactly (``strict=False``) or NSG's :func:`~repro.graphs.nsg.mrng_select`
+    exactly (``strict=False``) or NSG's MRNG rule
     (``strict=True`` — occlusion on strictly-closer kept edges, no α
     scaling).  Candidate lists must already be deduplicated, sorted
     ascending by id, and free of the point itself, which is what
@@ -290,60 +287,6 @@ def robust_prune_wave(
         num, pts, rows, flat, vectors, metric, max_degree, alpha, strict
     )
     return [selected[w, : counts[w]].copy() for w in range(num)]
-
-
-# Fork-inherited state for processes mode: the wave snapshot (adjacency
-# lists + vectors) is inherited by forking, never pickled; only (lo, hi)
-# index spans travel through the task queue.
-_WAVE_STATE: tuple | None = None
-
-
-def _forked_wave_search(span: tuple[int, int]) -> np.ndarray:
-    neighbor_lists, vectors, metric, queries, entries, ef = _WAVE_STATE
-    lo, hi = span
-    return wave_greedy_search(
-        neighbor_lists, vectors, metric, queries[lo:hi], entries, ef,
-        as_matrix=True,
-    )
-
-
-def _search_wave(
-    neighbor_lists,
-    vectors: np.ndarray,
-    metric: Metric,
-    queries: np.ndarray,
-    entries: Sequence[int],
-    ef: int,
-    spec: BuildSpec,
-) -> np.ndarray:
-    """Search phase of one wave, optionally fanned out over a fork pool.
-
-    The kernel is a pure function of the snapshot and each query's state is
-    independent, so chunking the wave across workers returns exactly the
-    ``batched`` result.  Returns the ``(num_queries, n)`` visited mask.
-    """
-    num_queries = queries.shape[0]
-    if (
-        spec.effective_mode() == "processes"
-        and spec.workers > 1
-        and num_queries > 1
-    ):
-        splits = np.array_split(np.arange(num_queries), spec.workers)
-        spans = [(int(s[0]), int(s[-1]) + 1) for s in splits if s.size]
-        global _WAVE_STATE
-        _WAVE_STATE = (neighbor_lists, vectors, metric, queries, entries, ef)
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=len(spans), mp_context=context
-            ) as pool:
-                parts = list(pool.map(_forked_wave_search, spans))
-        finally:
-            _WAVE_STATE = None
-        return np.vstack(parts)
-    return wave_greedy_search(
-        neighbor_lists, vectors, metric, queries, entries, ef, as_matrix=True
-    )
 
 
 class _DenseAdjacency:
@@ -408,9 +351,9 @@ def build_vamana_waves(
         for lo in range(0, n, spec.wave_size):
             wave = order[lo : lo + spec.wave_size].astype(np.int64)
             num = wave.size
-            vis = _search_wave(
+            vis = wave_greedy_search(
                 view, vectors, metric, vectors[wave], [entry],
-                params.build_ef, spec,
+                params.build_ef, as_matrix=True,
             )
             # Candidates = visited ∪ current neighbours, minus the point —
             # marked into the visited mask so one np.nonzero yields every
@@ -503,11 +446,11 @@ def build_nsg_waves(
     params: NSGParams,
     spec: BuildSpec,
 ) -> tuple[AdjacencyGraph, int]:
-    """Wave-batched NSG build; bit-identical to the serial ``build_nsg``.
+    """The NSG build (what :func:`~repro.graphs.nsg.build_nsg` runs).
 
     NSG searches run over the *static* kNN base graph and each vertex's
     MRNG selection is independent, so waving introduces no staleness at
-    all: every mode produces the same graph as the serial loop.
+    all: every ``wave_size`` produces the graph of the per-point loop.
     """
     metric = get_metric(metric)
     n = vectors.shape[0]
@@ -525,9 +468,9 @@ def build_nsg_waves(
     for lo in range(0, n, spec.wave_size):
         wave = np.arange(lo, min(lo + spec.wave_size, n), dtype=np.int64)
         num = wave.size
-        vis = _search_wave(
+        vis = wave_greedy_search(
             base_lists, dense, metric, dense[wave], [nav],
-            params.build_ef, spec,
+            params.build_ef, as_matrix=True,
         )
         nbrs = [base_lists[int(p)] for p in wave]
         lens = np.fromiter((a.size for a in nbrs), dtype=np.int64, count=num)

@@ -20,15 +20,10 @@ shared rotation), so no per-vector work is added at search time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..vectors.metrics import Metric, get_metric
 from .pq import ProductQuantizer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..buildspec import BuildSpec
 
 
 class OptimizedProductQuantizer:
@@ -92,13 +87,8 @@ class OptimizedProductQuantizer:
         return np.atleast_2d(x).astype(np.float32) @ self.rotation
 
     def train(self, vectors: np.ndarray, *, seed: int = 0,
-              train_size: int = 20_000,
-              spec: "BuildSpec | None" = None) -> "OptimizedProductQuantizer":
-        """Alternate PQ training and Procrustes rotation updates.
-
-        ``spec`` is forwarded to the inner PQ fits, so ``processes`` mode
-        trains the M sub-codebooks of every alternation concurrently.
-        """
+              train_size: int = 20_000) -> "OptimizedProductQuantizer":
+        """Alternate PQ training and Procrustes rotation updates."""
         vectors = np.atleast_2d(vectors).astype(np.float32)
         n, dim = vectors.shape
         rng = np.random.default_rng(seed)
@@ -109,13 +99,13 @@ class OptimizedProductQuantizer:
         self.rotation = np.eye(dim, dtype=np.float32)
         for _ in range(self.iterations):
             rotated = self._rotate(sample)
-            self.pq.train(rotated, seed=seed, spec=spec)
+            self.pq.train(rotated, seed=seed)
             decoded = self.pq.decode(self.pq.encode(rotated))
             # Orthogonal Procrustes: R = U Vᵀ of SVD(Xᵀ X̂).
             u, _, vt = np.linalg.svd(sample.T @ decoded)
             self.rotation = (u @ vt).astype(np.float32)
         # Final codebook fit under the final rotation.
-        self.pq.train(self._rotate(sample), seed=seed, spec=spec)
+        self.pq.train(self._rotate(sample), seed=seed)
         return self
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:
@@ -124,9 +114,8 @@ class OptimizedProductQuantizer:
         return self.pq.encode(self._rotate(vectors))
 
     def fit_dataset(self, vectors: np.ndarray, *, seed: int = 0,
-                    spec: "BuildSpec | None" = None,
                     ) -> "OptimizedProductQuantizer":
-        self.train(vectors, seed=seed, spec=spec)
+        self.train(vectors, seed=seed)
         self.pq.codes = self.encode(vectors)
         return self
 

@@ -11,31 +11,12 @@ inner-product lookup tables (negated, so smaller is still better).
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..vectors.metrics import Metric, get_metric, pairwise_l2_squared
 from .kmeans import kmeans
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..buildspec import BuildSpec
-
-# Training sample shared with forked workers by inheritance (same pattern
-# as engine.batch); each subspace's k-means is seeded independently, so
-# results are identical for any worker count — and to the serial loop.
-_TRAIN_STATE: tuple | None = None
-
-
-def _forked_subspace(args: tuple[int, int, int, int]) -> np.ndarray:
-    parts = _TRAIN_STATE
-    m, num_centroids, seed, max_iters = args
-    return kmeans(
-        parts[:, m, :], num_centroids, seed=seed + m, max_iters=max_iters
-    ).centroids
 
 
 def _train_subspaces(
@@ -44,30 +25,14 @@ def _train_subspaces(
     num_centroids: int,
     seed: int,
     max_iters: int,
-    spec: "BuildSpec | None",
 ) -> list[np.ndarray]:
-    """Train the M independent sub-codebooks, optionally in a process pool."""
-    tasks = [(m, num_centroids, seed, max_iters) for m in range(num_subspaces)]
-    if (
-        spec is not None
-        and spec.effective_mode() == "processes"
-        and num_subspaces > 1
-    ):
-        global _TRAIN_STATE
-        _TRAIN_STATE = parts
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=min(spec.workers, num_subspaces), mp_context=context
-            ) as pool:
-                return list(pool.map(_forked_subspace, tasks))
-        finally:
-            _TRAIN_STATE = None
+    """Train the M independent sub-codebooks (subspace ``m`` seeded with
+    ``seed + m``)."""
     return [
         kmeans(
             parts[:, m, :], num_centroids, seed=seed + m, max_iters=max_iters
         ).centroids
-        for m, num_centroids, seed, max_iters in tasks
+        for m in range(num_subspaces)
     ]
 
 
@@ -144,14 +109,9 @@ class ProductQuantizer:
         seed: int = 0,
         max_iters: int = 15,
         train_size: int = 20_000,
-        spec: "BuildSpec | None" = None,
     ) -> "ProductQuantizer":
-        """Fit per-subspace codebooks on (a sample of) ``vectors``.
-
-        ``spec`` in ``processes`` mode trains the M sub-codebooks
-        concurrently; every mode produces identical centroids (each
-        subspace's k-means is independently seeded with ``seed + m``).
-        """
+        """Fit per-subspace codebooks on (a sample of) ``vectors``; each
+        subspace's k-means is independently seeded with ``seed + m``."""
         vectors = np.atleast_2d(vectors)
         n, dim = vectors.shape
         if n < 2:
@@ -175,7 +135,7 @@ class ProductQuantizer:
             sample = vectors
         parts = self._split(sample)
         centroids = _train_subspaces(
-            parts, self.num_subspaces, self.num_centroids, seed, max_iters, spec
+            parts, self.num_subspaces, self.num_centroids, seed, max_iters
         )
         for m, cents in enumerate(centroids):
             self.codebook.centroids[m] = cents
@@ -193,11 +153,10 @@ class ProductQuantizer:
         return codes
 
     def fit_dataset(
-        self, vectors: np.ndarray, *, seed: int = 0,
-        spec: "BuildSpec | None" = None,
+        self, vectors: np.ndarray, *, seed: int = 0
     ) -> "ProductQuantizer":
         """Train on the dataset and store its codes for later lookups."""
-        self.train(vectors, seed=seed, spec=spec)
+        self.train(vectors, seed=seed)
         self.codes = self.encode(vectors)
         return self
 

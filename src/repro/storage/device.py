@@ -116,7 +116,7 @@ class BlockDevice:
         self._path = os.fspath(path) if path is not None else None
         self._closed = False
         if buffer is not None:
-            # Externally owned storage (e.g. a multiprocessing shared-memory
+            # Externally owned storage (e.g. a shared-memory
             # mapping): the device reads/writes it in place and never frees
             # it — the owner controls the mapping's lifetime.
             if len(buffer) < block_bytes * num_blocks:

@@ -15,7 +15,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..vectors.metrics import _as_float
 from .codec import VertexFormat, block_checksum
 from .device import BlockDevice, DiskSpec
 from .faults import KIND_CHECKSUM, ChecksumError, ReadFaultError
@@ -36,7 +35,7 @@ class DiskBlock:
 
     __slots__ = (
         "block_id", "vertex_ids", "vectors", "nbr_counts", "nbr_ids",
-        "_ids_list", "_kernel_vectors", "_nbr_slices",
+        "_ids_list", "_nbr_slices",
     )
 
     def __init__(
@@ -56,9 +55,6 @@ class DiskBlock:
         #: small per-block loops (a block holds ~ε vertices — list indexing
         #: beats numpy scalar extraction at that size)
         self._ids_list: list[int] | None = None
-        #: lazily cached copy of ``vectors`` in the distance kernel's
-        #: compute dtype (see :meth:`kernel_vectors`)
-        self._kernel_vectors: np.ndarray | None = None
         #: adjacency slices already handed out, by position (see
         #: :meth:`neighbors_of`)
         self._nbr_slices: list[np.ndarray | None] | None = None
@@ -82,23 +78,6 @@ class DiskBlock:
         if nbrs is None:
             nbrs = slices[pos] = self.nbr_ids[pos, : self.nbr_counts[pos]]
         return nbrs
-
-    def kernel_vectors(self) -> np.ndarray:
-        """``vectors`` pre-promoted to the distance kernel's compute dtype.
-
-        Applies exactly the input promotion the metrics module performs
-        (float dtypes pass through, integer dtypes cast to float32 —
-        lossless for every storage dtype the codec supports), cached on the
-        block.  Under a decode cache (:attr:`DiskGraph.decode_cache`) the
-        cast runs once per block lifetime instead of once per search round,
-        and the arena gather becomes a same-dtype memcpy; the kernel input
-        values are bit-identical to casting at call time.
-        """
-        kv = self._kernel_vectors
-        if kv is None:
-            kv = _as_float(self.vectors)
-            self._kernel_vectors = kv
-        return kv
 
     def ids_list(self) -> list[int]:
         """``vertex_ids`` as a cached list of Python ints."""

@@ -15,6 +15,12 @@ branch).  It is kept here — :class:`OracleBlockSearch` /
 loop (``BlockSearchEngine._rounds``) is checked against at every width.  It
 seeds through the scalar entry walk and the per-query ADC table, so it also
 checks the wave's batched round 0.
+
+**The one NSG build.**  The per-point construction loop and its MRNG
+selection used to be ``repro.graphs.nsg.build_nsg``'s body and
+``mrng_select``; they are kept here — :func:`oracle_build_nsg` /
+:func:`oracle_mrng_select` — as the reference the production wave build is
+checked against, graph for graph.
 """
 
 from __future__ import annotations
@@ -28,8 +34,14 @@ from repro.engine.early_stop import AdaptiveEarlyStopper
 from repro.engine.frontier import CandidateSet, ResultSet
 from repro.engine.io_util import counted_read_blocks_of
 from repro.engine.results import SearchResult
+from repro.graphs.adjacency import AdjacencyGraph
+from repro.graphs.knn import knn_graph
+from repro.graphs.nsg import NSGParams, _ensure_connectivity
+from repro.graphs.search import greedy_search
+from repro.graphs.vamana import medoid
 from repro.storage.codec import ID_BYTES, ID_DTYPE, VertexFormat
 from repro.storage.disk_graph import DiskBlock, DiskGraph
+from repro.vectors.metrics import Metric, get_metric
 
 
 def decode_vertex(
@@ -113,7 +125,7 @@ class CopyDecodeDiskGraph(DiskGraph):
 class OracleBlockSearch:
     """Scalar Algorithm 2 over a :class:`BlockSearchEngine`'s configuration.
 
-    One query at a time, no waves, no plane, no arena: the loop
+    One query at a time, no waves, no plane: the loop
     ``BlockSearchEngine`` ran before its lockstep round loop became the only
     driver.  Exposes the ``_seed`` / ``_run`` / ``search`` protocol, so
     :func:`repro.engine.range_search.incremental_range_search` can be driven
@@ -294,3 +306,77 @@ def oracle_block_search(
     return OracleBlockSearch(engine).search(
         query, k, candidate_size, table=table, stopper=stopper
     )
+
+
+def oracle_mrng_select(
+    point: int,
+    candidates: np.ndarray,
+    candidate_dists: np.ndarray,
+    vectors: np.ndarray,
+    metric: Metric,
+    max_degree: int,
+) -> np.ndarray:
+    """MRNG edge selection: keep c unless a kept edge p* is closer to c.
+
+    Identical to RobustPrune with α = 1 — NSG's defining rule.
+    """
+    order = np.argsort(candidate_dists, kind="stable")
+    cand = candidates[order]
+    cand_d = candidate_dists[order]
+    mask = cand != point
+    cand, cand_d = cand[mask], cand_d[mask]
+    selected: list[int] = []
+    for c, d_c in zip(cand, cand_d):
+        if len(selected) >= max_degree:
+            break
+        c = int(c)
+        occluded = False
+        for s in selected:
+            if metric.distance(vectors[s], vectors[c]) < d_c:
+                occluded = True
+                break
+        if not occluded:
+            selected.append(c)
+    return np.asarray(selected, dtype=np.int64)
+
+
+def oracle_build_nsg(
+    vectors: np.ndarray,
+    metric: Metric | str = "l2",
+    params: NSGParams | None = None,
+) -> tuple[AdjacencyGraph, int]:
+    """Build an NSG one point at a time; returns ``(graph, navigating_node)``."""
+    params = params or NSGParams()
+    metric = get_metric(metric)
+    n = vectors.shape[0]
+    if n < 2:
+        raise ValueError("need at least two vectors")
+
+    base = knn_graph(vectors, min(params.knn_k, n - 1), metric, seed=params.seed)
+    nav = medoid(vectors, metric, seed=params.seed)
+
+    graph = AdjacencyGraph(n, params.max_degree)
+    for point in range(n):
+        _, _, trace = greedy_search(
+            base, vectors, metric, vectors[point], [nav],
+            params.build_ef, collect_visited=True,
+        )
+        cand = np.unique(
+            np.concatenate(
+                [
+                    np.asarray(trace.visited, dtype=np.int64),
+                    base.neighbors(point).astype(np.int64),
+                ]
+            )
+        )
+        cand = cand[cand != point]
+        dists = metric.distances(vectors[point], vectors[cand])
+        graph.set_neighbors(
+            point,
+            oracle_mrng_select(
+                point, cand, dists, vectors, metric, params.max_degree
+            ),
+        )
+
+    _ensure_connectivity(graph, vectors, metric, nav)
+    return graph, nav

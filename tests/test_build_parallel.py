@@ -4,12 +4,14 @@ Three layers of guarantees, mirroring ``repro.buildspec``'s docstring:
 
 1. ``serial`` mode (the default) is the classic loop, byte-identical across
    repeated builds with the same seed.
-2. Wave modes are pure functions of ``(seed, wave_size)`` — repeated builds
-   and any worker count produce identical graphs; NSG waves are further
-   bit-identical to serial.
+2. A wave build is a pure function of ``(seed, wave_size)`` — repeated
+   builds produce identical graphs; NSG's one (wave) build is further
+   independent of the wave size and bit-identical to the per-point oracle.
 3. The vectorized kernels (lockstep search, flat RobustPrune, BNF conflict
    rounds, GP2 symmetrize) reproduce their per-item reference loops exactly.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from repro.graphs.vamana import VamanaParams, build_vamana, robust_prune
 from repro.graphs.wavebuild import robust_prune_wave, wave_greedy_search
 from repro.layout.bnf import bnf_place, bnf_place_reference
 from repro.vectors.metrics import get_metric
+
+from .oracles import oracle_build_nsg
 
 
 def _neighbor_lists(graph):
@@ -40,17 +44,29 @@ def vectors():
     return rng.normal(size=(300, 16)).astype(np.float32)
 
 
+@functools.lru_cache(maxsize=None)
+def _nsg_oracle_case(metric: str, dtype: str, seed: int):
+    """One cell's data, params and per-point oracle graph, built once for
+    the cell's three wave sizes."""
+    rng = np.random.default_rng(seed)
+    data = (
+        rng.normal(size=(300, 16)).astype(np.float32)
+        if dtype == "float32"
+        else rng.integers(0, 256, size=(300, 16)).astype(np.uint8)
+    )
+    params = NSGParams(max_degree=12, build_ef=24, knn_k=10, seed=seed)
+    return (data, params, *oracle_build_nsg(data, metric, params))
+
+
 class TestBuildSpec:
     def test_modes(self):
-        assert BUILD_MODES == ("serial", "batched", "processes")
+        assert BUILD_MODES == ("serial", "batched")
         assert not BuildSpec().parallel
         assert BuildSpec(mode="batched").parallel
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BuildSpec(mode="warp")
-        with pytest.raises(ValueError):
-            BuildSpec(workers=0)
         with pytest.raises(ValueError):
             BuildSpec(wave_size=0)
 
@@ -78,25 +94,9 @@ class TestSerialDeterminism:
 
 
 class TestWaveDeterminism:
-    def test_vamana_wave_modes_identical_for_any_workers(self, vectors):
-        params = VamanaParams(max_degree=12, build_ef=24, seed=3)
-        graphs = []
-        for spec in (
-            BuildSpec(mode="batched", workers=1),
-            BuildSpec(mode="batched", workers=7),
-            BuildSpec(mode="processes", workers=2),
-            BuildSpec(mode="processes", workers=5),
-        ):
-            g, e = build_vamana(vectors, "l2", params, spec=spec)
-            graphs.append((g, e))
-        g0, e0 = graphs[0]
-        for g, e in graphs[1:]:
-            assert e == e0
-            assert _graphs_identical(g, g0)
-
     def test_vamana_wave_repeated_builds_identical(self, vectors):
         params = VamanaParams(max_degree=12, build_ef=24, seed=3)
-        spec = BuildSpec(mode="batched", workers=4)
+        spec = BuildSpec(mode="batched")
         g1, _ = build_vamana(vectors, "l2", params, spec=spec)
         g2, _ = build_vamana(vectors, "l2", params, spec=spec)
         assert _graphs_identical(g1, g2)
@@ -120,15 +120,32 @@ class TestWaveDeterminism:
             recalls.append(mean_recall_at_k(found, truth, 10))
         assert abs(recalls[0] - recalls[1]) <= 0.01
 
-    def test_nsg_waves_bit_identical_to_serial(self, vectors):
+    @pytest.mark.parametrize("wave_size", [1, 7, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", ["float32", "uint8"])
+    @pytest.mark.parametrize("metric", ["l2", "ip"])
+    def test_nsg_waves_bit_identical_to_serial(
+        self, metric, dtype, seed, wave_size
+    ):
+        """The identity NSG's one build rests on: every wave size
+        reproduces the per-point oracle loop."""
+        data, params, g_oracle, n_oracle = _nsg_oracle_case(
+            metric, dtype, seed
+        )
+        g_wave, n_wave = build_nsg(
+            data, metric, params,
+            spec=BuildSpec(mode="batched", wave_size=wave_size),
+        )
+        assert n_wave == n_oracle
+        assert _graphs_identical(g_wave, g_oracle)
+
+    def test_nsg_ignores_build_mode(self, vectors):
         params = NSGParams(max_degree=12, build_ef=24, knn_k=10, seed=3)
-        g_serial, n_serial = build_nsg(vectors, "l2", params)
-        for mode in ("batched", "processes"):
-            g_wave, n_wave = build_nsg(
-                vectors, "l2", params, spec=BuildSpec(mode=mode, workers=3)
-            )
-            assert n_wave == n_serial
-            assert _graphs_identical(g_wave, g_serial)
+        g_oracle, n_oracle = oracle_build_nsg(vectors, "l2", params)
+        for spec in (None, BuildSpec()):
+            g, n = build_nsg(vectors, "l2", params, spec=spec)
+            assert n == n_oracle
+            assert _graphs_identical(g, g_oracle)
 
 
 class TestKernelEquivalence:
@@ -205,17 +222,17 @@ class TestKernelEquivalence:
 
 
 class TestQuantizerParallel:
-    def test_pq_processes_identical_to_serial(self, vectors):
+    def test_pq_repeated_fits_identical(self, vectors):
         from repro.quantization.pq import ProductQuantizer
 
-        serial = ProductQuantizer(num_subspaces=4, num_centroids=16).train(
+        first = ProductQuantizer(num_subspaces=4, num_centroids=16).train(
             vectors, seed=5
         )
-        forked = ProductQuantizer(num_subspaces=4, num_centroids=16).train(
-            vectors, seed=5, spec=BuildSpec(mode="processes", workers=3)
+        again = ProductQuantizer(num_subspaces=4, num_centroids=16).train(
+            vectors, seed=5
         )
         assert np.array_equal(
-            serial.codebook.centroids, forked.codebook.centroids
+            first.codebook.centroids, again.codebook.centroids
         )
 
     def test_kmeanspp_degenerate_seeds_distinct(self):
@@ -247,20 +264,17 @@ class TestBuildCache:
         a, b = built.search(q, 5, 16), loaded.search(q, 5, 16)
         assert np.array_equal(a.ids, b.ids)
 
-    def test_key_ignores_workers_but_not_mode(self, dataset):
+    def test_key_depends_on_mode(self, dataset):
         from repro.bench.build_cache import cache_key
         from repro.core.config import StarlingConfig
 
         cfg = StarlingConfig()
         serial = cache_key("starling", dataset, cfg, None)
-        wave2 = cache_key(
-            "starling", dataset, cfg, BuildSpec(mode="batched", workers=2)
+        wave = cache_key(
+            "starling", dataset, cfg, BuildSpec(mode="batched")
         )
-        wave9 = cache_key(
-            "starling", dataset, cfg, BuildSpec(mode="processes", workers=9)
-        )
-        assert serial != wave2
-        assert wave2 == wave9
+        assert serial == cache_key("starling", dataset, cfg, BuildSpec())
+        assert serial != wave
 
     def test_unpersistable_quantizer_bypasses(self, dataset, tmp_path):
         from repro.bench.build_cache import BuildCache

@@ -168,6 +168,28 @@ class TestSealAndReopen:
         lc = _make(tmp_path)
         assert not lc.seal()
 
+    def test_one_row_seal_is_deferred(self, tmp_path, rng):
+        """The graph builder needs two rows: a lone acknowledged row stays
+        in the WAL-backed memtable — searched, replayed on reopen — rather
+        than raising out of the insert that made it durable."""
+        lc = _make(tmp_path, seal_threshold=1)
+        row = _rows(rng, 1)
+        assert lc.insert(row).tolist() == [0]  # the auto-seal declines
+        assert not lc.seal()                   # and so does an explicit one
+        assert lc.pending_rows == 1 and lc.num_segments == 0
+        assert lc.search(row[0], k=1).ids.tolist() == [0]
+        lc.close()
+
+        lc2 = SegmentLifecycle.open(
+            tmp_path / "lc", rebuild, spec=LifecycleSpec(seal_threshold=1)
+        )
+        assert lc2.pending_rows == 1 and lc2.live_ids() == {0}
+        assert lc2.search(row[0], k=1).ids.tolist() == [0]
+        assert lc2.insert(_rows(rng, 1)).tolist() == [1]  # two rows: seals
+        assert lc2.pending_rows == 0 and lc2.num_segments == 1
+        assert lc2.live_ids() == {0, 1}
+        lc2.close()
+
     def test_reopen_restores_sealed_and_memtable(self, tmp_path, rng):
         lc = _make(tmp_path)
         rows = _rows(rng, 20)
@@ -309,6 +331,23 @@ class TestCompaction:
         assert ran == 1
         assert lc.compaction_candidates() == []
         assert lc.live_ids() == set(mirror)
+
+    def test_one_survivor_merge_is_deferred(self, tmp_path, rng):
+        """A merge whose tombstones leave exactly one live row commits
+        nothing (no one-row segment can be built); once that row goes too,
+        the merge retires the victims."""
+        lc, mirror = self._filled(tmp_path, rng, rows_per_seal=2)
+        lc.delete([0, 1, 2, 3, 4])
+        before = lc.state_fingerprint()
+        assert lc.compaction_candidates()
+        assert not lc.compact_once()
+        assert lc.maybe_compact() == 0
+        assert lc.state_fingerprint() == before
+        assert lc.live_ids() == {5} and lc.compactions == 0
+        assert lc.search(mirror[5], k=3).ids.tolist() == [5]
+        lc.delete([5])
+        assert lc.compact_once()
+        assert lc.num_segments == 0 and lc.num_deleted == 0
 
     def test_new_ids_continue_after_compaction(self, tmp_path, rng):
         lc, mirror = self._filled(tmp_path, rng)

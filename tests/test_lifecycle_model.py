@@ -48,8 +48,6 @@ from .test_crash_consistency import (
 )
 
 K = 5
-#: the builder needs two rows, so a seal or merge of exactly one is not drawn
-MIN_BUILD_ROWS = 2
 #: which announced ops each fault mode may target (see WriteFaultSpec.mode)
 _MODE_PREFIX = {"crash": "", "torn": "write:", "lost_durability": "fsync:"}
 
@@ -161,7 +159,7 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     # -- rules --------------------------------------------------------------
 
-    @rule(n=st.integers(MIN_BUILD_ROWS, 16), row_seed=_PICK, fault=_FAULT)
+    @rule(n=st.integers(1, 16), row_seed=_PICK, fault=_FAULT)
     def insert(self, n, row_seed, fault):
         rows = _rows(n, row_seed)
         first = self.lc.state_fingerprint()["next_id"]
@@ -177,24 +175,12 @@ class LifecycleMachine(RuleBasedStateMachine):
         after = {g: r for g, r in self.mirror.items() if g not in victims}
         self._apply("delete", lambda lc: lc.delete(victims), after, fault)
 
-    @precondition(lambda self: self.lc.pending_rows >= MIN_BUILD_ROWS)
+    @precondition(lambda self: self.lc.pending_rows)
     @rule(fault=_FAULT)
     def seal(self, fault):
         self._apply("seal", lambda lc: lc.seal(), self.mirror, fault)
 
-    def _merge_rows(self) -> int | None:
-        """Live rows the next merge would rebuild (None: no merge is due)."""
-        chosen = set(self.lc.compaction_candidates())
-        if not chosen:
-            return None
-        return sum(
-            gid in self.mirror
-            for name, ids, _ in self.lc.state_fingerprint()["segments"]
-            if name in chosen
-            for gid in ids
-        )
-
-    @precondition(lambda self: self._merge_rows() not in (None, 1))
+    @precondition(lambda self: self.lc.compaction_candidates())
     @rule(fault=_FAULT)
     def compact(self, fault):
         self._apply(

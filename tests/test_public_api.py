@@ -176,6 +176,38 @@ class TestExports:
             "self"
         ]
 
+    def test_one_path_per_answer(self, starling_index, diskann_index):
+        """The three bit-identical duplicates stay gone: no gather pool on
+        either engine, no fork-pool build mode or quantizer ``spec=``, no
+        second NSG build — so none can return as a default-off option."""
+        import dataclasses
+        import importlib
+        import inspect
+
+        import repro.engine as engine
+        import repro.graphs as graphs
+        from repro.buildspec import BUILD_MODES, BuildSpec
+        from repro.quantization import (
+            OptimizedProductQuantizer, ProductQuantizer,
+        )
+        from repro.storage.disk_graph import DiskBlock
+
+        assert not [name for name in dir(engine) if "arena" in name.lower()]
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.arena")
+        for index in (starling_index, diskann_index):
+            assert not hasattr(index.engine, "arena_pool")
+        assert not hasattr(DiskBlock, "kernel_vectors")
+        assert {f.name for f in dataclasses.fields(BuildSpec)} == {
+            "mode", "wave_size",
+        }
+        assert BUILD_MODES == ("serial", "batched")
+        for quantizer in (ProductQuantizer, OptimizedProductQuantizer):
+            for fn in (quantizer.train, quantizer.fit_dataset):
+                assert "spec" not in inspect.signature(fn).parameters
+        assert "mrng_select" not in graphs.__all__
+        assert not hasattr(graphs, "mrng_select")
+
 
 class TestDeterminism:
     def test_starling_search_deterministic(self, starling_index,

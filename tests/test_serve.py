@@ -49,11 +49,10 @@ def coordinator(serve_segments):
     return SegmentCoordinator(segments, list(offsets))
 
 
-def _plane_state(coordinator) -> list[tuple]:
+def _plane_state(coordinator) -> list:
     """Everything the service's data plane installs, per disk segment."""
     return [
-        (base_disk_graph(seg.engine.disk_graph).decode_cache,
-         seg.engine.arena_pool)
+        base_disk_graph(seg.engine.disk_graph).decode_cache
         for seg in coordinator.segments
     ]
 
@@ -247,14 +246,15 @@ class TestRunTrace:
 
     def test_plane_installed_only_while_running(self, coordinator,
                                                 serve_dataset):
-        """The persistent decode cache and arena pool are a
-        service-lifetime installation, restored exactly on teardown —
-        and they are all the plane installs: there is no decode mode."""
+        """The persistent decode cache is a service-lifetime
+        installation, restored exactly on teardown — and it is all the
+        plane installs: there is no decode mode and no gather pool."""
         before = _plane_state(coordinator)
         service = SearchService(coordinator, ServeSpec())
         saved = service._install_plane()
-        # (engine, graph, decode_cache, arena_pool) and nothing else
-        assert all(len(entry) == 4 for entry in saved)
+        # (graph, previous decode_cache) and nothing else
+        assert all(len(entry) == 2 for entry in saved)
+        assert all(cache is not None for cache in _plane_state(coordinator))
         service._uninstall_plane(saved)
         assert _plane_state(coordinator) == before
         service.run_trace(burst(4), serve_dataset.queries)
@@ -411,7 +411,7 @@ class TestLiveService:
 
     def test_concurrent_results_match_serial(self, coordinator,
                                              serve_dataset):
-        """Thread-safety regression (shared decode cache + arena pool):
+        """Thread-safety regression (shared decode cache):
         answers served by concurrent workers over the installed plane are
         bit-identical to uncontended coordinator calls."""
         spec = ServeSpec(workers=4, queue_depth=64, max_batch=4,
@@ -501,8 +501,7 @@ class TestLiveService:
                 service.start()
             # while live, every disk segment runs the persistent plane
             assert all(
-                cache is not None and pool is not None
-                for cache, pool in _plane_state(coordinator)
+                cache is not None for cache in _plane_state(coordinator)
             )
             service.stop()
             assert not service.running

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.core import StarlingConfig, build_starling
 from repro.engine import (
     AdaptiveEarlyStopper,
-    ArenaPool,
     BatchExecutor,
     CachedDiskGraph,
     DeadlineStopper,
@@ -677,7 +676,7 @@ class TestWaveEquivalence:
                                             small_dataset):
         """Service workers share one engine: the round loop keeps no
         per-engine scratch, so concurrent ``search_wave`` calls (wide and
-        narrow, with and without an arena pool) equal the sequential ones."""
+        narrow) equal the sequential ones."""
         engine = starling_index.engine
         pool = _noisy_queries(small_dataset, WIDTHS[-1], seed=4)
         batches = [pool[:LOCKSTEP_MIN_WAVE + 1], pool[LOCKSTEP_MIN_WAVE + 1:],
@@ -698,20 +697,17 @@ class TestWaveEquivalence:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for pooled in (None, ArenaPool()):
-                engine.arena_pool = pooled
-                workers = [
-                    threading.Thread(target=work, args=(i,))
-                    for i in range(len(batches))
-                ]
-                for t in workers:
-                    t.start()
-                for t in workers:
-                    t.join(timeout=120)
-                assert not any(t.is_alive() for t in workers)
-                assert failures == []
+            workers = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(len(batches))
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in workers)
+            assert failures == []
         finally:
-            engine.arena_pool = None
             sys.setswitchinterval(interval)
 
 
