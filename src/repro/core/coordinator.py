@@ -12,18 +12,31 @@ coordinator therefore tracks consecutive per-segment failures, quarantines a
 segment after :attr:`SegmentCoordinator.quarantine_threshold` of them, and
 merges the surviving segments' candidates into a result flagged as partial —
 answer quality degrades gracefully instead of availability collapsing.
+
+A micro-batch is answered over all of its *unionable* segments — plain
+Starling segments whose reads cannot fail and which share one round
+configuration — as **one** lockstep wave of ``segments × queries`` rows
+(:func:`~repro.engine.block_search.search_segments`), so a service's
+8-query batch over two segments runs as a 16-row wave, past the wide-wave
+switch.  Every row equals its segment's own wave; the merge is unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine.batch import BatchExecutor, ExecSpec, amortized
+from ..engine.block_search import search_segments, union_key
 from ..engine.cost import QueryStats
+from ..storage.device import BlockDevice
+from ..storage.disk_graph import DiskGraph
 from ..storage.faults import FaultError
 from ..vectors.dataset import VectorDataset
+from .segment import StarlingIndex
 
 
 def split_dataset(
@@ -88,6 +101,50 @@ class CoordinatedResult:
         return float(max(self.per_segment_latency_us, default=0.0))
 
 
+def _unionable(segment) -> bool:
+    """Whether a segment may answer inside a multi-segment wave: a Starling
+    segment on a plain :class:`DiskGraph` over a plain :class:`BlockDevice`
+    — no cache wrapper, no retry policy, no fault injector, no checksum
+    verification, so none of its reads can raise a
+    :class:`~repro.storage.faults.FaultError` and take a sibling's rows
+    down — routing by PQ."""
+    if not isinstance(segment, StarlingIndex):
+        return False
+    engine = segment.engine
+    dg = engine.disk_graph
+    return (
+        type(dg) is DiskGraph and type(dg.device) is BlockDevice
+        and not dg.verify_checksums and engine.resilience is None
+        and engine.use_pq_routing
+    )
+
+
+def _read_path(segment) -> tuple:
+    """Everything :func:`_unionable` reads that can change in place (a
+    cache strategy applied, fault injection armed), as identities."""
+    engine = getattr(segment, "engine", None)
+    dg = getattr(engine, "disk_graph", None)
+    return (
+        segment, engine, dg, getattr(dg, "device", None),
+        getattr(dg, "verify_checksums", None),
+        getattr(engine, "resilience", None),
+        getattr(engine, "use_pq_routing", None),
+    )
+
+
+@dataclass(frozen=True)
+class _UnionPlan:
+    """Which healthy segments answer a micro-batch together, cached for one
+    segment set: rebuilt when ``fingerprint`` — the quarantined indexes and
+    every segment's read path — changes, i.e. on ``replace_segment``,
+    quarantine, reinstatement or an in-place read-path change."""
+
+    fingerprint: tuple
+    #: segment indexes answered as one wave each (one per shared
+    #: :func:`~repro.engine.block_search.union_key`), in index order
+    waves: tuple[tuple[int, ...], ...]
+
+
 class SegmentCoordinator:
     """Fan a query out over segment indexes and merge the candidates.
 
@@ -128,6 +185,8 @@ class SegmentCoordinator:
         #: so replace/quarantine under live serving traffic is one atomic
         #: swap and a fan-out never sees a half-updated (segment, offset)
         self._lock = threading.RLock()
+        #: the last segment set's :class:`_UnionPlan` (under ``_lock``)
+        self._union_plan: _UnionPlan | None = None
 
     @property
     def num_segments(self) -> int:
@@ -187,27 +246,39 @@ class SegmentCoordinator:
 
     # -- fan-out helpers -----------------------------------------------------
 
-    def _fan_out(self, run_segment):
-        """Run a per-segment callable with error tracking and quarantine.
-
-        Yields ``(index, segment, offset, result)`` for every segment that
-        answered; failures and quarantine skips are recorded in the returned
-        bookkeeping object.
-        """
-        outcomes = []
-        failed: list[int] = []
-        skipped: list[int] = []
+    def _snapshot(self) -> tuple[list[tuple], list[int], _UnionPlan]:
+        """One consistent view of the segment set: ``(segment, offset)``
+        pairs, the quarantined indexes, and the set's union plan."""
         with self._lock:
             snapshot = list(zip(self.segments, self.id_offsets))
-            quarantined = {
+            skipped = [
                 i for i in range(len(snapshot)) if self.is_quarantined(i)
-            }
-        for i, (segment, offset) in enumerate(snapshot):
-            if i in quarantined:
-                skipped.append(i)
-                continue
+            ]
+            fingerprint = (
+                tuple(skipped),
+                tuple(_read_path(segment) for segment, _ in snapshot),
+            )
+            plan = self._union_plan
+            if plan is None or plan.fingerprint != fingerprint:
+                waves: dict[tuple, list[int]] = {}
+                for i, (segment, _) in enumerate(snapshot):
+                    if i not in skipped and _unionable(segment):
+                        waves.setdefault(
+                            union_key(segment.engine), []
+                        ).append(i)
+                plan = self._union_plan = _UnionPlan(
+                    fingerprint, tuple(map(tuple, waves.values()))
+                )
+        return snapshot, skipped, plan
+
+    def _run_each(self, snapshot, indexes, run_segment, answers) -> list[int]:
+        """Run a per-segment callable on ``indexes`` with error tracking and
+        quarantine: answers land in ``answers[i]``; returns the indexes
+        whose call raised a fault."""
+        failed: list[int] = []
+        for i in indexes:
             try:
-                result = run_segment(segment)
+                result = run_segment(snapshot[i][0])
             except FaultError:
                 with self._lock:
                     self.error_counts[i] += 1
@@ -216,44 +287,21 @@ class SegmentCoordinator:
                 continue
             with self._lock:
                 self.error_counts[i] = 0
-            outcomes.append((i, segment, offset, result))
-        return outcomes, failed, skipped
+            answers[i] = result
+        return failed
 
     def search(
         self, query: np.ndarray, k: int = 10, candidate_size: int = 64
     ) -> CoordinatedResult:
-        """ANNS across the healthy segments, merged by exact distance.
+        """ANNS across the healthy segments, merged by exact distance: a
+        :meth:`search_batch` of one.
 
         A segment whose search raises a fault contributes nothing to this
         answer (its error count grows toward quarantine); the merged result
         from the surviving segments is flagged ``degraded``.
         """
-        merged: list[tuple[float, int]] = []
-        total = QueryStats()
-        latencies: list[float] = []
-        degraded = False
-        outcomes, failed, skipped = self._fan_out(
-            lambda segment: segment.search(query, k, candidate_size)
-        )
-        for _, segment, offset, result in outcomes:
-            total.merge(result.stats)
-            latencies.append(segment.latency_us(result))
-            degraded |= bool(getattr(result, "degraded", False))
-            merged.extend(
-                (float(d), int(vid) + offset)
-                for d, vid in zip(result.dists, result.ids)
-            )
-        merged.sort()
-        top = merged[:k]
-        return CoordinatedResult(
-            ids=np.asarray([vid for _, vid in top], dtype=np.int64),
-            dists=np.asarray([d for d, _ in top], dtype=np.float64),
-            stats=total,
-            per_segment_latency_us=latencies,
-            degraded=degraded or bool(failed) or bool(skipped),
-            failed_segments=failed,
-            quarantined_segments=skipped,
-        )
+        query = np.asarray(query, dtype=np.float32)
+        return self.search_batch(query[None], k, candidate_size)[0]
 
     def search_batch(
         self,
@@ -266,27 +314,52 @@ class SegmentCoordinator:
     ) -> list[CoordinatedResult]:
         """Answer a micro-batch of queries across the healthy segments.
 
-        Each healthy segment serves the whole batch through a
+        In ``wave`` mode the unionable segments (see :func:`_unionable`)
+        answer the batch as one lockstep wave of ``segments × queries``
+        rows (:func:`~repro.engine.block_search.search_segments`); every
+        other healthy segment serves it through its own
         :class:`~repro.engine.batch.BatchExecutor` (shared ADC tables,
-        shared decode cache), then results are merged per query exactly
-        like :meth:`search`.  Failure granularity is the segment × batch:
-        a fault anywhere in a segment's batch costs that segment one error
-        count and drops its contribution for the *whole* batch — the same
-        all-or-nothing contract a single coordinated query has.
+        shared decode cache).  Results are merged per query by exact
+        distance.  Each row, and so each merged answer, is bit-identical to
+        the per-segment executors' — the union changes only the wave's
+        width.  Failure granularity is the segment × batch: a fault
+        anywhere in a segment's batch costs that segment one error count
+        and drops its contribution for the *whole* batch — the same
+        all-or-nothing contract a single coordinated query has.  A
+        unionable segment cannot fault, so the union never drops a
+        sibling.
 
         ``stoppers`` optionally carries one early-stop object per query
         (the serving layer's deadline budgets); they are forwarded only to
-        disk-graph segments, whose cost model the stoppers price.
+        disk-graph segments, whose cost model the stoppers price.  Inside
+        the union each row gets its own copy of its query's stopper, bound
+        to the row's segment and stats; a copy that fires latches ``fired``
+        on the caller's object, as the per-segment calls' rebinding of one
+        object does.  A stopper with no ``bind`` carries state from one
+        segment's search into the next, so it keeps the per-segment calls.
         """
-        from ..engine.batch import BatchExecutor
-
         queries = np.asarray(queries, dtype=np.float32)
         n = len(queries)
         if stoppers is not None and len(stoppers) != n:
             raise ValueError(f"{len(stoppers)} stoppers for {n} queries")
+        spec = exec_spec or ExecSpec()
+        snapshot, skipped, plan = self._snapshot()
+        answers: dict[int, list] = {}
+        if spec.mode == "wave" and all(
+            hasattr(s, "bind") for s in stoppers or () if s is not None
+        ):
+            for wave in plan.waves:
+                segments = [snapshot[i][0] for i in wave]
+                results = self._union_wave(
+                    segments, queries, k, candidate_size, spec, stoppers
+                )
+                with self._lock:
+                    for i in wave:
+                        self.error_counts[i] = 0
+                answers.update(zip(wave, results))
 
         def run_segment(segment):
-            executor = BatchExecutor(segment, exec_spec)
+            executor = BatchExecutor(segment, spec)
             seg_stoppers = stoppers
             if seg_stoppers is not None:
                 engine = getattr(segment, "engine", segment)
@@ -296,15 +369,24 @@ class SegmentCoordinator:
                 queries, k, candidate_size, stoppers=seg_stoppers
             )
 
-        outcomes, failed, skipped = self._fan_out(run_segment)
+        failed = self._run_each(
+            snapshot,
+            [
+                i for i in range(len(snapshot))
+                if i not in skipped and i not in answers
+            ],
+            run_segment, answers,
+        )
+        order = sorted(answers)
         out: list[CoordinatedResult] = []
         for q in range(n):
             merged: list[tuple[float, int]] = []
             total = QueryStats()
             latencies: list[float] = []
             degraded = False
-            for _, segment, offset, results in outcomes:
-                result = results[q]
+            for i in order:
+                segment, offset = snapshot[i]
+                result = answers[i][q]
                 total.merge(result.stats)
                 latencies.append(segment.latency_us(result))
                 degraded |= bool(getattr(result, "degraded", False))
@@ -325,6 +407,31 @@ class SegmentCoordinator:
             ))
         return out
 
+    @staticmethod
+    def _union_wave(segments, queries, k, candidate_size, spec, stoppers):
+        """One lockstep wave over ``segments``; ``results[g][q]``."""
+        n = len(queries)
+        rows = None
+        if stoppers is not None:
+            rows = []
+            for segment in segments:
+                for stopper in stoppers:
+                    clone = copy.copy(stopper)
+                    segment._bind_costs(clone)
+                    rows.append(clone)
+        engines = [segment.engine for segment in segments]
+        with amortized([e.disk_graph for e in engines], spec.gc_pause):
+            results = search_segments(
+                engines, queries, k, candidate_size, stoppers=rows
+            )
+        for j, stopper in enumerate(stoppers or ()):
+            if any(
+                getattr(rows[g * n + j], "fired", False)
+                for g in range(len(segments))
+            ):
+                stopper.fired = True
+        return results
+
     def range_search(self, query: np.ndarray, radius: float) -> CoordinatedResult:
         """RS across the healthy segments; the union is exact per-segment."""
         ids: list[int] = []
@@ -332,10 +439,16 @@ class SegmentCoordinator:
         total = QueryStats()
         latencies: list[float] = []
         degraded = False
-        outcomes, failed, skipped = self._fan_out(
-            lambda segment: segment.range_search(query, radius)
+        snapshot, skipped, _ = self._snapshot()
+        answers: dict[int, object] = {}
+        failed = self._run_each(
+            snapshot,
+            [i for i in range(len(snapshot)) if i not in skipped],
+            lambda segment: segment.range_search(query, radius), answers,
         )
-        for _, segment, offset, result in outcomes:
+        for i in sorted(answers):
+            segment, offset = snapshot[i]
+            result = answers[i]
             total.merge(result.stats)
             latencies.append(segment.latency_us(result))
             degraded |= bool(getattr(result, "degraded", False))

@@ -80,6 +80,35 @@ class ExecSpec:
             )
 
 
+@contextmanager
+def amortized(graphs, gc_pause: bool):
+    """Install a batch's shared decode cache on each physical graph of
+    ``graphs``, and hold off the cyclic collector (``gc_pause``).
+
+    Only an *empty* slot is filled (and emptied again on exit).  One that
+    is already occupied belongs to a long-lived owner (the serving layer's
+    persistent plane) and is left alone: concurrent batches must share one
+    cache, not tear down each other's installs.  A graph without the seam
+    has no slot.
+    """
+    own = [
+        graph for graph in graphs
+        if hasattr(graph, "decode_cache") and graph.decode_cache is None
+    ]
+    pause = gc_pause and gc.isenabled()
+    for graph in own:
+        graph.decode_cache = {}
+    if pause:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if pause:
+            gc.enable()
+        for graph in own:
+            graph.decode_cache = None
+
+
 def order_sensitive(index) -> bool:
     """Whether ``index``'s results or counters depend on the global read order.
 
@@ -141,33 +170,10 @@ class BatchExecutor:
             return None
         return pq.lookup_tables(queries)
 
-    @contextmanager
     def _amortized(self):
-        """Install the batch's shared decode cache, and hold off the cyclic
-        collector (``spec.gc_pause``).
-
-        Only an *empty* slot is filled (and emptied again on exit).  One
-        that is already occupied belongs to a long-lived owner (the serving
-        layer's persistent plane) and is left alone: concurrent batches
-        must share one cache, not tear down each other's installs.  A
-        graph without the seam has no slot.
-        """
-        graph = base_disk_graph(self.engine.disk_graph)
-        own_cache = (
-            hasattr(graph, "decode_cache") and graph.decode_cache is None
+        return amortized(
+            [base_disk_graph(self.engine.disk_graph)], self.spec.gc_pause
         )
-        pause = self.spec.gc_pause and gc.isenabled()
-        if own_cache:
-            graph.decode_cache = {}
-        if pause:
-            gc.disable()
-        try:
-            yield
-        finally:
-            if pause:
-                gc.enable()
-            if own_cache:
-                graph.decode_cache = None
 
     # -- batch entry points ------------------------------------------------
 

@@ -61,6 +61,15 @@ Lockstep is scheduling, not semantics: each query's candidate set, result
 set, stopper and counters evolve exactly as in the scalar Algorithm 2
 (``tests/oracles.py::oracle_block_search`` — the reference the equivalence
 suites compare against), and queries finish independently.
+
+**Several segments, one wave.**  A wave's rows may search different
+segments (:func:`search_segments`, the coordinator's micro-batch: one row
+per segment × query, segment-major).  Each row keeps its segment's local
+vertex and block ids and touches segment data — the vertex→block map, the
+device, the PQ codes, the navigation graph — through its own engine; the
+round's reads, decode and ADC gather are done per segment and everything
+else runs once over all rows.  A one-segment wave is the same loop with one
+segment, which is all :meth:`~BlockSearchEngine.search_wave` is.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ import math
 
 import numpy as np
 
-from ..graphs.navigation import LOCKSTEP_MIN_WAVE
+from ..graphs.navigation import LOCKSTEP_MIN_WAVE, entry_walks
 from ..quantization.pq import ProductQuantizer
 from ..storage.disk_graph import BlockStack, DiskGraph
 from ..vectors.metrics import Metric, fused_sq_norms
@@ -84,14 +93,18 @@ class _QueryState:
     """One query's independent traversal state inside a wave."""
 
     __slots__ = (
-        "row", "query", "table", "stats", "candidates", "results", "stopper",
-        "kernel", "hops", "loaded", "used",
+        "row", "seg", "engine", "query", "table", "stats", "candidates",
+        "results", "stopper", "kernel", "hops", "loaded", "used",
     )
 
-    def __init__(self, row, query, table, stats, candidates, results,
-                 stopper, kernel) -> None:
+    def __init__(self, row, seg, engine, query, table, stats, candidates,
+                 results, stopper, kernel) -> None:
         #: position in the wave: the query's row in ``tables`` and the plane
         self.row = row
+        #: the segment the row searches: its position among the wave's
+        #: segments, and that segment's engine (graph, device, PQ codes)
+        self.seg = seg
+        self.engine = engine
         self.query = query
         self.table = table
         self.stats = stats
@@ -169,6 +182,14 @@ class _BlockPlane:
     coalesced union read decoded in place, or the per-query counted reads'
     blocks stacked), and exact distances, selection and the neighbour gather
     run once over ``[pairs, ε]`` arrays in the scalar order.
+
+    The rows may belong to several segments.  Rows are segment-major, and
+    every per-row array of a round — items, pairs, explored neighbours — is
+    row-ordered, so a segment's share of it is one contiguous run
+    (:meth:`_by_segment`).  Only the steps that read segment data take the
+    runs apart: the vertex→block lookup, the read (one per segment, so
+    each device sees its own round trips), and the ADC gather.  Ids stay
+    local to their segment throughout.
     """
 
     def __init__(self, engine, plane, tables, states, coalesce, keep_quota):
@@ -182,16 +203,39 @@ class _BlockPlane:
         #: per-query hops / vertices loaded / vertices used, handed to the
         #: states once by :meth:`flush`
         self.counts = np.zeros((3, len(states)), dtype=np.int64)
+        #: ``(engine, first row)`` per segment, in row order
+        self.segments = [
+            (st.engine, st.row) for i, st in enumerate(states)
+            if i == 0 or st.seg != states[i - 1].seg
+        ]
+        self.first_rows = np.asarray(
+            [row for _, row in self.segments] + [len(states)]
+        )
+        #: a ``(row, block)`` pair's key is ``row * stride + block``
+        self.stride = max(e.disk_graph.num_blocks for e, _ in self.segments)
 
     def flush(self) -> None:
         for st, counts in zip(self.states, self.counts.T.tolist()):
             st.hops, st.loaded, st.used = counts
 
+    def _by_segment(self, rows: np.ndarray):
+        """``(engine, lo, hi)``: each segment's run ``[lo, hi)`` of an
+        ascending per-item row array, empty runs skipped.  A wave of one
+        segment is one run over the whole array."""
+        if len(self.segments) == 1:
+            return [(self.segments[0][0], 0, rows.size)]
+        cuts = np.searchsorted(rows, self.first_rows).tolist()
+        return [
+            (engine, lo, hi)
+            for (engine, _), lo, hi in zip(self.segments, cuts, cuts[1:])
+            if hi > lo
+        ]
+
     def round(self, live) -> tuple[int, int]:
         """Advance every live query one round; returns the wave's block
         reads ``(requested, issued)``."""
         eng, width = self.engine, len(self.states)
-        dg = eng.disk_graph
+        fmt = eng.disk_graph.fmt
         live_rows = np.fromiter((st.row for st in live), np.int64, len(live))
         item_rows, vids = self.plane.pop_flat(live_rows, eng.beam_width)
         self.counts[0] += np.bincount(item_rows, minlength=width)
@@ -204,29 +248,41 @@ class _BlockPlane:
             return zip(live, [0] + ends, ends)
 
         # The round's pairs: distinct (row, block) in first-occurrence
-        # order — row-major, so grouped by query.
-        pair_key, item_pair = _first_occurrence(
-            item_rows * dg.num_blocks + dg.vertex_to_block[vids]
-        )
-        pair_row, pair_bid = np.divmod(pair_key, dg.num_blocks)
+        # order — row-major, so grouped by query and by segment.
+        bids = np.empty(vids.size, dtype=np.int64)
+        for engine, lo, hi in self._by_segment(item_rows):
+            bids[lo:hi] = engine.disk_graph.vertex_to_block[vids[lo:hi]]
+        pair_key, item_pair = _first_occurrence(item_rows * self.stride + bids)
+        pair_row, pair_bid = np.divmod(pair_key, self.stride)
         asked = issued = pair_key.size
         if self.coalesce:
             # Charged to each query in full, whoever else in the wave
-            # asked for the same block; read once for the whole wave.
+            # asked for the same block; read once per segment for the
+            # whole wave, then decoded side by side.
             for st, lo, hi in spans(pair_row):
                 st.stats.round_trip_blocks.append(hi - lo)
-            union, pair_u = _first_occurrence(pair_bid)
-            stack = dg.read_block_stack(union.tolist())
-            issued = union.size
+            pair_u = np.empty_like(pair_bid)
+            stacks = []
+            issued = 0
+            for engine, lo, hi in self._by_segment(pair_row):
+                union, pair_u[lo:hi] = _first_occurrence(pair_bid[lo:hi])
+                pair_u[lo:hi] += issued
+                stacks.append(engine.disk_graph.read_block_stack(union.tolist()))
+                issued += union.size
+            stack = (
+                stacks[0] if len(stacks) == 1
+                else BlockStack(*map(np.concatenate, zip(*stacks)))
+            )
         else:
             blocks: list = []
             got: list[int] = []
             for st, lo, hi in spans(item_rows):
                 mine = counted_read_blocks_of(
-                    dg, vids[lo:hi].tolist(), st.stats, eng.resilience
+                    st.engine.disk_graph, vids[lo:hi].tolist(), st.stats,
+                    st.engine.resilience,
                 )
                 blocks += mine
-                got += [st.row * dg.num_blocks + b.block_id for b in mine]
+                got += [st.row * self.stride + b.block_id for b in mine]
             if len(blocks) < asked:
                 # Unreadable after retries: those pairs drop out and their
                 # targets are abandoned; the rest of the frontier drains.
@@ -239,7 +295,7 @@ class _BlockPlane:
                 pair_row, pair_bid = pair_row[back], pair_bid[back]
                 if not blocks:
                     return asked, issued
-            stack = BlockStack.of_blocks(blocks, dg.fmt)
+            stack = BlockStack.of_blocks(blocks, fmt)
             pair_u = np.arange(len(blocks))
         if eng.fold_coresident:
             item_pair, vids = self._fold(
@@ -288,10 +344,9 @@ class _BlockPlane:
             )
         sel_u = pair_u[sel_pair]
         degree = stack.nbr_counts[sel_u, sel_slot]
-        explore = np.arange(dg.fmt.max_degree) < degree[:, None]
+        explore = np.arange(fmt.max_degree) < degree[:, None]
         if explore.any():
-            eng._expand_plane(
-                self.plane, self.tables, self.states,
+            self._expand(
                 np.repeat(sel_row, degree),
                 stack.nbr_ids[sel_u, sel_slot][explore],
             )
@@ -300,19 +355,49 @@ class _BlockPlane:
     def _fold(self, pair_spans, pair_bid, item_pair, vids):
         """:meth:`BlockSearchEngine._fold_coresident_targets` per live query:
         its co-resident candidates become extra ``(pair, vertex)`` items."""
-        vertex_to_block = self.engine.disk_graph.vertex_to_block
         pairs, folded = item_pair.tolist(), vids.tolist()
         for st, lo, hi in pair_spans:
             pending = st.candidates.unvisited_members()
             pair_of = dict(zip(pair_bid[lo:hi].tolist(), range(lo, hi)))
             for vid, bid in zip(
-                pending.tolist(), vertex_to_block[pending].tolist()
+                pending.tolist(),
+                st.engine.disk_graph.vertex_to_block[pending].tolist(),
             ):
                 if bid in pair_of:
                     pairs.append(pair_of[bid])
                     folded.append(vid)
                     st.candidates.mark_visited(vid)
         return np.asarray(pairs), np.asarray(folded)
+
+    def _expand(self, item_rows: np.ndarray, ids: np.ndarray) -> None:
+        """:meth:`BlockSearchEngine._expand_frontier` for the whole wave in
+        one pass: ``ids`` are the round's explored neighbour IDs, ``ids[j]``
+        explored by query (plane and table row) ``item_rows[j]``, queries in
+        ascending order.
+
+        The freshness mask and the first-occurrence dedup run on the flat
+        ``(row, id)`` address, which keeps each query's survivors in its
+        scalar order; one flat ADC gather per segment routes them all (a
+        row's table indexes its own segment's codes).
+        """
+        plane, states = self.plane, self.states
+        key = plane.flat(item_rows, ids)
+        fresh = np.flatnonzero(plane.unseen(key))
+        if not fresh.size:
+            return
+        first = np.unique(key[fresh], return_index=True)[1]
+        first.sort()
+        fresh = fresh[first]
+        item_rows = item_rows[fresh]
+        ids = ids[fresh].astype(np.int64)
+        for row, routed in enumerate(np.bincount(item_rows).tolist()):
+            states[row].stats.pq_distances += routed
+        route = np.empty(ids.size)
+        for engine, lo, hi in self._by_segment(item_rows):
+            route[lo:hi] = engine.pq.distances_from_tables(
+                self.tables, item_rows[lo:hi], ids[lo:hi]
+            )
+        plane.push_new(item_rows, ids, route)
 
 
 class BlockSearchEngine:
@@ -639,58 +724,13 @@ class BlockSearchEngine:
         each equals what the query's own wave of one returns whenever the
         read path is stateless (see :func:`repro.engine.batch.
         order_sensitive` — the executor keeps stateful ones at width 1).
+
+        The one-segment call of :func:`search_segments`.
         """
-        queries = np.asarray(queries, dtype=np.float32)
-        if not len(queries):
-            return []
-        # Round 0 — the navigation walk touches no device, so the whole
-        # wave walks up front (in lockstep from ``LOCKSTEP_MIN_WAVE`` on);
-        # each row is the query's own scalar walk.
-        entry_ids, walk_distances = self.entry_provider.entry_points_batch(
-            queries, self.num_entry_points
-        )
-        walk_distances = walk_distances.tolist()
-        if tables is None and self.use_pq_routing:
-            tables = self.pq.lookup_tables(queries)
-        # A wave wide enough for the lockstep entry walk keeps its
-        # frontiers in one plane (same crossover, same constant); a
-        # narrower one allocates none and runs the per-query primitives.
-        # The plane's expansion is an ADC gather, so it needs PQ routing.
-        plane = (
-            FrontierPlane(
-                len(queries), candidate_size, self.disk_graph.num_vertices
-            )
-            if len(queries) >= LOCKSTEP_MIN_WAVE and self.use_pq_routing
-            else None
-        )
-        states: list[_QueryState] = []
-        for i, q in enumerate(queries):
-            stats = QueryStats(pipelined=self.pipeline)
-            candidates, results, table = self._seed(
-                q, candidate_size, stats,
-                table=tables[i] if tables is not None else None,
-                walk=(entry_ids[i], walk_distances[i]),
-                candidates=plane.row(i) if plane is not None else None,
-            )
-            stopper = stoppers[i] if stoppers is not None else None
-            if stopper is None:
-                stopper = (
-                    AdaptiveEarlyStopper(k, self.early_termination)
-                    if self.early_termination is not None else None
-                )
-            elif hasattr(stopper, "bind"):
-                stopper.bind(stats)
-            states.append(self._state(
-                i, q, table, stats, candidates, results, stopper
-            ))
-        self._rounds(states, plane, tables, wave_stats)
-        return [
-            SearchResult(
-                *st.results.top_k(k), st.stats,
-                degraded=st.stats.fault.degraded,
-            )
-            for st in states
-        ]
+        return search_segments(
+            [self], queries, k, candidate_size,
+            tables=tables, stoppers=stoppers, wave_stats=wave_stats,
+        )[0]
 
     def _run(
         self,
@@ -705,42 +745,21 @@ class BlockSearchEngine:
         """Drain one already-seeded query through the round loop (the
         range-search driver's resume, §5.3)."""
         state = self._state(
-            0, query, table, stats, candidates, results, stopper
+            0, 0, query, table, stats, candidates, results, stopper
         )
         self._rounds([state], None, None, None)
 
-    def _state(self, row, query, table, stats, candidates, results, stopper):
+    def _state(
+        self, row, seg, query, table, stats, candidates, results, stopper
+    ):
         # L2 distances come from the wave-wide fused reduction; any other
         # metric runs its own kernel per query.
         return _QueryState(
-            row, query, table, stats, candidates, results, stopper,
+            row, seg, self, query, table, stats, candidates, results,
+            stopper,
             None if self.metric.name == "l2"
             else self.metric.distances_kernel(query),
         )
-
-    def _expand_plane(self, plane, tables, states, item_rows, ids) -> None:
-        """:meth:`_expand_frontier` for a whole wide wave in one pass:
-        ``ids`` are the round's explored neighbour IDs, ``ids[j]`` explored
-        by query (plane and table row) ``item_rows[j]``, queries in
-        ascending order.
-
-        The freshness mask and the first-occurrence dedup run on the flat
-        ``(row, id)`` address, which keeps each query's survivors in its
-        scalar order; one flat ADC gather routes them all.
-        """
-        key = plane.flat(item_rows, ids)
-        fresh = np.flatnonzero(plane.unseen(key))
-        if not fresh.size:
-            return
-        first = np.unique(key[fresh], return_index=True)[1]
-        first.sort()
-        fresh = fresh[first]
-        item_rows = item_rows[fresh]
-        ids = ids[fresh].astype(np.int64)
-        for row, routed in enumerate(np.bincount(item_rows).tolist()):
-            states[row].stats.pq_distances += routed
-        route = self.pq.distances_from_tables(tables, item_rows, ids)
-        plane.push_new(item_rows, ids, route.astype(np.float64))
 
     def _rounds(self, states, plane, tables, wave_stats) -> None:
         """The block-search round loop: advance ``states`` in lockstep until
@@ -748,22 +767,23 @@ class BlockSearchEngine:
 
         ``plane`` is the wave's :class:`FrontierPlane` (``None`` on a narrow
         wave, whose states then own plain candidate sets) and ``tables`` its
-        ``[B, M, ks]`` ADC build.  All scratch is local to the call, so
-        concurrent calls on one engine are safe.
+        ``[B, M, ks]`` ADC build.  The states may search several segments
+        (:func:`search_segments`): each touches segment data — its graph,
+        device and PQ codes — through its own ``engine``, while the round's
+        configuration (W, σ, the read fork, the fold, the metric) is this
+        engine's, which every segment of the wave shares.  All scratch is
+        local to the call, so concurrent calls on one engine are safe.
         """
-        dg = self.disk_graph
         beam_width = self.beam_width
         keep_quota = math.ceil(
-            (dg.fmt.vertices_per_block - 1) * self.pruning_ratio
+            (self.disk_graph.fmt.vertices_per_block - 1) * self.pruning_ratio
         )
         # The read fork.  A plain disk graph with no retry policy is
         # stateless and raises on failure, so the wave's requests can be
-        # merged into one union read with no block ever missing; anything
-        # else reads per query through the counted (cache-aware, resilient)
-        # path, where a block may come back absent.
-        resilience = self.resilience
-        coalesce = resilience is None and type(dg) is DiskGraph
-        vertex_to_block = dg.vertex_to_block
+        # merged into one union read per segment with no block ever
+        # missing; anything else reads per query through the counted
+        # (cache-aware, resilient) path, where a block may come back absent.
+        coalesce = self.resilience is None and type(self.disk_graph) is DiskGraph
         fold = self.fold_coresident
         fused_l2 = self.metric.name == "l2"
         select_round = self._select_round
@@ -803,14 +823,16 @@ class BlockSearchEngine:
                 # occurrence order, so its keys are the query's
                 # deduplicated read batch.
                 entries: list[tuple] = []
-                # Insertion-ordered set of the wave's requested block IDs
-                # (values unused; filled via C-level dict updates).
-                union: dict[int, object] = {}
+                # Per segment: its engine, the insertion-ordered set of the
+                # wave's requested block IDs there (values unused; filled
+                # via C-level dict updates) and how many live queries asked.
+                unions: dict[int, list] = {}
                 for st, batch in zip(live, batches):
                     st.hops += len(batch)
+                    dg = st.engine.disk_graph
                     targets_by_block: dict[int, list[int]] = {}
                     if coalesce:
-                        bids = vertex_to_block[batch].tolist()
+                        bids = dg.vertex_to_block[batch].tolist()
                         for vid, bid in zip(batch, bids):
                             targets_by_block.setdefault(bid, []).append(vid)
                         # Charged to this query in full, whoever else in
@@ -818,11 +840,15 @@ class BlockSearchEngine:
                         st.stats.round_trip_blocks.append(
                             len(targets_by_block)
                         )
-                        union.update(targets_by_block)
+                        union = unions.get(st.seg)
+                        if union is None:
+                            union = unions[st.seg] = [st.engine, {}, 0]
+                        union[1].update(targets_by_block)
+                        union[2] += 1
                         q_blocks = None
                     else:
                         q_blocks = counted_read_blocks_of(
-                            dg, batch, st.stats, resilience
+                            dg, batch, st.stats, st.engine.resilience
                         )
                         for vid in batch:
                             targets_by_block.setdefault(
@@ -840,15 +866,17 @@ class BlockSearchEngine:
                         issued += len(targets_by_block)
                     requested += len(targets_by_block)
                     entries.append((st, targets_by_block, q_blocks))
-                if union:
-                    # One physical read for the wave-wide union; each block
-                    # decodes once.  A lone live query's union is its own
-                    # read batch, in order.
+                for seg, (engine, union, asking) in unions.items():
+                    # One physical read per segment for the wave's union
+                    # there; each block decodes once.  A segment's lone
+                    # live query's union is its own read batch, in order.
                     union_ids = list(union)
-                    union_blocks = dg.read_blocks(union_ids)
+                    union_blocks = engine.disk_graph.read_blocks(union_ids)
                     issued += len(union_ids)
-                    if len(live) > 1:
-                        by_block = dict(zip(union_ids, union_blocks))
+                    unions[seg] = (
+                        union_blocks if asking == 1
+                        else dict(zip(union_ids, union_blocks))
+                    )
 
                 # Phase 3 — exact distances to every vertex of every block
                 # in the round (the I/O is paid; block pruning bounds the
@@ -861,12 +889,13 @@ class BlockSearchEngine:
                 total = 0
                 for st, targets_by_block, q_blocks in entries:
                     if q_blocks is None:
+                        got = unions[st.seg]
                         q_blocks = (
-                            [by_block[bid] for bid in targets_by_block]
-                            if len(live) > 1 else union_blocks
+                            got if isinstance(got, list)
+                            else [got[bid] for bid in targets_by_block]
                         )
                     if fold and q_blocks:
-                        self._fold_coresident_targets(
+                        st.engine._fold_coresident_targets(
                             st.candidates, q_blocks, targets_by_block
                         )
                     start = total
@@ -927,7 +956,7 @@ class BlockSearchEngine:
                         st.candidates.push_visited_many(keep_ids, keep_dists)
                     if res_ids:
                         st.results.add_many(res_ids, res_dists)
-                    self._expand_frontier(
+                    st.engine._expand_frontier(
                         st.query, st.table, st.candidates, explore_parts,
                         st.stats,
                     )
@@ -941,3 +970,117 @@ class BlockSearchEngine:
                 wave_stats.rounds += rounds
                 wave_stats.requested_block_reads += requested
                 wave_stats.issued_block_reads += issued
+
+
+def search_segments(
+    engines: list[BlockSearchEngine],
+    queries: np.ndarray,
+    k: int,
+    candidate_size: int,
+    *,
+    tables: np.ndarray | None = None,
+    stoppers=None,
+    wave_stats: WaveStats | None = None,
+) -> list[list[SearchResult]]:
+    """Answer every query in every segment of ``engines`` as one lockstep
+    wave.
+
+    The wave has ``len(engines) × len(queries)`` rows, segment-major: row
+    ``g * len(queries) + i`` is query ``i`` in segment ``g``, and
+    ``tables`` / ``stoppers`` (optional, one per row) follow the same order.
+    Every row evolves exactly as it would in its own segment's
+    :meth:`BlockSearchEngine.search_wave` — the round loop reads each row's
+    graph, device and PQ codes through the row's engine and everything else
+    is per-row state — so the wave's width alone changes: rows from all
+    segments count towards :data:`LOCKSTEP_MIN_WAVE`, and round 0 walks
+    every segment's navigation graph in one lockstep wave
+    (:func:`~repro.graphs.navigation.entry_walks`).  Ids stay local to
+    their segment; each device sees one coalesced read per round, exactly
+    its own wave's.  The frontier plane's flag columns are sized by the
+    largest segment, not their sum.
+
+    The segments must share the round's configuration
+    (:func:`union_key`).  Returns ``results[g][i]``; ``wave_stats``, when
+    given, accumulates the wave-level counters of the one wave.
+    """
+    queries = np.asarray(queries, dtype=np.float32)
+    if len(engines) > 1 and len({union_key(e) for e in engines}) > 1:
+        raise ValueError("the segments of one wave must share union_key")
+    if not len(queries):
+        return [[] for _ in engines]
+    lead = engines[0]
+    # Round 0 — the navigation walk touches no device, so the whole wave
+    # walks up front (in lockstep from ``LOCKSTEP_MIN_WAVE`` rows on); each
+    # row is the query's own scalar walk in its own segment.
+    walks = entry_walks(
+        [e.entry_provider for e in engines], queries, lead.num_entry_points
+    )
+    if tables is None and lead.use_pq_routing:
+        tables = (
+            lead.pq.lookup_tables(queries) if len(engines) == 1
+            else np.concatenate([e.pq.lookup_tables(queries) for e in engines])
+        )
+    width = len(engines) * len(queries)
+    # A wave wide enough for the lockstep entry walk keeps its frontiers in
+    # one plane (same crossover, same constant); a narrower one allocates
+    # none and runs the per-query primitives.  The plane's expansion is an
+    # ADC gather, so it needs PQ routing.
+    plane = (
+        FrontierPlane(
+            width, candidate_size,
+            max(e.disk_graph.num_vertices for e in engines),
+        )
+        if width >= LOCKSTEP_MIN_WAVE and lead.use_pq_routing
+        else None
+    )
+    states: list[_QueryState] = []
+    for seg, (engine, (entry_ids, walk_distances)) in enumerate(
+        zip(engines, walks)
+    ):
+        walk_distances = walk_distances.tolist()
+        for i, q in enumerate(queries):
+            row = len(states)
+            stats = QueryStats(pipelined=engine.pipeline)
+            candidates, results, table = engine._seed(
+                q, candidate_size, stats,
+                table=tables[row] if tables is not None else None,
+                walk=(entry_ids[i], walk_distances[i]),
+                candidates=plane.row(row) if plane is not None else None,
+            )
+            stopper = stoppers[row] if stoppers is not None else None
+            if stopper is None:
+                stopper = (
+                    AdaptiveEarlyStopper(k, engine.early_termination)
+                    if engine.early_termination is not None else None
+                )
+            elif hasattr(stopper, "bind"):
+                stopper.bind(stats)
+            states.append(engine._state(
+                row, seg, q, table, stats, candidates, results, stopper
+            ))
+    lead._rounds(states, plane, tables, wave_stats)
+    answers = [
+        SearchResult(
+            *st.results.top_k(k), st.stats, degraded=st.stats.fault.degraded,
+        )
+        for st in states
+    ]
+    rows = len(queries)
+    return [answers[g * rows:(g + 1) * rows] for g in range(len(engines))]
+
+
+def union_key(engine: BlockSearchEngine) -> tuple:
+    """What the segments of one :func:`search_segments` wave must share:
+    the round's configuration (W, σ, entry count, pipeline, fold, early
+    termination, routing, metric, read fork), the record format its stacked
+    blocks join under and the PQ shape its stacked tables need."""
+    dg, pq = engine.disk_graph, engine.pq
+    fmt = dg.fmt
+    return (
+        engine.beam_width, engine.pruning_ratio, engine.num_entry_points,
+        engine.pipeline, engine.fold_coresident, engine.early_termination,
+        engine.use_pq_routing, engine.metric.name,
+        engine.resilience is None and type(dg) is DiskGraph,
+        fmt.dim, np.dtype(fmt.dtype).str, fmt.vertices_per_block,
+        fmt.max_degree, pq.num_subspaces, pq.num_centroids,
+    )

@@ -46,7 +46,11 @@ disk-graph segment: a bounded thread-safe
 :class:`~repro.engine.block_cache.DecodeCache` — the executor's per-batch
 decode dict made long-lived and concurrency-safe.  The batched
 executor detects an installed plane and leaves it alone, so concurrent
-micro-batches share one cache instead of tearing down each other's.
+micro-batches share one cache instead of tearing down each other's.  The
+install is repeated at every dispatch for any current segment still without
+one — a segment swapped in by ``replace_segment`` while the service runs
+is cached from its first batch — and teardown restores exactly the graphs
+the service touched.
 
 Live workers share each segment's one engine, whose round loop keeps no
 per-engine scratch.  What is *not* safe to share is a read path with state
@@ -114,8 +118,9 @@ class ServeSpec:
             so a late dispatch still returns partial results.
         wave: Execute each dispatched micro-batch through the executor's
             ``wave`` mode (the default): shared ADC tables and, on a
-            stateless read path, one lockstep wave per segment, so queries
-            landing in the same batch coalesce shared block reads.
+            stateless read path, one lockstep wave over all of the
+            coordinator's plain segments (``segments × queries`` rows), so
+            queries landing in the same batch coalesce shared block reads.
             ``False`` selects the ``serial`` reference loop; results are
             bit-identical either way.
         ingest_queue_depth: Admission bound for concurrent ingest calls
@@ -648,20 +653,25 @@ class SearchService:
     # -- persistent data plane ---------------------------------------------
 
     def _install_plane(self) -> list[tuple]:
-        """Install the long-lived decode cache on every disk segment.
+        """Install the long-lived decode cache on every current disk
+        segment that has none.
 
-        Returns the saved state for :meth:`_uninstall_plane`.  Segments
-        without a disk graph (SPANN) are left untouched.
+        Returns the ``(graph, previous decode_cache)`` pairs it touched, for
+        :meth:`_uninstall_plane`.  Segments without a disk graph (SPANN),
+        and graphs that already carry a cache, are left untouched — so a
+        repeat call installs on exactly the segments swapped in since.
         """
         saved: list[tuple] = []
+        if not self.spec.decode_cache_blocks:
+            return saved
         for segment in self.coordinator.segments:
             engine = getattr(segment, "engine", segment)
             dg = getattr(engine, "disk_graph", None)
             if dg is None:
                 continue
             graph = base_disk_graph(dg)
-            saved.append((graph, graph.decode_cache))
-            if self.spec.decode_cache_blocks and graph.decode_cache is None:
+            if graph.decode_cache is None:
+                saved.append((graph, None))
                 graph.decode_cache = DecodeCache(self.spec.decode_cache_blocks)
         return saved
 
@@ -748,6 +758,7 @@ class SearchService:
                         )
                         for idx in batch
                     ]
+                saved.extend(self._install_plane())
                 results = self._execute_batch(
                     [queries[idx % len(queries)] for idx in batch],
                     k, candidate_size, stoppers,
@@ -942,6 +953,10 @@ class SearchService:
                 "dispatch", round(now, 3),
                 tuple(item.index for item in live), tier, candidate_size,
             ))
+            # A segment swapped in while the service runs gets the plane
+            # at its first dispatch, not at the next restart.
+            if self._plane_saved is not None:
+                self._plane_saved += self._install_plane()
         # Asked per dispatch, not once at construction: a cache strategy
         # applied, or a segment replaced, while the service is live must not
         # leave an unlocked stateful wrapper shared by the workers.

@@ -25,7 +25,7 @@ from .hnsw import HNSWIndex, HNSWParams, build_hnsw
 from .nsg import NSGParams, build_nsg
 from .search import greedy_search
 from .vamana import VamanaParams, build_vamana
-from .wavebuild import wave_greedy_search
+from .wavebuild import WaveGraph, lockstep_walk
 
 #: Narrowest wave that takes the lockstep walk.  The scalar walk costs the
 #: same per query at any width; the lockstep kernel's per-round numpy
@@ -37,7 +37,9 @@ from .wavebuild import wave_greedy_search
 #: It is the one wide-wave switch: ``BlockSearchEngine.search_wave`` keeps a
 #: wave of at least this width in a ``FrontierPlane`` and runs its rounds as
 #: array passes over the wave's (query, block) pairs (same trade, per-round
-#: dispatch shared by the wave).  The planes' own crossover sits lower —
+#: dispatch shared by the wave).  A wave over several segments counts its
+#: rows — segments × queries — against it (``entry_walks``,
+#: ``block_search.search_segments``).  The planes' own crossover sits lower —
 #: against the per-query primitives on ``batch_uniform``'s index they read
 #: 0.5–0.6 at width 1, 0.73 at 2, 1.0–1.1 at 4, 1.19 at 8, 1.37 at 12,
 #: 1.34–1.40 at 16, 1.45–1.55 at 24, 1.41–1.63 at 32, 1.63–1.83 at 64 and
@@ -148,21 +150,7 @@ class NavigationGraph(_WalkProvider):
         queries = np.asarray(queries, dtype=np.float32)
         if len(queries) < LOCKSTEP_MIN_WAVE or self.metric.name != "l2":
             return super().entry_points_batch(queries, count)
-        _, pool = wave_greedy_search(
-            self.graph.neighbor_lists(), self.sample_vectors, self.metric,
-            queries, [self.entry], max(self.search_ef, count),
-            as_matrix=True, with_pool=True,
-        )
-        # A graph with fewer reachable samples than ``count`` leaves -1
-        # padding in the pool; trim it (by the same amount on every row)
-        # before it can index ``sample_ids``.
-        local = pool.ids[:, :count]
-        local = local[:, : int((local[0] >= 0).sum())]
-        ids = self.sample_ids[local]
-        scored = pool.scored
-        for i in np.flatnonzero(pool.tied):
-            ids[i], scored[i] = self.entry_walk(queries[i], count)
-        return ids, scored
+        return _walk_together([self], queries, count)[0]
 
     @property
     def num_samples(self) -> int:
@@ -173,6 +161,68 @@ class NavigationGraph(_WalkProvider):
         """Vector data + adjacency lists + global-ID map (C_graph, §6.4)."""
         edge_bytes = sum(a.nbytes for a in self.graph.neighbor_lists())
         return self.sample_vectors.nbytes + edge_bytes + self.sample_ids.nbytes
+
+
+def entry_walks(
+    providers, queries: np.ndarray, count: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Round 0 of a wave over several segments: every query walks every
+    provider.
+
+    Returns ``providers[g].entry_points_batch(queries, count)`` for every
+    ``g``, bit for bit.  When the wave's rows — ``len(providers) ×
+    len(queries)`` — reach :data:`LOCKSTEP_MIN_WAVE` and every provider is
+    an L2 :class:`NavigationGraph` walking the same pool size, the rows walk
+    as *one* lockstep wave, each over its own segment's graph
+    (:func:`~repro.graphs.wavebuild.lockstep_walk`); a row the kernel
+    reports as tied is re-walked through its own graph's scalar
+    :meth:`~NavigationGraph.entry_walk`.  Otherwise each provider answers
+    for itself, which for a wave narrower than the switch is the scalar
+    walk.
+    """
+    queries = np.asarray(queries, dtype=np.float32)
+    together = (
+        len(providers) * len(queries) >= LOCKSTEP_MIN_WAVE
+        and all(
+            isinstance(p, NavigationGraph) and p.metric.name == "l2"
+            for p in providers
+        )
+        and len({max(p.search_ef, count) for p in providers}) == 1
+    )
+    if not together:
+        return [p.entry_points_batch(queries, count) for p in providers]
+    return _walk_together(providers, queries, count)
+
+
+def _walk_together(
+    navs: list[NavigationGraph], queries: np.ndarray, count: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One lockstep wave of every query over every graph of ``navs`` (L2,
+    one pool size): :func:`entry_walks`' wide case."""
+    rows = len(queries)
+    _, pool = lockstep_walk(
+        [
+            WaveGraph(p.graph.neighbor_lists(), p.sample_vectors, [p.entry])
+            for p in navs
+        ],
+        [rows] * len(navs), navs[0].metric,
+        queries if len(navs) == 1 else np.concatenate([queries] * len(navs)),
+        max(navs[0].search_ef, count), with_pool=True,
+    )
+    walks = []
+    for g, nav in enumerate(navs):
+        mine = slice(g * rows, (g + 1) * rows)
+        # A graph with fewer reachable samples than ``count`` leaves -1
+        # padding in the pool; trim it (by the same amount on every row of
+        # the graph) before it can index ``sample_ids``.
+        local = pool.ids[mine, :count]
+        local = local[:, : int((local[0] >= 0).sum())]
+        ids = nav.sample_ids[local]
+        scored = pool.scored[mine]
+        for i in np.flatnonzero(pool.tied[mine]):
+            ids[i], scored[i] = nav.entry_walk(queries[i], count)
+        walks.append((ids, scored))
+    return walks
 
 
 class HNSWUpperLayers(_WalkProvider):

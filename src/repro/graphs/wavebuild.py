@@ -27,6 +27,11 @@ pool-of-``ef`` evolution, same termination), and the lockstep prune
 reproduces :func:`~repro.graphs.vamana.robust_prune` / NSG's MRNG rule
 (``tests/oracles.py::oracle_mrng_select``) per point, including their stable
 tie-breaks.
+
+The lockstep search is also the query side's round 0: the navigation graph
+walks a wave of queries through it, and a wave spanning several segments
+walks each row over its own segment's graph (:func:`lockstep_walk` with one
+:class:`WaveGraph` per segment).
 """
 
 from __future__ import annotations
@@ -66,6 +71,19 @@ class WavePool(NamedTuple):
     tied: np.ndarray
 
 
+class WaveGraph(NamedTuple):
+    """One graph a lockstep wave walks: out-neighbours, vectors, entries.
+
+    ``neighbor_lists`` is anything indexable by vertex id that returns the
+    id array of out-neighbours (a list of arrays, or a dense-matrix view);
+    ``entries`` are the vertices every walk over this graph starts from.
+    """
+
+    neighbor_lists: object
+    vectors: np.ndarray
+    entries: Sequence[int]
+
+
 def wave_greedy_search(
     neighbor_lists,
     vectors: np.ndarray,
@@ -77,7 +95,8 @@ def wave_greedy_search(
     as_matrix: bool = False,
     with_pool: bool = False,
 ):
-    """Run a wave of greedy searches in lockstep; returns visited sets.
+    """Run a wave of greedy searches over one graph in lockstep; returns
+    visited sets.
 
     Per query this is exactly :func:`~repro.graphs.search.greedy_search`
     with ``collect_visited=True``: a pool of the ``ef`` best visited
@@ -86,40 +105,94 @@ def wave_greedy_search(
     lockstep form amortizes each round's distance computations into a single
     row-paired kernel call across the whole wave.
 
-    ``neighbor_lists`` is anything indexable by vertex id that returns the
-    id array of out-neighbours (a list of arrays, or a dense-matrix view).
-    Returns one sorted ``int64`` array of visited vertex ids per query, or
-    the raw ``(num_queries, n)`` visited mask when ``as_matrix`` is set;
-    with ``with_pool`` the result is ``(visited, WavePool)`` — the index
-    builders consume the visited sets, the navigation graph's batch entry
-    walk the pools.
+    The one-graph call of :func:`lockstep_walk`.  Returns one sorted
+    ``int64`` array of visited vertex ids per query, or the raw
+    ``(num_queries, n)`` visited mask when ``as_matrix`` is set; with
+    ``with_pool`` the result is ``(visited, WavePool)`` — the index builders
+    consume the visited sets, the navigation graph's batch entry walk the
+    pools.
+    """
+    visited, pool = lockstep_walk(
+        [WaveGraph(neighbor_lists, vectors, entry_points)], [len(queries)],
+        metric, queries, ef, with_pool=with_pool,
+    )
+    visited = visited.reshape(len(queries), vectors.shape[0])
+    out = visited if as_matrix else [
+        np.flatnonzero(row) for row in visited
+    ]
+    return (out, pool) if with_pool else out
+
+
+def lockstep_walk(
+    graphs: Sequence[WaveGraph],
+    row_counts: Sequence[int],
+    metric: Metric,
+    queries: np.ndarray,
+    ef: int,
+    *,
+    with_pool: bool = False,
+) -> tuple[np.ndarray, WavePool | None]:
+    """The lockstep greedy-search kernel, one graph per row.
+
+    Rows are graph-major: ``graphs[g]`` walks the next ``row_counts[g]``
+    rows of ``queries`` from its own ``entries``.  Row ``i`` evolves exactly as
+    :func:`wave_greedy_search` over its own graph alone would — every
+    per-row step (the pool merge, the visited marks, the row-paired
+    distances) reads that row only — so a wave over several segments'
+    navigation graphs walks as one.
+
+    Returns ``(visited, pool)``: the flat visited plane, where row ``i``
+    owns the next ``n_i`` flags (``n_i`` its own graph's vertex count, so
+    the plane is the sum of the rows' graphs, never rows × the largest),
+    and the :class:`WavePool` (``None`` unless ``with_pool``).
     """
     if ef <= 0:
         raise ValueError("ef must be positive")
-    entries = list(dict.fromkeys(int(e) for e in entry_points))
-    if not entries:
-        raise ValueError("entry_points must be non-empty")
-    if len(entries) > ef:
-        raise ValueError("more entry points than pool slots")
+    if len(graphs) != len(row_counts) or sum(row_counts) != len(queries):
+        raise ValueError("row_counts must split queries among the graphs")
+    entries = []
+    for graph in graphs:
+        mine = list(dict.fromkeys(int(e) for e in graph.entries))
+        if not mine:
+            raise ValueError("entry_points must be non-empty")
+        if len(mine) > ef:
+            raise ValueError("more entry points than pool slots")
+        entries.append(mine)
     q = np.ascontiguousarray(queries, dtype=np.float32)
     num_queries = q.shape[0]
-    n = vectors.shape[0]
+    per_graph = np.asarray(row_counts, dtype=np.int64)
+    first_row = np.concatenate(([0], np.cumsum(per_graph)))
+    row_n = np.repeat(
+        np.asarray([g.vectors.shape[0] for g in graphs], dtype=np.int64),
+        per_graph,
+    )
+    base = np.cumsum(row_n) - row_n
+    one_graph = len(graphs) == 1
+    row_graph = np.repeat(np.arange(len(graphs)), per_graph)
 
-    visited = np.zeros((num_queries, n), dtype=bool)
-    visited[:, entries] = True
+    visited = np.zeros(int(row_n.sum()), dtype=bool)
     # Pool state: id -1 / dist inf rows are padding; padding is born
     # "expanded" so the selection argmin can never pick it.
     pool_ids = np.full((num_queries, ef), -1, dtype=np.int64)
     pool_d = np.full((num_queries, ef), np.inf, dtype=np.float64)
     pool_exp = np.ones((num_queries, ef), dtype=bool)
-    for j, e in enumerate(entries):
-        pool_ids[:, j] = e
-        pool_d[:, j] = metric.rowwise(q, np.broadcast_to(vectors[e], q.shape))
-        pool_exp[:, j] = False
     tied = np.zeros(num_queries, dtype=bool)
-    if with_pool and len(entries) > 1:
-        seeds = np.sort(pool_d[:, : len(entries)], axis=1)
-        tied |= (seeds[:, 1:] == seeds[:, :-1]).any(axis=1)
+    for graph, mine, lo, hi in zip(
+        graphs, entries, first_row.tolist(), first_row[1:].tolist()
+    ):
+        if lo == hi:
+            continue
+        shape = (hi - lo, q.shape[1])
+        for j, e in enumerate(mine):
+            visited[base[lo:hi] + e] = True
+            pool_ids[lo:hi, j] = e
+            pool_d[lo:hi, j] = metric.rowwise(
+                q[lo:hi], np.broadcast_to(graph.vectors[e], shape)
+            )
+            pool_exp[lo:hi, j] = False
+        if with_pool and len(mine) > 1:
+            seeds = np.sort(pool_d[lo:hi, : len(mine)], axis=1)
+            tied[lo:hi] |= (seeds[:, 1:] == seeds[:, :-1]).any(axis=1)
 
     row_range = np.arange(num_queries)
     while True:
@@ -131,7 +204,14 @@ def wave_greedy_search(
         expand = pool_ids[act, best[act]]
         pool_exp[act, best[act]] = True
 
-        nbr_arrays = [neighbor_lists[int(u)] for u in expand]
+        if one_graph:
+            lists = graphs[0].neighbor_lists
+            nbr_arrays = [lists[u] for u in expand.tolist()]
+        else:
+            nbr_arrays = [
+                graphs[g].neighbor_lists[u]
+                for g, u in zip(row_graph[act].tolist(), expand.tolist())
+            ]
         lens = np.fromiter(
             (a.size for a in nbr_arrays), dtype=np.int64, count=act.size
         )
@@ -140,12 +220,22 @@ def wave_greedy_search(
         flat = np.concatenate(nbr_arrays).astype(np.int64, copy=False)
         rows_local = np.repeat(np.arange(act.size), lens)
         rows = act[rows_local]
-        fresh = ~visited[rows, flat]
+        key = base[rows] + flat
+        fresh = ~visited[key]
         if not fresh.any():
             continue
         rows_local, rows, flat = rows_local[fresh], rows[fresh], flat[fresh]
-        visited[rows, flat] = True
-        d = metric.rowwise(q[rows], vectors[flat]).astype(np.float64)
+        visited[key[fresh]] = True
+        if one_graph:
+            targets = graphs[0].vectors[flat]
+        else:
+            # ``rows`` ascends, so each graph's rows are one run of it.
+            cuts = np.searchsorted(rows, first_row).tolist()
+            targets = np.concatenate([
+                graph.vectors[flat[lo:hi]]
+                for graph, lo, hi in zip(graphs, cuts, cuts[1:])
+            ])
+        d = metric.rowwise(q[rows], targets).astype(np.float64)
 
         # Scatter the ragged neighbour lists into a padded (act, max_new)
         # rectangle, then merge with the pool in one stable top-ef sort.
@@ -175,13 +265,11 @@ def wave_greedy_search(
                 (ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf)
             ).any(axis=1)
 
-    out = visited if as_matrix else [
-        np.flatnonzero(visited[w]) for w in range(num_queries)
-    ]
-    if with_pool:
-        # Every visited vertex was scored exactly once, when it was marked.
-        return out, WavePool(pool_ids, pool_d, visited.sum(axis=1), tied)
-    return out
+    if not with_pool:
+        return visited, None
+    # Every visited vertex was scored exactly once, when it was marked.
+    scored = np.add.reduceat(visited, base, dtype=np.int64)
+    return visited, WavePool(pool_ids, pool_d, scored, tied)
 
 
 def _prune_flat(

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..vectors.metrics import Metric, get_metric, pairwise_l2_squared
+from ..vectors.metrics import (
+    Metric,
+    _einsum,
+    get_metric,
+    pairwise_l2_squared,
+)
 from .kmeans import kmeans
 
 
@@ -184,24 +189,19 @@ class ProductQuantizer:
         inside a batch is bit-identical to the table computed for that query
         alone.  That property is what lets the batched executor share one
         table build across a batch while guaranteeing results identical to
-        the serial per-query loop.
+        the serial per-query loop.  All ``M`` subspaces reduce in one call;
+        each entry is the same ``sub_dim``-long reduction a per-subspace
+        call makes, so the tables equal the per-subspace loop's bit for bit
+        (``tests/oracles.py::oracle_lookup_tables``).
         """
         if self.codebook is None:
             raise RuntimeError("train() must be called before lookup_tables()")
         parts = self._split(np.atleast_2d(queries))  # (Q, M, sub_dim)
-        tables = np.empty(
-            (parts.shape[0], self.num_subspaces, self.num_centroids),
-            dtype=np.float32,
-        )
-        for m in range(self.num_subspaces):
-            if self.metric.name == "l2":
-                diff = parts[:, m, None, :] - self.codebook.centroids[m][None]
-                tables[:, m, :] = np.einsum("qkd,qkd->qk", diff, diff)
-            else:
-                tables[:, m, :] = -np.einsum(
-                    "qd,kd->qk", parts[:, m, :], self.codebook.centroids[m]
-                )
-        return tables
+        centroids = self.codebook.centroids  # (M, ks, sub_dim)
+        if self.metric.name == "l2":
+            diff = parts[:, :, None, :] - centroids[None]
+            return _einsum("qmkd,qmkd->qmk", diff, diff)
+        return -_einsum("qmd,mkd->qmk", parts, centroids)
 
     def lookup_table(self, query: np.ndarray) -> np.ndarray:
         """ADC lookup table for one query, shape ``(M, ks)``.

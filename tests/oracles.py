@@ -16,6 +16,11 @@ loop (``BlockSearchEngine._rounds``) is checked against at every width.  It
 seeds through the scalar entry walk and the per-query ADC table, so it also
 checks the wave's batched round 0.
 
+**The one ADC table build.**  ``ProductQuantizer.lookup_tables`` used to
+build its ``(Q, M, ks)`` tables one subspace at a time; that loop is kept
+here — :func:`oracle_lookup_tables` — as the reference the one-call build
+is checked against, bit for bit.
+
 **The one NSG build.**  The per-point construction loop and its MRNG
 selection used to be ``repro.graphs.nsg.build_nsg``'s body and
 ``mrng_select``; they are kept here — :func:`oracle_build_nsg` /
@@ -306,6 +311,24 @@ def oracle_block_search(
     return OracleBlockSearch(engine).search(
         query, k, candidate_size, table=table, stopper=stopper
     )
+
+
+def oracle_lookup_tables(pq, queries: np.ndarray) -> np.ndarray:
+    """ADC tables one subspace at a time: ``(Q, M, ks)`` float32."""
+    parts = pq._split(np.atleast_2d(queries))  # (Q, M, sub_dim)
+    centroids = pq.codebook.centroids
+    tables = np.empty(
+        (parts.shape[0], pq.num_subspaces, pq.num_centroids), dtype=np.float32
+    )
+    for m in range(pq.num_subspaces):
+        if pq.metric.name == "l2":
+            diff = parts[:, m, None, :] - centroids[m][None]
+            tables[:, m, :] = np.einsum("qkd,qkd->qk", diff, diff)
+        else:
+            tables[:, m, :] = -np.einsum(
+                "qd,kd->qk", parts[:, m, :], centroids[m]
+            )
+    return tables
 
 
 def oracle_mrng_select(

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.quantization import ProductQuantizer
+from repro.quantization.pq import PQCodebook
 from repro.vectors import get_metric
+
+from .conftest import example_budget
+from .oracles import oracle_lookup_tables
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +144,45 @@ class TestADC:
         pq = ProductQuantizer(2, 8).train(vectors)
         with pytest.raises(RuntimeError, match="fit_dataset"):
             pq.distances_from_table(pq.lookup_table(vectors[0]), np.arange(3))
+
+
+class TestOneCallTables:
+    @settings(max_examples=example_budget(60), deadline=None)
+    @given(
+        metric=st.sampled_from(["l2", "ip"]),
+        num_subspaces=st.sampled_from([1, 2, 4, 8, 16]),
+        sub_dim=st.integers(1, 40),
+        pad=st.integers(0, 3),
+        num_centroids=st.sampled_from([2, 16, 256]),
+        width=st.integers(1, 40),
+        scale=st.sampled_from([1.0, 255.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_per_subspace_loop(
+        self, metric, num_subspaces, sub_dim, pad, num_centroids, width,
+        scale, seed,
+    ):
+        """All M subspaces in one einsum: bit for bit the per-subspace
+        loop's tables, and row-consistent (a query's table does not depend
+        on the batch it is built in)."""
+        rng = np.random.default_rng(seed)
+        pad = min(pad, sub_dim - 1)
+        dim = num_subspaces * sub_dim - pad
+        pq = ProductQuantizer(num_subspaces, num_centroids, metric)
+        pq.codebook = PQCodebook(
+            (rng.standard_normal((num_subspaces, num_centroids, sub_dim))
+             * scale).astype(np.float32),
+            dim, pad,
+        )
+        queries = (rng.standard_normal((width, dim)) * scale).astype(
+            np.float32
+        )
+        tables = pq.lookup_tables(queries)
+        assert tables.dtype == np.float32
+        assert tables.shape == (width, num_subspaces, num_centroids)
+        assert np.array_equal(tables, oracle_lookup_tables(pq, queries))
+        row = int(rng.integers(width))
+        assert np.array_equal(pq.lookup_table(queries[row]), tables[row])
 
 
 class TestAccounting:

@@ -92,6 +92,90 @@ class TestExports:
             assert "environ" not in inspect.getsource(module)
             assert "getenv" not in inspect.getsource(module)
 
+    def test_segment_union_adds_no_switch(self):
+        """The coordinator's cross-segment wave is chosen by the segment
+        set alone: the specs, the CLI's flags and the touched modules'
+        constants are what they were before it, and ``LOCKSTEP_MIN_WAVE``
+        is still the one wide-wave switch."""
+        import dataclasses
+
+        from repro.buildspec import BuildSpec
+        from repro.cli import build_parser
+        from repro.core import coordinator
+        from repro.engine import ExecSpec, ServeSpec, batch, block_search, serve
+        from repro.graphs import navigation, wavebuild
+
+        assert {f.name for f in dataclasses.fields(ExecSpec)} == {
+            "mode", "gc_pause",
+        }
+        assert {f.name for f in dataclasses.fields(BuildSpec)} == {
+            "mode", "wave_size",
+        }
+        assert len(dataclasses.fields(ServeSpec)) == 13
+        subcommands = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        flags = {
+            name: sorted(
+                option for action in parser._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help")
+            )
+            for name, parser in subcommands.choices.items()
+        }
+        common = ["--data", "--max-vectors", "--metric", "--num-queries",
+                  "--queries", "--synthetic"]
+        faults = ["--fault-bad-blocks", "--fault-corrupt", "--fault-seed",
+                  "--fault-spike", "--fault-transient", "--hedge-after-us",
+                  "--max-retries", "--no-resilience"]
+        assert flags == {
+            "build": sorted(common + [
+                "--algorithm", "--bamg-alpha", "--bamg-base", "--build-ef",
+                "--build-mode", "--cache-blocks", "--cache-dir",
+                "--cache-strategy", "--framework", "--layout-strategy",
+                "--max-degree", "--out", "--pruning-ratio", "--seed",
+                "--shuffle",
+            ]),
+            "info": ["--index", "--repair", "--strict"],
+            "fsck": ["--json", "--no-repair", "--report", "--strict"],
+            "gt": sorted(common + ["--k", "--out"]),
+            "bench": sorted(common + [
+                "--build-ef", "--k", "--max-degree", "--out",
+            ]),
+            "search": sorted(common + faults + [
+                "--cache-blocks", "--cache-strategy", "--exec-mode",
+                "--gamma", "--gt", "--index", "--k", "--repair", "--show",
+                "--strict",
+            ]),
+            "serve": sorted(common + faults + [
+                "--arrivals", "--config", "--deadline-ms", "--index", "--k",
+                "--max-batch", "--no-wave", "--offered-qps", "--queue-depth",
+                "--repair", "--save-config", "--seed", "--shed-tiers",
+                "--strict", "--threads", "--wave", "--workers",
+            ]),
+            "bench-iospace": [
+                "--cache-blocks", "--family", "--gamma", "--k",
+                "--num-queries", "--out",
+            ],
+        }
+        constants = {
+            module.__name__.rsplit(".", 1)[1]: {
+                name for name, value in vars(module).items()
+                if name.isupper() and not name.startswith("_")
+            }
+            for module in (
+                coordinator, block_search, batch, serve, navigation,
+                wavebuild,
+            )
+        }
+        assert constants == {
+            "coordinator": set(), "block_search": {"LOCKSTEP_MIN_WAVE"},
+            "batch": {"EXEC_MODES"}, "serve": set(),
+            "navigation": {"LOCKSTEP_MIN_WAVE"}, "wavebuild": set(),
+        }
+        assert block_search.LOCKSTEP_MIN_WAVE == 16
+
     def test_one_driver_two_modes(self):
         """Scheduling picks a width, not a loop: two exec modes, one
         order-sensitivity predicate, no fan-out and no second driver."""

@@ -490,6 +490,39 @@ class TestLiveService:
         assert sum(o.result.stats.block_cache_hits for o in outcomes) > 0
         assert sum(o.result.stats.num_ios for o in outcomes) == io.blocks_read
 
+    def test_plane_follows_a_segment_swapped_in_while_live(
+        self, coordinator, serve_dataset
+    ):
+        """Regression: a segment rebuilt and swapped in while the service
+        runs gets the persistent decode cache at its first dispatch (not at
+        the next restart), and ``stop()`` restores exactly the graphs the
+        service touched — the swapped-out one included."""
+        from repro.storage.repair import rebuild_segment
+
+        parts, _ = split_dataset(serve_dataset, 2)
+        before = _plane_state(coordinator)
+        old_graph = base_disk_graph(coordinator.segments[1].disk_graph)
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        service = SearchService(
+            coordinator, ServeSpec(workers=2, max_batch=4, shed_tiers=(32,))
+        )
+        service.start()
+        try:
+            for ticket in [service.submit(q, k=10) for q in queries]:
+                assert ticket.result(timeout=5.0).ok
+            fresh = rebuild_segment(coordinator, 1, parts[1], CONFIG)
+            new_graph = base_disk_graph(fresh.disk_graph)
+            assert new_graph.decode_cache is None
+            for ticket in [service.submit(q, k=10) for q in queries]:
+                assert ticket.result(timeout=5.0).ok
+            assert isinstance(new_graph.decode_cache, DecodeCache)
+            assert len(new_graph.decode_cache) > 0
+        finally:
+            service.stop()
+        assert new_graph.decode_cache is None
+        assert old_graph.decode_cache is None
+        assert _plane_state(coordinator) == [before[0], None]
+
     def test_start_twice_rejected_and_stop_restores_plane(self, coordinator,
                                                           serve_dataset):
         service = SearchService(coordinator, ServeSpec(workers=1))
