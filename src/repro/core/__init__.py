@@ -11,18 +11,14 @@ from .config import (
 )
 from .coordinator import CoordinatedResult, SegmentCoordinator, split_dataset
 from .lifecycle import (
+    InvalidVectorError,
     LifecycleError,
     LifecycleSpec,
     SealedSegment,
     SegmentLifecycle,
-    plan_compaction,
-)
-from .updates import (
-    DynamicIndex,
-    InvalidVectorError,
     UnknownIdError,
-    UpdatableSegment,
     UpdateError,
+    plan_compaction,
 )
 from .segment import (
     BudgetReport,
@@ -38,7 +34,6 @@ __all__ = [
     "CoordinatedResult",
     "DiskANNConfig",
     "DiskANNIndex",
-    "DynamicIndex",
     "GraphConfig",
     "InvalidVectorError",
     "LifecycleError",
@@ -53,7 +48,6 @@ __all__ = [
     "StarlingConfig",
     "StarlingIndex",
     "UnknownIdError",
-    "UpdatableSegment",
     "UpdateError",
     "build_diskann",
     "build_starling",

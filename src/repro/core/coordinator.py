@@ -18,7 +18,10 @@ Starling segments whose reads cannot fail and which share one round
 configuration — as **one** lockstep wave of ``segments × queries`` rows
 (:func:`~repro.engine.block_search.search_segments`), so a service's
 8-query batch over two segments runs as a 16-row wave, past the wide-wave
-switch.  Every row equals its segment's own wave; the merge is unchanged.
+switch.  Every row equals its segment's own wave.  The fan-out alone is
+``SegmentCoordinator.fan_out``; :func:`merge_top_k` is the one merge, used
+by ``search_batch`` and by :class:`~repro.core.lifecycle.SegmentLifecycle`,
+which fans out over its sealed segments through a coordinator of its own.
 """
 
 from __future__ import annotations
@@ -63,6 +66,22 @@ def split_dataset(
         )
         offsets.append(lo)
     return parts, offsets
+
+
+def merge_top_k(
+    dists_parts: list[np.ndarray], id_parts: list[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best of several candidate lists by ``(distance, id)``:
+    returns ``(ids, dists)`` as int64 / float64, ties broken by the smaller
+    id."""
+    dists = np.concatenate([np.empty(0), *dists_parts]).astype(
+        np.float64, copy=False
+    )
+    ids = np.concatenate([np.empty(0, np.int64), *id_parts]).astype(
+        np.int64, copy=False
+    )
+    top = np.lexsort((ids, dists))[:k]
+    return ids[top], dists[top]
 
 
 @dataclass
@@ -312,22 +331,65 @@ class SegmentCoordinator:
         exec_spec=None,
         stoppers=None,
     ) -> list[CoordinatedResult]:
-        """Answer a micro-batch of queries across the healthy segments.
+        """Answer a micro-batch of queries across the healthy segments: one
+        :meth:`fan_out`, then one :func:`merge_top_k` per query over the
+        answering segments' candidates (global ids = local id + offset)."""
+        snapshot, answers, failed, skipped = self.fan_out(
+            queries, k, candidate_size, exec_spec=exec_spec, stoppers=stoppers
+        )
+        order = sorted(answers)
+        out: list[CoordinatedResult] = []
+        for q in range(len(queries)):
+            total = QueryStats()
+            latencies: list[float] = []
+            degraded = bool(failed) or bool(skipped)
+            dists_parts, id_parts = [], []
+            for i in order:
+                segment, offset = snapshot[i]
+                result = answers[i][q]
+                total.merge(result.stats)
+                latencies.append(segment.latency_us(result))
+                degraded |= bool(getattr(result, "degraded", False))
+                dists_parts.append(result.dists)
+                id_parts.append(np.asarray(result.ids, dtype=np.int64) + offset)
+            ids, dists = merge_top_k(dists_parts, id_parts, k)
+            out.append(CoordinatedResult(
+                ids=ids, dists=dists, stats=total,
+                per_segment_latency_us=latencies, degraded=degraded,
+                failed_segments=list(failed),
+                quarantined_segments=list(skipped),
+            ))
+        return out
+
+    def fan_out(
+        self,
+        queries: np.ndarray,
+        k: int,
+        candidate_size: int,
+        *,
+        exec_spec=None,
+        stoppers=None,
+    ) -> tuple[list[tuple], dict[int, list], list[int], list[int]]:
+        """Run a micro-batch on every healthy segment; merge nothing.
+
+        Returns ``(snapshot, answers, failed, quarantined)``: the
+        ``(segment, offset)`` pairs the batch ran against, ``answers[i][q]``
+        — segment ``i``'s local-id answer to query ``q`` — for every segment
+        that answered, and the indexes of the segments that raised a fault
+        or were skipped as quarantined.
 
         In ``wave`` mode the unionable segments (see :func:`_unionable`)
         answer the batch as one lockstep wave of ``segments × queries``
         rows (:func:`~repro.engine.block_search.search_segments`); every
         other healthy segment serves it through its own
         :class:`~repro.engine.batch.BatchExecutor` (shared ADC tables,
-        shared decode cache).  Results are merged per query by exact
-        distance.  Each row, and so each merged answer, is bit-identical to
-        the per-segment executors' — the union changes only the wave's
-        width.  Failure granularity is the segment × batch: a fault
-        anywhere in a segment's batch costs that segment one error count
-        and drops its contribution for the *whole* batch — the same
-        all-or-nothing contract a single coordinated query has.  A
-        unionable segment cannot fault, so the union never drops a
-        sibling.
+        shared decode cache).  Each row is bit-identical to the per-segment
+        executors' — the union changes only the wave's width.  Failure
+        granularity is the segment × batch: a fault anywhere in a segment's
+        batch costs that segment one error count and drops its
+        contribution for the *whole* batch — the same all-or-nothing
+        contract a single coordinated query has.  A unionable segment
+        cannot fault, so the union never drops a sibling.
 
         ``stoppers`` optionally carries one early-stop object per query
         (the serving layer's deadline budgets); they are forwarded only to
@@ -377,35 +439,7 @@ class SegmentCoordinator:
             ],
             run_segment, answers,
         )
-        order = sorted(answers)
-        out: list[CoordinatedResult] = []
-        for q in range(n):
-            merged: list[tuple[float, int]] = []
-            total = QueryStats()
-            latencies: list[float] = []
-            degraded = False
-            for i in order:
-                segment, offset = snapshot[i]
-                result = answers[i][q]
-                total.merge(result.stats)
-                latencies.append(segment.latency_us(result))
-                degraded |= bool(getattr(result, "degraded", False))
-                merged.extend(
-                    (float(d), int(vid) + offset)
-                    for d, vid in zip(result.dists, result.ids)
-                )
-            merged.sort()
-            top = merged[:k]
-            out.append(CoordinatedResult(
-                ids=np.asarray([vid for _, vid in top], dtype=np.int64),
-                dists=np.asarray([d for d, _ in top], dtype=np.float64),
-                stats=total,
-                per_segment_latency_us=latencies,
-                degraded=degraded or bool(failed) or bool(skipped),
-                failed_segments=list(failed),
-                quarantined_segments=list(skipped),
-            ))
-        return out
+        return snapshot, answers, failed, skipped
 
     @staticmethod
     def _union_wave(segments, queries, k, candidate_size, spec, stoppers):

@@ -70,13 +70,16 @@ from ..storage.manifest import (
 from ..storage.wal import WriteAheadLog
 from ..vectors.dataset import VectorDataset
 from ..vectors.metrics import get_metric
-from .updates import UnknownIdError, validate_ids, validate_vectors
+from .coordinator import SegmentCoordinator, merge_top_k
 
 __all__ = [
+    "InvalidVectorError",
     "LifecycleError",
     "LifecycleSpec",
     "SealedSegment",
     "SegmentLifecycle",
+    "UnknownIdError",
+    "UpdateError",
     "plan_compaction",
 ]
 
@@ -91,6 +94,104 @@ _CATALOG_VERSION = 1
 
 class LifecycleError(RuntimeError):
     """The lifecycle directory is in a state the caller cannot proceed from."""
+
+
+class UpdateError(ValueError):
+    """Base class of update-path input errors (insert/delete validation)."""
+
+
+class InvalidVectorError(UpdateError):
+    """An insert payload has the wrong shape, dtype, or memory layout.
+
+    Raised instead of letting numpy silently coerce (lossy casts, copies of
+    non-contiguous views) or fail later with an opaque shape error deep in
+    the search path.
+    """
+
+
+class UnknownIdError(UpdateError):
+    """A delete names IDs this segment never allocated (or long compacted).
+
+    Carries the offending IDs in :attr:`ids`.
+    """
+
+    def __init__(self, ids) -> None:
+        self.ids = [int(v) for v in ids]
+        preview = ", ".join(str(v) for v in self.ids[:8])
+        if len(self.ids) > 8:
+            preview += ", ..."
+        super().__init__(f"unknown vector id(s): {preview}")
+
+
+def validate_vectors(vectors, *, dim: int, dtype: np.dtype) -> np.ndarray:
+    """Validate an insert payload; returns a C-contiguous ``(n, dim)`` array.
+
+    Typed failures (:class:`InvalidVectorError`) instead of silent numpy
+    coercion: the array must be 1-D or 2-D with row width ``dim``, non-empty,
+    C-contiguous (no strided views — the caller's layout bug, not ours to
+    hide with a copy), and its dtype must be ``dtype`` or safely castable to
+    it within the same kind (float→float, int→int); cross-kind casts like
+    int→float or complex→float are rejected.  A float payload must be
+    finite: a NaN or ±inf row would be acknowledged, then fail every seal's
+    graph build after it (and every replay would bring it back).
+    """
+    dtype = np.dtype(dtype)
+    if isinstance(vectors, np.ndarray) and not vectors.flags.c_contiguous:
+        raise InvalidVectorError(
+            "vectors must be C-contiguous (got a strided/transposed view); "
+            "pass np.ascontiguousarray(...) explicitly if a copy is intended"
+        )
+    arr = np.asarray(vectors)
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise InvalidVectorError(
+            f"vectors must be 1-D or 2-D, got {arr.ndim}-D shape {arr.shape}"
+        )
+    if arr.shape[0] == 0:
+        raise InvalidVectorError("empty insert (zero vectors)")
+    if arr.shape[1] != dim:
+        raise InvalidVectorError(
+            f"vector dim {arr.shape[1]} != segment dim {dim}"
+        )
+    if arr.dtype != dtype:
+        # numpy's "same_kind" rule admits int->float; we want literally the
+        # same kind (float->float, int->int) so an integer payload against a
+        # float segment is a caller bug, not a silent up-cast.
+        if arr.dtype.kind != dtype.kind or not np.can_cast(
+            arr.dtype, dtype, casting="same_kind"
+        ):
+            raise InvalidVectorError(
+                f"dtype {arr.dtype} is not safely castable to segment "
+                f"dtype {dtype} (same-kind casts only)"
+            )
+        arr = arr.astype(dtype)
+    if dtype.kind == "f" and not np.isfinite(arr).all():
+        raise InvalidVectorError("vectors must be finite (got NaN or ±inf)")
+    return np.ascontiguousarray(arr)
+
+
+def validate_ids(ids) -> np.ndarray:
+    """Validate a delete payload; returns a 1-D int64 array.
+
+    Rejects floats/bools/nested shapes with :class:`InvalidVectorError`
+    instead of letting ``asarray(..., dtype=int64)`` truncate silently.
+    """
+    arr = np.asarray(ids)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1:
+        raise InvalidVectorError(
+            f"ids must be a scalar or 1-D sequence, got shape {arr.shape}"
+        )
+    if arr.size and not (
+        np.issubdtype(arr.dtype, np.integer)
+        and arr.dtype != np.bool_
+    ):
+        raise InvalidVectorError(
+            f"ids must be integers, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -186,20 +287,31 @@ def _decode_all_vectors(index) -> np.ndarray:
     return vectors
 
 
+def _coordinator_of(sealed: list[SealedSegment]) -> SegmentCoordinator | None:
+    """The fan-out over a sealed list: every segment is tried on every
+    search (no quarantine — a faulting one drops out of that answer only);
+    ``None`` while nothing is sealed."""
+    if not sealed:
+        return None
+    return SegmentCoordinator(
+        [seg.index for seg in sealed], quarantine_threshold=0
+    )
+
+
 class SegmentLifecycle:
     """WAL-backed growing segment with sealed generations and compaction.
 
     Construct with :meth:`create` (fresh directory) or :meth:`open`
     (recover: load catalog, replay WAL).  ``rebuild`` is the builder
     closure ``(VectorDataset) -> segment index`` used for seals and merges
-    (normally a :func:`repro.core.builder.build_starling` partial), exactly
-    like :class:`~repro.core.updates.UpdatableSegment`.
+    (normally a :func:`repro.core.builder.build_starling` partial).
 
     Thread contract: mutations (insert/delete/seal/compact) serialize on an
     internal ingest lock; searches never take it — they snapshot the sealed
-    list, memtable, and tombstones under a short state lock and then run
-    lock-free, so queries keep serving the pre-merge segment set while a
-    compaction builds, right up to the atomic post-commit swap.
+    list (with the coordinator that fans out over it), memtable, and
+    tombstones under a short state lock and then run lock-free, so queries
+    keep serving the pre-merge segment set while a compaction builds, right
+    up to the atomic post-commit swap.
     """
 
     def __init__(
@@ -228,6 +340,9 @@ class SegmentLifecycle:
         self._state_lock = threading.Lock()
         self._ingest_lock = threading.RLock()
         self._sealed: list[SealedSegment] = []
+        #: the fan-out over ``_sealed`` (None while nothing is sealed),
+        #: swapped together with it
+        self._coordinator: SegmentCoordinator | None = None
         self._mem_ids: list[int] = []
         self._mem_rows: list[np.ndarray] = []
         self._tombstones: frozenset[int] = frozenset()
@@ -350,6 +465,7 @@ class SegmentLifecycle:
                 vectors=_decode_all_vectors(index),
             ))
         self._sealed = sealed
+        self._coordinator = _coordinator_of(sealed)
         tombs = np.load(gen_dir / TOMBSTONES_NAME)["ids"].astype(np.int64)
         self._tombstones = frozenset(int(t) for t in tombs)
         self._live_ids = {
@@ -572,7 +688,7 @@ class SegmentLifecycle:
         """Durably tombstone IDs; returns how many were live.
 
         Unknown IDs (never allocated, or compacted away long ago) raise
-        :class:`~repro.core.updates.UnknownIdError`; deleting an
+        :class:`UnknownIdError`; deleting an
         already-deleted ID is a no-op.
         """
         requested = validate_ids(ids).tolist()
@@ -606,54 +722,76 @@ class SegmentLifecycle:
     def _snapshot(self):
         with self._state_lock:
             sealed = list(self._sealed)
+            coordinator = self._coordinator
             mem_n = len(self._mem_ids)
             mem_ids = self._mem_ids[: mem_n]
             mem_rows = self._mem_rows[: mem_n]
             tombstones = self._tombstones
-        return sealed, mem_ids, mem_rows, tombstones
+        return sealed, coordinator, mem_ids, mem_rows, tombstones
 
     def search(
         self, query: np.ndarray, k: int = 10, candidate_size: int = 64
     ) -> SearchResult:
-        """Top-k over live vectors across every sealed segment + memtable.
+        """Top-k over live vectors: a :meth:`search_batch` of one."""
+        query = np.asarray(query, dtype=np.float32)
+        return self.search_batch(query[None], k, candidate_size)[0]
 
-        Tombstoned IDs are filtered from every generation's candidates (they
-        still route inside sealed graphs until compaction drops them), and
-        each sealed segment over-fetches by the tombstone count so
-        post-filtering can still fill ``k`` — the same bitset semantics as
-        :class:`~repro.core.updates.UpdatableSegment`.
+    def search_batch(
+        self, queries: np.ndarray, k: int = 10, candidate_size: int = 64
+    ) -> list[SearchResult]:
+        """Top-k per query over live vectors across every sealed segment +
+        memtable.
+
+        One fan-out: the sealed segments answer the whole batch through the
+        snapshot's :class:`~repro.core.coordinator.SegmentCoordinator` (its
+        plain segments as one lockstep wave), each over-fetching by the
+        tombstone count — ``k + min(tombstones, candidate_size)`` rows — so
+        post-filtering can still fill ``k``: tombstoned IDs still route
+        inside sealed graphs until compaction drops them.  The memtable is
+        one exact scan per query, cut at the same over-fetch.  One mask
+        drops the tombstones and one
+        :func:`~repro.core.coordinator.merge_top_k` ranks sealed and
+        memtable candidates together.  A sealed segment whose search raises
+        a :class:`~repro.storage.faults.FaultError` drops out of the batch;
+        its answers are flagged ``degraded``.
         """
-        sealed, mem_ids, mem_rows, tombstones = self._snapshot()
+        queries = np.asarray(queries, dtype=np.float32)
+        sealed, coordinator, mem_ids, mem_rows, tombstones = self._snapshot()
         slack = k + min(len(tombstones), candidate_size)
-        stats = QueryStats()
-        merged: list[tuple[float, int]] = []
-        for seg in sealed:
-            result = seg.index.search(
-                query, min(slack, seg.count), candidate_size
+        answers, failed = {}, []
+        if coordinator is not None:
+            _, answers, failed, _ = coordinator.fan_out(
+                queries, slack, candidate_size
             )
-            stats.merge(result.stats)
-            for d, vid in zip(result.dists, result.ids):
-                gid = int(seg.ids[int(vid)])
-                if gid not in tombstones:
-                    merged.append((float(d), gid))
-        if mem_rows:
-            data = np.stack(mem_rows)
-            dists = self.metric.distances(
-                np.asarray(query, dtype=np.float32), data
+        data = np.stack(mem_rows) if mem_rows else None
+        mem_ids = np.asarray(mem_ids, dtype=np.int64)
+        dead = np.fromiter(tombstones, dtype=np.int64, count=len(tombstones))
+        out: list[SearchResult] = []
+        for q, query in enumerate(queries):
+            stats = QueryStats()
+            degraded = bool(failed)
+            dists_parts, id_parts = [np.empty(0)], [mem_ids[:0]]
+            for i in sorted(answers):
+                result = answers[i][q]
+                stats.merge(result.stats)
+                degraded |= bool(result.degraded)
+                dists_parts.append(result.dists)
+                id_parts.append(sealed[i].ids[result.ids])
+            if data is not None:
+                dists = self.metric.distances(query, data)
+                stats.exact_distances += int(data.shape[0])
+                order = np.argsort(dists, kind="stable")[:slack]
+                dists_parts.append(dists[order])
+                id_parts.append(mem_ids[order])
+            ids = np.concatenate(id_parts)
+            live = ~np.isin(ids, dead)
+            ids, dists = merge_top_k(
+                [np.concatenate(dists_parts)[live]], [ids[live]], k
             )
-            stats.exact_distances += int(data.shape[0])
-            order = np.argsort(dists, kind="stable")[:slack]
-            for pos in order.tolist():
-                gid = mem_ids[pos]
-                if gid not in tombstones:
-                    merged.append((float(dists[pos]), gid))
-        merged.sort()
-        top = merged[:k]
-        return SearchResult(
-            ids=np.asarray([gid for _, gid in top], dtype=np.int64),
-            dists=np.asarray([d for d, _ in top], dtype=np.float64),
-            stats=stats,
-        )
+            out.append(SearchResult(
+                ids=ids, dists=dists, stats=stats, degraded=degraded
+            ))
+        return out
 
     # -- sealing -----------------------------------------------------------
 
@@ -706,8 +844,10 @@ class SegmentLifecycle:
             # Durable from here.  The swap moves the rows from memtable to
             # sealed in one locked step, so no search snapshot can ever see
             # the same ID in both.
+            coordinator = _coordinator_of(new_sealed)
             with self._state_lock:
                 self._sealed = new_sealed
+                self._coordinator = coordinator
                 self._mem_ids = []
                 self._mem_rows = []
             self._applied_lsn = new_applied
@@ -783,8 +923,10 @@ class SegmentLifecycle:
             )
             # The pointer swap: queries snapshotting from here on see the
             # merged segment; in-flight searches finish on the old list.
+            coordinator = _coordinator_of(new_sealed)
             with self._state_lock:
                 self._sealed = new_sealed
+                self._coordinator = coordinator
                 self._tombstones = new_tombstones
             self._next_seg = next_seg
             self.compactions += 1

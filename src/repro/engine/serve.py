@@ -587,10 +587,10 @@ class SearchService:
         """Register the writable segment behind :meth:`ingest`/:meth:`remove`.
 
         ``target`` needs ``insert(vectors)`` and ``delete(ids)``: a
-        :class:`~repro.core.lifecycle.SegmentLifecycle`, the durable
-        (WAL-backed) write path.  An in-memory
-        :class:`~repro.core.updates.UpdatableSegment` fits the same shape,
-        but nothing it accepts survives the process.
+        :class:`~repro.core.lifecycle.SegmentLifecycle`, the one (WAL-backed)
+        update surface.  Its searches go to its own ``search_batch``, not
+        through this service's micro-batches (whose breakers index a fixed
+        segment list; a lifecycle's changes at every seal).
         """
         if not (hasattr(target, "insert") and hasattr(target, "delete")):
             raise TypeError("ingest target needs insert() and delete()")

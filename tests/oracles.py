@@ -21,6 +21,12 @@ build its ``(Q, M, ks)`` tables one subspace at a time; that loop is kept
 here — :func:`oracle_lookup_tables` — as the reference the one-call build
 is checked against, bit for bit.
 
+**The one lifecycle fan-out.**  ``SegmentLifecycle.search`` used to loop
+``seg.index.search`` over its sealed segments (each clamped to the
+segment's row count) and merge ``(distance, id)`` tuples with the memtable's
+exact scan; that loop is kept here — :func:`oracle_lifecycle_search` — as
+the reference the coordinator fan-out plus one merge is checked against.
+
 **The one NSG build.**  The per-point construction loop and its MRNG
 selection used to be ``repro.graphs.nsg.build_nsg``'s body and
 ``mrng_select``; they are kept here — :func:`oracle_build_nsg` /
@@ -403,3 +409,38 @@ def oracle_build_nsg(
 
     _ensure_connectivity(graph, vectors, metric, nav)
     return graph, nav
+
+
+def oracle_lifecycle_search(lc, query, k, candidate_size) -> SearchResult:
+    """Top-k over a lifecycle's live vectors, one sealed segment at a time."""
+    sealed, _, mem_ids, mem_rows, tombstones = lc._snapshot()
+    slack = k + min(len(tombstones), candidate_size)
+    stats = QueryStats()
+    merged: list[tuple[float, int]] = []
+    for seg in sealed:
+        result = seg.index.search(
+            query, min(slack, seg.count), candidate_size
+        )
+        stats.merge(result.stats)
+        for d, vid in zip(result.dists, result.ids):
+            gid = int(seg.ids[int(vid)])
+            if gid not in tombstones:
+                merged.append((float(d), gid))
+    if mem_rows:
+        data = np.stack(mem_rows)
+        dists = lc.metric.distances(
+            np.asarray(query, dtype=np.float32), data
+        )
+        stats.exact_distances += int(data.shape[0])
+        order = np.argsort(dists, kind="stable")[:slack]
+        for pos in order.tolist():
+            gid = mem_ids[pos]
+            if gid not in tombstones:
+                merged.append((float(dists[pos]), gid))
+    merged.sort()
+    top = merged[:k]
+    return SearchResult(
+        ids=np.asarray([gid for _, gid in top], dtype=np.int64),
+        dists=np.asarray([d for d, _ in top], dtype=np.float64),
+        stats=stats,
+    )

@@ -1,5 +1,6 @@
 """Tests for the WAL-backed segment lifecycle (core/lifecycle.py)."""
 
+import shutil
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     GraphConfig,
+    InvalidVectorError,
     LifecycleError,
     LifecycleSpec,
     NavigationConfig,
@@ -16,14 +18,18 @@ from repro.core import (
     SegmentCoordinator,
     SegmentLifecycle,
     StarlingConfig,
+    UnknownIdError,
     build_starling,
     plan_compaction,
 )
-from repro.core.updates import InvalidVectorError, UnknownIdError
+from repro.core import coordinator as coordinator_module
 from repro.engine.serve import Overloaded, SearchService, ServeSpec
+from repro.storage.faults import FaultSpec, ensure_fault_injection
 from repro.storage.persist import load_starling
 from repro.storage.wal import replay_wal
-from repro.vectors import get_metric
+from repro.vectors import get_metric, knn
+
+from .oracles import oracle_lifecycle_search
 
 DIM = 8
 
@@ -142,6 +148,25 @@ class TestMemtablePath:
             lc.insert(rng.normal(size=(2, DIM + 1)).astype(np.float32))
         with pytest.raises(InvalidVectorError):
             lc.delete([1.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_insert_rejected_before_ack(self, tmp_path, rng, bad):
+        """A NaN or ±inf row must not be acknowledged: once in the WAL it
+        would fail every later seal's graph build, and every reopen would
+        replay it back into the memtable."""
+        lc = _make(tmp_path, seal_threshold=32)
+        wal = tmp_path / "lc" / "wal.log"
+        before = wal.read_bytes()
+        rows = _rows(rng, 3)
+        rows[1, 4] = bad
+        with pytest.raises(InvalidVectorError, match="finite"):
+            lc.insert(rows)
+        assert wal.read_bytes() == before
+        assert replay_wal(wal).records == []
+        assert lc.num_live == 0 and lc.pending_rows == 0
+        assert lc.insert(_rows(rng, 40)).tolist() == list(range(40))
+        assert lc.num_segments == 1 and lc.pending_rows == 0
+        lc.close()
 
 
 class TestSealAndReopen:
@@ -584,3 +609,240 @@ class TestIngestAdmission:
         assert results["first"].tolist() == [0]
         assert service.ingest_accepted == 1
         assert service.ingest_rejected == 1
+
+
+# -- one fan-out ---------------------------------------------------------------
+
+FAN_DIM = 48
+FAN_K = 10
+FAN_GAMMA = 12
+#: sealed segment sizes in seal order; the last is smaller than the
+#: over-fetch ``k + min(tombstones, Γ)`` once more than Γ rows are deleted
+FAN_SEALS = (150, 90, 40, 16)
+FAN_KINDS = {
+    "l2-f32": ("float32", "l2"),
+    "l2-u8": ("uint8", "l2"),
+    "ip": ("float32", "ip"),
+}
+#: tombstone counts: none, fewer than Γ, more than Γ
+FAN_TOMBS = (0, 5, 30)
+FAN_CACHED = StarlingConfig(
+    graph=CFG.graph, navigation=CFG.navigation, pq=CFG.pq,
+    block_cache_blocks=64,
+)
+
+
+def _fan_rows(kind, rng, n):
+    if FAN_KINDS[kind][0] == "uint8":
+        return rng.integers(0, 256, size=(n, FAN_DIM)).astype(np.uint8)
+    return rng.normal(size=(n, FAN_DIM)).astype(np.float32)
+
+
+def _fan_queries(rows, rng, n=9):
+    data = rows.astype(np.float32)
+    noise = rng.normal(0.0, 0.5 * float(np.std(data)), size=(n, FAN_DIM))
+    return (data[rng.integers(0, len(data), size=n)] + noise).astype(
+        np.float32
+    )
+
+
+def _fan_build(root, kind, rng, seals, rebuild_fn=rebuild):
+    dtype, metric = FAN_KINDS[kind]
+    lc = SegmentLifecycle.create(
+        root, rebuild_fn, dim=FAN_DIM, dtype=dtype, metric=metric
+    )
+    rows = []
+    for size in seals:
+        batch = _fan_rows(kind, rng, size)
+        rows.append(batch)
+        lc.insert(batch)
+        assert lc.seal()
+    return lc, rows
+
+
+def _fan_mutate(lc, kind, rng, *, memtable, tombstones):
+    if memtable:
+        lc.insert(_fan_rows(kind, rng, 20))
+    live = sorted(lc.live_ids())
+    count = min(tombstones, len(live) // 2)
+    if count:
+        lc.delete(rng.choice(live, size=count, replace=False))
+
+
+def _same_answer(got, want):
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.dists, want.dists)
+    assert got.ids.dtype == want.ids.dtype
+    assert got.dists.dtype == want.dists.dtype
+    assert got.stats.__dict__ == want.stats.__dict__
+
+
+@pytest.fixture(scope="module")
+def fan_out_dirs(tmp_path_factory):
+    """Per kind: a lifecycle directory after 0, 1, ... 4 seals, plus the
+    sealed rows (their queries come from them)."""
+    root = tmp_path_factory.mktemp("fan-out")
+    out = {}
+    for seed, kind in enumerate(FAN_KINDS):
+        rng = np.random.default_rng(60 + seed)
+        dtype, metric = FAN_KINDS[kind]
+        lc = SegmentLifecycle.create(
+            root / f"{kind}-build", rebuild, dim=FAN_DIM, dtype=dtype,
+            metric=metric,
+        )
+        dirs, rows = [], []
+        for sealed in range(len(FAN_SEALS) + 1):
+            copy = root / f"{kind}-{sealed}"
+            shutil.copytree(lc.root, copy)
+            dirs.append(copy)
+            if sealed < len(FAN_SEALS):
+                batch = _fan_rows(kind, rng, FAN_SEALS[sealed])
+                rows.append(batch)
+                lc.insert(batch)
+                assert lc.seal()
+        lc.close()
+        out[kind] = (dirs, np.concatenate(rows))
+    return out
+
+
+class TestOneFanOut:
+    """``SegmentLifecycle.search`` / ``search_batch`` — one coordinator
+    fan-out over the sealed segments, the memtable's exact scan, one mask
+    and one merge — equal the per-segment loop they replaced
+    (``tests/oracles.py::oracle_lifecycle_search``) row for row: ids,
+    distances and the whole ``QueryStats``."""
+
+    @pytest.mark.parametrize("kind", list(FAN_KINDS))
+    @pytest.mark.parametrize("sealed", range(len(FAN_SEALS) + 1))
+    def test_matches_per_segment_loop(self, fan_out_dirs, tmp_path,
+                                      monkeypatch, kind, sealed):
+        calls = []
+        union = coordinator_module.search_segments
+
+        def spy(engines, *args, **kwargs):
+            calls.append(len(engines))
+            return union(engines, *args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "search_segments", spy)
+        dirs, rows = fan_out_dirs[kind]
+        rng = np.random.default_rng(sealed)
+        queries = _fan_queries(rows, rng)
+        for memtable in (False, True):
+            root = tmp_path / f"mem{int(memtable)}"
+            shutil.copytree(dirs[sealed], root)
+            lc = SegmentLifecycle.open(root, rebuild)
+            assert lc.num_segments == sealed
+            if memtable:
+                # copies of sealed rows tie with them: the merge's id order
+                # decides between the two
+                twins = rows[: sum(FAN_SEALS[:sealed])][:10]
+                lc.insert(np.concatenate([twins, _fan_rows(kind, rng, 10)]))
+            deleted = 0
+            for tombstones in FAN_TOMBS:
+                live = sorted(lc.live_ids())
+                count = min(tombstones, len(live) // 2) - deleted
+                if count > 0:
+                    lc.delete(rng.choice(live, size=count, replace=False))
+                    deleted += count
+                want = [
+                    oracle_lifecycle_search(lc, q, FAN_K, FAN_GAMMA)
+                    for q in queries
+                ]
+                calls.clear()
+                batch = lc.search_batch(queries, FAN_K, FAN_GAMMA)
+                # plain segments: one wave per batch, every segment in it
+                assert calls == ([sealed] if sealed else [])
+                singles = [lc.search(q, FAN_K, FAN_GAMMA) for q in queries]
+                for got_batch, got_single, expected in zip(
+                    batch, singles, want
+                ):
+                    _same_answer(got_batch, expected)
+                    _same_answer(got_single, expected)
+                    assert not got_batch.degraded
+                    assert set(got_batch.ids.tolist()) <= lc.live_ids()
+            lc.close()
+
+    def test_operating_point_has_recall_below_one(self, fan_out_dirs,
+                                                  tmp_path):
+        """At Γ = FAN_GAMMA the fan-out misses true neighbours, so a wrong
+        frontier or merge could show in the matrix above."""
+        dirs, rows = fan_out_dirs["l2-f32"]
+        shutil.copytree(dirs[-1], tmp_path / "lc")
+        lc = SegmentLifecycle.open(tmp_path / "lc", rebuild)
+        queries = _fan_queries(rows, np.random.default_rng(3), n=32)
+        truth, _ = knn(rows, queries, FAN_K, get_metric("l2"))
+        got = lc.search_batch(queries, FAN_K, FAN_GAMMA)
+        recall = np.mean([
+            len(set(r.ids.tolist()) & set(t.tolist())) / FAN_K
+            for r, t in zip(got, truth)
+        ])
+        assert 0.5 < recall < 1.0
+        lc.close()
+
+    def test_cached_segments_take_the_executor_path(self, tmp_path,
+                                                    monkeypatch):
+        """A block cache makes a segment non-unionable: each answers the
+        batch through its own ``BatchExecutor`` in query order, so three
+        handles on one directory — fresh caches each — agree with the
+        oracle on cache hits too."""
+
+        def cached(ds):
+            return build_starling(ds, FAN_CACHED)
+
+        rng = np.random.default_rng(8)
+        lc, rows = _fan_build(
+            tmp_path / "lc", "l2-f32", rng, FAN_SEALS[:3], cached
+        )
+        _fan_mutate(lc, "l2-f32", rng, memtable=True, tombstones=30)
+        lc.close()
+        queries = _fan_queries(np.concatenate(rows), rng)
+        monkeypatch.setattr(
+            coordinator_module, "search_segments",
+            lambda *a, **kw: pytest.fail("a cached segment joined a wave"),
+        )
+        ref, batch_lc, single_lc = (
+            SegmentLifecycle.open(tmp_path / "lc", cached) for _ in range(3)
+        )
+        assert ref._sealed[0].index.config.block_cache_blocks == 64
+        want = [
+            oracle_lifecycle_search(ref, q, FAN_K, FAN_GAMMA) for q in queries
+        ]
+        batch = batch_lc.search_batch(queries, FAN_K, FAN_GAMMA)
+        singles = [single_lc.search(q, FAN_K, FAN_GAMMA) for q in queries]
+        assert any(r.stats.block_cache_hits for r in want)
+        for got_batch, got_single, expected in zip(batch, singles, want):
+            _same_answer(got_batch, expected)
+            _same_answer(got_single, expected)
+        for handle in (ref, batch_lc, single_lc):
+            handle.close()
+
+    def test_faulting_segment_degrades_the_answer(self, tmp_path):
+        """A sealed segment whose reads fail drops out of the answer with
+        ``degraded=True``; the other segments' rows are intact."""
+        rng = np.random.default_rng(9)
+        lc, rows = _fan_build(tmp_path / "lc", "l2-f32", rng, FAN_SEALS[:3])
+        _fan_mutate(lc, "l2-f32", rng, memtable=True, tombstones=5)
+        queries = _fan_queries(np.concatenate(rows), rng)
+        healthy = lc.search_batch(queries, FAN_K, FAN_GAMMA)
+        assert not any(r.degraded for r in healthy)
+
+        bad = lc._sealed[1]
+        ensure_fault_injection(
+            bad.index.disk_graph, FaultSpec(seed=1, bad_block_rate=1.0)
+        )
+        # the reference: the same state without the failing segment
+        ref = SegmentLifecycle.open(tmp_path / "lc", rebuild)
+        ref._sealed = [seg for seg in ref._sealed if seg.name != bad.name]
+        for _ in range(2):  # no quarantine: every batch tries it again
+            batch = lc.search_batch(queries, FAN_K, FAN_GAMMA)
+            for q, got in zip(queries, batch):
+                assert got.degraded
+                assert not set(got.ids.tolist()) & set(bad.ids.tolist())
+                _same_answer(
+                    got, oracle_lifecycle_search(ref, q, FAN_K, FAN_GAMMA)
+                )
+        single = lc.search(queries[0], FAN_K, FAN_GAMMA)
+        assert single.degraded
+        assert lc._coordinator.total_errors == [0, 3, 0]
+        ref.close()
+        lc.close()

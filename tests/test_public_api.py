@@ -24,8 +24,39 @@ class TestExports:
         for name in mod.__all__:
             assert getattr(mod, name) is not None
 
-    def test_updates_exported(self):
-        from repro.core import DynamicIndex, UpdatableSegment  # noqa: F401
+    def test_one_update_surface(self):
+        """``SegmentLifecycle`` is the one update surface and searches
+        through one fan-out: the in-memory twin and its module are gone,
+        the input errors still import from ``repro.core``, and the batch
+        search adds no option."""
+        import dataclasses
+        import importlib
+        import inspect
+
+        import repro.core as core
+        from repro.core import (  # noqa: F401
+            InvalidVectorError, LifecycleSpec, SegmentLifecycle,
+            UnknownIdError, UpdateError,
+        )
+        from repro.engine import ServeSpec
+
+        for gone in ("UpdatableSegment", "DynamicIndex"):
+            assert gone not in core.__all__
+            assert not hasattr(core, gone)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.updates")
+        assert list(
+            inspect.signature(SegmentLifecycle.search_batch).parameters
+        ) == ["self", "queries", "k", "candidate_size"]
+        assert {f.name for f in dataclasses.fields(LifecycleSpec)} == {
+            "seal_threshold", "merge_fanout", "tier_growth",
+        }
+        assert {f.name for f in dataclasses.fields(ServeSpec)} == {
+            "workers", "queue_depth", "deadline_us", "shed_tiers",
+            "max_batch", "shed_low", "shed_high", "breaker_probe_us",
+            "breaker_backoff", "decode_cache_blocks", "min_rounds", "wave",
+            "ingest_queue_depth",
+        }
 
     def test_one_decode_has_no_switches(self):
         """There is one decode: no executor knob selects it and the codec
@@ -235,14 +266,13 @@ class TestExports:
         assert bench_env <= {"REPRO_BENCH_N", "REPRO_BENCH_QUERIES"}
 
     def test_one_durable_write_path(self):
-        """``SegmentLifecycle`` is the only persisted update surface:
-        ``UpdatableSegment`` has no save/load pair and no merge-time persist,
-        and no save, load or commit takes a generation pin — so the second
-        path cannot return as a default-off option."""
+        """``SegmentLifecycle`` is the only persisted update surface: no
+        save/load pair for a second one, and no save, load or commit takes
+        a generation pin — so the second path cannot return as a
+        default-off option."""
         import inspect
 
         import repro.storage as storage
-        from repro.core import UpdatableSegment
         from repro.storage.manifest import CommitTransaction
 
         for gone in ("save_updatable", "load_updatable"):
@@ -256,9 +286,6 @@ class TestExports:
             assert not {"keep_generations", "generation"} & set(
                 inspect.signature(fn).parameters
             ), fn.__qualname__
-        assert list(inspect.signature(UpdatableSegment.merge).parameters) == [
-            "self"
-        ]
 
     def test_one_path_per_answer(self, starling_index, diskann_index):
         """The three bit-identical duplicates stay gone: no gather pool on

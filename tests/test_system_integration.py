@@ -9,9 +9,10 @@ import pytest
 
 from repro.core import (
     GraphConfig,
+    LifecycleSpec,
     SegmentCoordinator,
+    SegmentLifecycle,
     StarlingConfig,
-    UpdatableSegment,
     build_starling,
     split_dataset,
 )
@@ -50,34 +51,40 @@ class TestPersistThenCoordinate:
 
 class TestUpdatesThenPersist:
     def test_merged_segment_roundtrips(self, cfg, tmp_path):
-        """Insert + delete + merge, then persist the rebuilt static index."""
+        """Insert + delete + seal + compact, close, reopen: the merged
+        segment is an ordinary persisted index and the global ids survive."""
         ds = deep_like(300, 6, seed=143)
         rng = np.random.default_rng(0)
-        seg = UpdatableSegment(
-            build_starling(ds, cfg), ds,
-            rebuild=lambda d: build_starling(d, cfg),
+        lc = SegmentLifecycle.create(
+            tmp_path / "lc", lambda d: build_starling(d, cfg), dim=ds.dim,
+            spec=LifecycleSpec(merge_fanout=2, tier_growth=1000.0),
         )
-        new_ids = seg.insert(
-            rng.normal(size=(10, ds.dim)).astype(np.float32)
-        )
-        seg.delete([0, 1])
-        seg.merge()
+        lc.insert(ds.vectors)
+        lc.seal()
+        fresh = rng.normal(size=(10, ds.dim)).astype(np.float32)
+        new_ids = lc.insert(fresh)
+        lc.delete([0, 1])
+        lc.seal()
+        assert lc.maybe_compact() == 1
+        lc.close()
 
-        save_starling(seg.static_index, tmp_path / "merged")
-        loaded = load_starling(tmp_path / "merged")
+        lc = SegmentLifecycle.open(
+            tmp_path / "lc", lambda d: build_starling(d, cfg)
+        )
+        [(name, count)] = lc.segment_counts()
+        assert count == lc.num_live == 300 + 10 - 2
+        loaded = load_starling(tmp_path / "lc" / "segments" / name)
         assert loaded.num_vectors == 300 + 10 - 2
         r = loaded.search(ds.queries[0], 10, 48)
         assert len(r) == 10
-        # NB: persisted indexes use *local* ids; the updatable wrapper owns
-        # the global-id translation, which is why it survives merges only
-        # in-process.  new_ids remain addressable through the wrapper:
-        found = seg.search(
-            seg.dynamic.vectors()[:1]
-            if seg.pending_inserts else ds.queries[0], 5
-        )
+        # Persisted segments use *local* ids; the lifecycle's catalog owns
+        # the global-id translation, so new_ids stay addressable:
+        found = lc.search(fresh[0], 5)
         assert len(found) == 5
+        assert found.ids[0] == new_ids[0]
         assert all(vid not in (0, 1) for vid in found.ids.tolist())
         assert new_ids.min() >= 300
+        lc.close()
 
 
 class TestCacheWithUpdates:
@@ -87,15 +94,20 @@ class TestCacheWithUpdates:
             block_cache_blocks=64,
         )
         ds = deep_like(300, 6, seed=145)
-        seg = UpdatableSegment(
-            build_starling(ds, cfg), ds,
-            rebuild=lambda d: build_starling(d, cfg),
+        lc = SegmentLifecycle.create(
+            tmp_path / "lc", lambda d: build_starling(d, cfg), dim=ds.dim
         )
+        lc.insert(ds.vectors)
+        lc.seal()
+        lc.insert(ds.queries[1:3])
+        lc.delete([7])
         q = ds.queries[0]
-        first = seg.search(q, 5)
-        second = seg.search(q, 5)
+        first = lc.search(q, 5)
+        second = lc.search(q, 5)
         assert np.array_equal(first.ids, second.ids)
         assert second.stats.num_ios <= first.stats.num_ios
+        assert second.stats.block_cache_hits > 0
+        lc.close()
 
 
 class TestCoordinatorOverMixedFrameworks:

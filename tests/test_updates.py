@@ -1,55 +1,96 @@
-"""Tests for the §7 data-update extension (dynamic index + bitset + merge)."""
+"""Tests for the §7 data-update scheme on ``SegmentLifecycle``: the memtable
+is the dynamic index, tombstones are the deletion bitset, seal + compaction
+is the merge-and-rebuild."""
+
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core import (
     GraphConfig,
+    InvalidVectorError,
+    LifecycleSpec,
+    SegmentLifecycle,
     StarlingConfig,
-    UpdatableSegment,
+    UnknownIdError,
+    UpdateError,
     build_starling,
 )
-from repro.core import updates
-from repro.core.updates import DynamicIndex
-from repro.vectors import deep_like, get_metric
+from repro.vectors import deep_like
+
+CFG = StarlingConfig(graph=GraphConfig(max_degree=12, build_ef=24))
+#: one size tier, merged two at a time: ``maybe_compact`` folds every
+#: sealed segment into one rebuilt index
+SPEC = LifecycleSpec(merge_fanout=2, tier_growth=1000.0)
+
+
+def rebuild(dataset):
+    return build_starling(dataset, CFG)
+
+
+def _merge(lc) -> None:
+    """Fold the memtable and every sealed segment into one rebuilt index."""
+    lc.seal()
+    lc.maybe_compact()
+    assert lc.num_segments == 1
+
+
+@pytest.fixture(scope="module")
+def sealed_base(tmp_path_factory):
+    """400 rows sealed as two segments (global ids 0..399), no memtable."""
+    ds = deep_like(400, 8, seed=101)
+    root = tmp_path_factory.mktemp("updates") / "lc"
+    lc = SegmentLifecycle.create(root, rebuild, dim=ds.dim, spec=SPEC)
+    for lo in (0, 200):
+        lc.insert(ds.vectors[lo:lo + 200])
+        lc.seal()
+    lc.close()
+    return root, ds
 
 
 @pytest.fixture()
-def segment():
-    ds = deep_like(400, 8, seed=101)
-    cfg = StarlingConfig(graph=GraphConfig(max_degree=12, build_ef=24))
-    index = build_starling(ds, cfg)
-    return UpdatableSegment(index, ds, lambda d: build_starling(d, cfg)), ds
+def segment(sealed_base, tmp_path):
+    root, ds = sealed_base
+    shutil.copytree(root, tmp_path / "lc")
+    lc = SegmentLifecycle.open(tmp_path / "lc", rebuild, spec=SPEC)
+    yield lc, ds
+    lc.close()
+
+
+@pytest.fixture()
+def memtable(tmp_path):
+    """A fresh dim-4 lifecycle: every row lives in the memtable."""
+    lc = SegmentLifecycle.create(tmp_path / "mem", rebuild, dim=4)
+    yield lc
+    lc.close()
 
 
 class TestDynamicIndex:
-    def test_add_and_search(self, rng):
-        m = get_metric("l2")
-        idx = DynamicIndex(4, np.float32, m)
+    """The memtable: an exact in-memory scan of the unsealed rows."""
+
+    def test_add_and_search(self, memtable, rng):
         vecs = rng.normal(size=(10, 4)).astype(np.float32)
-        idx.add(vecs)
-        assert len(idx) == 10
-        ids, dists, computed = idx.search(vecs[3], 1)
-        assert ids[0] == 3
-        assert computed == 10
+        memtable.insert(vecs)
+        assert memtable.pending_rows == 10
+        r = memtable.search(vecs[3], 1)
+        assert r.ids[0] == 3
+        assert r.stats.exact_distances == 10
 
-    def test_empty_search(self):
-        idx = DynamicIndex(4, np.float32, get_metric("l2"))
-        ids, dists, computed = idx.search(np.zeros(4, dtype=np.float32), 5)
-        assert ids.size == 0
-        assert computed == 0
+    def test_empty_search(self, memtable):
+        r = memtable.search(np.zeros(4, dtype=np.float32), 5)
+        assert r.ids.size == 0
+        assert r.stats.exact_distances == 0
 
-    def test_dim_check(self):
-        idx = DynamicIndex(4, np.float32, get_metric("l2"))
+    def test_dim_check(self, memtable):
         with pytest.raises(ValueError, match="dim"):
-            idx.add(np.zeros((2, 5), dtype=np.float32))
+            memtable.insert(np.zeros((2, 5), dtype=np.float32))
 
-    def test_memory_grows(self, rng):
-        idx = DynamicIndex(4, np.float32, get_metric("l2"))
-        idx.add(rng.normal(size=(5, 4)).astype(np.float32))
-        before = idx.memory_bytes
-        idx.add(rng.normal(size=(5, 4)).astype(np.float32))
-        assert idx.memory_bytes == 2 * before
+    def test_memory_grows(self, memtable, rng):
+        memtable.insert(rng.normal(size=(5, 4)).astype(np.float32))
+        before = memtable.pending_rows
+        memtable.insert(rng.normal(size=(5, 4)).astype(np.float32))
+        assert memtable.pending_rows == 2 * before
 
 
 class TestInsert:
@@ -66,7 +107,7 @@ class TestInsert:
         b = seg.insert(rng.normal(size=(1, ds.dim)).astype(np.float32))
         assert a.tolist() == [ds.size, ds.size + 1]
         assert b.tolist() == [ds.size + 2]
-        assert seg.pending_inserts == 3
+        assert seg.pending_rows == 3
 
     def test_live_count(self, segment, rng):
         seg, ds = segment
@@ -75,16 +116,16 @@ class TestInsert:
 
 
 class TestInputHardening:
-    """Typed errors instead of silent coercion (satellite of the lifecycle PR)."""
+    """Typed errors instead of silent coercion."""
 
     def test_wrong_dim_rejected(self, segment, rng):
         seg, ds = segment
-        with pytest.raises(updates.InvalidVectorError, match="dim"):
+        with pytest.raises(InvalidVectorError, match="dim"):
             seg.insert(rng.normal(size=(2, ds.dim + 1)).astype(np.float32))
 
     def test_cross_kind_dtype_rejected(self, segment, rng):
         seg, ds = segment
-        with pytest.raises(updates.InvalidVectorError, match="dtype"):
+        with pytest.raises(InvalidVectorError, match="dtype"):
             seg.insert((rng.normal(size=(2, ds.dim)) * 100).astype(np.int32))
 
     def test_same_kind_dtype_cast_allowed(self, segment, rng):
@@ -95,33 +136,33 @@ class TestInputHardening:
     def test_non_contiguous_view_rejected(self, segment, rng):
         seg, ds = segment
         wide = rng.normal(size=(3, ds.dim * 2)).astype(np.float32)
-        with pytest.raises(updates.InvalidVectorError, match="contiguous"):
+        with pytest.raises(InvalidVectorError, match="contiguous"):
             seg.insert(wide[:, ::2])
 
     def test_empty_insert_rejected(self, segment, rng):
         seg, ds = segment
-        with pytest.raises(updates.InvalidVectorError, match="empty"):
+        with pytest.raises(InvalidVectorError, match="empty"):
             seg.insert(np.empty((0, ds.dim), dtype=np.float32))
 
     def test_three_dim_payload_rejected(self, segment, rng):
         seg, ds = segment
-        with pytest.raises(updates.InvalidVectorError):
+        with pytest.raises(InvalidVectorError):
             seg.insert(rng.normal(size=(2, 2, ds.dim)).astype(np.float32))
 
     def test_float_ids_rejected(self, segment):
         seg, _ = segment
-        with pytest.raises(updates.InvalidVectorError, match="integers"):
+        with pytest.raises(InvalidVectorError, match="integers"):
             seg.delete([1.5])
 
     def test_nested_ids_rejected(self, segment):
         seg, _ = segment
-        with pytest.raises(updates.InvalidVectorError, match="1-D"):
+        with pytest.raises(InvalidVectorError, match="1-D"):
             seg.delete([[1, 2], [3, 4]])
 
     def test_error_types_are_value_errors(self):
-        assert issubclass(updates.InvalidVectorError, updates.UpdateError)
-        assert issubclass(updates.UnknownIdError, updates.UpdateError)
-        assert issubclass(updates.UpdateError, ValueError)
+        assert issubclass(InvalidVectorError, UpdateError)
+        assert issubclass(UnknownIdError, UpdateError)
+        assert issubclass(UpdateError, ValueError)
 
 
 class TestDelete:
@@ -136,13 +177,9 @@ class TestDelete:
 
     def test_delete_unknown_id_raises(self, segment):
         seg, _ = segment
-        with pytest.raises(updates.UnknownIdError) as exc:
+        with pytest.raises(UnknownIdError) as exc:
             seg.delete([10**6])
         assert 10**6 in exc.value.ids
-
-    def test_delete_unknown_id_ignored_when_lenient(self, segment):
-        seg, _ = segment
-        assert seg.delete([10**6], strict=False) == 0
 
     def test_double_delete_counted_once(self, segment):
         seg, _ = segment
@@ -172,57 +209,21 @@ class TestSearchSemantics:
         seg, ds = segment
         seg.insert(rng.normal(size=(50, ds.dim)).astype(np.float32))
         r = seg.search(ds.queries[0], k=5)
-        assert r.stats.exact_distances > 50  # static + dynamic scans
-
-
-class TestRangeSearch:
-    def test_static_results_filtered_by_bitset(self, segment):
-        seg, ds = segment
-        radius = ds.default_radius
-        before = seg.search(ds.queries[0], k=3)
-        victim = int(before.ids[0])
-        seg.delete([victim])
-        r = seg.range_search(ds.queries[0], radius)
-        assert victim not in r.ids
-        assert (r.dists <= radius).all()
-
-    def test_dynamic_inserts_appear_in_range(self, segment, rng):
-        seg, ds = segment
-        q = ds.queries[1].astype(np.float32)
-        planted = q + rng.normal(0, 1e-3, size=ds.dim).astype(np.float32)
-        new_id = seg.insert(planted)[0]
-        r = seg.range_search(q, ds.default_radius)
-        assert new_id in r.ids
-
-    def test_results_sorted(self, segment):
-        seg, ds = segment
-        r = seg.range_search(ds.queries[2], ds.default_radius)
-        assert (np.diff(r.dists) >= -1e-9).all()
-
-    def test_matches_ground_truth_subset(self, segment):
-        seg, ds = segment
-        from repro.vectors import range_search as brute
-
-        radius = ds.default_radius
-        truth = brute(ds.vectors, ds.queries, radius, ds.metric)
-        fresh = UpdatableSegment(
-            seg.static_index, ds, rebuild=lambda d: seg.static_index
-        ) if seg.pending_inserts or seg.num_deleted else seg
-        r = fresh.range_search(ds.queries[3], radius)
-        base_hits = {vid for vid in r.ids.tolist() if vid < ds.size}
-        assert base_hits <= set(truth[3].tolist())
+        assert r.stats.exact_distances > 50  # sealed + memtable scans
 
 
 class TestMerge:
+    """Seal + compaction: the merge-and-rebuild."""
+
     def test_merge_preserves_live_set(self, segment, rng):
         seg, ds = segment
         q = ds.queries[2].astype(np.float32)
         near = q + rng.normal(0, 1e-3, size=ds.dim).astype(np.float32)
         new_id = seg.insert(near)[0]
+        seg.insert(rng.normal(size=(1, ds.dim)).astype(np.float32))
         before = seg.search(q, k=5)
-        seg.merge()
-        assert seg.merges == 1
-        assert seg.pending_inserts == 0
+        _merge(seg)
+        assert seg.pending_rows == 0
         assert seg.num_deleted == 0
         after = seg.search(q, k=5)
         assert after.ids[0] == new_id
@@ -234,16 +235,17 @@ class TestMerge:
         victim = int(r.ids[0])
         seg.delete([victim])
         live_before = seg.num_live
-        seg.merge()
+        _merge(seg)
         assert seg.num_live == live_before
+        assert seg.num_deleted == 0
+        assert victim not in seg._sealed[0].ids
         r2 = seg.search(ds.queries[0], k=10)
         assert victim not in r2.ids
 
     def test_merge_rebuilds_static_index(self, segment, rng):
         seg, ds = segment
-        old_static = seg.static_index
+        old = [s.index for s in seg._sealed]
         seg.insert(rng.normal(size=(5, ds.dim)).astype(np.float32))
-        seg.merge()
-        assert seg.static_index is not old_static
-        assert seg.static_index.num_vectors == ds.size + 5
-
+        _merge(seg)
+        assert all(seg._sealed[0].index is not index for index in old)
+        assert seg._sealed[0].index.num_vectors == ds.size + 5
