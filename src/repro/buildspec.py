@@ -19,7 +19,8 @@ which two strategies schedule.
 The two modes differ only where their outputs do: Vamana.  NSG's searches
 run over a static kNN base graph, so its one (wave) build is the same graph
 under either mode, and quantizer training has no mode at all — the M
-sub-codebooks are seeded independently and trained in order.
+sub-codebooks' k-means++ seedings run as one lockstep pass (subspace ``m``
+on its own generator, ``seed + m``), then Lloyd refines them in order.
 """
 
 from __future__ import annotations

@@ -49,6 +49,56 @@ class AdjacencyGraph:
             )
         self._neighbors[vertex] = arr.astype(ID_DTYPE)
 
+    @classmethod
+    def from_padded(
+        cls, ids: np.ndarray, counts: np.ndarray, max_degree: int
+    ) -> "AdjacencyGraph":
+        """The graph whose vertex ``v`` lists ``ids[v, :counts[v]]``.
+
+        Equal to a :meth:`set_neighbors` call per vertex in vertex order,
+        first error included: the range, self-loop and over-Λ checks run on
+        the whole flat id array, and only a row that holds a duplicate is
+        deduped (order-preserving), on its own.
+        """
+        ids = np.asarray(ids)
+        counts = np.asarray(counts, dtype=np.int64)
+        n = counts.size
+        graph = cls(n, max_degree)
+        width = ids.shape[1]
+        keep = np.arange(width) < counts[:, None]
+        out_of_range = (((ids < 0) | (ids >= n)) & keep).any(axis=1)
+        loop = ((ids == np.arange(n)[:, None]) & keep).any(axis=1)
+        # A duplicate sorts next to its twin; padding slots get distinct
+        # negative keys so they never match (a negative id only matters in
+        # a row that fails the range check first).
+        keyed = np.where(keep, ids, -1 - np.arange(width))
+        keyed.sort(axis=1)
+        degree = counts.copy()
+        for v in np.flatnonzero((keyed[:, 1:] == keyed[:, :-1]).any(axis=1)):
+            first = np.unique(ids[v, : counts[v]], return_index=True)[1]
+            keep[v] = False
+            keep[v, first] = True
+            degree[v] = first.size
+        del keyed
+        bad = out_of_range | loop | (degree > max_degree)
+        if bad.any():
+            v = int(np.argmax(bad))
+            if out_of_range[v]:
+                raise ValueError(f"neighbour id out of range for vertex {v}")
+            if loop[v]:
+                raise ValueError(f"self-loop on vertex {v}")
+            raise ValueError(
+                f"vertex {v}: degree {degree[v]} exceeds Λ={max_degree}"
+            )
+        kept = ids[keep].astype(ID_DTYPE)
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=bounds[1:])
+        bounds = bounds.tolist()
+        graph._neighbors = [
+            kept[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        return graph
+
     def add_edge(self, u: int, v: int) -> bool:
         """Add edge u→v if capacity allows; returns True if added."""
         if u == v:
@@ -87,20 +137,6 @@ class AdjacencyGraph:
     def average_degree(self) -> float:
         return self.num_edges / self.num_vertices
 
-    def reverse(self) -> "AdjacencyGraph":
-        """Graph with every edge direction flipped (unbounded degree cap)."""
-        indeg = np.zeros(self.num_vertices, dtype=np.int64)
-        for nbrs in self._neighbors:
-            np.add.at(indeg, nbrs.astype(np.int64), 1)
-        rev = AdjacencyGraph(self.num_vertices, max(int(indeg.max()), 1))
-        buckets: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, nbrs in enumerate(self._neighbors):
-            for v in nbrs:
-                buckets[int(v)].append(u)
-        for v, lst in enumerate(buckets):
-            rev._neighbors[v] = np.asarray(lst, dtype=ID_DTYPE)
-        return rev
-
     def copy(self) -> "AdjacencyGraph":
         g = AdjacencyGraph(self.num_vertices, self.max_degree)
         g._neighbors = [a.copy() for a in self._neighbors]
@@ -113,20 +149,35 @@ class AdjacencyGraph:
         return self.reachable_from(start).all()
 
     def reachable_from(self, start: int) -> np.ndarray:
-        """Boolean reachability mask from ``start`` (directed BFS)."""
+        """Boolean reachability mask from ``start`` (directed BFS).
+
+        Level-synchronous: each level gathers its frontier's lists in one
+        concatenate and keeps the ids the ``seen`` mask has not marked.
+        """
         seen = np.zeros(self.num_vertices, dtype=bool)
         seen[start] = True
+        lists = self._neighbors
         frontier = [start]
         while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for v in self._neighbors[u]:
-                    v = int(v)
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
+            reached = np.concatenate([lists[u] for u in frontier])
+            fresh = np.unique(reached[~seen[reached]])
+            seen[fresh] = True
+            frontier = fresh.tolist()
         return seen
+
+
+def pad_rows(
+    flat: np.ndarray, counts: np.ndarray, width: int, dtype=None
+) -> np.ndarray:
+    """The ragged rows ``flat`` (row ``i`` = its next ``counts[i]``
+    entries) as one ``[len(counts), width, ...]`` array, zero past each
+    row's count."""
+    flat = np.asarray(flat)
+    out = np.zeros(
+        (len(counts), width) + flat.shape[1:], dtype=dtype or flat.dtype
+    )
+    out[np.arange(width) < counts[:, None]] = flat
+    return out
 
 
 def random_regular_graph(
@@ -138,13 +189,14 @@ def random_regular_graph(
     """
     degree = min(degree, num_vertices - 1)
     rng = np.random.default_rng(seed)
-    graph = AdjacencyGraph(num_vertices, max(degree, 1))
+    ids = np.empty((max(num_vertices, 0), max(degree, 0)), dtype=np.int64)
     for u in range(num_vertices):
         choices = rng.choice(num_vertices - 1, size=degree, replace=False)
         # Shift ids >= u to skip the self-loop.
-        choices = np.where(choices >= u, choices + 1, choices)
-        graph.set_neighbors(u, choices)
-    return graph
+        ids[u] = np.where(choices >= u, choices + 1, choices)
+    return AdjacencyGraph.from_padded(
+        ids, np.full(ids.shape[0], ids.shape[1]), max(degree, 1)
+    )
 
 
 def save_graph(graph: AdjacencyGraph, path) -> None:
@@ -171,13 +223,13 @@ def load_graph(path) -> AdjacencyGraph:
     data = np.load(path)
     offsets = data["offsets"]
     flat = data["flat"]
-    n = offsets.size - 1
-    if n <= 0:
+    if offsets.size <= 1:
         raise ValueError(f"{path!r} holds no vertices")
-    graph = AdjacencyGraph(n, int(data["max_degree"][0]))
-    for u in range(n):
-        graph.set_neighbors(u, flat[offsets[u]: offsets[u + 1]])
-    return graph
+    counts = np.diff(offsets)
+    return AdjacencyGraph.from_padded(
+        pad_rows(flat, counts, int(counts.max())), counts,
+        int(data["max_degree"][0]),
+    )
 
 
 def from_neighbor_lists(

@@ -15,6 +15,20 @@ from ..vectors.metrics import Metric, get_metric
 from .adjacency import AdjacencyGraph
 
 
+def _nearest_excluding_self(
+    vectors: np.ndarray, start: int, stop: int, k: int, metric: Metric
+) -> np.ndarray:
+    """``[stop - start, k]`` nearest ids of rows ``start:stop``, self
+    excluded, ascending by distance (its ``[chunk, n]`` blocks die here)."""
+    d = metric.pairwise(vectors[start:stop], vectors)
+    rows = np.arange(stop - start)
+    d[rows, np.arange(start, stop)] = np.inf  # mask self
+    idx = np.argpartition(d, k - 1, axis=1)[:, :k]
+    idx_d = np.take_along_axis(d, idx, axis=1)
+    order = np.argsort(idx_d, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1)
+
+
 def exact_knn_graph(
     vectors: np.ndarray,
     k: int,
@@ -27,19 +41,13 @@ def exact_knn_graph(
     n = vectors.shape[0]
     if not 0 < k < n:
         raise ValueError(f"k={k} out of range (1..{n - 1})")
-    graph = AdjacencyGraph(n, k)
+    ids = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        d = metric.pairwise(vectors[start:stop], vectors)
-        rows = np.arange(stop - start)
-        d[rows, np.arange(start, stop)] = np.inf  # mask self
-        idx = np.argpartition(d, k - 1, axis=1)[:, :k]
-        idx_d = np.take_along_axis(d, idx, axis=1)
-        order = np.argsort(idx_d, axis=1, kind="stable")
-        idx = np.take_along_axis(idx, order, axis=1)
-        for i, u in enumerate(range(start, stop)):
-            graph.set_neighbors(u, idx[i])
-    return graph
+        ids[start:stop] = _nearest_excluding_self(
+            vectors, start, stop, k, metric
+        )
+    return AdjacencyGraph.from_padded(ids, np.full(n, k), k)
 
 
 def nn_descent_knn_graph(
@@ -109,10 +117,7 @@ def nn_descent_knn_graph(
         if updates == 0:
             break
 
-    graph = AdjacencyGraph(n, k)
-    for u in range(n):
-        graph.set_neighbors(u, ids[u])
-    return graph
+    return AdjacencyGraph.from_padded(ids, np.full(n, k), k)
 
 
 def knn_graph(

@@ -522,10 +522,7 @@ def build_vamana_waves(
             adj[v, : nbrs.size] = nbrs
             deg[v] = nbrs.size
 
-    graph = AdjacencyGraph(n, max_degree)
-    for v in range(n):
-        graph.set_neighbors(v, adj[v, : deg[v]])
-    return graph, entry
+    return AdjacencyGraph.from_padded(adj, deg, max_degree), entry
 
 
 def build_nsg_waves(
@@ -552,7 +549,8 @@ def build_nsg_waves(
     dense = np.ascontiguousarray(vectors, dtype=np.float32)
     base_lists = base.neighbor_lists()
 
-    graph = AdjacencyGraph(n, params.max_degree)
+    adj = np.zeros((n, params.max_degree), dtype=np.int64)
+    deg = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, spec.wave_size):
         wave = np.arange(lo, min(lo + spec.wave_size, n), dtype=np.int64)
         num = wave.size
@@ -572,8 +570,9 @@ def build_nsg_waves(
             num, wave, rows.astype(np.int64), cand.astype(np.int64),
             dense, metric, params.max_degree, 1.0, True,
         )
-        for i, p in enumerate(wave):
-            graph.set_neighbors(int(p), selected[i, : counts[i]])
+        adj[wave] = selected
+        deg[wave] = counts
 
+    graph = AdjacencyGraph.from_padded(adj, deg, params.max_degree)
     _ensure_connectivity(graph, vectors, metric, nav)
     return graph, nav

@@ -21,24 +21,7 @@ from ..vectors.metrics import (
     get_metric,
     pairwise_l2_squared,
 )
-from .kmeans import kmeans
-
-
-def _train_subspaces(
-    parts: np.ndarray,
-    num_subspaces: int,
-    num_centroids: int,
-    seed: int,
-    max_iters: int,
-) -> list[np.ndarray]:
-    """Train the M independent sub-codebooks (subspace ``m`` seeded with
-    ``seed + m``)."""
-    return [
-        kmeans(
-            parts[:, m, :], num_centroids, seed=seed + m, max_iters=max_iters
-        ).centroids
-        for m in range(num_subspaces)
-    ]
+from .kmeans import kmeans_subspaces
 
 
 @dataclass
@@ -115,8 +98,9 @@ class ProductQuantizer:
         max_iters: int = 15,
         train_size: int = 20_000,
     ) -> "ProductQuantizer":
-        """Fit per-subspace codebooks on (a sample of) ``vectors``; each
-        subspace's k-means is independently seeded with ``seed + m``."""
+        """Fit per-subspace codebooks on (a sample of) ``vectors``; subspace
+        ``m``'s k-means is seeded with ``seed + m``, and the M k-means++
+        seedings run as one lockstep pass (:func:`kmeans_subspaces`)."""
         vectors = np.atleast_2d(vectors)
         n, dim = vectors.shape
         if n < 2:
@@ -138,12 +122,12 @@ class ProductQuantizer:
             sample = vectors[rng.choice(n, size=train_size, replace=False)]
         else:
             sample = vectors
-        parts = self._split(sample)
-        centroids = _train_subspaces(
-            parts, self.num_subspaces, self.num_centroids, seed, max_iters
+        results = kmeans_subspaces(
+            self._split(sample), self.num_centroids, seed=seed,
+            max_iters=max_iters,
         )
-        for m, cents in enumerate(centroids):
-            self.codebook.centroids[m] = cents
+        for m, result in enumerate(results):
+            self.codebook.centroids[m] = result.centroids
         return self
 
     def encode(self, vectors: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ..graphs.adjacency import pad_rows
 from .codec import VertexFormat, block_checksum
 from .device import BlockDevice, DiskSpec
 from .faults import KIND_CHECKSUM, ChecksumError, ReadFaultError
@@ -122,19 +123,14 @@ class BlockStack(NamedTuple):
     ) -> "BlockStack":
         """Stack already-decoded blocks (what a per-query counted read — a
         cache wrapper, the resilient path — hands back)."""
-        eps = fmt.vertices_per_block
         sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
-        valid = np.arange(eps) < sizes[:, None]
-        shape = (len(blocks), eps)
-        fields = []
-        for name, tail in (
-            ("vertex_ids", ()), ("vectors", (fmt.dim,)),
-            ("nbr_counts", ()), ("nbr_ids", (fmt.max_degree,)),
-        ):
-            parts = [getattr(b, name) for b in blocks]
-            field = np.zeros(shape + tail, dtype=parts[0].dtype)
-            field[valid] = np.concatenate(parts)
-            fields.append(field)
+        fields = [
+            pad_rows(
+                np.concatenate([getattr(b, name) for b in blocks]),
+                sizes, fmt.vertices_per_block,
+            )
+            for name in ("vertex_ids", "vectors", "nbr_counts", "nbr_ids")
+        ]
         return cls(fields[0], sizes, *fields[1:])
 
 
@@ -148,9 +144,8 @@ def _id_table(
         raise ValueError(
             f"a block lists {int(sizes.max())} vertices, exceeding ε={eps}"
         )
-    table = np.zeros((len(block_ids), eps), dtype=np.uint32)
-    if sizes.sum():
-        table[np.arange(eps) < sizes[:, None]] = np.concatenate(block_ids)
+    flat = np.concatenate(block_ids) if len(block_ids) else []
+    table = pad_rows(flat, sizes, eps, np.uint32)
     table.flags.writeable = sizes.flags.writeable = False
     return table, sizes
 

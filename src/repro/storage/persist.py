@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from ..engine.cache import HotVertexCache
-from ..graphs.adjacency import AdjacencyGraph
+from ..graphs.adjacency import AdjacencyGraph, pad_rows
 from ..graphs.navigation import FixedEntryPoint, NavigationGraph
 from ..quantization.pq import PQCodebook, ProductQuantizer
 from ..vectors.metrics import get_metric
@@ -454,12 +454,11 @@ def load_starling(directory: str | os.PathLike, *, strict: bool = False):
     if meta["entry_provider"] == "navigation_graph":
         _require_files(files_dir, ("nav.npz",))
         nav_npz = np.load(files_dir / "nav.npz")
-        edges = _unpack_ragged(nav_npz["edges_flat"], nav_npz["edges_offsets"])
-        graph = AdjacencyGraph(
-            len(edges), int(nav_npz["max_degree"][0])
+        counts = np.diff(nav_npz["edges_offsets"])
+        graph = AdjacencyGraph.from_padded(
+            pad_rows(nav_npz["edges_flat"], counts, int(counts.max(initial=0))),
+            counts, int(nav_npz["max_degree"][0]),
         )
-        for u, nbrs in enumerate(edges):
-            graph.set_neighbors(u, nbrs)
         provider = NavigationGraph(
             nav_npz["sample_ids"].astype(np.int64),
             nav_npz["sample_vectors"],

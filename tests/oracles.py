@@ -32,6 +32,19 @@ selection used to be ``repro.graphs.nsg.build_nsg``'s body and
 ``mrng_select``; they are kept here — :func:`oracle_build_nsg` /
 :func:`oracle_mrng_select` — as the reference the production wave build is
 checked against, graph for graph.
+
+**The one k-means++ seeding.**  ``kmeans`` used to seed one subspace at a
+time (256 sequential ``rng.choice`` + ``pairwise_l2_squared`` steps each),
+and the product quantizer called it once per subspace; that loop is kept
+here — :func:`oracle_kmeanspp_seeds` / :func:`oracle_kmeans` — as the
+reference the lockstep seeding of all M subspaces is checked against, seed
+for seed and codebook for codebook.
+
+**The one adjacency load.**  Graph builders and loaders used to fill an
+``AdjacencyGraph`` one ``set_neighbors`` call per vertex, and reachability
+was a per-vertex BFS; :func:`oracle_adjacency_from_padded` /
+:func:`oracle_reachable_from` keep both as the references
+``AdjacencyGraph.from_padded`` and ``reachable_from`` are checked against.
 """
 
 from __future__ import annotations
@@ -50,9 +63,10 @@ from repro.graphs.knn import knn_graph
 from repro.graphs.nsg import NSGParams, _ensure_connectivity
 from repro.graphs.search import greedy_search
 from repro.graphs.vamana import medoid
+from repro.quantization.kmeans import KMeansResult
 from repro.storage.codec import ID_BYTES, ID_DTYPE, VertexFormat
 from repro.storage.disk_graph import DiskBlock, DiskGraph
-from repro.vectors.metrics import Metric, get_metric
+from repro.vectors.metrics import Metric, get_metric, pairwise_l2_squared
 
 
 def decode_vertex(
@@ -444,3 +458,103 @@ def oracle_lifecycle_search(lc, query, k, candidate_size) -> SearchResult:
         dists=np.asarray([d for d, _ in top], dtype=np.float64),
         stats=stats,
     )
+
+
+def oracle_kmeanspp_seeds(
+    data: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ initialisation: spread seeds proportionally to distance."""
+    n = data.shape[0]
+    seeds = np.empty(k, dtype=np.int64)
+    seeds[0] = rng.integers(n)
+    closest = pairwise_l2_squared(data[seeds[0]][None, :], data)[0]
+    for i in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            # All remaining points coincide with an existing seed: fill
+            # the rest with distinct non-seed points so no centroid index
+            # is duplicated (k <= n is validated by the callers).
+            pool = np.setdiff1d(np.arange(n), seeds[:i])
+            seeds[i:] = rng.choice(pool, size=k - i, replace=False)
+            break
+        probs = closest / total
+        seeds[i] = rng.choice(n, p=probs)
+        d_new = pairwise_l2_squared(data[seeds[i]][None, :], data)[0]
+        np.minimum(closest, d_new, out=closest)
+    return seeds
+
+
+def oracle_kmeans(
+    data: np.ndarray,
+    k: int,
+    *,
+    max_iters: int = 25,
+    tol: float = 1e-4,
+    seed: int = 0,
+) -> KMeansResult:
+    """Train k-means on ``data`` (any numeric dtype; promoted to float32)."""
+    data = np.asarray(data)
+    n = data.shape[0]
+    if not 0 < k <= n:
+        raise ValueError(f"k={k} out of range (1..{n})")
+    x = data.astype(np.float32, copy=False)
+    rng = np.random.default_rng(seed)
+    centroids = x[oracle_kmeanspp_seeds(x, k, rng)].copy()
+
+    assignment = np.zeros(n, dtype=np.int32)
+    prev_inertia = np.inf
+    iteration = 0
+    for iteration in range(1, max_iters + 1):
+        dists = pairwise_l2_squared(x, centroids)
+        assignment = dists.argmin(axis=1).astype(np.int32)
+        min_dists = dists[np.arange(n), assignment]
+        inertia = float(min_dists.sum())
+
+        counts = np.bincount(assignment, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignment, x)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+
+        empty = np.flatnonzero(~nonempty)
+        if empty.size:
+            # Steal the points that fit their cluster worst.
+            worst = np.argsort(min_dists)[::-1][: empty.size]
+            centroids[empty] = x[worst]
+
+        if prev_inertia - inertia <= tol * max(prev_inertia, 1.0):
+            break
+        prev_inertia = inertia
+
+    dists = pairwise_l2_squared(x, centroids)
+    assignment = dists.argmin(axis=1).astype(np.int32)
+    inertia = float(dists[np.arange(n), assignment].sum())
+    return KMeansResult(centroids, assignment, inertia, iteration)
+
+
+def oracle_adjacency_from_padded(
+    ids: np.ndarray, counts: np.ndarray, max_degree: int
+) -> AdjacencyGraph:
+    """The graph as builders and loaders filled it: one ``set_neighbors``
+    call per vertex, in vertex order."""
+    graph = AdjacencyGraph(len(counts), max_degree)
+    for u, c in enumerate(counts):
+        graph.set_neighbors(u, ids[u, :c])
+    return graph
+
+
+def oracle_reachable_from(graph: AdjacencyGraph, start: int) -> np.ndarray:
+    """Boolean reachability mask from ``start`` (directed BFS)."""
+    seen = np.zeros(graph.num_vertices, dtype=bool)
+    seen[start] = True
+    frontier = [start]
+    while frontier:
+        nxt: list[int] = []
+        for u in frontier:
+            for v in graph.neighbors(u):
+                v = int(v)
+                if not seen[v]:
+                    seen[v] = True
+                    nxt.append(v)
+        frontier = nxt
+    return seen

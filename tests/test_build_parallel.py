@@ -240,7 +240,9 @@ class TestQuantizerParallel:
 
         data = np.zeros((12, 4), dtype=np.float32)
         for s in range(10):
-            seeds = _kmeanspp_seeds(data, 9, np.random.default_rng(s))
+            seeds = _kmeanspp_seeds(
+                data[:, None, :], 9, [np.random.default_rng(s)]
+            )[0]
             assert len(set(seeds.tolist())) == 9
 
 
