@@ -558,10 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shuffler the bamg strategy lays blocks out with")
     p.add_argument("--bamg-alpha", type=float, default=1.2,
                    help="bamg occlusion factor (<= 0 keeps all portals)")
-    p.add_argument("--cache-strategy", default=None,
+    p.add_argument("--cache-strategy", default="lru",
                    choices=CACHE_STRATEGY_NAMES,
                    help="block-cache strategy baked into the index "
-                        "(starling only; default: LRU iff --cache-blocks)")
+                        "(starling only; wraps nothing at --cache-blocks 0)")
     p.add_argument("--cache-blocks", type=int, default=0,
                    help="block-cache capacity in blocks (0 disables)")
     p.add_argument("--pruning-ratio", type=float, default=0.3)

@@ -194,7 +194,7 @@ def build_starling(
         path=path, spec=disk_spec,
     )
     timings.disk_write_s = time.perf_counter() - t0
-    cache_name = config.resolved_cache_strategy
+    cache_name = config.cache_strategy
     pinned = None
     if cache_name == "hot" and config.block_cache_blocks > 0:
         # Offline hot-block selection, charged to T_hot like DiskANN's

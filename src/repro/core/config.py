@@ -101,9 +101,9 @@ class StarlingConfig:
     #: (e.g. ``(("base", "bnf"), ("alpha", 1.2))`` for bamg)
     layout_params: tuple = ()
     #: block-cache strategy: "none" | "lru" | "hot" (pinned blocks) |
-    #: "locality" (GoVector-style); ``None`` keeps the legacy rule — an LRU
-    #: iff ``block_cache_blocks > 0``
-    cache_strategy: str | None = None
+    #: "locality" (GoVector-style); any of them wraps nothing while
+    #: ``block_cache_blocks`` is 0
+    cache_strategy: str = "lru"
     #: cache-strategy options as hashable ``((key, value), ...)`` pairs
     #: (e.g. ``(("decay", 0.5), ("prefetch_blocks", 1))`` for locality)
     cache_params: tuple = ()
@@ -150,14 +150,13 @@ class StarlingConfig:
                     f"unknown layout strategy {self.layout_strategy!r}; "
                     f"expected one of {LAYOUT_STRATEGY_NAMES}"
                 )
-        if self.cache_strategy is not None:
-            from ..engine.cache_strategies import CACHE_STRATEGY_NAMES
+        from ..engine.cache_strategies import CACHE_STRATEGY_NAMES
 
-            if self.cache_strategy not in CACHE_STRATEGY_NAMES:
-                raise ValueError(
-                    f"unknown cache strategy {self.cache_strategy!r}; "
-                    f"expected one of {CACHE_STRATEGY_NAMES}"
-                )
+        if self.cache_strategy not in CACHE_STRATEGY_NAMES:
+            raise ValueError(
+                f"unknown cache strategy {self.cache_strategy!r}; "
+                f"expected one of {CACHE_STRATEGY_NAMES}"
+            )
         # JSON round-trips turn tuples into lists; normalizing here keeps
         # equality/hashing stable however the config was constructed.
         for name in ("layout_params", "cache_params"):
@@ -173,13 +172,6 @@ class StarlingConfig:
     def resolved_layout_strategy(self) -> str:
         """The layout strategy in effect (falls back to ``shuffle``)."""
         return self.layout_strategy or self.shuffle
-
-    @property
-    def resolved_cache_strategy(self) -> str:
-        """The cache strategy in effect (legacy: LRU iff capacity > 0)."""
-        if self.cache_strategy is not None:
-            return self.cache_strategy
-        return "lru" if self.block_cache_blocks > 0 else "none"
 
     @property
     def fold_coresident(self) -> bool:

@@ -138,32 +138,6 @@ def _unionable(segment) -> bool:
     )
 
 
-def _read_path(segment) -> tuple:
-    """Everything :func:`_unionable` reads that can change in place (a
-    cache strategy applied, fault injection armed), as identities."""
-    engine = getattr(segment, "engine", None)
-    dg = getattr(engine, "disk_graph", None)
-    return (
-        segment, engine, dg, getattr(dg, "device", None),
-        getattr(dg, "verify_checksums", None),
-        getattr(engine, "resilience", None),
-        getattr(engine, "use_pq_routing", None),
-    )
-
-
-@dataclass(frozen=True)
-class _UnionPlan:
-    """Which healthy segments answer a micro-batch together, cached for one
-    segment set: rebuilt when ``fingerprint`` — the quarantined indexes and
-    every segment's read path — changes, i.e. on ``replace_segment``,
-    quarantine, reinstatement or an in-place read-path change."""
-
-    fingerprint: tuple
-    #: segment indexes answered as one wave each (one per shared
-    #: :func:`~repro.engine.block_search.union_key`), in index order
-    waves: tuple[tuple[int, ...], ...]
-
-
 class SegmentCoordinator:
     """Fan a query out over segment indexes and merge the candidates.
 
@@ -204,8 +178,6 @@ class SegmentCoordinator:
         #: so replace/quarantine under live serving traffic is one atomic
         #: swap and a fan-out never sees a half-updated (segment, offset)
         self._lock = threading.RLock()
-        #: the last segment set's :class:`_UnionPlan` (under ``_lock``)
-        self._union_plan: _UnionPlan | None = None
 
     @property
     def num_segments(self) -> int:
@@ -265,30 +237,15 @@ class SegmentCoordinator:
 
     # -- fan-out helpers -----------------------------------------------------
 
-    def _snapshot(self) -> tuple[list[tuple], list[int], _UnionPlan]:
+    def _snapshot(self) -> tuple[list[tuple], list[int]]:
         """One consistent view of the segment set: ``(segment, offset)``
-        pairs, the quarantined indexes, and the set's union plan."""
+        pairs and the quarantined indexes."""
         with self._lock:
             snapshot = list(zip(self.segments, self.id_offsets))
             skipped = [
                 i for i in range(len(snapshot)) if self.is_quarantined(i)
             ]
-            fingerprint = (
-                tuple(skipped),
-                tuple(_read_path(segment) for segment, _ in snapshot),
-            )
-            plan = self._union_plan
-            if plan is None or plan.fingerprint != fingerprint:
-                waves: dict[tuple, list[int]] = {}
-                for i, (segment, _) in enumerate(snapshot):
-                    if i not in skipped and _unionable(segment):
-                        waves.setdefault(
-                            union_key(segment.engine), []
-                        ).append(i)
-                plan = self._union_plan = _UnionPlan(
-                    fingerprint, tuple(map(tuple, waves.values()))
-                )
-        return snapshot, skipped, plan
+        return snapshot, skipped
 
     def _run_each(self, snapshot, indexes, run_segment, answers) -> list[int]:
         """Run a per-segment callable on ``indexes`` with error tracking and
@@ -405,12 +362,20 @@ class SegmentCoordinator:
         if stoppers is not None and len(stoppers) != n:
             raise ValueError(f"{len(stoppers)} stoppers for {n} queries")
         spec = exec_spec or ExecSpec()
-        snapshot, skipped, plan = self._snapshot()
+        snapshot, skipped = self._snapshot()
         answers: dict[int, list] = {}
         if spec.mode == "wave" and all(
             hasattr(s, "bind") for s in stoppers or () if s is not None
         ):
-            for wave in plan.waves:
+            # One wave per shared union_key, over the healthy unionable
+            # segments in index order; grouped afresh on every call, so a
+            # cache strategy or fault injection armed in place takes its
+            # segment out of the union at the next batch.
+            waves: dict[tuple, list[int]] = {}
+            for i, (segment, _) in enumerate(snapshot):
+                if i not in skipped and _unionable(segment):
+                    waves.setdefault(union_key(segment.engine), []).append(i)
+            for wave in waves.values():
                 segments = [snapshot[i][0] for i in wave]
                 results = self._union_wave(
                     segments, queries, k, candidate_size, spec, stoppers
@@ -473,7 +438,7 @@ class SegmentCoordinator:
         total = QueryStats()
         latencies: list[float] = []
         degraded = False
-        snapshot, skipped, _ = self._snapshot()
+        snapshot, skipped = self._snapshot()
         answers: dict[int, object] = {}
         failed = self._run_each(
             snapshot,

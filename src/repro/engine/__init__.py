@@ -16,7 +16,7 @@ from .cost import ComputeSpec, FaultStats, QueryStats, WaveStats
 from .early_stop import AdaptiveEarlyStopper, DeadlineStopper
 from .frontier import CandidateSet, ResultSet, ordered_unique
 from .range_search import incremental_range_search, repeated_anns_range_search
-from .resilience import RetryPolicy, resilient_read_blocks_of
+from .resilience import RetryPolicy
 from .results import RangeResult, SearchResult
 from .serve import (
     CircuitBreaker,
@@ -65,7 +65,6 @@ __all__ = [
     "ordered_unique",
     "poisson_arrivals_us",
     "repeated_anns_range_search",
-    "resilient_read_blocks_of",
     "select_hot_blocks",
     "wrap_with_cache_strategy",
 ]

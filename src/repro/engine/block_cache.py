@@ -5,10 +5,10 @@ SSNPP analysis (§6.2) observes how much a cache that happens to hold the
 hot region helps the baseline.  :class:`CachedDiskGraph` wraps a
 :class:`~repro.storage.disk_graph.DiskGraph` with a block-granular LRU:
 hits serve decoded blocks from memory and charge no device I/O, misses fall
-through to the device.  Because the engines derive their per-query I/O
-counters from *device counter deltas*, cached reads are automatically
-invisible in mean-I/O numbers — exactly how a page cache behaves under
-``O_DIRECT``-free operation.
+through to the device.  The engines charge a query the fetch count the
+read reports — the misses — so cached reads are invisible in mean-I/O
+numbers, exactly how a page cache behaves under ``O_DIRECT``-free
+operation.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ class DelegatingDiskGraph:
     :meth:`_admit` (offer a freshly read block to the cache).  The one
     partition loop (:meth:`_partition`) splits a request into hits and
     misses and keeps the ``hits`` / ``misses`` counters; misses cost one
-    device round trip and are charged exactly (see
-    :mod:`repro.engine.cache_strategies` for the honesty rules).
+    device round trip through ``inner``'s :meth:`read_counted` and are
+    charged exactly (see :mod:`repro.engine.cache_strategies` for the
+    honesty rules).
 
     The ``inner`` attribute is also what marks a read path as stateful
     (:func:`repro.engine.batch.order_sensitive`).
@@ -168,17 +169,28 @@ class DelegatingDiskGraph:
         self.misses += len(missing)
         return found, missing
 
-    def _read_counted(
-        self, block_ids: Sequence[int]
-    ) -> tuple[list[DiskBlock], int]:
-        """``(blocks in request order, blocks fetched from the device)``:
-        hits come from memory, the misses cost one round trip."""
+    def _fetch(self, found: dict[int, DiskBlock], block_ids, failed) -> None:
+        """Read ``block_ids`` from ``inner`` in one round trip and admit what
+        arrived (a block that failed is never cached) into ``found``."""
+        got = self.inner.read_counted(block_ids, failed=failed)[0]
+        for block in got.values():
+            self._admit(block)
+        found.update(got)
+
+    def read_counted(
+        self,
+        block_ids: Sequence[int],
+        *,
+        failed: dict[int, str] | None = None,
+        frontier: Sequence[int] | None = None,
+    ) -> tuple[dict[int, DiskBlock], int, int]:
+        """Cache-aware :meth:`DiskGraph.read_counted`: hits come from
+        memory (they never fault), the misses cost one round trip, and the
+        fetch count is this call's misses."""
         found, missing = self._partition(block_ids)
         if missing:
-            for block in self.inner.read_blocks(missing):
-                self._admit(block)
-                found[block.block_id] = block
-        return [found[bid] for bid in block_ids], len(missing)
+            self._fetch(found, missing, failed)
+        return found, len(missing), 0
 
     def read_block(self, block_id: int) -> DiskBlock:
         found, missing = self._partition((block_id,))
@@ -189,42 +201,8 @@ class DelegatingDiskGraph:
         return block
 
     def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
-        return self._read_counted(block_ids)[0]
-
-    def try_read_blocks(
-        self, block_ids: Sequence[int]
-    ) -> tuple[dict[int, DiskBlock], dict[int, str]]:
-        """Fault-tolerant batched read through the cache.
-
-        Cached blocks never fault (they are in memory); only device misses
-        can fail, and only successfully read blocks are admitted — a
-        corrupt payload is never cached.
-        """
-        ok, missing = self._partition(block_ids)
-        failed: dict[int, str] = {}
-        if missing:
-            fetched, failed = self.inner.try_read_blocks(missing)
-            for block in fetched.values():
-                self._admit(block)
-            ok.update(fetched)
-        return ok, failed
-
-    def read_block_of(self, vertex_id: int) -> DiskBlock:
-        return self.read_block(self.inner.block_of(vertex_id))
-
-    def read_blocks_of(self, vertex_ids: Sequence[int]) -> list[DiskBlock]:
-        return self.read_blocks(self.inner._unique_blocks_of(vertex_ids))
-
-    def read_blocks_of_counted(
-        self, vertex_ids: Sequence[int]
-    ) -> tuple[list[DiskBlock], int]:
-        """Cache-aware counted read: ``(blocks, blocks fetched from device)``.
-
-        The fetch count is this call's misses — computed locally, not from
-        device-counter deltas, so concurrent queries can't misattribute
-        each other's reads.
-        """
-        return self._read_counted(self.inner._unique_blocks_of(vertex_ids))
+        found = self.read_counted(block_ids)[0]
+        return [found[bid] for bid in block_ids]
 
 
 class CachedDiskGraph(DelegatingDiskGraph):

@@ -16,7 +16,6 @@ from ..graphs.adjacency import AdjacencyGraph
 from ..vectors.metrics import Metric
 
 
-
 class HotVertexCache:
     """In-memory cache of (vector, neighbour IDs) for frequently hit vertices."""
 
@@ -50,33 +49,24 @@ class HotVertexCache:
         return self._vector_bytes + self._edge_bytes + self._id_bytes
 
 
-def build_hot_vertex_cache(
+def sample_visits(
     graph: AdjacencyGraph,
     vectors: np.ndarray,
     metric: Metric,
     entry_point: int,
     *,
-    cache_ratio: float = 0.06,
-    num_sample_queries: int = 64,
-    candidate_size: int = 64,
-    seed: int = 0,
-) -> HotVertexCache:
-    """Sample queries, count vertex visits, cache the hottest π·|V| vertices.
-
-    The sampled "queries" are jittered base vectors, mirroring DiskANN's use
-    of a sampled query pool.  The search itself runs on the in-memory copy of
-    the graph (this is an offline build step; the paper notes it is slow
-    precisely because the real system must do it on disk — our builder charges
-    its time into T_hot of Eq. 9).
-    """
+    num_sample_queries: int,
+    candidate_size: int,
+    seed: int,
+) -> tuple[np.ndarray, int]:
+    """Per-vertex visit counts of greedy searches on the in-memory graph
+    for jittered base vectors (DiskANN's sampled query pool), and how many
+    searches ran; deterministic in ``seed``.  Both hot caches draw from it."""
     from ..graphs.search import greedy_search  # local import: avoid cycle
 
-    if not 0.0 < cache_ratio <= 1.0:
-        raise ValueError("cache_ratio must be in (0, 1]")
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
     visits = np.zeros(n, dtype=np.int64)
-
     pick = rng.choice(n, size=min(num_sample_queries, n), replace=False)
     scale = np.abs(vectors[pick].astype(np.float32)).mean() * 0.05 + 1e-6
     for vid in pick:
@@ -88,6 +78,35 @@ def build_hot_vertex_cache(
             collect_visited=True,
         )
         visits[trace.visited] += 1
+    return visits, len(pick)
+
+
+def build_hot_vertex_cache(
+    graph: AdjacencyGraph,
+    vectors: np.ndarray,
+    metric: Metric,
+    entry_point: int,
+    *,
+    cache_ratio: float = 0.06,
+    num_sample_queries: int = 64,
+    candidate_size: int = 64,
+    seed: int = 0,
+) -> HotVertexCache:
+    """Sample queries (:func:`sample_visits`), count vertex visits, cache
+    the hottest π·|V| vertices.
+
+    This is an offline build step; the paper notes it is slow precisely
+    because the real system must do it on disk — our builder charges its
+    time into T_hot of Eq. 9.
+    """
+    if not 0.0 < cache_ratio <= 1.0:
+        raise ValueError("cache_ratio must be in (0, 1]")
+    n = graph.num_vertices
+    visits, _ = sample_visits(
+        graph, vectors, metric, entry_point,
+        num_sample_queries=num_sample_queries,
+        candidate_size=candidate_size, seed=seed,
+    )
     # The entry point is always hit first; make sure it is cached.
     visits[entry_point] += num_sample_queries
 

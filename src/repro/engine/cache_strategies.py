@@ -17,13 +17,18 @@ One seam over every way the engines keep decoded blocks in memory:
                 where the walk goes next), with optional pull-prefetch of
                 the hottest predicted blocks.
 
-Counter honesty is the contract every strategy must keep (the same rules
-the LRU wrapper established):
+Every strategy is a :class:`~repro.engine.block_cache.DelegatingDiskGraph`
+and answers one read, ``read_counted(block_ids, *, failed, frontier)``,
+which returns ``(blocks by id, blocks fetched, of those prefetched)``.
+:func:`repro.engine.io_util.counted_read_blocks_of` turns that into a
+query's bill by one rule, on every attempt of a strict or a resilient
+read alike:
 
-- **hits are invisible** in device-delta I/O counters — a cached block
-  charges no device read, exactly like a page-cache hit;
-- **misses are charged exactly** — each wrapper reports its own per-call
-  fetch count through ``read_blocks_of_counted`` so interleaved queries
+- **hits are invisible** — a cached block charges no device read, exactly
+  like a page-cache hit: ``block_cache_hits`` gets requested − (fetched −
+  prefetched);
+- **misses are charged exactly** — ``fetched`` is the wrapper's own
+  per-call count, never a device-counter delta, so interleaved queries
   can't misattribute each other's reads;
 - **prefetches are charged, not hidden** — a prefetched block is fetched by
   the device in the same round trip and appears in the round-trip's block
@@ -33,7 +38,8 @@ the LRU wrapper established):
   an already-issued trip instead of forcing a later one).
 
 The sum of per-query ``num_ios`` over a serial run therefore always equals
-the device's ``blocks_read`` delta, whatever the strategy.
+the device's ``blocks_read`` delta, whatever the strategy and whether or
+not a retry policy is armed.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import numpy as np
 
 from ..storage.disk_graph import DiskBlock, DiskGraph
 from .block_cache import CachedDiskGraph, DelegatingDiskGraph
+from .cache import sample_visits
 
 CACHE_STRATEGY_NAMES = ("none", "lru", "hot", "locality")
 
@@ -152,8 +159,6 @@ class LocalityBlockCache(DelegatingDiskGraph):
         self._tick = 0
         self._predicted: set[int] = set()
         self.prefetch_issued = 0
-        self.prefetch_hits = 0
-        self._unclaimed_prefetch = 0
 
     # -- accounting ----------------------------------------------------------
 
@@ -165,13 +170,6 @@ class LocalityBlockCache(DelegatingDiskGraph):
     def memory_bytes(self) -> int:
         return self.capacity_blocks * self.fmt.block_bytes
 
-    def take_prefetched(self) -> int:
-        """Prefetched-block count since the last call (io_util drains this
-        right after each counted read to fill ``QueryStats.prefetch_blocks``)."""
-        count = self._unclaimed_prefetch
-        self._unclaimed_prefetch = 0
-        return count
-
     def clear(self) -> None:
         self._cache.clear()
         self._heat.clear()
@@ -181,8 +179,6 @@ class LocalityBlockCache(DelegatingDiskGraph):
         self.hits = 0
         self.misses = 0
         self.prefetch_issued = 0
-        self.prefetch_hits = 0
-        self._unclaimed_prefetch = 0
 
     # -- heat bookkeeping ------------------------------------------------------
 
@@ -259,30 +255,37 @@ class LocalityBlockCache(DelegatingDiskGraph):
         self._bump(block_id, 1.0)
         return block
 
-    def read_blocks_of_counted(
-        self, vertex_ids: Sequence[int]
-    ) -> tuple[list[DiskBlock], int]:
-        """Counted frontier read: ``(blocks, blocks fetched from device)``.
+    def read_counted(
+        self,
+        block_ids: Sequence[int],
+        *,
+        failed: dict[int, str] | None = None,
+        frontier: Sequence[int] | None = None,
+    ) -> tuple[dict[int, DiskBlock], int, int]:
+        """Counted read; a frontier read also prefetches and credits.
 
-        The one read that prefetches: predicted blocks ride the misses'
-        round trip.  The fetch count includes them — they left the device
-        in this round trip and must appear in the query's I/O bill;
-        :func:`repro.engine.io_util.counted_read_blocks_of` splits the
-        prefetch share back out via :meth:`take_prefetched`.
+        With ``frontier`` (the vertex ids the read serves), up to
+        ``prefetch_blocks`` predicted blocks ride the misses' round trip and
+        the frontier's out-neighbour blocks are heat-credited.  The fetch
+        count includes the prefetch — it left the device in this round trip
+        and must appear in the query's I/O bill — and the third element
+        says how many of the fetched blocks it was.  A prefetched block that
+        faults is dropped from ``failed``: nothing asked for it, so nothing
+        retries it, and it is never cached.
         """
-        bids = self.inner._unique_blocks_of(vertex_ids)
-        found, missing = self._partition(bids)
-        pulled = self._pick_prefetch(set(bids), len(missing))
+        if frontier is None:
+            return super().read_counted(block_ids, failed=failed)
+        found, missing = self._partition(block_ids)
+        pulled = self._pick_prefetch(set(block_ids), len(missing))
         if missing or pulled:
-            for block in self.inner.read_blocks(missing + pulled):
-                self._admit(block)
-                found[block.block_id] = block
+            self._fetch(found, missing + pulled, failed)
         if pulled:
             self.prefetch_issued += len(pulled)
-            self._unclaimed_prefetch += len(pulled)
-        blocks = [found[bid] for bid in bids]
-        self._credit_adjacency(vertex_ids, {b.block_id: b for b in blocks})
-        return blocks, len(missing) + len(pulled)
+            if failed:
+                for bid in pulled:
+                    failed.pop(bid, None)
+        self._credit_adjacency(frontier, found)
+        return found, len(missing) + len(pulled), len(pulled)
 
 
 def select_hot_blocks(
@@ -306,25 +309,14 @@ def select_hot_blocks(
     ``seed``; an offline build step whose time the builder charges to
     ``T_hot``, exactly like the vertex-granular cache.
     """
-    from ..graphs.search import greedy_search  # local import: avoid cycle
-
     if capacity_blocks <= 0:
         return ()
-    n = graph.num_vertices
-    rng = np.random.default_rng(seed)
-    visits = np.zeros(n, dtype=np.int64)
-    pick = rng.choice(n, size=min(num_sample_queries, n), replace=False)
-    scale = np.abs(vectors[pick].astype(np.float32)).mean() * 0.05 + 1e-6
-    for vid in pick:
-        query = vectors[vid].astype(np.float32) + rng.normal(
-            0.0, scale, size=vectors.shape[1]
-        ).astype(np.float32)
-        _, _, trace = greedy_search(
-            graph, vectors, metric, query, [entry_point], candidate_size,
-            collect_visited=True,
-        )
-        visits[trace.visited] += 1
-    visits[entry_point] += len(pick)  # the entry block must be pinned
+    visits, picked = sample_visits(
+        graph, vectors, metric, entry_point,
+        num_sample_queries=num_sample_queries,
+        candidate_size=candidate_size, seed=seed,
+    )
+    visits[entry_point] += picked  # the entry block must be pinned
     assignment = np.asarray(assignment, dtype=np.int64)
     num_blocks = int(assignment.max()) + 1 if assignment.size else 0
     block_visits = np.zeros(num_blocks, dtype=np.int64)

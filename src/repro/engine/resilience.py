@@ -82,50 +82,26 @@ def _charge_spike(
     stats.fault.injected_latency_us += spike_us
 
 
-def resilient_read_blocks_of(
-    disk_graph, vertex_ids: Sequence[int], stats: QueryStats,
-    policy: RetryPolicy,
-):
-    """Fault-tolerant counterpart of ``counted_read_blocks_of``.
+def settle_attempt(
+    device, block_ids: Sequence[int], failed: dict[int, str], attempt: int,
+    stats: QueryStats, policy: RetryPolicy,
+) -> bool:
+    """Charge one resilient read attempt's spike and faults to ``stats``.
 
-    Fetches the blocks holding ``vertex_ids`` through
-    ``disk_graph.try_read_blocks``, retrying failures per ``policy`` and
-    charging every attempt to ``stats``.  Returns the decoded blocks that
-    survived; blocks abandoned after the retry budget are recorded in
-    ``stats.fault`` and simply absent from the result, so callers must
-    tolerate missing blocks.
+    ``block_ids`` is what the attempt asked for, ``failed`` what it could
+    not read and ``attempt`` how many retries came before it.  Returns
+    whether the failed blocks get another round (charging its backoff);
+    once the budget is spent they are abandoned.
     """
-    wanted: dict[int, None] = {}
-    for vid in vertex_ids:
-        wanted.setdefault(disk_graph.block_of(vid), None)
-    device = disk_graph.device
-    remaining = list(wanted)
-    ok: dict[int, object] = {}
-    attempt = 0
-    while remaining:
-        before = device.counters.blocks_read
-        got, failed = disk_graph.try_read_blocks(remaining)
-        fetched = device.counters.blocks_read - before
-        if fetched:
-            stats.round_trip_blocks.append(fetched)
-        # Blocks that cost no device I/O were cache hits (only possible on
-        # the first attempt; failed blocks never enter the cache).
-        stats.block_cache_hits += len(remaining) - fetched
-        _charge_spike(device, remaining, stats, policy)
-        ok.update(got)
-        if not failed:
-            break
-        stats.fault.corrupt_blocks += sum(
-            1 for kind in failed.values() if kind == KIND_CHECKSUM
-        )
-        stats.fault.read_errors += sum(
-            1 for kind in failed.values() if kind != KIND_CHECKSUM
-        )
-        if attempt >= policy.max_retries:
-            stats.fault.blocks_abandoned += len(failed)
-            break
-        attempt += 1
-        stats.fault.retries += len(failed)
-        stats.fault.backoff_us += policy.retry_backoff_us(attempt)
-        remaining = sorted(failed)
-    return [ok[bid] for bid in wanted if bid in ok]
+    _charge_spike(device, block_ids, stats, policy)
+    if not failed:
+        return False
+    corrupt = sum(1 for kind in failed.values() if kind == KIND_CHECKSUM)
+    stats.fault.corrupt_blocks += corrupt
+    stats.fault.read_errors += len(failed) - corrupt
+    if attempt >= policy.max_retries:
+        stats.fault.blocks_abandoned += len(failed)
+        return False
+    stats.fault.retries += len(failed)
+    stats.fault.backoff_us += policy.retry_backoff_us(attempt + 1)
+    return True

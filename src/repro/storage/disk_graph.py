@@ -154,8 +154,8 @@ class DiskGraph:
     """Graph index stored block-wise on a simulated device.
 
     Construction happens through :func:`build_disk_graph`; at query time the
-    engines use :meth:`read_blocks_of` (batched, one round-trip) and account
-    for every block read through the device's counters.
+    engines read through :meth:`read_counted` (batched, one round-trip) and
+    account for every block read through its fetch count.
     """
 
     def __init__(
@@ -236,7 +236,7 @@ class DiskGraph:
         missing (an uncounted offline pass, like index build itself).  After
         this, a read whose payload does not match raises
         :class:`~repro.storage.faults.ChecksumError` — or reports the block
-        as failed through :meth:`try_read_blocks` — instead of silently
+        as failed through :meth:`read_counted` — instead of silently
         decoding corrupt vectors.
         """
         if self.block_checksums is None:
@@ -337,53 +337,35 @@ class DiskGraph:
             *self.fmt.split_block_views(payload, sizes),
         )
 
-    def try_read_blocks(
-        self, block_ids: Sequence[int]
-    ) -> tuple[dict[int, DiskBlock], dict[int, str]]:
-        """Fault-tolerant batched read: ``(decoded_ok, {block_id: fault_kind})``.
+    def read_counted(
+        self,
+        block_ids: Sequence[int],
+        *,
+        failed: dict[int, str] | None = None,
+        frontier: Sequence[int] | None = None,
+    ) -> tuple[dict[int, DiskBlock], int, int]:
+        """The counted read every engine charges a query for:
+        ``(blocks by id, blocks fetched from the device, of those prefetched)``.
 
-        One device round-trip; read errors and checksum mismatches land in
-        the failure map instead of raising, so a resilience layer can retry
-        exactly the failed blocks.  On a fault-free device this degenerates
-        to :meth:`read_blocks` with an empty failure map.
+        One round-trip for ``block_ids`` (distinct ids).  Without ``failed``
+        it is :meth:`read_blocks` and a fault raises; with a ``failed`` dict,
+        read errors and checksum mismatches land there as ``{block_id:
+        fault_kind}`` and the block is absent from the result, so a
+        resilience layer can retry exactly the failures.  The fetch count is
+        local, not a device-counter delta, which keeps per-query stats exact
+        when queries interleave on one device.  ``frontier`` (the vertex ids
+        the read serves) is a hint for the cache wrappers; a bare disk graph
+        fetches everything it is asked for and prefetches nothing.
         """
-        ids = list(block_ids)
-        failed: dict[int, str] = {}
-        payloads = self.read_payloads(ids, failed)
-        ok = {
+        if failed is None:
+            blocks = self.read_blocks(block_ids)
+            return dict(zip(block_ids, blocks)), len(block_ids), 0
+        payloads = self.read_payloads(block_ids, failed)
+        found = {
             bid: self._decode(bid, payload)
-            for bid, payload in zip(ids, payloads) if payload is not None
+            for bid, payload in zip(block_ids, payloads) if payload is not None
         }
-        return ok, failed
-
-    def read_block_of(self, vertex_id: int) -> DiskBlock:
-        return self.read_block(self.block_of(vertex_id))
-
-    def _unique_blocks_of(self, vertex_ids) -> list[int]:
-        """Deduplicated block ids for the vertices, in first-occurrence order.
-
-        The id lists here are beam-sized (a handful of entries), where a
-        dict-based dedup beats ``np.unique``.
-        """
-        blocks = self.vertex_to_block[
-            np.asarray(vertex_ids, dtype=np.int64)
-        ]
-        return list(dict.fromkeys(blocks.tolist()))
-
-    def read_blocks_of(self, vertex_ids: Sequence[int]) -> list[DiskBlock]:
-        """Blocks containing the given vertices, deduplicated, one round-trip."""
-        return self.read_blocks(self._unique_blocks_of(vertex_ids))
-
-    def read_blocks_of_counted(
-        self, vertex_ids: Sequence[int]
-    ) -> tuple[list[DiskBlock], int]:
-        """Like :meth:`read_blocks_of`, also returning how many blocks were
-        fetched from the device (here always all of them; the block-cache
-        wrapper overrides this with its hit-aware count).  The local count
-        replaces device-counter deltas in per-query accounting, which keeps
-        stats exact even when queries interleave on one device."""
-        blocks = self.read_blocks_of(vertex_ids)
-        return blocks, len(blocks)
+        return found, len(block_ids), 0
 
     # -- uncounted access (build/analysis only) -----------------------------
 

@@ -31,7 +31,7 @@ from typing import Sequence
 from .device import BlockDevice, IOCounters
 
 #: fault kinds reported by :meth:`FaultInjector.read_blocks` and
-#: :meth:`DiskGraph.try_read_blocks <repro.storage.disk_graph.DiskGraph.try_read_blocks>`
+#: :meth:`DiskGraph.read_counted <repro.storage.disk_graph.DiskGraph.read_counted>`
 KIND_TRANSIENT = "transient"
 KIND_BAD_BLOCK = "bad_block"
 KIND_CHECKSUM = "checksum"

@@ -276,7 +276,8 @@ def _restore_chaos_fields(cfg_dict: dict) -> dict:
     the nested dataclasses into plain dicts on save.  The I/O-strategy
     params ride the same restore: JSON turns their hashable tuple-of-pairs
     form into lists of lists, which must come back as tuples so the
-    restored config hashes and compares equal to the one it was saved from.
+    restored config hashes and compares equal to the one it was saved from,
+    and a saved ``null`` cache strategy comes back as ``"lru"``.
     """
     from ..engine.resilience import RetryPolicy
     from .faults import FaultSpec
@@ -288,6 +289,10 @@ def _restore_chaos_fields(cfg_dict: dict) -> dict:
     for name in ("layout_params", "cache_params"):
         if isinstance(cfg_dict.get(name), list):
             cfg_dict[name] = tuple(tuple(p) for p in cfg_dict[name])
+    # Older saves wrote ``null`` for "LRU iff a capacity is set", which is
+    # what "lru" now means at every capacity.
+    if cfg_dict.get("cache_strategy", "lru") is None:
+        cfg_dict["cache_strategy"] = "lru"
     return cfg_dict
 
 
@@ -446,7 +451,7 @@ def load_starling(directory: str | os.PathLike, *, strict: bool = False):
         from ..engine.cache_strategies import wrap_with_cache_strategy
 
         disk_graph = wrap_with_cache_strategy(
-            disk_graph, cfg.resolved_cache_strategy, cfg.block_cache_blocks,
+            disk_graph, cfg.cache_strategy, cfg.block_cache_blocks,
             params=cfg.cache_params,
             pinned_blocks=meta.get("pinned_blocks"),
         )

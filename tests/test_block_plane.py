@@ -250,7 +250,7 @@ class TestStackedDecode:
     def test_verified_raw_read_raises_or_reports(self, short_index):
         """``read_payloads`` is the one verified read: it raises on a bad
         checksum, or reports it to the caller's failure map — which is all
-        ``try_read_blocks`` adds to it."""
+        ``read_counted`` adds to it."""
         dg = short_index.disk_graph
         with _damaged(dg, block=2, offset=5):
             with pytest.raises(ChecksumError):
@@ -263,8 +263,10 @@ class TestStackedDecode:
             assert payloads[1] is None and len(payloads[0]) == (
                 dg.fmt.block_bytes
             )
-            ok, failed = dg.try_read_blocks([1, 2])
+            failed = {}
+            ok, fetched, _ = dg.read_counted([1, 2], failed=failed)
             assert list(ok) == [1] and failed == {2: KIND_CHECKSUM}
+            assert fetched == 2
 
 
 # ---------------------------------------------------------------------------

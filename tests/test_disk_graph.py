@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.engine import QueryStats
+from repro.engine.io_util import counted_read_blocks_of
 from repro.storage import VertexFormat, build_disk_graph
 
 
@@ -119,7 +121,8 @@ class TestDiskGraphReads:
     def test_read_blocks_of_dedupes(self, tiny_graph):
         dg, _, _, _ = tiny_graph
         dg.device.reset_counters()
-        blocks = dg.read_blocks_of([0, 5, 7, 1])  # first three share a block
+        # first three share a block
+        blocks = counted_read_blocks_of(dg, [0, 5, 7, 1], QueryStats())
         assert len(blocks) == 2
         assert dg.device.counters.round_trips == 1
         assert dg.device.counters.blocks_read == 2
@@ -155,6 +158,6 @@ class TestDiskGraphReads:
             vectors, neighbors, [[0, 1, 2], [3, 4, 5]], fmt,
             path=tmp_path / "g.bin",
         )
-        block = dg.read_block_of(4)
+        block = dg.read_block(dg.block_of(4))
         assert 4 in block.vertex_ids
         dg.device.close()

@@ -15,7 +15,8 @@ from repro.core import (
     build_starling,
 )
 from repro.storage import load_starling, save_starling
-from repro.engine import QueryStats, RetryPolicy, resilient_read_blocks_of
+from repro.engine import QueryStats, RetryPolicy
+from repro.engine.io_util import counted_read_blocks_of
 from repro.storage import (
     BlockDevice,
     ChecksumError,
@@ -259,13 +260,15 @@ class TestChecksums:
         assert tiny_graph.verify_checksums
         with pytest.raises(ChecksumError):
             tiny_graph.read_block(0)
-        ok, failed = tiny_graph.try_read_blocks([0, 1])
+        failed = {}
+        ok, _, _ = tiny_graph.read_counted([0, 1], failed=failed)
         assert not ok
         assert failed == {0: KIND_CHECKSUM, 1: KIND_CHECKSUM}
 
     def test_clean_blocks_pass_verification(self, tiny_graph):
         ensure_fault_injection(tiny_graph, FaultSpec(latency_spike_rate=0.01))
-        ok, failed = tiny_graph.try_read_blocks([0, 1, 2, 3])
+        failed = {}
+        ok, _, _ = tiny_graph.read_counted([0, 1, 2, 3], failed=failed)
         assert not failed
         assert sorted(ok) == [0, 1, 2, 3]
         block = ok[0]
@@ -278,7 +281,7 @@ class TestResilientRead:
         ensure_fault_injection(tiny_graph, spec)
         stats = QueryStats()
         policy = RetryPolicy(max_retries=25, backoff_us=10.0)
-        blocks = resilient_read_blocks_of(
+        blocks = counted_read_blocks_of(
             tiny_graph, list(range(12)), stats, policy
         )
         assert len(blocks) == 4  # all four blocks eventually served
@@ -296,7 +299,7 @@ class TestResilientRead:
         spec = FaultSpec(seed=1, bad_block_rate=1.0)
         ensure_fault_injection(tiny_graph, spec)
         stats = QueryStats()
-        blocks = resilient_read_blocks_of(
+        blocks = counted_read_blocks_of(
             tiny_graph, list(range(12)), stats, RetryPolicy(max_retries=2)
         )
         assert blocks == []
@@ -306,8 +309,6 @@ class TestResilientRead:
         assert len(stats.round_trip_blocks) == 3  # initial + 2 retry rounds
 
     def test_healthy_path_matches_plain_reader(self, tiny_graph):
-        from repro.engine.io_util import counted_read_blocks_of
-
         plain_stats, res_stats = QueryStats(), QueryStats()
         plain = counted_read_blocks_of(tiny_graph, [0, 1, 5], plain_stats)
         resilient = counted_read_blocks_of(
@@ -335,7 +336,7 @@ class TestResilientRead:
         ensure_fault_injection(tiny_graph, spec)
         stats = QueryStats()
         policy = RetryPolicy(hedge_after_us=10.0)
-        resilient_read_blocks_of(tiny_graph, [0, 3], stats, policy)
+        counted_read_blocks_of(tiny_graph, [0, 3], stats, policy)
         assert stats.fault.latency_spikes == 1
         assert stats.fault.hedges == 1
         assert len(stats.round_trip_blocks) == 2  # primary + hedge duplicate

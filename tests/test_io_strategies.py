@@ -14,6 +14,7 @@ from repro.engine import (
     ExecSpec,
     LocalityBlockCache,
     PinnedBlockCache,
+    RetryPolicy,
     wrap_with_cache_strategy,
 )
 from repro.engine.batch import order_sensitive
@@ -27,6 +28,7 @@ from repro.layout import (
     validate_layout,
 )
 from repro.storage import VertexFormat, build_disk_graph
+from repro.storage.faults import FaultInjector, FaultSpec, base_disk_graph
 from repro.storage.persist import load_starling, save_starling
 from repro.vectors.metrics import get_metric
 
@@ -343,24 +345,23 @@ class TestLocalityBlockCache:
         # First frontier read seeds the predicted set from vertex 0's
         # out-edges; the second read can then pull prefetches.
         before = small_disk_graph.device.counters.snapshot()
-        _, fetched1 = cache.read_blocks_of_counted([0])
-        _, fetched2 = cache.read_blocks_of_counted([9])
+        _, fetched1, pulled1 = cache.read_counted([0], frontier=[0])
+        _, fetched2, pulled2 = cache.read_counted([3], frontier=[9])
         delta = small_disk_graph.device.counters.since(before)
         prefetched = cache.prefetch_issued
         assert prefetched > 0
         # Honesty: every device read is in some counted fetch, prefetches
         # included — nothing hidden, nothing double-charged.
         assert fetched1 + fetched2 == delta.blocks_read
-        assert cache.take_prefetched() == prefetched
-        assert cache.take_prefetched() == 0  # drained
+        assert pulled1 + pulled2 == prefetched
 
     def test_prefetch_rides_same_round_trip(self, small_disk_graph):
         cache = LocalityBlockCache(
             small_disk_graph, 8, prefetch_blocks=2, adjacency_credit=0.25
         )
-        cache.read_blocks_of_counted([0])
+        cache.read_counted([0], frontier=[0])
         before = small_disk_graph.device.counters.snapshot()
-        cache.read_blocks_of_counted([9])
+        cache.read_counted([3], frontier=[9])
         delta = small_disk_graph.device.counters.since(before)
         assert cache.prefetch_issued > 0
         assert delta.round_trips == 1
@@ -405,6 +406,47 @@ class TestCounterHonesty:
             assert total_prefetch > 0
 
 
+    @pytest.mark.parametrize("strategy,params", [
+        ("none", ()),
+        ("lru", ()),
+        ("hot", ()),
+        ("locality", ()),
+        ("locality", (("prefetch_blocks", 2),)),
+    ])
+    def test_quiet_resilient_read_charges_as_strict(
+        self, hot_index, small_dataset, strategy, params
+    ):
+        """A resilient read that sees no fault charges exactly what the
+        strict read charges — the locality cache's prediction and prefetch
+        included — so a retry policy composes with every strategy."""
+        base = base_disk_graph(hot_index.disk_graph)
+        device, policy = base.device, hot_index.engine.resilience
+
+        def run(armed):
+            hot_index.apply_cache_strategy(strategy, 16, params=params)
+            if armed:
+                base.device = FaultInjector(device, FaultSpec())
+                hot_index.engine.resilience = RetryPolicy()
+            try:
+                out = [hot_index.search(q, 10, 64)
+                       for q in small_dataset.queries[:6]]
+            finally:
+                base.device, hot_index.engine.resilience = device, policy
+            return out, getattr(hot_index.disk_graph, "prefetch_issued", 0)
+
+        (strict, strict_pulled), (quiet, quiet_pulled) = run(False), run(True)
+        assert quiet_pulled == strict_pulled
+        if params:
+            assert strict_pulled > 0
+        for a, b in zip(strict, quiet):
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.dists, b.dists)
+            assert a.stats.round_trip_blocks == b.stats.round_trip_blocks
+            assert a.stats.block_cache_hits == b.stats.block_cache_hits
+            assert a.stats.prefetch_blocks == b.stats.prefetch_blocks
+            assert not b.stats.fault.any
+
+
 # -- config + persist threading ------------------------------------------------
 
 class TestConfigResolution:
@@ -415,15 +457,19 @@ class TestConfigResolution:
             layout_strategy="bamg"
         ).resolved_layout_strategy == "bamg"
 
-    def test_cache_legacy_rule(self, graph_config):
+    def test_cache_legacy_rule(self, graph_config, small_disk_graph):
+        """The default ``"lru"`` is the legacy rule: an LRU iff the
+        capacity is positive."""
         cfg = StarlingConfig(graph=graph_config)
-        assert cfg.resolved_cache_strategy == "none"
-        assert cfg.with_(
-            block_cache_blocks=8
-        ).resolved_cache_strategy == "lru"
-        assert cfg.with_(
-            cache_strategy="locality", block_cache_blocks=8
-        ).resolved_cache_strategy == "locality"
+        assert cfg.cache_strategy == "lru"
+        assert wrap_with_cache_strategy(
+            small_disk_graph, cfg.cache_strategy, cfg.block_cache_blocks
+        ) is small_disk_graph
+        assert isinstance(wrap_with_cache_strategy(
+            small_disk_graph, cfg.cache_strategy, 8
+        ), CachedDiskGraph)
+        with pytest.raises(ValueError, match="cache strategy"):
+            StarlingConfig(graph=graph_config, cache_strategy=None)
 
     def test_unknown_names_rejected(self, graph_config):
         with pytest.raises(ValueError, match="layout strategy"):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import QueryStats
+from repro.engine.io_util import counted_read_blocks_of
 from repro.layout import id_contiguous_layout
 from repro.storage import VertexFormat, build_disk_graph
 from repro.vectors.metrics import get_metric
@@ -70,7 +72,7 @@ class TestDiskGraphProperties:
         rng = np.random.default_rng(seed)
         targets = rng.choice(n, size=min(5, n), replace=False).tolist()
         dg.device.reset_counters()
-        blocks = dg.read_blocks_of(targets)
+        blocks = counted_read_blocks_of(dg, targets, QueryStats())
         distinct = {dg.block_of(v) for v in targets}
         assert len(blocks) == len(distinct)
         assert dg.device.counters.blocks_read == len(distinct)

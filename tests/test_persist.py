@@ -151,6 +151,38 @@ class TestStarlingPersistence:
         assert isinstance(loaded.disk_graph, CachedDiskGraph)
         assert loaded.disk_graph.capacity_blocks == 32
 
+    @pytest.mark.parametrize("capacity", [0, 32])
+    def test_null_cache_strategy_loads_as_lru(
+        self, small_dataset, graph_config, tmp_path, capacity
+    ):
+        """Older saves wrote ``"cache_strategy": null`` (LRU iff a capacity
+        is set); such a ``meta.json`` loads to the same wrapper, config and
+        counters as a save that spells out ``"lru"``."""
+        idx = build_starling(
+            small_dataset,
+            StarlingConfig(graph=graph_config, block_cache_blocks=capacity),
+        )
+        loaded = []
+        for name in ("lru", "null"):
+            save_starling(idx, tmp_path / name)
+            if name == "null":
+                meta_path = index_files_dir(tmp_path / name) / "meta.json"
+                meta = json.loads(meta_path.read_text())
+                assert meta["config"]["cache_strategy"] == "lru"
+                meta["config"]["cache_strategy"] = None
+                meta_path.write_text(json.dumps(meta))
+                _resign(tmp_path / name)
+            loaded.append(load_starling(tmp_path / name))
+        current, old = loaded
+        assert old.config == current.config
+        assert type(old.disk_graph) is type(current.disk_graph)
+        assert getattr(old.disk_graph, "capacity_blocks", 0) == capacity
+        for q in small_dataset.queries[:4]:
+            a, b = current.search(q, 10, 48), old.search(q, 10, 48)
+            assert np.array_equal(a.ids, b.ids)
+            assert a.stats.round_trip_blocks == b.stats.round_trip_blocks
+            assert a.stats.block_cache_hits == b.stats.block_cache_hits
+
     def test_rejects_wrong_kind_on_load(self, diskann_index, tmp_path):
         save_diskann(diskann_index, tmp_path / "idx")
         with pytest.raises(ValueError, match="does not hold a Starling"):

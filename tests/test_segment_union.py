@@ -298,8 +298,8 @@ def test_mixed_coordinator_answers_as_today(
         return coordinator, out, io
 
     coordinator, union, union_io = run()
-    assert coordinator._union_plan.waves == ((0, 1),)
-    assert len(union_spy) == 1
+    # one wave, of the two plain segments 0 and 1
+    assert len(union_spy) == 1 and len(union_spy[0]) == 2
     assert all(r.quarantined_segments == [3] and r.degraded for r in union)
     assert sum(r.stats.block_cache_hits for r in union) > 0
     _per_segment_path(monkeypatch)
@@ -308,22 +308,23 @@ def test_mixed_coordinator_answers_as_today(
     assert union_io == reference_io
 
 
-def test_plan_follows_in_place_read_path_changes(segment_sets):
+def test_plan_follows_in_place_read_path_changes(union_spy, segment_sets):
     """A cache strategy applied to a live segment takes it out of the
-    union at the next batch, without a ``replace_segment``."""
+    union at the next batch, without a ``replace_segment``: the union wave
+    spans both segments, then segment 0 alone, then both again."""
     segments, offsets, parts, pool = segment_sets["l2-f32"]
     extra = build_starling(parts[0], CONFIG)
     coordinator = SegmentCoordinator(
         [segments[0], extra], [offsets[0], offsets[0]]
     )
     coordinator.search_batch(pool[:2], K, GAMMA)
-    assert coordinator._union_plan.waves == ((0, 1),)
+    assert [len(wave) for wave in union_spy] == [2]
     extra.apply_cache_strategy("lru", 4)
     coordinator.search_batch(pool[:2], K, GAMMA)
-    assert coordinator._union_plan.waves == ((0,),)
+    assert [len(wave) for wave in union_spy] == [2, 1]
     extra.apply_cache_strategy("none", 0)
     coordinator.search_batch(pool[:2], K, GAMMA)
-    assert coordinator._union_plan.waves == ((0, 1),)
+    assert [len(wave) for wave in union_spy] == [2, 1, 2]
 
 
 # ---------------------------------------------------------------------------
