@@ -283,7 +283,7 @@ def run_iospace(
                 base, cache_name, capacity_blocks, pinned_blocks=pinned,
             )
             cell_cfg = cfg.with_(
-                layout_strategy=layout_name,
+                shuffle=layout_name,
                 layout_params=layout_params,
                 cache_strategy=cache_name,
                 block_cache_blocks=(

@@ -8,7 +8,8 @@ Batches run through :class:`~repro.engine.batch.BatchExecutor`, so the
 wall-clock cost of producing a table is amortized (shared ADC tables, a
 shared decode cache, lockstep waves) while every *simulated* number in the
 summary — I/Os, round trips, latency, QPS — is bit-identical to the plain
-per-query loop.  The ``threads`` parameter is the simulated pool width of
+per-query loop, except behind a block cache, whose hit/miss split follows
+the wave's (round, query) read order.  The ``threads`` parameter is the simulated pool width of
 the paper's QPS model (``QPS = threads / mean_latency``, see
 :mod:`repro.metrics.perf`); it schedules nothing.
 """

@@ -120,13 +120,12 @@ def _cmd_build(args) -> int:
     hit = False
     if args.framework == "starling":
         layout_params = ()
-        if args.layout_strategy == "bamg":
+        if args.shuffle == "bamg":
             layout_params = (
                 ("base", args.bamg_base), ("alpha", args.bamg_alpha),
             )
         cfg = StarlingConfig(graph=graph, shuffle=args.shuffle,
                              pruning_ratio=args.pruning_ratio,
-                             layout_strategy=args.layout_strategy,
                              layout_params=layout_params,
                              cache_strategy=args.cache_strategy,
                              block_cache_blocks=args.cache_blocks)
@@ -548,12 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=32)
     p.add_argument("--build-ef", type=int, default=64)
     p.add_argument("--shuffle", default="bnf",
-                   choices=("bnf", "bnp", "bns", "gp1", "gp2", "gp3",
-                            "kmeans", "none"))
-    p.add_argument("--layout-strategy", default=None,
                    choices=LAYOUT_STRATEGY_NAMES,
-                   help="layout strategy overriding --shuffle (adds 'bamg' "
-                        "block-aware monotonic pruning; starling only)")
+                   help="block layout strategy: a shuffler, or 'bamg' "
+                        "block-aware monotonic pruning (starling only)")
     p.add_argument("--bamg-base", default="bnf",
                    help="shuffler the bamg strategy lays blocks out with")
     p.add_argument("--bamg-alpha", type=float, default=1.2,
@@ -622,11 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show", type=int, default=0,
                    help="print the ids of the first N queries")
     p.add_argument("--exec-mode", default="wave", choices=EXEC_MODES,
-                   help="batch execution strategy (results are identical in "
-                        "both: 'serial' is the plain per-query loop, 'wave' "
-                        "shares ADC tables and decoded blocks and runs the "
-                        "batch as one lockstep wave — or, with a cache or "
-                        "chaos armed, as in-order waves of one)")
+                   help="batch execution strategy (answers are identical "
+                        "in both: 'serial' is the plain per-query loop, "
+                        "'wave' shares ADC tables and decoded blocks and "
+                        "runs the batch as one lockstep wave — or, with "
+                        "chaos armed, as in-order waves of one; a cache's "
+                        "hit/miss split may differ)")
     p.add_argument("--cache-strategy", default=None,
                    choices=CACHE_STRATEGY_NAMES,
                    help="override the persisted block-cache strategy at "

@@ -96,7 +96,7 @@ def _layout_strategy(config: StarlingConfig):
     configuration produces bit-identical layouts to earlier releases.
     """
     return get_layout_strategy(
-        config.resolved_layout_strategy,
+        config.shuffle,
         iterations=config.shuffle_iterations,
         gain_threshold=config.shuffle_gain_threshold,
         seed=config.seed,

@@ -88,15 +88,12 @@ class StarlingConfig:
     graph: GraphConfig = field(default_factory=GraphConfig)
     navigation: NavigationConfig = field(default_factory=NavigationConfig)
     pq: PQConfig = field(default_factory=PQConfig)
-    #: block shuffler: "bnf" | "bnp" | "bns" | "gp1" | "gp2" | "gp3" |
-    #: "kmeans" | "none" (ID-contiguous baseline layout)
+    #: the block layout strategy: a shuffler — "bnf" | "bnp" | "bns" |
+    #: "gp1" | "gp2" | "gp3" | "kmeans" | "none" (ID-contiguous baseline
+    #: layout) — or "bamg" (block-aware monotonic pruning over a shuffler)
     shuffle: str = "bnf"
     shuffle_iterations: int = 8  # β
     shuffle_gain_threshold: float = 0.01  # τ
-    #: layout strategy overriding ``shuffle`` when set (adds "bamg" —
-    #: block-aware monotonic pruning — to the shuffler names); ``None``
-    #: keeps the legacy ``shuffle`` dispatch bit for bit
-    layout_strategy: str | None = None
     #: strategy-specific options as hashable ``((key, value), ...)`` pairs
     #: (e.g. ``(("base", "bnf"), ("alpha", 1.2))`` for bamg)
     layout_params: tuple = ()
@@ -126,14 +123,15 @@ class StarlingConfig:
     #: retry/hedging policy, active only while ``faults`` is enabled
     resilience: RetryPolicy = field(default_factory=RetryPolicy)
 
-    _SHUFFLERS = ("bnf", "bnp", "bns", "gp1", "gp2", "gp3", "kmeans", "none")
     _QUANTIZERS = ("pq", "opq", "sq8")
 
     def __post_init__(self) -> None:
-        if self.shuffle not in self._SHUFFLERS:
+        from ..layout.strategies import LAYOUT_STRATEGY_NAMES
+
+        if self.shuffle not in LAYOUT_STRATEGY_NAMES:
             raise ValueError(
-                f"unknown shuffler {self.shuffle!r}; expected one of "
-                f"{self._SHUFFLERS}"
+                f"unknown shuffler or layout strategy {self.shuffle!r}; "
+                f"expected one of {LAYOUT_STRATEGY_NAMES}"
             )
         if self.quantizer not in self._QUANTIZERS:
             raise ValueError(
@@ -142,14 +140,6 @@ class StarlingConfig:
             )
         if not 0.0 <= self.pruning_ratio <= 1.0:
             raise ValueError("pruning_ratio must be in [0, 1]")
-        if self.layout_strategy is not None:
-            from ..layout.strategies import LAYOUT_STRATEGY_NAMES
-
-            if self.layout_strategy not in LAYOUT_STRATEGY_NAMES:
-                raise ValueError(
-                    f"unknown layout strategy {self.layout_strategy!r}; "
-                    f"expected one of {LAYOUT_STRATEGY_NAMES}"
-                )
         from ..engine.cache_strategies import CACHE_STRATEGY_NAMES
 
         if self.cache_strategy not in CACHE_STRATEGY_NAMES:
@@ -169,11 +159,6 @@ class StarlingConfig:
                 )
 
     @property
-    def resolved_layout_strategy(self) -> str:
-        """The layout strategy in effect (falls back to ``shuffle``)."""
-        return self.layout_strategy or self.shuffle
-
-    @property
     def fold_coresident(self) -> bool:
         """The bamg strategy's search-side contract: co-resident fold.
 
@@ -184,7 +169,7 @@ class StarlingConfig:
         (``(("fold", False), ...)`` in ``layout_params`` opts out), so the
         default configuration's traversal stays bit-identical.
         """
-        if self.resolved_layout_strategy != "bamg":
+        if self.shuffle != "bamg":
             return False
         for key, value in self.layout_params:
             if key == "fold":

@@ -13,8 +13,8 @@ segment after :attr:`SegmentCoordinator.quarantine_threshold` of them, and
 merges the surviving segments' candidates into a result flagged as partial —
 answer quality degrades gracefully instead of availability collapsing.
 
-A micro-batch is answered over all of its *unionable* segments — plain
-Starling segments whose reads cannot fail and which share one round
+A micro-batch is answered over all of its *unionable* segments — Starling
+segments whose reads cannot fail, cached or not, and which share one round
 configuration — as **one** lockstep wave of ``segments × queries`` rows
 (:func:`~repro.engine.block_search.search_segments`), so a service's
 8-query batch over two segments runs as a 16-row wave, past the wide-wave
@@ -37,7 +37,7 @@ from ..engine.block_search import search_segments, union_key
 from ..engine.cost import QueryStats
 from ..storage.device import BlockDevice
 from ..storage.disk_graph import DiskGraph
-from ..storage.faults import FaultError
+from ..storage.faults import FaultError, base_disk_graph
 from ..vectors.dataset import VectorDataset
 from .segment import StarlingIndex
 
@@ -122,19 +122,19 @@ class CoordinatedResult:
 
 def _unionable(segment) -> bool:
     """Whether a segment may answer inside a multi-segment wave: a Starling
-    segment on a plain :class:`DiskGraph` over a plain :class:`BlockDevice`
-    — no cache wrapper, no retry policy, no fault injector, no checksum
+    segment whose base graph is a plain :class:`DiskGraph` over a plain
+    :class:`BlockDevice` — no retry policy, no fault injector, no checksum
     verification, so none of its reads can raise a
     :class:`~repro.storage.faults.FaultError` and take a sibling's rows
-    down — routing by PQ."""
+    down — whatever cache sits in front of it (the round reads a cached
+    segment per row, in the wave's order)."""
     if not isinstance(segment, StarlingIndex):
         return False
     engine = segment.engine
-    dg = engine.disk_graph
+    dg = base_disk_graph(engine.disk_graph)
     return (
         type(dg) is DiskGraph and type(dg.device) is BlockDevice
         and not dg.verify_checksums and engine.resilience is None
-        and engine.use_pq_routing
     )
 
 
@@ -368,9 +368,9 @@ class SegmentCoordinator:
             hasattr(s, "bind") for s in stoppers or () if s is not None
         ):
             # One wave per shared union_key, over the healthy unionable
-            # segments in index order; grouped afresh on every call, so a
-            # cache strategy or fault injection armed in place takes its
-            # segment out of the union at the next batch.
+            # segments in index order; grouped afresh on every call, so
+            # fault injection armed in place takes its segment out of the
+            # union at the next batch (a cache applied in place does not).
             waves: dict[tuple, list[int]] = {}
             for i, (segment, _) in enumerate(snapshot):
                 if i not in skipped and _unionable(segment):
@@ -419,7 +419,9 @@ class SegmentCoordinator:
                     segment._bind_costs(clone)
                     rows.append(clone)
         engines = [segment.engine for segment in segments]
-        with amortized([e.disk_graph for e in engines], spec.gc_pause):
+        with amortized(
+            [base_disk_graph(e.disk_graph) for e in engines], spec.gc_pause
+        ):
             results = search_segments(
                 engines, queries, k, candidate_size, stoppers=rows
             )

@@ -1,6 +1,6 @@
 """Disk search engines: cost model, candidate sets, beam & block search, RS."""
 
-from .batch import EXEC_MODES, BatchExecutor, ExecSpec, order_sensitive
+from .batch import EXEC_MODES, BatchExecutor, ExecSpec
 from .beam_search import BeamSearchEngine
 from .block_cache import CachedDiskGraph, DecodeCache
 from .block_search import BlockSearchEngine
@@ -61,7 +61,6 @@ __all__ = [
     "WaveStats",
     "build_hot_vertex_cache",
     "incremental_range_search",
-    "order_sensitive",
     "ordered_unique",
     "poisson_arrivals_us",
     "repeated_anns_range_search",

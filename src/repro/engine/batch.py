@@ -2,12 +2,13 @@
 
 The engines' *simulated* metrics — block reads, round trips, vertex
 utilization, and the latency derived from them — are functions of each
-query's traversal alone, so they are independent of how a batch of queries
-is scheduled onto the machine.  :class:`BatchExecutor` exploits that gap: it
-runs a query batch through any engine while amortizing the *real* (wall
-clock) cost across the batch, guaranteed to return results bit-identical to
-the plain per-query loop — same ids, same distances, same
-:class:`~repro.engine.cost.QueryStats` counters.
+query's traversal (and, behind a block cache, of the order the cache saw
+the reads in), not of the machine the batch runs on.
+:class:`BatchExecutor` exploits that gap: it runs a query batch through any
+engine while amortizing the *real* (wall clock) cost across the batch,
+returning the plain per-query loop's ids and distances — and, on a read
+path without a cache, its very :class:`~repro.engine.cost.QueryStats`
+counters.
 
 Two modes (:class:`ExecSpec`).  ``serial`` is the plain ``index.search``
 loop with no amortization at all: the reference, and what an index without
@@ -26,15 +27,22 @@ shares three things across the batch, each individually counter-neutral:
   round loop (:meth:`~repro.engine.block_search.BlockSearchEngine.
   search_wave`): coalesced block reads and one fused kernel per round.
 
-Scheduling chooses nothing but the wave's **width**, by one rule:
-:func:`order_sensitive`.  A stateless read path runs the whole batch as one
-wave; a stateful one — a cache wrapper, an armed fault injector,
-full-precision routing reads — runs a sequence of waves of one, which keeps
-the global read order (and hence every cache hit, every injected fault and
-every :class:`~repro.engine.cost.FaultStats` counter) identical to the
-serial loop.  The DiskANN baseline's
-:class:`~repro.engine.beam_search.BeamSearchEngine` keeps its own driver and
-runs in order under the same shared tables and cache.
+Scheduling chooses nothing but the wave's **width**: a block-search batch
+runs as one wave, whatever cache sits in front of the graph and however
+the index routes.  A cache never changes what a block holds, so a wide
+wave's answers (ids, distances, ``degraded``) equal the serial loop's; its
+stateful reads — a cache wrapper's hits and evictions, exact routing's
+mid-round reads — happen in the round loop's fixed (round, row) order, so
+its charges (hits, fetches, prefetches, round trips) equal the serial
+primitives replayed in that order (``tests/oracles.py::
+oracle_wave_search``), not necessarily width 1's.  The one exception is an
+armed :class:`~repro.storage.faults.FaultInjector`
+(:func:`~repro.storage.faults.injects_faults`): its one sequential RNG
+makes the fault schedule a function of the read order, so such a batch
+runs as a sequence of waves of one — the serial loop's order, every
+:class:`~repro.engine.cost.FaultStats` counter included.  The DiskANN
+baseline's :class:`~repro.engine.beam_search.BeamSearchEngine` keeps its
+own driver and runs in order under the same shared tables and cache.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..storage.faults import FaultInjector, base_disk_graph
+from ..storage.faults import base_disk_graph, injects_faults
 from .cost import WaveStats
 
 #: execution strategies understood by :class:`ExecSpec`
@@ -61,8 +69,8 @@ class ExecSpec:
         mode: ``serial`` is the reference per-query loop with no
             amortization at all; ``wave`` (the default) shares the ADC table
             build and the decode cache across the batch and advances
-            block-search indexes through the lockstep round loop,
-            at the width :func:`order_sensitive` allows.
+            block-search indexes through the lockstep round loop as one
+            wave (waves of one under an armed fault injector).
         gc_pause: Pause the cyclic garbage collector for the span of the
             batch (restored — and left to collect — afterwards), so the
             rounds' transient allocations do not trigger generation scans
@@ -107,28 +115,6 @@ def amortized(graphs, gc_pause: bool):
             gc.enable()
         for graph in own:
             graph.decode_cache = None
-
-
-def order_sensitive(index) -> bool:
-    """Whether ``index``'s results or counters depend on the global read order.
-
-    True for a stateful cache wrapper on the disk graph (its hit accounting
-    follows the read sequence and is not thread-safe), an armed
-    :class:`~repro.storage.faults.FaultInjector` (one sequential RNG: the
-    fault schedule is a function of the read order, with or without a retry
-    policy), and full-precision routing (per-query reads in the middle of a
-    round).  A :class:`~repro.engine.resilience.RetryPolicy` over an unarmed
-    device is not: it never fires.  The executor runs an order-sensitive
-    batch as waves of one; the service serializes its workers over one.
-    """
-    engine = getattr(index, "engine", index)
-    dg = getattr(engine, "disk_graph", None)
-    if dg is None:
-        return False
-    if hasattr(dg, "inner") or not getattr(engine, "use_pq_routing", True):
-        return True
-    device = getattr(base_disk_graph(dg), "device", None)
-    return isinstance(device, FaultInjector) and device.fault_spec.enabled
 
 
 class BatchExecutor:
@@ -189,7 +175,9 @@ class BatchExecutor:
 
         Returns the per-query :class:`~repro.engine.results.SearchResult`
         list in query order, bit-identical to
-        ``[index.search(q, k, candidate_size) for q in queries]``.
+        ``[index.search(q, k, candidate_size) for q in queries]`` — behind
+        a block cache, up to the cache's charges (see the module
+        docstring).
 
         ``stoppers`` optionally supplies one early-stop object per query
         (the serving layer's per-query deadline budgets); each query's
@@ -224,7 +212,9 @@ class BatchExecutor:
                     )
                     for i, (q, s) in enumerate(zip(queries, stoppers))
                 ]
-            width = 1 if order_sensitive(self.index) else len(queries)
+            width = (
+                1 if injects_faults(self.engine.disk_graph) else len(queries)
+            )
             stats = WaveStats()
             results: list = []
             for lo in range(0, len(queries), width):

@@ -83,14 +83,17 @@ class DelegatingDiskGraph:
     charged exactly (see :mod:`repro.engine.cache_strategies` for the
     honesty rules).
 
-    The ``inner`` attribute is also what marks a read path as stateful
-    (:func:`repro.engine.batch.order_sensitive`).
+    Safe to share between threads: each read holds the wrapper's one lock
+    across partition, inner read and admit.  Which query hits then follows
+    which read took the lock first — the round loop's (round, row) order
+    within a wave, thread timing across concurrent callers.
     """
 
     def __init__(self, inner: DiskGraph) -> None:
         self.inner = inner
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     # -- delegated surface ---------------------------------------------------
 
@@ -187,18 +190,14 @@ class DelegatingDiskGraph:
         """Cache-aware :meth:`DiskGraph.read_counted`: hits come from
         memory (they never fault), the misses cost one round trip, and the
         fetch count is this call's misses."""
-        found, missing = self._partition(block_ids)
-        if missing:
-            self._fetch(found, missing, failed)
+        with self._lock:
+            found, missing = self._partition(block_ids)
+            if missing:
+                self._fetch(found, missing, failed)
         return found, len(missing), 0
 
     def read_block(self, block_id: int) -> DiskBlock:
-        found, missing = self._partition((block_id,))
-        if not missing:
-            return found[block_id]
-        block = self.inner.read_block(block_id)
-        self._admit(block)
-        return block
+        return self.read_counted((block_id,))[0][block_id]
 
     def read_blocks(self, block_ids: Sequence[int]) -> list[DiskBlock]:
         found = self.read_counted(block_ids)[0]
@@ -206,7 +205,8 @@ class DelegatingDiskGraph:
 
 
 class CachedDiskGraph(DelegatingDiskGraph):
-    """A DiskGraph wrapper adding an LRU cache of decoded blocks.
+    """A DiskGraph wrapper adding an LRU cache of decoded blocks, held in a
+    :class:`DecodeCache` (the one LRU of decoded blocks).
 
     Args:
         inner: The disk graph to wrap.
@@ -218,7 +218,7 @@ class CachedDiskGraph(DelegatingDiskGraph):
             raise ValueError("capacity_blocks must be non-negative")
         super().__init__(inner)
         self.capacity_blocks = capacity_blocks
-        self._lru: OrderedDict[int, DiskBlock] = OrderedDict()
+        self._lru = DecodeCache(max(capacity_blocks, 1))
 
     @property
     def cached_blocks(self) -> int:
@@ -231,20 +231,14 @@ class CachedDiskGraph(DelegatingDiskGraph):
         return self.capacity_blocks * self.fmt.block_bytes
 
     def clear(self) -> None:
-        self._lru.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._lru.clear()
+            self.hits = 0
+            self.misses = 0
 
     def _lookup(self, block_id: int) -> DiskBlock | None:
-        block = self._lru.get(block_id)
-        if block is not None:
-            self._lru.move_to_end(block_id)
-        return block
+        return self._lru.get(block_id)
 
     def _admit(self, block: DiskBlock) -> None:
-        if self.capacity_blocks == 0:
-            return
-        self._lru[block.block_id] = block
-        self._lru.move_to_end(block.block_id)
-        while len(self._lru) > self.capacity_blocks:
-            self._lru.popitem(last=False)
+        if self.capacity_blocks:
+            self._lru[block.block_id] = block

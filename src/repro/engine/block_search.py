@@ -18,8 +18,9 @@ their simulated latency overlaps T_io with T_comp (see
 advances a whole wave of queries through it, :meth:`~BlockSearchEngine.search`
 is a wave of one, and range search (§5.3) resumes one already-seeded query
 through it via :meth:`~BlockSearchEngine._run`.  Scheduling chooses nothing
-but the wave's *width* (:func:`repro.engine.batch.order_sensitive`), and the
-width chooses the form of a round's work: a narrow wave runs the per-query
+but the wave's *width* (the executor runs a batch as one wave; see
+:mod:`repro.engine.batch`), and the width chooses the form of a round's
+work: a narrow wave runs the per-query
 primitives below; a wide one (``len(queries) >= LOCKSTEP_MIN_WAVE``, the
 entry walk's constant and the one wide-wave switch) keeps its candidate sets
 in a :class:`~repro.engine.frontier.FrontierPlane` and runs each step as one
@@ -29,16 +30,19 @@ array pass over the wave (:class:`_BlockPlane`).  Per round the loop
    (``beam_width`` closest unvisited candidates) of every query still live —
    per query, or as one masked scan over the plane that hands back flat
    ``(row, vertex)`` items;
-2. reads the frontier's blocks.  This is the loop's one fork: over a plain
+2. reads the frontier's blocks.  This is the loop's one fork, chosen per
+   segment (:func:`_coalesces`): over a plain
    :class:`~repro.storage.disk_graph.DiskGraph` with no
-   :class:`~repro.engine.resilience.RetryPolicy` the wave's requests are
-   deduplicated into **one** coalesced read (a block several queries want is
-   read and decoded once; each query is still charged its own unique
-   blocks, the saving shows only in :class:`~repro.engine.cost.WaveStats`);
-   otherwise each live query reads its own blocks through
+   :class:`~repro.engine.resilience.RetryPolicy` the wave's requests there
+   are deduplicated into **one** coalesced read (a block several queries
+   want is read and decoded once; each query is still charged its own
+   unique blocks, the saving shows only in
+   :class:`~repro.engine.cost.WaveStats`); behind a cache wrapper or a retry
+   policy each live query reads its own blocks through
    :func:`~repro.engine.io_util.counted_read_blocks_of` in (round,
    query-index) order, so cache hits, prefetch attribution, retries, hedges
-   and abandoned blocks are accounted per query.  A wide wave holds the
+   and abandoned blocks are accounted per query, and a cache sees its reads
+   in that fixed order.  A wide wave holds the
    round's blocks as one :class:`~repro.storage.disk_graph.BlockStack`,
    addressed by its (query, block) *pairs* — each query's distinct blocks in
    first-occurrence order;
@@ -60,7 +64,11 @@ array pass over the wave (:class:`_BlockPlane`).  Per round the loop
 Lockstep is scheduling, not semantics: each query's candidate set, result
 set, stopper and counters evolve exactly as in the scalar Algorithm 2
 (``tests/oracles.py::oracle_block_search`` — the reference the equivalence
-suites compare against), and queries finish independently.
+suites compare against), and queries finish independently.  A stateful read
+(a cache wrapper, exact routing behind one) is issued in the fixed (round,
+row) order — every live row's pop and read, then every row's fold, select
+and expand — so a cache's charges equal that replay
+(``tests/oracles.py::oracle_wave_search``), whatever the width.
 
 **Several segments, one wave.**  A wave's rows may search different
 segments (:func:`search_segments`, the coordinator's micro-batch: one row
@@ -87,6 +95,14 @@ from .frontier import CandidateSet, FrontierPlane, ResultSet, ordered_unique
 from .early_stop import AdaptiveEarlyStopper
 from .io_util import counted_read_blocks_of
 from .results import SearchResult
+
+
+def _coalesces(engine) -> bool:
+    """The read fork, per segment: a plain disk graph without a retry policy
+    is stateless and raises on failure, so a wave's reads there merge into
+    one union read; behind a cache or a retry policy each row reads its own
+    blocks through the counted seam, where a block may come back absent."""
+    return engine.resilience is None and type(engine.disk_graph) is DiskGraph
 
 
 class _QueryState:
@@ -178,10 +194,10 @@ def _select_plane(
 class _BlockPlane:
     """A wide wave's round as array passes over its (query, block) pairs
     instead of a Python loop per pair: the popped ``(row, vertex)`` items
-    give the pairs, the round's blocks arrive as one ``BlockStack`` (the
-    coalesced union read decoded in place, or the per-query counted reads'
-    blocks stacked), and exact distances, selection and the neighbour gather
-    run once over ``[pairs, ε]`` arrays in the scalar order.
+    give the pairs, the round's blocks arrive as one ``BlockStack`` (each
+    plain segment's coalesced union read decoded in place, the counted
+    rows' blocks stacked), and exact distances, selection and the neighbour
+    gather run once over ``[pairs, ε]`` arrays in the scalar order.
 
     The rows may belong to several segments.  Rows are segment-major, and
     every per-row array of a round — items, pairs, explored neighbours — is
@@ -192,12 +208,11 @@ class _BlockPlane:
     local to their segment throughout.
     """
 
-    def __init__(self, engine, plane, tables, states, coalesce, keep_quota):
+    def __init__(self, engine, plane, tables, states, keep_quota):
         self.engine = engine
         self.plane = plane
         self.tables = tables
         self.states = states
-        self.coalesce = coalesce
         self.keep_quota = keep_quota
         self.queries = np.stack([st.query for st in states])
         #: per-query hops / vertices loaded / vertices used, handed to the
@@ -254,49 +269,63 @@ class _BlockPlane:
             bids[lo:hi] = engine.disk_graph.vertex_to_block[vids[lo:hi]]
         pair_key, item_pair = _first_occurrence(item_rows * self.stride + bids)
         pair_row, pair_bid = np.divmod(pair_key, self.stride)
-        asked = issued = pair_key.size
-        if self.coalesce:
-            # Charged to each query in full, whoever else in the wave
-            # asked for the same block; read once per segment for the
-            # whole wave, then decoded side by side.
-            for st, lo, hi in spans(pair_row):
+        asked = pair_key.size
+        # The read, per segment (:func:`_coalesces`); ``pair_u`` is each
+        # pair's block in the round's stack, ``back`` whether it arrived.
+        pair_u = np.empty_like(pair_bid)
+        back = np.ones(asked, dtype=bool)
+        blocks: list = []
+        issued = 0
+        for (st, lo, hi), (_, ilo, ihi) in zip(
+            spans(pair_row), spans(item_rows)
+        ):
+            if _coalesces(st.engine):
+                # Charged to this query in full, whoever else in the wave
+                # asked for the same block.
                 st.stats.round_trip_blocks.append(hi - lo)
-            pair_u = np.empty_like(pair_bid)
-            stacks = []
-            issued = 0
-            for engine, lo, hi in self._by_segment(pair_row):
-                union, pair_u[lo:hi] = _first_occurrence(pair_bid[lo:hi])
-                pair_u[lo:hi] += issued
-                stacks.append(engine.disk_graph.read_block_stack(union.tolist()))
-                issued += union.size
-            stack = (
-                stacks[0] if len(stacks) == 1
-                else BlockStack(*map(np.concatenate, zip(*stacks)))
+                continue
+            # This row's own counted read, in (round, row) order.
+            mine = counted_read_blocks_of(
+                st.engine.disk_graph, vids[ilo:ihi].tolist(), st.stats,
+                st.engine.resilience,
             )
-        else:
-            blocks: list = []
-            got: list[int] = []
-            for st, lo, hi in spans(item_rows):
-                mine = counted_read_blocks_of(
-                    st.engine.disk_graph, vids[lo:hi].tolist(), st.stats,
-                    st.engine.resilience,
+            issued += hi - lo
+            if len(mine) < hi - lo:
+                back[lo:hi] = np.isin(
+                    pair_bid[lo:hi], [b.block_id for b in mine]
                 )
-                blocks += mine
-                got += [st.row * self.stride + b.block_id for b in mine]
-            if len(blocks) < asked:
-                # Unreadable after retries: those pairs drop out and their
-                # targets are abandoned; the rest of the frontier drains.
-                back = np.isin(pair_key, got)
-                lost = ~back[item_pair]
-                for st, lo, hi in spans(item_rows):
-                    st.stats.fault.vertices_abandoned += int(lost[lo:hi].sum())
-                vids = vids[~lost]
-                item_pair = (np.cumsum(back) - 1)[item_pair[~lost]]
-                pair_row, pair_bid = pair_row[back], pair_bid[back]
-                if not blocks:
-                    return asked, issued
-            stack = BlockStack.of_blocks(blocks, fmt)
-            pair_u = np.arange(len(blocks))
+            pair_u[lo:hi][back[lo:hi]] = np.arange(
+                len(blocks), len(blocks) + len(mine)
+            )
+            blocks += mine
+        stacks = [BlockStack.of_blocks(blocks, fmt)] if blocks else []
+        held = len(blocks)
+        for engine, lo, hi in self._by_segment(pair_row):
+            if _coalesces(engine):
+                # One read of the wave's blocks here, decoded side by side.
+                union, pair_u[lo:hi] = _first_occurrence(pair_bid[lo:hi])
+                pair_u[lo:hi] += held
+                stacks.append(
+                    engine.disk_graph.read_block_stack(union.tolist())
+                )
+                held += union.size
+                issued += union.size
+        if not back.all():
+            # Unreadable after retries: those pairs drop out and their
+            # targets are abandoned; the rest of the frontier drains.
+            lost = ~back[item_pair]
+            for st, lo, hi in spans(item_rows):
+                st.stats.fault.vertices_abandoned += int(lost[lo:hi].sum())
+            vids = vids[~lost]
+            item_pair = (np.cumsum(back) - 1)[item_pair[~lost]]
+            pair_row, pair_bid = pair_row[back], pair_bid[back]
+            pair_u = pair_u[back]
+            if not stacks:
+                return asked, issued
+        stack = (
+            stacks[0] if len(stacks) == 1
+            else BlockStack(*map(np.concatenate, zip(*stacks)))
+        )
         if eng.fold_coresident:
             item_pair, vids = self._fold(
                 spans(pair_row), pair_bid, item_pair, vids
@@ -721,9 +750,11 @@ class BlockSearchEngine:
         for every live query.  ``wave_stats``, when given, accumulates the
         wave-level counters of this call.  Returns per-query
         :class:`~repro.engine.results.SearchResult` objects in query order;
-        each equals what the query's own wave of one returns whenever the
-        read path is stateless (see :func:`repro.engine.batch.
-        order_sensitive` — the executor keeps stateful ones at width 1).
+        each has the ids, distances and ``degraded`` flag of the query's own
+        wave of one.  Its charges equal them too unless a cache sits in
+        front of the graph; then they equal the serial primitives replayed
+        in the wave's (round, row) order (``tests/oracles.py::
+        oracle_wave_search``).
 
         The one-segment call of :func:`search_segments`.
         """
@@ -769,29 +800,22 @@ class BlockSearchEngine:
         wave, whose states then own plain candidate sets) and ``tables`` its
         ``[B, M, ks]`` ADC build.  The states may search several segments
         (:func:`search_segments`): each touches segment data — its graph,
-        device and PQ codes — through its own ``engine``, while the round's
-        configuration (W, σ, the read fork, the fold, the metric) is this
-        engine's, which every segment of the wave shares.  All scratch is
+        device and PQ codes — and picks its read (:func:`_coalesces`)
+        through its own ``engine``, while the round's configuration (W, σ,
+        the fold, the metric) is this engine's, which every segment of the
+        wave shares.  All scratch is
         local to the call, so concurrent calls on one engine are safe.
         """
         beam_width = self.beam_width
         keep_quota = math.ceil(
             (self.disk_graph.fmt.vertices_per_block - 1) * self.pruning_ratio
         )
-        # The read fork.  A plain disk graph with no retry policy is
-        # stateless and raises on failure, so the wave's requests can be
-        # merged into one union read per segment with no block ever
-        # missing; anything else reads per query through the counted
-        # (cache-aware, resilient) path, where a block may come back absent.
-        coalesce = self.resilience is None and type(self.disk_graph) is DiskGraph
         fold = self.fold_coresident
         fused_l2 = self.metric.name == "l2"
         select_round = self._select_round
         diff: np.ndarray | None = None
         if plane is not None:
-            wave = _BlockPlane(
-                self, plane, tables, states, coalesce, keep_quota
-            )
+            wave = _BlockPlane(self, plane, tables, states, keep_quota)
         rounds = requested = issued = 0
         live = states
         try:
@@ -831,7 +855,7 @@ class BlockSearchEngine:
                     st.hops += len(batch)
                     dg = st.engine.disk_graph
                     targets_by_block: dict[int, list[int]] = {}
-                    if coalesce:
+                    if _coalesces(st.engine):
                         bids = dg.vertex_to_block[batch].tolist()
                         for vid, bid in zip(batch, bids):
                             targets_by_block.setdefault(bid, []).append(vid)
@@ -1072,15 +1096,14 @@ def search_segments(
 def union_key(engine: BlockSearchEngine) -> tuple:
     """What the segments of one :func:`search_segments` wave must share:
     the round's configuration (W, σ, entry count, pipeline, fold, early
-    termination, routing, metric, read fork), the record format its stacked
-    blocks join under and the PQ shape its stacked tables need."""
-    dg, pq = engine.disk_graph, engine.pq
-    fmt = dg.fmt
+    termination, routing, metric), the record format its stacked blocks
+    join under and the PQ shape its stacked tables need.  How a segment
+    reads is not shared: each segment of a round picks its own read
+    (:func:`_coalesces`)."""
+    pq, fmt = engine.pq, engine.disk_graph.fmt
     return (
         engine.beam_width, engine.pruning_ratio, engine.num_entry_points,
         engine.pipeline, engine.fold_coresident, engine.early_termination,
-        engine.use_pq_routing, engine.metric.name,
-        engine.resilience is None and type(dg) is DiskGraph,
-        fmt.dim, np.dtype(fmt.dtype).str, fmt.vertices_per_block,
+        engine.use_pq_routing, engine.metric.name, fmt.dim, np.dtype(fmt.dtype).str, fmt.vertices_per_block,
         fmt.max_degree, pq.num_subspaces, pq.num_centroids,
     )

@@ -37,9 +37,9 @@ read alike:
   reduce total device reads; what it buys is round trips (the block rides
   an already-issued trip instead of forcing a later one).
 
-The sum of per-query ``num_ios`` over a serial run therefore always equals
-the device's ``blocks_read`` delta, whatever the strategy and whether or
-not a retry policy is armed.
+The sum of per-query ``num_ios`` over a run therefore always equals the
+device's ``blocks_read`` delta, whatever the strategy, wave width, number of
+threads, or retry policy.
 """
 
 from __future__ import annotations
@@ -171,14 +171,15 @@ class LocalityBlockCache(DelegatingDiskGraph):
         return self.capacity_blocks * self.fmt.block_bytes
 
     def clear(self) -> None:
-        self._cache.clear()
-        self._heat.clear()
-        self._last_tick.clear()
-        self._predicted.clear()
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
-        self.prefetch_issued = 0
+        with self._lock:
+            self._cache.clear()
+            self._heat.clear()
+            self._last_tick.clear()
+            self._predicted.clear()
+            self._tick = 0
+            self.hits = 0
+            self.misses = 0
+            self.prefetch_issued = 0
 
     # -- heat bookkeeping ------------------------------------------------------
 
@@ -275,16 +276,17 @@ class LocalityBlockCache(DelegatingDiskGraph):
         """
         if frontier is None:
             return super().read_counted(block_ids, failed=failed)
-        found, missing = self._partition(block_ids)
-        pulled = self._pick_prefetch(set(block_ids), len(missing))
-        if missing or pulled:
-            self._fetch(found, missing + pulled, failed)
-        if pulled:
-            self.prefetch_issued += len(pulled)
-            if failed:
-                for bid in pulled:
-                    failed.pop(bid, None)
-        self._credit_adjacency(frontier, found)
+        with self._lock:
+            found, missing = self._partition(block_ids)
+            pulled = self._pick_prefetch(set(block_ids), len(missing))
+            if missing or pulled:
+                self._fetch(found, missing + pulled, failed)
+            if pulled:
+                self.prefetch_issued += len(pulled)
+                if failed:
+                    for bid in pulled:
+                        failed.pop(bid, None)
+            self._credit_adjacency(frontier, found)
         return found, len(missing) + len(pulled), len(pulled)
 
 

@@ -53,11 +53,13 @@ is cached from its first batch — and teardown restores exactly the graphs
 the service touched.
 
 Live workers share each segment's one engine, whose round loop keeps no
-per-engine scratch.  What is *not* safe to share is a read path with state
-(:func:`~repro.engine.batch.order_sensitive`: a cache wrapper, an armed fault
-injector, full-precision routing); the service asks that predicate of the
-coordinator's current segments at every dispatch and, when it holds,
-serializes the workers' coordinator calls through one lock.
+per-engine scratch, and run concurrently whatever the read path: every
+object on it that holds state guards itself — a cache wrapper serializes its
+own reads (:class:`~repro.engine.block_cache.DelegatingDiskGraph`), a fault
+injector draws under its own lock and keeps each thread's latency spike
+apart.  Which worker's query hits a cache, or meets an injected fault, then
+follows thread timing; every query is still charged exactly the blocks it
+took off the device.
 """
 
 from __future__ import annotations
@@ -68,14 +70,13 @@ import queue as queue_mod
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from ..storage.faults import base_disk_graph
-from .batch import ExecSpec, order_sensitive
+from .batch import ExecSpec
 from .block_cache import DecodeCache
 from .early_stop import DeadlineStopper
 
@@ -117,12 +118,12 @@ class ServeSpec:
         min_rounds: Search rounds always granted to a deadline-limited query
             so a late dispatch still returns partial results.
         wave: Execute each dispatched micro-batch through the executor's
-            ``wave`` mode (the default): shared ADC tables and, on a
-            stateless read path, one lockstep wave over all of the
-            coordinator's plain segments (``segments × queries`` rows), so
-            queries landing in the same batch coalesce shared block reads.
-            ``False`` selects the ``serial`` reference loop; results are
-            bit-identical either way.
+            ``wave`` mode (the default): shared ADC tables and one
+            lockstep wave over all of the coordinator's segments whose
+            reads cannot fail (``segments × queries`` rows), so queries
+            landing in the same batch coalesce shared block reads.
+            ``False`` selects the ``serial`` reference loop; answers are
+            bit-identical either way (a cache's hit/miss split may not be).
         ingest_queue_depth: Admission bound for concurrent ingest calls
             (:meth:`SearchService.ingest` / :meth:`SearchService.remove`):
             writes beyond it are rejected with :class:`Overloaded` instead
@@ -522,9 +523,6 @@ class SearchService:
         self._live_decisions: list[tuple] = []
         self._started_us = 0.0
         self._submit_seq = itertools.count()
-        # Held around a live worker's coordinator call whenever a segment
-        # is order-sensitive *at that dispatch* (see ``_serve_live_batch``).
-        self._exec_lock = threading.Lock()
         # Ingest admission (write-side mirror of the query queue).
         self._ingest_target = None
         self._ingest_gate = threading.Lock()
@@ -957,17 +955,9 @@ class SearchService:
             # at its first dispatch, not at the next restart.
             if self._plane_saved is not None:
                 self._plane_saved += self._install_plane()
-        # Asked per dispatch, not once at construction: a cache strategy
-        # applied, or a segment replaced, while the service is live must not
-        # leave an unlocked stateful wrapper shared by the workers.
-        serialize = any(
-            order_sensitive(s) for s in self.coordinator.segments
+        results = self._execute_batch(
+            [item.query for item in live], live[0].k, candidate_size, stoppers,
         )
-        with self._exec_lock if serialize else nullcontext():
-            results = self._execute_batch(
-                [item.query for item in live], live[0].k,
-                candidate_size, stoppers,
-            )
         done = self._now_us()
         with self._control_lock:
             self._post_dispatch(done, self._live_decisions)

@@ -20,8 +20,9 @@ configured seed), so a strategy composes with the wave-batched build path:
 identical graphs in → identical layouts and pruned graphs out, preserving
 the serial-vs-wave bit-identity gates.
 
-The built-in names mirror ``StarlingConfig.shuffle`` ("none", "bnf", "bnp",
-"bns", "gp1", "gp2", "gp3", "kmeans") plus the new "bamg".  Strategy
+The built-in names are the values of ``StarlingConfig.shuffle``: the
+shufflers ("none", "bnf", "bnp", "bns", "gp1", "gp2", "gp3", "kmeans") plus
+"bamg".  Strategy
 parameters travel as a tuple of ``(key, value)`` pairs — hashable, so bench
 memoization keyed on frozen configs keeps working, and JSON-safe for the
 persist round-trip.

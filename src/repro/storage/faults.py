@@ -25,6 +25,7 @@ Design rules:
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,12 +131,17 @@ class FaultInjector:
       blocks failed plus the payloads that succeeded in the same round-trip;
     - silent payload corruption (single bit flip) at ``corruption_rate``;
     - :meth:`take_injected_latency_us` exposing the extra simulated time of
-      the most recent read, for the resilience layer to charge;
+      the calling thread's most recent read, for the resilience layer to
+      charge;
     - :meth:`hedge_read`, a duplicate read used by hedging that charges I/O
       and draws its own spike but never fails.
 
     Writes pass through unmodified — the fault model targets the serving
     path, matching the read-mostly segment workload of the paper.
+
+    Safe to share between threads: the RNG draws and injection totals are
+    taken under one lock and each thread's pending spike is its own — but
+    the schedule still follows the global read order.
     """
 
     def __init__(self, device: BlockDevice, fault_spec: FaultSpec) -> None:
@@ -148,7 +154,8 @@ class FaultInjector:
             bid for bid in range(device.num_blocks)
             if picker.random() < fault_spec.bad_block_rate
         )
-        self._pending_extra_us = 0.0
+        self._lock = threading.Lock()
+        self._pending = threading.local()
         # Injection totals (diagnostics; per-query charging lives in stats).
         self.errors_injected = 0
         self.corruptions_injected = 0
@@ -201,6 +208,15 @@ class FaultInjector:
 
     # -- fault machinery ----------------------------------------------------
 
+    @property
+    def _pending_extra_us(self) -> float:
+        """The calling thread's injected latency not yet taken."""
+        return getattr(self._pending, "us", 0.0)
+
+    @_pending_extra_us.setter
+    def _pending_extra_us(self, value: float) -> None:
+        self._pending.us = value
+
     def _corrupt(self, payload: bytes) -> bytes:
         """Flip one RNG-chosen bit of the payload (silent corruption)."""
         flipped = bytearray(payload)
@@ -209,13 +225,13 @@ class FaultInjector:
         self.corruptions_injected += 1
         return bytes(flipped)
 
-    def _roll_spike(self, num_blocks: int, *, sequential: bool = False) -> None:
-        """Draw this round-trip's latency spike into the pending charge."""
+    def _roll_spike(self, num_blocks: int, *, sequential: bool = False) -> float:
+        """Draw this round-trip's latency spike (0.0 when none fires)."""
         spec = self.fault_spec
         if spec.latency_spike_rate <= 0.0:
-            return
+            return 0.0
         if self._rng.random() >= spec.latency_spike_rate:
-            return
+            return 0.0
         base = (
             self.spec.sequential_read_us(num_blocks)
             if sequential else self.spec.random_read_us(num_blocks)
@@ -223,8 +239,8 @@ class FaultInjector:
         multiplier = spec.latency_spike_scale * self._rng.paretovariate(
             spec.latency_spike_alpha
         )
-        self._pending_extra_us += base * multiplier
         self.spikes_injected += 1
+        return base * multiplier
 
     def _inject_one(self, block_id: int, payload: bytes) -> tuple[str | None, bytes]:
         """Fault decision for one block read: ``(fault_kind, payload)``."""
@@ -251,12 +267,7 @@ class FaultInjector:
     # -- counted reads -------------------------------------------------------
 
     def read_block(self, block_id: int) -> bytes:
-        payload = self.inner.read_block(block_id)
-        self._roll_spike(1)
-        kind, payload = self._inject_one(block_id, payload)
-        if kind is not None:
-            raise ReadFaultError({block_id: kind}, {})
-        return payload
+        return self._inject([block_id], [self.inner.read_block(block_id)])[0]
 
     def read_blocks(self, block_ids: Sequence[int]) -> list[bytes]:
         """Batched read; raises :class:`ReadFaultError` if any block fails.
@@ -266,36 +277,29 @@ class FaultInjector:
         carries the payloads that did succeed so callers retry only the rest.
         """
         ids = list(block_ids)
-        payloads = self.inner.read_blocks(ids)
-        self._roll_spike(len(ids))
-        out: list[bytes] = []
-        succeeded: dict[int, bytes] = {}
-        failed: dict[int, str] = {}
-        for bid, payload in zip(ids, payloads):
-            kind, payload = self._inject_one(bid, payload)
-            if kind is None:
-                succeeded[bid] = payload
-                out.append(payload)
-            else:
-                failed[bid] = kind
-        if failed:
-            raise ReadFaultError(failed, succeeded)
-        return out
+        return self._inject(ids, self.inner.read_blocks(ids))
 
     def read_sequential(self, first_block: int, num_blocks: int) -> list[bytes]:
         payloads = self.inner.read_sequential(first_block, num_blocks)
-        self._roll_spike(num_blocks, sequential=True)
+        ids = range(first_block, first_block + num_blocks)
+        return self._inject(ids, payloads, sequential=True)
+
+    def _inject(self, ids, payloads, *, sequential=False) -> list[bytes]:
+        """One round trip's spike and per-block faults, in one locked step."""
         out: list[bytes] = []
         succeeded: dict[int, bytes] = {}
         failed: dict[int, str] = {}
-        for i, payload in enumerate(payloads):
-            bid = first_block + i
-            kind, payload = self._inject_one(bid, payload)
-            if kind is None:
-                succeeded[bid] = payload
-                out.append(payload)
-            else:
-                failed[bid] = kind
+        with self._lock:
+            self._pending_extra_us += self._roll_spike(
+                len(ids), sequential=sequential
+            )
+            for bid, payload in zip(ids, payloads):
+                kind, payload = self._inject_one(bid, payload)
+                if kind is None:
+                    succeeded[bid] = payload
+                    out.append(payload)
+                else:
+                    failed[bid] = kind
         if failed:
             raise ReadFaultError(failed, succeeded)
         return out
@@ -311,12 +315,8 @@ class FaultInjector:
         if not ids:
             return 0.0
         self.inner.read_blocks(ids)
-        before = self._pending_extra_us
-        self._pending_extra_us = 0.0
-        self._roll_spike(len(ids))
-        extra = self._pending_extra_us
-        self._pending_extra_us = before
-        return extra
+        with self._lock:
+            return self._roll_spike(len(ids))
 
 
 class SimulatedCrash(FaultError):
@@ -472,6 +472,13 @@ def base_disk_graph(disk_graph):
     while hasattr(disk_graph, "inner"):
         disk_graph = disk_graph.inner
     return disk_graph
+
+
+def injects_faults(disk_graph) -> bool:
+    """Whether an armed :class:`FaultInjector` (one RNG over the global
+    read order) sits under ``disk_graph``."""
+    device = getattr(base_disk_graph(disk_graph), "device", None)
+    return isinstance(device, FaultInjector) and device.fault_spec.enabled
 
 
 def ensure_fault_injection(disk_graph, fault_spec: FaultSpec) -> FaultInjector | None:

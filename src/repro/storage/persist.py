@@ -277,7 +277,9 @@ def _restore_chaos_fields(cfg_dict: dict) -> dict:
     params ride the same restore: JSON turns their hashable tuple-of-pairs
     form into lists of lists, which must come back as tuples so the
     restored config hashes and compares equal to the one it was saved from,
-    and a saved ``null`` cache strategy comes back as ``"lru"``.
+    a saved ``null`` cache strategy comes back as ``"lru"``, and an older
+    save's ``layout_strategy`` (which overrode ``shuffle`` when set) comes
+    back as ``shuffle``.
     """
     from ..engine.resilience import RetryPolicy
     from .faults import FaultSpec
@@ -293,6 +295,9 @@ def _restore_chaos_fields(cfg_dict: dict) -> dict:
     # what "lru" now means at every capacity.
     if cfg_dict.get("cache_strategy", "lru") is None:
         cfg_dict["cache_strategy"] = "lru"
+    layout = cfg_dict.pop("layout_strategy", None)
+    if layout is not None:
+        cfg_dict["shuffle"] = layout
     return cfg_dict
 
 

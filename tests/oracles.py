@@ -14,7 +14,9 @@ branch).  It is kept here — :class:`OracleBlockSearch` /
 :func:`oracle_block_search` — as the reference the production lockstep round
 loop (``BlockSearchEngine._rounds``) is checked against at every width.  It
 seeds through the scalar entry walk and the per-query ADC table, so it also
-checks the wave's batched round 0.
+checks the wave's batched round 0.  :func:`oracle_wave_search` replays it
+in the round loop's (round, row) order: the reference for a wide wave's
+charges behind a stateful cache.
 
 **The one ADC table build.**  ``ProductQuantizer.lookup_tables`` used to
 build its ``(Q, M, ks)`` tables one subspace at a time; that loop is kept
@@ -204,6 +206,14 @@ class OracleBlockSearch:
         table: np.ndarray | None = None,
         stopper=None,
     ) -> SearchResult:
+        steps, finish = self._begin(query, k, candidate_size, table, stopper)
+        for _ in steps:
+            pass
+        return finish()
+
+    def _begin(self, query, k, candidate_size, table, stopper):
+        """Seed one query: returns its round steps (:meth:`_steps`) and a
+        callable that builds its result once they are exhausted."""
         eng = self.engine
         query = np.asarray(query, dtype=np.float32)
         stats = QueryStats(pipelined=eng.pipeline)
@@ -217,9 +227,17 @@ class OracleBlockSearch:
             )
         elif hasattr(stopper, "bind"):
             stopper.bind(stats)
-        self._run(query, candidates, results, table, stats, stopper=stopper)
-        ids, dists = results.top_k(k)
-        return SearchResult(ids, dists, stats, degraded=stats.fault.degraded)
+        steps = self._steps(
+            query, candidates, results, table, stats, stopper=stopper
+        )
+
+        def finish() -> SearchResult:
+            ids, dists = results.top_k(k)
+            return SearchResult(
+                ids, dists, stats, degraded=stats.fault.degraded
+            )
+
+        return steps, finish
 
     def _run(
         self,
@@ -231,6 +249,25 @@ class OracleBlockSearch:
         *,
         stopper=None,
     ) -> None:
+        for _ in self._steps(
+            query, candidates, results, table, stats, stopper=stopper
+        ):
+            pass
+
+    def _steps(
+        self,
+        query: np.ndarray,
+        candidates: CandidateSet,
+        results: ResultSet,
+        table: np.ndarray | None,
+        stats: QueryStats,
+        *,
+        stopper=None,
+    ):
+        """Algorithm 2 on one query, one step per ``next``: each round
+        yields after its stopper check (the query is live), after its pop
+        and read, and after its fold, select and expand.  :meth:`_run`
+        drains it at once; :func:`oracle_wave_search` interleaves many."""
         eng = self.engine
         dg = eng.disk_graph
         beam_width = eng.beam_width
@@ -257,6 +294,7 @@ class OracleBlockSearch:
             while candidates.has_unvisited():
                 if stopper is not None and stopper.update(results):
                     break
+                yield
                 batch = candidates.pop_unvisited(beam_width)
                 hops += len(batch)
                 targets_by_block: dict[int, list[int]] = {}
@@ -281,6 +319,7 @@ class OracleBlockSearch:
                             # keep draining the rest of the frontier.
                             stats.fault.vertices_abandoned += len(targets)
                     round_blocks = blocks
+                yield
                 if eng.fold_coresident and round_blocks:
                     eng._fold_coresident_targets(
                         candidates, round_blocks, targets_by_block
@@ -317,6 +356,7 @@ class OracleBlockSearch:
                 eng._expand_frontier(
                     query, table, candidates, explore_parts, stats
                 )
+                yield
         finally:
             stats.hops += hops
             stats.vertices_loaded += vertices_loaded
@@ -331,6 +371,36 @@ def oracle_block_search(
     return OracleBlockSearch(engine).search(
         query, k, candidate_size, table=table, stopper=stopper
     )
+
+
+def oracle_wave_search(
+    engine, queries, k, candidate_size, *, stoppers=None
+) -> list[SearchResult]:
+    """:class:`OracleBlockSearch` replayed in the round loop's order.
+
+    Every query is seeded first, in row order (a wave's round 0 — under
+    exact routing, its first reads).  Then each round runs every live
+    query's stopper check, then every live query's pop and read in row
+    order, then every query's fold, select and expand in row order: the
+    (round, row) order both branches of ``BlockSearchEngine._rounds`` issue
+    reads in.  Behind a stateful cache a wave's charges must equal this
+    replay; the serial oracle only fixes its answers.
+    """
+    oracle = OracleBlockSearch(engine)
+    runs = [
+        oracle._begin(
+            q, k, candidate_size, None,
+            stoppers[i] if stoppers is not None else None,
+        )
+        for i, q in enumerate(queries)
+    ]
+    live = [steps for steps, _ in runs]
+    while live:
+        live = [steps for steps in live if next(steps, False) is None]
+        for _ in range(2):  # pop and read; fold, select and expand
+            for steps in live:
+                next(steps)
+    return [finish() for _, finish in runs]
 
 
 def oracle_lookup_tables(pq, queries: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 BAMG block-aware pruning + the co-resident fold) and block-cache strategies
 (LRU / pinned-hot / locality), plus their config and persist threading."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,6 @@ from repro.engine import (
     RetryPolicy,
     wrap_with_cache_strategy,
 )
-from repro.engine.batch import order_sensitive
 from repro.graphs import from_neighbor_lists
 from repro.layout import (
     LAYOUT_STRATEGY_NAMES,
@@ -28,7 +30,12 @@ from repro.layout import (
     validate_layout,
 )
 from repro.storage import VertexFormat, build_disk_graph
-from repro.storage.faults import FaultInjector, FaultSpec, base_disk_graph
+from repro.storage.faults import (
+    FaultInjector,
+    FaultSpec,
+    base_disk_graph,
+    injects_faults,
+)
 from repro.storage.persist import load_starling, save_starling
 from repro.vectors.metrics import get_metric
 
@@ -199,12 +206,12 @@ class TestFoldCoresident:
         assert cfg.fold_coresident is False
 
     def test_config_on_for_bamg(self, graph_config):
-        cfg = StarlingConfig(graph=graph_config, layout_strategy="bamg")
+        cfg = StarlingConfig(graph=graph_config, shuffle="bamg")
         assert cfg.fold_coresident is True
 
     def test_config_opt_out(self, graph_config):
         cfg = StarlingConfig(
-            graph=graph_config, layout_strategy="bamg",
+            graph=graph_config, shuffle="bamg",
             layout_params=(("fold", False),),
         )
         assert cfg.fold_coresident is False
@@ -215,7 +222,7 @@ class TestFoldCoresident:
         """The fold consumes co-resident candidates from blocks already in
         memory, so the same bamg-pruned index answers the same queries in
         fewer device round trips."""
-        base = StarlingConfig(graph=graph_config, layout_strategy="bamg")
+        base = StarlingConfig(graph=graph_config, shuffle="bamg")
         folded = build_starling(small_dataset, base)
         unfolded = build_starling(
             small_dataset, base.with_(layout_params=(("fold", False),))
@@ -239,9 +246,9 @@ class TestFoldCoresident:
         exactly as the per-query loop does."""
         idx = build_starling(
             small_dataset,
-            StarlingConfig(graph=graph_config, layout_strategy="bamg"),
+            StarlingConfig(graph=graph_config, shuffle="bamg"),
         )
-        assert not order_sensitive(idx)
+        assert not injects_faults(idx.engine.disk_graph)
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         reference = [idx.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(idx, ExecSpec(mode="wave"))
@@ -253,7 +260,7 @@ class TestFoldCoresident:
         assert executor.last_wave_stats.coalesced_block_reads > 0
 
     def test_default_engine_stays_wave_capable(self, starling_index):
-        assert not order_sensitive(starling_index)
+        assert not injects_faults(starling_index.engine.disk_graph)
 
 
 # -- cache strategy registry ---------------------------------------------------
@@ -447,15 +454,116 @@ class TestCounterHonesty:
             assert not b.stats.fault.any
 
 
+    @pytest.mark.parametrize("strategy,params", [
+        ("lru", ()),
+        ("hot", ()),
+        ("locality", (("prefetch_blocks", 1),)),
+    ])
+    def test_shared_wrapper_under_threads(
+        self, hot_index, strategy, params
+    ):
+        """One wrapper shared by four reader threads (a short switch
+        interval forces interleavings): each read is one locked step, so
+        nothing raises, the wrapper counts every requested block once and
+        the fetches it reports are exactly the device's reads."""
+        hot_index.apply_cache_strategy(strategy, 4, params=params)
+        cache = hot_index.disk_graph
+        graph = base_disk_graph(cache)
+        before = graph.device.counters.snapshot()
+        asked, fetched, prefetched, errors = [], [], [], []
+
+        def reader(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(1_000):
+                    vids = rng.integers(0, graph.num_vertices, 3).tolist()
+                    ids = list(dict.fromkeys(
+                        graph.vertex_to_block[vids].tolist()
+                    ))
+                    _, got, pulled = cache.read_counted(ids, frontier=vids)
+                    asked.append(len(ids))
+                    fetched.append(got)
+                    prefetched.append(pulled)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert cache.hits + cache.misses == sum(asked)
+        assert cache.misses == sum(fetched) - sum(prefetched)
+        assert graph.device.counters.since(before).blocks_read == sum(fetched)
+
+
+    def test_shared_injector_under_threads(self, small_disk_graph):
+        """One fault injector shared by four reader threads: draws happen
+        under its lock and each thread takes only its own pending spike,
+        so with every round trip spiking, every spike is taken exactly
+        once, by the thread that read."""
+        injector = FaultInjector(
+            small_disk_graph.device, FaultSpec(seed=4, latency_spike_rate=1.0)
+        )
+        taken, errors = [], []
+
+        def reader(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(2_000):
+                    injector.read_blocks(
+                        rng.integers(0, injector.num_blocks, 2).tolist()
+                    )
+                    taken.append(injector.take_injected_latency_us())
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert all(us > 0.0 for us in taken)
+        assert injector.spikes_injected == len(taken) == 8_000
+
+
 # -- config + persist threading ------------------------------------------------
 
 class TestConfigResolution:
     def test_layout_falls_back_to_shuffle(self, graph_config):
+        """One field, ``shuffle``, names every layout strategy (bamg
+        included) and drives the fold.  A config saved with the old second
+        field falls back to ``shuffle`` where that field is null and takes
+        its value where it is set."""
+        from repro.storage.persist import _restore_chaos_fields
+
         cfg = StarlingConfig(graph=graph_config, shuffle="bnp")
-        assert cfg.resolved_layout_strategy == "bnp"
-        assert cfg.with_(
-            layout_strategy="bamg"
-        ).resolved_layout_strategy == "bamg"
+        assert not cfg.fold_coresident
+        assert cfg.with_(shuffle="bamg").fold_coresident
+        for gone in ("layout_strategy", "resolved_layout_strategy"):
+            assert not hasattr(cfg, gone)
+        for saved, layout in ((None, "bnp"), ("bamg", "bamg")):
+            assert _restore_chaos_fields(
+                {"shuffle": "bnp", "layout_strategy": saved}
+            ) == {"shuffle": layout}
 
     def test_cache_legacy_rule(self, graph_config, small_disk_graph):
         """The default ``"lru"`` is the legacy rule: an LRU iff the
@@ -473,7 +581,7 @@ class TestConfigResolution:
 
     def test_unknown_names_rejected(self, graph_config):
         with pytest.raises(ValueError, match="layout strategy"):
-            StarlingConfig(graph=graph_config, layout_strategy="zorder")
+            StarlingConfig(graph=graph_config, shuffle="zorder")
         with pytest.raises(ValueError, match="cache strategy"):
             StarlingConfig(graph=graph_config, cache_strategy="arc")
 
@@ -511,13 +619,13 @@ class TestPersistRoundTrip:
         idx = build_starling(
             small_dataset,
             StarlingConfig(
-                graph=graph_config, layout_strategy="bamg",
+                graph=graph_config, shuffle="bamg",
                 layout_params=(("base", "bnf"), ("alpha", 1.2)),
             ),
         )
         save_starling(idx, tmp_path / "idx")
         loaded = load_starling(tmp_path / "idx")
-        assert loaded.config.layout_strategy == "bamg"
+        assert loaded.config.shuffle == "bamg"
         assert loaded.config.layout_params == (("base", "bnf"), ("alpha", 1.2))
         assert loaded.config.fold_coresident is True
         assert loaded.engine.fold_coresident is True

@@ -779,12 +779,13 @@ class TestOneFanOut:
         assert 0.5 < recall < 1.0
         lc.close()
 
-    def test_cached_segments_take_the_executor_path(self, tmp_path,
-                                                    monkeypatch):
-        """A block cache makes a segment non-unionable: each answers the
-        batch through its own ``BatchExecutor`` in query order, so three
-        handles on one directory — fresh caches each — agree with the
-        oracle on cache hits too."""
+    def test_cached_segments_join_the_wave(self, tmp_path, monkeypatch):
+        """A block cache no longer keeps a segment out of the union: the
+        cached sealed segments answer a batch as one wave, each reading
+        through its own cache row by row.  Three handles on one directory —
+        fresh caches each — agree with the oracle: one query at a time on
+        everything, cache hits included; a whole batch on everything but
+        the cache's charges, which follow the wave's read order."""
 
         def cached(ds):
             return build_starling(ds, FAN_CACHED)
@@ -796,10 +797,14 @@ class TestOneFanOut:
         _fan_mutate(lc, "l2-f32", rng, memtable=True, tombstones=30)
         lc.close()
         queries = _fan_queries(np.concatenate(rows), rng)
-        monkeypatch.setattr(
-            coordinator_module, "search_segments",
-            lambda *a, **kw: pytest.fail("a cached segment joined a wave"),
-        )
+        waves = []
+        real = coordinator_module.search_segments
+
+        def spy(engines, *args, **kwargs):
+            waves.append(len(engines))
+            return real(engines, *args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "search_segments", spy)
         ref, batch_lc, single_lc = (
             SegmentLifecycle.open(tmp_path / "lc", cached) for _ in range(3)
         )
@@ -808,11 +813,21 @@ class TestOneFanOut:
             oracle_lifecycle_search(ref, q, FAN_K, FAN_GAMMA) for q in queries
         ]
         batch = batch_lc.search_batch(queries, FAN_K, FAN_GAMMA)
+        assert waves == [len(batch_lc._sealed)] and waves[0] > 1
         singles = [single_lc.search(q, FAN_K, FAN_GAMMA) for q in queries]
         assert any(r.stats.block_cache_hits for r in want)
+        charges = ("round_trip_blocks", "block_cache_hits", "prefetch_blocks")
         for got_batch, got_single, expected in zip(batch, singles, want):
-            _same_answer(got_batch, expected)
             _same_answer(got_single, expected)
+            assert np.array_equal(got_batch.ids, expected.ids)
+            assert np.array_equal(got_batch.dists, expected.dists)
+            assert {
+                f: v for f, v in got_batch.stats.__dict__.items()
+                if f not in charges
+            } == {
+                f: v for f, v in expected.stats.__dict__.items()
+                if f not in charges
+            }
         for handle in (ref, batch_lc, single_lc):
             handle.close()
 

@@ -183,6 +183,48 @@ class TestStarlingPersistence:
             assert a.stats.round_trip_blocks == b.stats.round_trip_blocks
             assert a.stats.block_cache_hits == b.stats.block_cache_hits
 
+    @pytest.mark.parametrize(
+        "layout, shuffle, layout_strategy",
+        [("bamg", "bnf", "bamg"), ("bnp", "bnp", None)],
+    )
+    def test_two_layout_keys_load_as_one(
+        self, small_dataset, graph_config, tmp_path, layout, shuffle,
+        layout_strategy,
+    ):
+        """Older saves named the layout twice — ``shuffle`` plus a
+        ``layout_strategy`` that overrode it when set (``null`` when not).
+        Such a ``meta.json`` loads to the same layout, the same co-resident
+        fold and the same answers as a save that names it once."""
+        idx = build_starling(
+            small_dataset, StarlingConfig(graph=graph_config, shuffle=layout)
+        )
+        loaded = []
+        for name in ("one", "two"):
+            save_starling(idx, tmp_path / name)
+            if name == "two":
+                meta_path = index_files_dir(tmp_path / name) / "meta.json"
+                meta = json.loads(meta_path.read_text())
+                cfg = meta["config"]
+                assert cfg["shuffle"] == layout
+                assert "layout_strategy" not in cfg
+                cfg["shuffle"] = shuffle
+                cfg["layout_strategy"] = layout_strategy
+                meta_path.write_text(json.dumps(meta))
+                _resign(tmp_path / name)
+            loaded.append(load_starling(tmp_path / name))
+        current, old = loaded
+        assert old.config == current.config
+        assert old.config.shuffle == layout
+        assert old.engine.fold_coresident == current.engine.fold_coresident
+        assert old.engine.fold_coresident == (layout == "bamg")
+        assert np.array_equal(
+            old.disk_graph.vertex_to_block, current.disk_graph.vertex_to_block
+        )
+        for q in small_dataset.queries[:4]:
+            a, b = current.search(q, 10, 48), old.search(q, 10, 48)
+            assert np.array_equal(a.ids, b.ids)
+            assert a.stats.__dict__ == b.stats.__dict__
+
     def test_rejects_wrong_kind_on_load(self, diskann_index, tmp_path):
         save_diskann(diskann_index, tmp_path / "idx")
         with pytest.raises(ValueError, match="does not hold a Starling"):

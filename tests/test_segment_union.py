@@ -47,6 +47,7 @@ from repro.graphs.navigation import (
     entry_walks,
 )
 from repro.graphs.wavebuild import WaveGraph, lockstep_walk
+from repro.storage import FaultSpec, ensure_fault_injection
 from repro.storage.faults import base_disk_graph
 from repro.vectors import bigann_like, deep_like, text2image_like
 from repro.vectors.dataset import VectorDataset
@@ -280,38 +281,44 @@ def test_serial_mode_and_stateful_stoppers_keep_per_segment_calls(
 def test_mixed_coordinator_answers_as_today(
     monkeypatch, union_spy, segment_sets
 ):
-    """Two plain segments (one wave), one behind an LRU cache (its own
-    executor, at width 1) and one quarantined (skipped): merged answers,
-    stats, flags and every device's reads equal the per-segment path's."""
+    """Two plain segments and one behind an LRU cache (one wave of all
+    three: the cached rows read through the wrapper, in row order) and one
+    quarantined (skipped): merged answers, stats, flags and every device's
+    reads equal the per-segment path's — on a narrow wave (2 queries, 6
+    rows) and on a wide one (8 queries, 24 rows), where a round reads the
+    plain segments as one union and the cached one row by row."""
     segments, offsets, parts, pool = segment_sets["l2-f32"]
     cached = build_starling(parts[2], CONFIG)
     members = [segments[0], segments[1], cached, segments[2]]
     member_offsets = [offsets[0], offsets[1], offsets[2], 9_999]
-    queries = pool[:8]
 
-    def run():
+    def run(queries):
         cached.apply_cache_strategy("lru", 6)
         coordinator = SegmentCoordinator(list(members), list(member_offsets))
         coordinator.quarantine_segment(3)
         with _io(members) as io:
             out = coordinator.search_batch(queries, K, GAMMA)
-        return coordinator, out, io
+        return out, io
 
-    coordinator, union, union_io = run()
-    # one wave, of the two plain segments 0 and 1
-    assert len(union_spy) == 1 and len(union_spy[0]) == 2
-    assert all(r.quarantined_segments == [3] and r.degraded for r in union)
-    assert sum(r.stats.block_cache_hits for r in union) > 0
+    unions = [run(pool[:width]) for width in (2, 8)]
+    # one wave each, of the plain segments 0 and 1 and the cached segment 2
+    assert [len(wave) for wave in union_spy] == [3, 3]
+    for union, _ in unions:
+        assert all(r.quarantined_segments == [3] and r.degraded for r in union)
+        assert sum(r.stats.block_cache_hits for r in union) > 0
     _per_segment_path(monkeypatch)
-    _, reference, reference_io = run()
-    _same_merged(union, reference)
-    assert union_io == reference_io
+    for width, (union, union_io) in zip((2, 8), unions):
+        reference, reference_io = run(pool[:width])
+        _same_merged(union, reference)
+        assert union_io == reference_io
 
 
 def test_plan_follows_in_place_read_path_changes(union_spy, segment_sets):
-    """A cache strategy applied to a live segment takes it out of the
-    union at the next batch, without a ``replace_segment``: the union wave
-    spans both segments, then segment 0 alone, then both again."""
+    """Fault injection armed on a live segment takes it out of the union
+    at the next batch, without a ``replace_segment`` — the union wave spans
+    both segments, then segment 0 alone, then both again once the injector
+    is gone — while a cache strategy applied in place keeps the segment in
+    the union."""
     segments, offsets, parts, pool = segment_sets["l2-f32"]
     extra = build_starling(parts[0], CONFIG)
     coordinator = SegmentCoordinator(
@@ -319,12 +326,21 @@ def test_plan_follows_in_place_read_path_changes(union_spy, segment_sets):
     )
     coordinator.search_batch(pool[:2], K, GAMMA)
     assert [len(wave) for wave in union_spy] == [2]
-    extra.apply_cache_strategy("lru", 4)
-    coordinator.search_batch(pool[:2], K, GAMMA)
-    assert [len(wave) for wave in union_spy] == [2, 1]
-    extra.apply_cache_strategy("none", 0)
+    graph = base_disk_graph(extra.disk_graph)
+    device = graph.device
+    ensure_fault_injection(graph, FaultSpec(seed=3, latency_spike_rate=0.5))
+    try:
+        coordinator.search_batch(pool[:2], K, GAMMA)
+        assert [len(wave) for wave in union_spy] == [2, 1]
+    finally:
+        graph.device = device
+        graph.verify_checksums = False
     coordinator.search_batch(pool[:2], K, GAMMA)
     assert [len(wave) for wave in union_spy] == [2, 1, 2]
+    extra.apply_cache_strategy("lru", 4)
+    coordinator.search_batch(pool[:2], K, GAMMA)
+    assert [len(wave) for wave in union_spy] == [2, 1, 2, 2]
+    assert extra.disk_graph.hits + extra.disk_graph.misses > 0
 
 
 # ---------------------------------------------------------------------------

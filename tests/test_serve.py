@@ -7,7 +7,9 @@ that mutate segment state (fault injection for the breaker) restore it in a
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.engine import (
     DeadlineStopper,
     DecodeCache,
     Overloaded,
+    RetryPolicy,
     SearchService,
     ServeSpec,
     Ticket,
@@ -436,59 +439,92 @@ class TestLiveService:
                     outcome.result.dists, expected[i].dists
                 )
 
-    def test_serialisation_is_decided_per_dispatch(self, serve_segments,
-                                                   serve_dataset):
-        """A cache applied *after* the service was constructed must still be
-        served under the lock: the stateful wrapper is shared by the live
-        workers.  Answers equal the scalar oracle, and the queries were
-        charged exactly what the device saw."""
+    @pytest.mark.parametrize(
+        "strategy, armed",
+        [("lru", False), ("locality", False), ("lru", True)],
+    )
+    def test_cache_applied_while_live_is_thread_safe(
+        self, serve_segments, serve_dataset, strategy, armed
+    ):
+        """There is no service lock: a cache strategy applied *after*
+        ``start()`` is shared by two live workers that run concurrently (a
+        short switch interval forces interleavings inside the wrapper).
+        Answers equal the scalar oracle, every block a query was charged
+        left the device, and the wrapper counted every block the queries
+        asked for.  Armed, a latency-spike injector under the cache draws
+        under its own lock and keeps each thread's spike apart: every spike
+        it injected was charged to exactly one query, as a suffered spike
+        or as a hedge's."""
         from .oracles import oracle_block_search
 
-        segments, offsets = serve_segments
+        segments, _ = serve_segments
         segment = segments[0]
+        engine, config = segment.engine, segment.config
         queries = np.asarray(serve_dataset.queries, dtype=np.float32)
-        expected = [
-            oracle_block_search(segment.engine, q, 10, 32) for q in queries
-        ]
+        expected = [oracle_block_search(engine, q, 10, 32) for q in queries]
         service = SearchService(
             segment,
             ServeSpec(workers=2, queue_depth=64, max_batch=2,
                       shed_tiers=(32,)),
         )
-        config = segment.config
-        segment.apply_cache_strategy("lru", 6)
-        unlocked = []
-        execute = service._execute_batch
-
-        def checked(*args):
-            if not service._exec_lock.locked():
-                unlocked.append(args)
-            return execute(*args)
-
-        service._execute_batch = checked
-        device = base_disk_graph(segment.disk_graph).device
+        graph = base_disk_graph(segment.disk_graph)
+        device = graph.device
+        injector = None
+        if armed:
+            # every round trip spikes, so every spike is charged somewhere
+            injector = ensure_fault_injection(
+                graph, FaultSpec(seed=9, latency_spike_rate=1.0)
+            )
+            engine.resilience = RetryPolicy(hedge_after_us=1_500.0)
+        interval = sys.getswitchinterval()
         before = device.counters.snapshot()
         try:
             service.start()
+            sys.setswitchinterval(1e-6)
             try:
+                segment.apply_cache_strategy(
+                    strategy, 6, params=(("prefetch_blocks", 1),)
+                    if strategy == "locality" else (),
+                )
+                cache = segment.disk_graph
                 tickets = [
                     service.submit(q, k=10) for _ in range(3) for q in queries
                 ]
+                deadline = time.monotonic() + 60.0
+                outcomes = [
+                    t.result(timeout=max(deadline - time.monotonic(), 0.0))
+                    for t in tickets
+                ]
             finally:
+                sys.setswitchinterval(interval)
                 service.stop()
             io = device.counters.since(before)
         finally:
             segment.apply_cache_strategy("none", 0)
             segment.config = config
-        assert unlocked == []
-        outcomes = [t.result(timeout=5.0) for t in tickets]
+            engine.resilience = None
+            graph.device = device
+            graph.verify_checksums = False
         assert all(o is not None and o.ok for o in outcomes)
         for i, outcome in enumerate(outcomes):
             want = expected[i % len(queries)]
             np.testing.assert_array_equal(outcome.result.ids, want.ids)
             np.testing.assert_array_equal(outcome.result.dists, want.dists)
-        assert sum(o.result.stats.block_cache_hits for o in outcomes) > 0
-        assert sum(o.result.stats.num_ios for o in outcomes) == io.blocks_read
+        stats = [o.result.stats for o in outcomes]
+        assert sum(s.num_ios for s in stats) == io.blocks_read
+        assert cache.hits == sum(s.block_cache_hits for s in stats) > 0
+        if injector is None:
+            # requested = hits + fetched − prefetched, per query
+            assert cache.hits + cache.misses == sum(
+                s.block_cache_hits + s.num_ios - s.prefetch_blocks
+                for s in stats
+            )
+        else:
+            hedges = sum(s.fault.hedges for s in stats)
+            assert 0 < hedges < sum(s.fault.latency_spikes for s in stats)
+            assert injector.spikes_injected == hedges + sum(
+                s.fault.latency_spikes for s in stats
+            )
 
     def test_plane_follows_a_segment_swapped_in_while_live(
         self, coordinator, serve_dataset

@@ -38,17 +38,20 @@ from repro.engine import (
     ServeSpec,
     WaveStats,
     incremental_range_search,
-    order_sensitive,
 )
 from repro.engine import block_search
 from repro.engine.frontier import CandidateSet, FrontierPlane
 from repro.graphs.navigation import LOCKSTEP_MIN_WAVE
 from repro.storage import FaultSpec
-from repro.storage.faults import base_disk_graph
+from repro.storage.faults import base_disk_graph, injects_faults
 from repro.vectors import bigann_like, deep_like, knn, text2image_like
 
 from .conftest import example_budget
-from .oracles import OracleBlockSearch, oracle_block_search
+from .oracles import (
+    OracleBlockSearch,
+    oracle_block_search,
+    oracle_wave_search,
+)
 
 # The indexes behind the function-scoped fixture wrappers are session-scoped
 # and read-only, so reusing them across generated examples is sound.
@@ -78,6 +81,25 @@ def _same_results(a, b) -> None:
         # nested FaultStats and the per-round-trip block counts.
         assert x.stats.__dict__ == y.stats.__dict__
         assert x.degraded == y.degraded
+
+
+#: the QueryStats fields a block cache moves: where a block came from
+CHARGES = ("round_trip_blocks", "block_cache_hits", "prefetch_blocks")
+
+
+def _same_answers(a, b) -> None:
+    """ids, dists, ``degraded`` and every QueryStats field but a cache's
+    charges are equal."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.ids, y.ids)
+        assert np.array_equal(x.dists, y.dists)
+        assert x.degraded == y.degraded
+        assert {
+            f: v for f, v in x.stats.__dict__.items() if f not in CHARGES
+        } == {
+            f: v for f, v in y.stats.__dict__.items() if f not in CHARGES
+        }
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +164,7 @@ def fold_index(small_dataset, graph_config):
     """A bamg-pruned index: the co-resident fold is on."""
     index = build_starling(
         small_dataset,
-        StarlingConfig(graph=graph_config, layout_strategy="bamg"),
+        StarlingConfig(graph=graph_config, shuffle="bamg"),
     )
     assert index.engine.fold_coresident
     return index
@@ -169,16 +191,26 @@ def _oracle(index, queries, k, gamma, stoppers=None) -> list:
     return out
 
 
-def _rounds_one_by_one(index, queries, k, gamma) -> int:
-    """Rounds the round loop advances when every query is its own call —
-    what a batch run as waves of one adds up to (rounds are a property of
-    the traversal, not of the read path's state)."""
-    total = 0
+def _replay(index, queries, k, gamma, stoppers=None) -> list:
+    """The scalar oracle replayed in the round loop's (round, row) order:
+    the reference for a wide wave's charges behind a stateful cache."""
+    for stopper in stoppers or ():
+        index._bind_costs(stopper)
+    return oracle_wave_search(
+        index.engine, queries, k, gamma, stoppers=stoppers
+    )
+
+
+def _rounds_alone(index, queries, k, gamma) -> list[int]:
+    """Rounds the round loop advances for each query as its own call
+    (rounds are a property of the traversal, not of the read path's
+    state): one wave takes their max, waves of one their sum."""
+    rounds = []
     for q in queries:
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         executor.search_batch(q[None], k, gamma)
-        total += executor.last_wave_stats.rounds
-    return total
+        rounds.append(executor.last_wave_stats.rounds)
+    return rounds
 
 
 def _rounds_of(result) -> int:
@@ -250,7 +282,7 @@ def _locality(plain):
 CASES = [
     "plain", "lru", "hot", "locality_prefetch", "retry_unarmed",
     "faults_retry", "faults_no_retry", "fold", "fold_lru", "exact_routing",
-    "ip", "duplicated", "adaptive", "deadline",
+    "exact_routing_lru", "ip", "duplicated", "adaptive", "deadline",
     "short_block", "sigma_0", "sigma_1", "beam_1", "beam_8",
 ]
 
@@ -279,6 +311,11 @@ def matrix_case(
         case = _Case(fold_index, pool, wrap=_lru)
     elif name == "exact_routing":
         case = _Case(starling_index, pool, use_pq_routing=False)
+    elif name == "exact_routing_lru":
+        # routing reads go through the cache too, in the expand step: a
+        # replay that reads a row's blocks after earlier rows' expansions
+        # sees another hit sequence
+        case = _Case(starling_index, pool, wrap=_lru, use_pq_routing=False)
     elif name == "ip":
         case = _Case(*ip_index, gamma=24)
     elif name == "duplicated":
@@ -310,13 +347,25 @@ def matrix_case(
         yield name, case
 
 
+#: rows whose read path holds state a wide wave exercises: their charges
+#: are checked against the (round, row) replay, their answers against the
+#: serial oracle
+REPLAYED = (
+    "lru", "hot", "locality_prefetch", "fold_lru", "exact_routing",
+    "exact_routing_lru",
+)
+
+
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("matrix_case", CASES, indirect=True)
     def test_wave_equals_oracle(self, matrix_case, width):
-        """ids, dists, the whole QueryStats and ``degraded`` equal the
-        scalar oracle; at width 1 the queries were charged exactly what the
-        device saw; a plain wide wave coalesces."""
+        """ids, dists and ``degraded`` equal the scalar oracle, and so does
+        the whole QueryStats — except behind a stateful read path, whose
+        charges equal the oracle replayed in (round, row) order instead.
+        Every block a query was charged left the device (or was coalesced
+        by the wave); an armed injector keeps waves of one; a plain wide
+        wave coalesces."""
         name, case = matrix_case
         index, k, gamma = case.index, case.k, case.gamma
         queries = case.queries[:width]
@@ -328,28 +377,32 @@ class TestEquivalenceMatrix:
 
         case.fresh()
         got_stoppers = case.stoppers(width)
-        sensitive = order_sensitive(index)
+        armed = injects_faults(index.engine.disk_graph)
         before = device.counters.snapshot()
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries, k, gamma, stoppers=got_stoppers)
         io = device.counters.since(before)
         stats = executor.last_wave_stats
 
-        _same_results(reference, out)
+        if name in REPLAYED:
+            _same_answers(reference, out)
+            case.fresh()
+            _same_results(_replay(index, queries, k, gamma), out)
+        else:
+            _same_results(reference, out)
         if name == "deadline":
             assert [s.fired for s in want_stoppers] == [
                 s.fired for s in got_stoppers
             ]
         assert stats.queries == width
-        assert sensitive == (name in (
-            "lru", "hot", "locality_prefetch", "faults_retry",
-            "faults_no_retry", "fold_lru", "exact_routing",
-        ))
-        if sensitive or width == 1:
+        assert armed == (name in ("faults_retry", "faults_no_retry"))
+        assert sum(r.stats.num_ios for r in out) == (
+            io.blocks_read + stats.coalesced_block_reads
+        )
+        if armed or width == 1:
             # waves of one: nothing shared, every charge is a device read
             assert stats.coalesced_block_reads == 0
-            assert sum(r.stats.num_ios for r in out) == io.blocks_read
-        elif name != "retry_unarmed":
+        elif name not in REPLAYED + ("retry_unarmed",):
             # one wave: as many rounds as its longest query, reads shared
             assert stats.rounds == max(_rounds_of(r) for r in out)
             assert stats.requested_block_reads == sum(
@@ -461,12 +514,13 @@ class TestEquivalenceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the width rule: one predicate, observable in the wave counters
+# the width rule: one wave, unless an injector is armed — observable in the
+# wave counters
 
 
 class TestWaveCapability:
     def test_starling_engine_is_capable(self, starling_index, small_dataset):
-        assert not order_sensitive(starling_index)
+        assert not injects_faults(starling_index.engine.disk_graph)
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries, 10, 48)
@@ -486,57 +540,72 @@ class TestWaveCapability:
 
     def test_resilience_layer_is_not(self, starling_index, chaos_index,
                                      small_dataset):
-        """An armed injector is order-sensitive; a retry policy over a
-        healthy device is not — it runs at full width, reading per query."""
-        assert order_sensitive(chaos_index)
+        """An armed injector keeps waves of one; a retry policy over a
+        healthy device does not — it runs at full width, reading per query."""
+        assert injects_faults(chaos_index.engine.disk_graph)
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         with _engine_attr(starling_index, resilience=RetryPolicy()):
-            assert not order_sensitive(starling_index)
+            assert not injects_faults(starling_index.engine.disk_graph)
             executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
             out = executor.search_batch(queries, 10, 48)
         stats = executor.last_wave_stats
         assert stats.rounds == max(map(_rounds_of, out))
         assert stats.coalesced_block_reads == 0
 
-    def test_full_precision_routing_is_not(self, starling_index,
-                                           small_dataset):
+    def test_full_precision_routing_runs_one_wave(self, starling_index,
+                                                  small_dataset):
+        """Exact routing reads mid-round, in row order, from a stateless
+        graph: the batch is one wave, as long as its longest query, and
+        every query equals its serial answer."""
         queries = np.asarray(small_dataset.queries[:3], dtype=np.float32)
         with _engine_attr(starling_index, use_pq_routing=False):
-            assert order_sensitive(starling_index)
+            reference = [starling_index.search(q, 10, 16) for q in queries]
             executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
             out = executor.search_batch(queries, 10, 16)
-            one_by_one = _rounds_one_by_one(starling_index, queries, 10, 16)
+            alone = _rounds_alone(starling_index, queries, 10, 16)
         assert all(r.stats.pq_distances == 0 for r in out)
-        assert executor.last_wave_stats.rounds == one_by_one
+        _same_results(reference, out)
+        assert executor.last_wave_stats.rounds == max(alone) < sum(alone)
 
-    def test_lru_wrapper_gates_to_batched(self, starling_index,
-                                          small_dataset):
-        """A stateful wrapper runs as in-order waves of one: the rounds add
-        up query by query instead of overlapping."""
+    def test_lru_wrapper_runs_one_wave(self, starling_index, small_dataset):
+        """A cache wrapper no longer gates the width: the rounds overlap
+        (the wave is as long as its longest query), every read goes
+        through the wrapper per query, and the wrapper counted every
+        block the queries asked for."""
         engine = starling_index.engine
         plain = engine.disk_graph
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
-        engine.disk_graph = CachedDiskGraph(plain, capacity_blocks=8)
+        engine.disk_graph = lru = CachedDiskGraph(plain, capacity_blocks=8)
         try:
-            assert order_sensitive(starling_index)
             executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
-            executor.search_batch(queries, 10, 48)
-            one_by_one = _rounds_one_by_one(starling_index, queries, 10, 48)
+            out = executor.search_batch(queries, 10, 48)
+            alone = _rounds_alone(starling_index, queries, 10, 48)
         finally:
             engine.disk_graph = plain
-        assert executor.last_wave_stats.rounds == one_by_one
-        assert executor.last_wave_stats.coalesced_block_reads == 0
+        stats = executor.last_wave_stats
+        assert stats.rounds == max(alone) < sum(alone)
+        assert stats.coalesced_block_reads == 0
+        assert stats.requested_block_reads == sum(
+            r.stats.num_ios + r.stats.block_cache_hits for r in out
+        )
 
     def test_armed_faults_gate_to_batched(self, chaos_index, small_dataset):
-        assert order_sensitive(chaos_index)
+        assert injects_faults(chaos_index.engine.disk_graph)
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         _rearm(chaos_index)
         executor = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
         executor.search_batch(queries, 10, 48)
-        assert executor.last_wave_stats.coalesced_block_reads == 0
+        stats = executor.last_wave_stats
+        assert stats.coalesced_block_reads == 0
+        # waves of one: their rounds add up query by query, as the same
+        # queries alone (in order, under the same fault schedule) do
+        _rearm(chaos_index)
+        assert stats.rounds == sum(
+            _rounds_alone(chaos_index, queries, 10, 48)
+        )
 
     def test_spann_falls_back_to_serial(self, spann_index, small_dataset):
-        assert not order_sensitive(spann_index)
+        assert getattr(spann_index, "disk_graph", None) is None
         queries = np.asarray(small_dataset.queries[:3], dtype=np.float32)
         executor = BatchExecutor(spann_index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries, 10, 48)
