@@ -621,8 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batch execution strategy (answers are identical "
                         "in both: 'serial' is the plain per-query loop, "
                         "'wave' shares ADC tables and decoded blocks and "
-                        "runs the batch as one lockstep wave — or, with "
-                        "chaos armed, as in-order waves of one; a cache's "
+                        "runs the batch as one lockstep wave; a cache's "
                         "hit/miss split may differ)")
     p.add_argument("--cache-strategy", default=None,
                    choices=CACHE_STRATEGY_NAMES,

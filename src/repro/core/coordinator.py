@@ -14,8 +14,9 @@ merges the surviving segments' candidates into a result flagged as partial —
 answer quality degrades gracefully instead of availability collapsing.
 
 A micro-batch is answered over all of its *unionable* segments — Starling
-segments whose reads cannot fail, cached or not, and which share one round
-configuration — as **one** lockstep wave of ``segments × queries`` rows
+segments none of whose reads can raise (cached or not, faulty behind a
+retry policy or not) and which share one round configuration — as **one**
+lockstep wave of ``segments × queries`` rows
 (:func:`~repro.engine.block_search.search_segments`), so a service's
 8-query batch over two segments runs as a 16-row wave, past the wide-wave
 switch.  Every row equals its segment's own wave.  The fan-out alone is
@@ -122,19 +123,20 @@ class CoordinatedResult:
 
 def _unionable(segment) -> bool:
     """Whether a segment may answer inside a multi-segment wave: a Starling
-    segment whose base graph is a plain :class:`DiskGraph` over a plain
-    :class:`BlockDevice` — no retry policy, no fault injector, no checksum
-    verification, so none of its reads can raise a
+    segment over a plain :class:`DiskGraph` none of whose reads can raise a
     :class:`~repro.storage.faults.FaultError` and take a sibling's rows
-    down — whatever cache sits in front of it (the round reads a cached
+    down — one with a retry policy (a fault only degrades its own row, and
+    an injector's draws do not depend on the wave's read order), or one on
+    a plain :class:`BlockDevice` without checksum verification — whatever
+    cache sits in front of it (the round reads a cached or resilient
     segment per row, in the wave's order)."""
     if not isinstance(segment, StarlingIndex):
         return False
     engine = segment.engine
     dg = base_disk_graph(engine.disk_graph)
-    return (
-        type(dg) is DiskGraph and type(dg.device) is BlockDevice
-        and not dg.verify_checksums and engine.resilience is None
+    return type(dg) is DiskGraph and (
+        engine.resilience is not None
+        or (type(dg.device) is BlockDevice and not dg.verify_checksums)
     )
 
 
@@ -346,7 +348,8 @@ class SegmentCoordinator:
         batch costs that segment one error count and drops its
         contribution for the *whole* batch — the same all-or-nothing
         contract a single coordinated query has.  A unionable segment
-        cannot fault, so the union never drops a sibling.
+        cannot raise (a resilient one degrades only its own rows), so the
+        union never drops a sibling.
 
         ``stoppers`` optionally carries one early-stop object per query
         (the serving layer's deadline budgets); they are forwarded only to
@@ -369,8 +372,9 @@ class SegmentCoordinator:
         ):
             # One wave per shared union_key, over the healthy unionable
             # segments in index order; grouped afresh on every call, so
-            # fault injection armed in place takes its segment out of the
-            # union at the next batch (a cache applied in place does not).
+            # fault injection armed in place on a segment without a retry
+            # policy takes it out of the union at the next batch (a cache
+            # applied in place does not).
             waves: dict[tuple, list[int]] = {}
             for i, (segment, _) in enumerate(snapshot):
                 if i not in skipped and _unionable(segment):

@@ -35,14 +35,13 @@ stateful reads — a cache wrapper's hits and evictions, exact routing's
 mid-round reads — happen in the round loop's fixed (round, row) order, so
 its charges (hits, fetches, prefetches, round trips) equal the serial
 primitives replayed in that order (``tests/oracles.py::
-oracle_wave_search``), not necessarily width 1's.  The one exception is an
-armed :class:`~repro.storage.faults.FaultInjector`
-(:func:`~repro.storage.faults.injects_faults`): its one sequential RNG
-makes the fault schedule a function of the read order, so such a batch
-runs as a sequence of waves of one — the serial loop's order, every
-:class:`~repro.engine.cost.FaultStats` counter included.  The DiskANN
-baseline's :class:`~repro.engine.beam_search.BeamSearchEngine` keeps its
-own driver and runs in order under the same shared tables and cache.
+oracle_wave_search``), not necessarily width 1's.  An armed
+:class:`~repro.storage.faults.FaultInjector` is no exception: it keys every
+fault on ``(seed, block, attempt)``, not on the read order, so a wide
+wave's answers and :class:`~repro.engine.cost.FaultStats` equal the serial
+loop's too.  The DiskANN baseline's
+:class:`~repro.engine.beam_search.BeamSearchEngine` keeps its own driver
+and runs in order under the same shared tables and cache.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..storage.faults import base_disk_graph, injects_faults
+from ..storage.faults import base_disk_graph
 from .cost import WaveStats
 
 #: execution strategies understood by :class:`ExecSpec`
@@ -70,7 +69,7 @@ class ExecSpec:
             amortization at all; ``wave`` (the default) shares the ADC table
             build and the decode cache across the batch and advances
             block-search indexes through the lockstep round loop as one
-            wave (waves of one under an armed fault injector).
+            wave.
         gc_pause: Pause the cyclic garbage collector for the span of the
             batch (restored — and left to collect — afterwards), so the
             rounds' transient allocations do not trigger generation scans
@@ -135,9 +134,9 @@ class BatchExecutor:
         self.engine = getattr(index, "engine", index)
         self.spec = spec or ExecSpec()
         #: :class:`~repro.engine.cost.WaveStats` of the most recent
-        #: ``search_batch`` call, summed over its waves (None when that
-        #: call did not run the round loop: ``serial`` mode, a beam or
-        #: SPANN index, a range batch)
+        #: ``search_batch`` call's one wave (None when that call did not
+        #: run the round loop: ``serial`` mode, a beam or SPANN index, a
+        #: range batch)
         self.last_wave_stats = None
 
     def _plain_loop(self) -> bool:
@@ -212,18 +211,11 @@ class BatchExecutor:
                     )
                     for i, (q, s) in enumerate(zip(queries, stoppers))
                 ]
-            width = (
-                1 if injects_faults(self.engine.disk_graph) else len(queries)
-            )
             stats = WaveStats()
-            results: list = []
-            for lo in range(0, len(queries), width):
-                hi = lo + width
-                results += search_wave(
-                    queries[lo:hi], k, candidate_size,
-                    tables=tables[lo:hi] if tables is not None else None,
-                    stoppers=stoppers[lo:hi], wave_stats=stats,
-                )
+            results = search_wave(
+                queries, k, candidate_size, tables=tables,
+                stoppers=stoppers, wave_stats=stats,
+            )
         self.last_wave_stats = stats
         return results
 

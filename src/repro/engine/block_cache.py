@@ -172,10 +172,10 @@ class DelegatingDiskGraph:
         self.misses += len(missing)
         return found, missing
 
-    def _fetch(self, found: dict[int, DiskBlock], block_ids, failed) -> None:
+    def _fetch(self, found: dict[int, DiskBlock], block_ids, failed, attempt):
         """Read ``block_ids`` from ``inner`` in one round trip and admit what
         arrived (a block that failed is never cached) into ``found``."""
-        got = self.inner.read_counted(block_ids, failed=failed)[0]
+        got = self.inner.read_counted(block_ids, failed=failed, attempt=attempt)[0]
         for block in got.values():
             self._admit(block)
         found.update(got)
@@ -186,6 +186,7 @@ class DelegatingDiskGraph:
         *,
         failed: dict[int, str] | None = None,
         frontier: Sequence[int] | None = None,
+        attempt: int = 0,
     ) -> tuple[dict[int, DiskBlock], int, int]:
         """Cache-aware :meth:`DiskGraph.read_counted`: hits come from
         memory (they never fault), the misses cost one round trip, and the
@@ -193,7 +194,7 @@ class DelegatingDiskGraph:
         with self._lock:
             found, missing = self._partition(block_ids)
             if missing:
-                self._fetch(found, missing, failed)
+                self._fetch(found, missing, failed, attempt)
         return found, len(missing), 0
 
     def read_block(self, block_id: int) -> DiskBlock:

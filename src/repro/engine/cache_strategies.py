@@ -18,8 +18,9 @@ One seam over every way the engines keep decoded blocks in memory:
                 the hottest predicted blocks.
 
 Every strategy is a :class:`~repro.engine.block_cache.DelegatingDiskGraph`
-and answers one read, ``read_counted(block_ids, *, failed, frontier)``,
-which returns ``(blocks by id, blocks fetched, of those prefetched)``.
+and answers one read, ``read_counted(block_ids, *, failed, frontier,
+attempt)``, which returns ``(blocks by id, blocks fetched, of those
+prefetched)``.
 :func:`repro.engine.io_util.counted_read_blocks_of` turns that into a
 query's bill by one rule, on every attempt of a strict or a resilient
 read alike:
@@ -262,6 +263,7 @@ class LocalityBlockCache(DelegatingDiskGraph):
         *,
         failed: dict[int, str] | None = None,
         frontier: Sequence[int] | None = None,
+        attempt: int = 0,
     ) -> tuple[dict[int, DiskBlock], int, int]:
         """Counted read; a frontier read also prefetches and credits.
 
@@ -275,12 +277,12 @@ class LocalityBlockCache(DelegatingDiskGraph):
         retries it, and it is never cached.
         """
         if frontier is None:
-            return super().read_counted(block_ids, failed=failed)
+            return super().read_counted(block_ids, failed=failed, attempt=attempt)
         with self._lock:
             found, missing = self._partition(block_ids)
             pulled = self._pick_prefetch(set(block_ids), len(missing))
             if missing or pulled:
-                self._fetch(found, missing + pulled, failed)
+                self._fetch(found, missing + pulled, failed, attempt)
             if pulled:
                 self.prefetch_issued += len(pulled)
                 if failed:

@@ -9,7 +9,8 @@ rule (see :mod:`repro.engine.cache_strategies`).
 
 With a :class:`~repro.engine.resilience.RetryPolicy`, failed or corrupt
 blocks are retried (each retry a fresh, fully charged round-trip that
-reads only the failures and predicts nothing) and blocks that stay
+reads only the failures, predicts nothing and tells the seam its attempt
+number, on which a fault injector keys its draws) and blocks that stay
 unreadable are abandoned — absent from the returned list and counted in
 ``stats.fault`` — so the engines can skip the affected vertices rather than
 crash.  Without one, the first fault raises.
@@ -43,7 +44,7 @@ def counted_read_blocks_of(disk_graph, vertex_ids: Sequence[int],
     while True:
         failed = None if resilience is None else {}
         got, fetched, prefetched = disk_graph.read_counted(
-            remaining, failed=failed, frontier=frontier
+            remaining, failed=failed, frontier=frontier, attempt=attempt
         )
         if fetched:
             stats.round_trip_blocks.append(fetched)
@@ -51,7 +52,8 @@ def counted_read_blocks_of(disk_graph, vertex_ids: Sequence[int],
         stats.block_cache_hits += len(remaining) - (fetched - prefetched)
         found.update(got)
         if resilience is None or not settle_attempt(
-            disk_graph.device, remaining, failed, attempt, stats, resilience
+            disk_graph.device, remaining, failed, attempt, fetched, stats,
+            resilience,
         ):
             break
         attempt += 1

@@ -62,9 +62,10 @@ class RetryPolicy:
 
 
 def _charge_spike(
-    device, block_ids: Sequence[int], stats: QueryStats, policy: RetryPolicy
+    device, block_ids: Sequence[int], attempt: int, stats: QueryStats,
+    policy: RetryPolicy,
 ) -> None:
-    """Collect the last read's injected latency; hedge it when worthwhile."""
+    """Collect the attempt's round-trip spike; hedge it when worthwhile."""
     take = getattr(device, "take_injected_latency_us", None)
     if take is None:
         return
@@ -76,7 +77,7 @@ def _charge_spike(
         # The duplicate read races the stalled one; pay the faster completion
         # (hedge trigger + the duplicate's own spike) but charge both I/Os.
         stats.fault.hedges += 1
-        hedge_spike_us = device.hedge_read(block_ids)
+        hedge_spike_us = device.hedge_read(block_ids, attempt)
         stats.round_trip_blocks.append(len(block_ids))
         spike_us = min(spike_us, policy.hedge_after_us + hedge_spike_us)
     stats.fault.injected_latency_us += spike_us
@@ -84,16 +85,20 @@ def _charge_spike(
 
 def settle_attempt(
     device, block_ids: Sequence[int], failed: dict[int, str], attempt: int,
-    stats: QueryStats, policy: RetryPolicy,
+    fetched: int, stats: QueryStats, policy: RetryPolicy,
 ) -> bool:
     """Charge one resilient read attempt's spike and faults to ``stats``.
 
     ``block_ids`` is what the attempt asked for, ``failed`` what it could
-    not read and ``attempt`` how many retries came before it.  Returns
-    whether the failed blocks get another round (charging its backoff);
-    once the budget is spent they are abandoned.
+    not read, ``attempt`` how many retries came before it and ``fetched``
+    how many blocks its round trip took from the device.  A spike belongs
+    to the round trip that drew it, so an attempt served wholly from a
+    cache (nothing fetched, no trip) is charged none.  Returns whether the
+    failed blocks get another round (charging its backoff); once the
+    budget is spent they are abandoned.
     """
-    _charge_spike(device, block_ids, stats, policy)
+    if fetched:
+        _charge_spike(device, block_ids, attempt, stats, policy)
     if not failed:
         return False
     corrupt = sum(1 for kind in failed.values() if kind == KIND_CHECKSUM)

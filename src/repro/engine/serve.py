@@ -55,11 +55,11 @@ the service touched.
 Live workers share each segment's one engine, whose round loop keeps no
 per-engine scratch, and run concurrently whatever the read path: every
 object on it that holds state guards itself — a cache wrapper serializes its
-own reads (:class:`~repro.engine.block_cache.DelegatingDiskGraph`), a fault
-injector draws under its own lock and keeps each thread's latency spike
-apart.  Which worker's query hits a cache, or meets an injected fault, then
-follows thread timing; every query is still charged exactly the blocks it
-took off the device.
+own reads (:class:`~repro.engine.block_cache.DelegatingDiskGraph`), and a
+fault injector keys every draw on the read itself and keeps each thread's
+latency spike apart, so an injected fault meets the same query whichever
+worker runs it.  Which worker's query hits a cache follows thread timing;
+every query is still charged exactly the blocks it took off the device.
 """
 
 from __future__ import annotations

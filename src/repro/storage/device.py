@@ -237,11 +237,14 @@ class BlockDevice:
             self.counters.round_trips += 1
             return self._fetch(block_id)
 
-    def read_blocks(self, block_ids: Sequence[int]) -> list[bytes]:
+    def read_blocks(
+        self, block_ids: Sequence[int], attempt: int = 0
+    ) -> list[bytes]:
         """Batched random read: one round-trip for the whole batch.
 
         This models the paper's central assumption that a beam of random
-        block fetches completes in roughly one disk round-trip.
+        block fetches completes in roughly one disk round-trip.  The retry
+        ``attempt`` matters only to a fault injector, which keys on it.
         """
         ids = list(block_ids)
         for bid in ids:

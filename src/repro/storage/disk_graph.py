@@ -276,7 +276,8 @@ class DiskGraph:
         return self._decode(block_id, payload)
 
     def read_payloads(
-        self, block_ids: Sequence[int], failed: dict[int, str] | None = None
+        self, block_ids: Sequence[int], failed: dict[int, str] | None = None,
+        *, attempt: int = 0,
     ) -> list[bytes | None]:
         """The verified raw read every batched read is built on: one device
         round-trip for ``block_ids``, each payload checked against its CRC.
@@ -285,10 +286,11 @@ class DiskGraph:
         (:class:`~repro.storage.faults.ReadFaultError` /
         :class:`~repro.storage.faults.ChecksumError`) — unless the caller
         passes a ``failed`` dict, in which case it is reported there as
-        ``{block_id: fault_kind}`` and its payload reads ``None``.
+        ``{block_id: fault_kind}`` and its payload reads ``None``.  The
+        retry ``attempt`` goes to the device (a fault injector's key).
         """
         try:
-            payloads = self.device.read_blocks(block_ids)
+            payloads = self.device.read_blocks(block_ids, attempt)
         except ReadFaultError as exc:
             if failed is None:
                 raise
@@ -315,8 +317,8 @@ class DiskGraph:
             # Full-batch cache hit: the payload bytes would be thrown away
             # (every block decodes from the cache), so skip the media fetch
             # and charge the round-trip directly — counters stay identical.
-            # Gated on the exact device type because subclasses (fault
-            # injectors) draw per-read randomness the fetch must trigger,
+            # Gated on the exact device type because a wrapping device (a
+            # fault injector) decides each block's fault when it is read,
             # and on checksum verification, which needs the raw payload.
             blocks = [cache.get(bid) for bid in block_ids]
             if None not in blocks:
@@ -343,6 +345,7 @@ class DiskGraph:
         *,
         failed: dict[int, str] | None = None,
         frontier: Sequence[int] | None = None,
+        attempt: int = 0,
     ) -> tuple[dict[int, DiskBlock], int, int]:
         """The counted read every engine charges a query for:
         ``(blocks by id, blocks fetched from the device, of those prefetched)``.
@@ -351,7 +354,8 @@ class DiskGraph:
         it is :meth:`read_blocks` and a fault raises; with a ``failed`` dict,
         read errors and checksum mismatches land there as ``{block_id:
         fault_kind}`` and the block is absent from the result, so a
-        resilience layer can retry exactly the failures.  The fetch count is
+        resilience layer can retry exactly the failures; ``attempt`` says
+        which retry of the query's read this is.  The fetch count is
         local, not a device-counter delta, which keeps per-query stats exact
         when queries interleave on one device.  ``frontier`` (the vertex ids
         the read serves) is a hint for the cache wrappers; a bare disk graph
@@ -360,7 +364,7 @@ class DiskGraph:
         if failed is None:
             blocks = self.read_blocks(block_ids)
             return dict(zip(block_ids, blocks)), len(block_ids), 0
-        payloads = self.read_payloads(block_ids, failed)
+        payloads = self.read_payloads(block_ids, failed, attempt=attempt)
         found = {
             bid: self._decode(bid, payload)
             for bid, payload in zip(block_ids, payloads) if payload is not None

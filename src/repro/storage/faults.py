@@ -4,14 +4,16 @@ The paper's setting is a production vector database whose disk is both the
 bottleneck *and* the failure domain, yet a bare
 :class:`~repro.storage.device.BlockDevice` is perfectly reliable.  Real NVMe
 deployments see transient read errors, permanent bad blocks, silent bit-rot,
-and heavy-tailed latency spikes; this module injects all four from a seeded
-RNG so any benchmark can run under reproducible chaos.
+and heavy-tailed latency spikes; this module injects all four, seeded, so
+any benchmark can run under reproducible chaos.
 
 Design rules:
 
-- **Determinism.**  All fault decisions come from ``random.Random`` streams
-  derived from :attr:`FaultSpec.seed`.  Same seed + same access sequence →
-  same faults, same results, same stats.
+- **Order-free determinism.**  Every fault decision is a pure function of
+  its key and :attr:`FaultSpec.seed`: ``(block_id, attempt)`` (which retry
+  of the caller's read this is) for a transient error or corruption, the
+  id for a bad block, ``(attempt, block ids)`` for a round trip's spike.
+  No stream state: a read's outcome does not depend on the read order.
 - **Honest accounting.**  A failed read still charges the device counters —
   the round-trip happened, it just returned garbage or an error.  Injected
   latency is expressed in simulated microseconds derived from the device's
@@ -24,12 +26,13 @@ Design rules:
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .device import BlockDevice, IOCounters
+from .device import BlockDevice
 
 #: fault kinds reported by :meth:`FaultInjector.read_blocks` and
 #: :meth:`DiskGraph.read_counted <repro.storage.disk_graph.DiskGraph.read_counted>`
@@ -74,21 +77,21 @@ class FaultSpec:
     """Fault model of the simulated disk (all rates default to zero = off).
 
     Attributes:
-        seed: Seeds every fault decision; identical seeds reproduce identical
-            fault schedules.
-        transient_error_rate: Per-block-read probability of a retryable read
-            error (media retry / link CRC error).
+        seed: Keys every fault decision; identical seeds reproduce identical
+            fault schedules, whatever order the reads come in.
+        transient_error_rate: Per-(block, attempt) probability of a retryable
+            read error (media retry / link CRC error); a retry draws afresh.
         bad_block_rate: Fraction of blocks that are permanently unreadable,
-            chosen once at injector construction.
-        corruption_rate: Per-block-read probability of a silent single-bit
-            flip in the returned payload (bit-rot; only *detected* when the
-            disk graph verifies checksums).
+            one draw per block id.
+        corruption_rate: Per-(block, attempt) probability of a silent
+            single-bit flip in the returned payload (bit-rot; only
+            *detected* when the disk graph verifies checksums).
         latency_spike_rate: Per-round-trip probability of a heavy-tailed
-            latency spike.
+            latency spike, keyed by the trip's block ids and attempt.
         latency_spike_alpha: Pareto shape of the spike multiplier; lower is
             heavier-tailed.
         latency_spike_scale: Scale of the spike — extra simulated time is
-            ``scale * paretovariate(alpha)`` times the round-trip's base cost.
+            ``scale`` × a Pareto(``alpha``) draw × the round-trip's base cost.
     """
 
     seed: int = 0
@@ -124,35 +127,34 @@ class FaultSpec:
 class FaultInjector:
     """A :class:`BlockDevice` wrapper that injects faults on the read path.
 
-    Exposes the same surface as the wrapped device (counters included, so the
-    engines' counter-delta accounting is unchanged) and adds:
+    Exposes the same surface as the wrapped device (delegated, counters
+    included, so the engines' counter-delta accounting is unchanged) and
+    adds:
 
     - :meth:`read_blocks` raising :class:`ReadFaultError` carrying *which*
       blocks failed plus the payloads that succeeded in the same round-trip;
     - silent payload corruption (single bit flip) at ``corruption_rate``;
     - :meth:`take_injected_latency_us` exposing the extra simulated time of
-      the calling thread's most recent read, for the resilience layer to
-      charge;
+      the calling thread's most recent round trip, for the resilience layer
+      to charge;
     - :meth:`hedge_read`, a duplicate read used by hedging that charges I/O
       and draws its own spike but never fails.
 
     Writes pass through unmodified — the fault model targets the serving
     path, matching the read-mostly segment workload of the paper.
 
-    Safe to share between threads: the RNG draws and injection totals are
-    taken under one lock and each thread's pending spike is its own — but
-    the schedule still follows the global read order.
+    Safe to share between threads: every draw is a pure function of its key
+    (see the module docstring), each thread's latest spike is its own, and
+    one lock guards only the diagnostic injection totals.
     """
 
     def __init__(self, device: BlockDevice, fault_spec: FaultSpec) -> None:
         self.inner = device
         self.fault_spec = fault_spec
-        self._rng = random.Random(fault_spec.seed)
-        # Permanent bad blocks are a property of the media, fixed up front.
-        picker = random.Random(fault_spec.seed ^ 0x5EEDBAD)
+        # Permanent bad blocks are a property of the media: one draw per id.
         self.bad_blocks: frozenset[int] = frozenset(
             bid for bid in range(device.num_blocks)
-            if picker.random() < fault_spec.bad_block_rate
+            if self._fires(fault_spec.bad_block_rate, "bad", bid)
         )
         self._lock = threading.Lock()
         self._pending = threading.local()
@@ -163,38 +165,13 @@ class FaultInjector:
 
     # -- delegated device surface -----------------------------------------
 
-    @property
-    def block_bytes(self) -> int:
-        return self.inner.block_bytes
-
-    @property
-    def num_blocks(self) -> int:
-        return self.inner.num_blocks
-
-    @property
-    def spec(self):
-        return self.inner.spec
-
-    @property
-    def counters(self) -> IOCounters:
-        return self.inner.counters
-
-    @property
-    def path(self) -> str | None:
-        return self.inner.path
-
-    @property
-    def disk_bytes(self) -> int:
-        return self.inner.disk_bytes
-
-    def write_block(self, block_id: int, data: bytes) -> None:
-        self.inner.write_block(block_id, data)
-
-    def reset_counters(self) -> None:
-        self.inner.reset_counters()
-
-    def close(self) -> None:
-        self.inner.close()
+    def __getattr__(self, name: str):
+        # Everything but the counted reads is the wrapped device's own:
+        # geometry, the disk spec, the live counters, writes, ``close`` and
+        # the uncounted ``_fetch`` (analysis reads bypass injection).
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
 
     def __enter__(self) -> "FaultInjector":
         return self
@@ -202,66 +179,44 @@ class FaultInjector:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _fetch(self, block_id: int) -> bytes:
-        # Uncounted analysis reads bypass fault injection on purpose.
-        return self.inner._fetch(block_id)
-
     # -- fault machinery ----------------------------------------------------
 
-    @property
-    def _pending_extra_us(self) -> float:
-        """The calling thread's injected latency not yet taken."""
-        return getattr(self._pending, "us", 0.0)
+    def _draw(self, *key) -> float:
+        """A uniform draw in ``[0, 1)``, a pure function of ``(seed, *key)``:
+        53 bits of a blake2b digest (a fixed hash, unlike ``hash()``)."""
+        key = repr((self.fault_spec.seed, *key)).encode()
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        return (int.from_bytes(digest, "little") >> 11) * 2.0 ** -53
 
-    @_pending_extra_us.setter
-    def _pending_extra_us(self, value: float) -> None:
-        self._pending.us = value
+    def _fires(self, rate: float, *key) -> bool:
+        return rate > 0.0 and self._draw(*key) < rate
 
-    def _corrupt(self, payload: bytes) -> bytes:
-        """Flip one RNG-chosen bit of the payload (silent corruption)."""
-        flipped = bytearray(payload)
-        bit = self._rng.randrange(max(len(flipped), 1) * 8)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        self.corruptions_injected += 1
-        return bytes(flipped)
-
-    def _roll_spike(self, num_blocks: int, *, sequential: bool = False) -> float:
-        """Draw this round-trip's latency spike (0.0 when none fires)."""
+    def _spike_us(self, tag: str, ids, attempt: int,
+                  sequential: bool = False) -> float:
+        """The latency spike of one round trip over ``ids`` (0.0 when none
+        fires), keyed by ``(tag, attempt, sorted ids)``."""
         spec = self.fault_spec
         if spec.latency_spike_rate <= 0.0:
             return 0.0
-        if self._rng.random() >= spec.latency_spike_rate:
+        key = (tag, attempt, *sorted(map(int, ids)))
+        if self._draw(*key) >= spec.latency_spike_rate:
             return 0.0
         base = (
-            self.spec.sequential_read_us(num_blocks)
-            if sequential else self.spec.random_read_us(num_blocks)
+            self.spec.sequential_read_us(len(ids))
+            if sequential else self.spec.random_read_us(len(ids))
         )
-        multiplier = spec.latency_spike_scale * self._rng.paretovariate(
-            spec.latency_spike_alpha
+        pareto = (1.0 - self._draw("size", *key)) ** (
+            -1.0 / spec.latency_spike_alpha
         )
-        self.spikes_injected += 1
-        return base * multiplier
-
-    def _inject_one(self, block_id: int, payload: bytes) -> tuple[str | None, bytes]:
-        """Fault decision for one block read: ``(fault_kind, payload)``."""
-        spec = self.fault_spec
-        if block_id in self.bad_blocks:
-            self.errors_injected += 1
-            return KIND_BAD_BLOCK, b""
-        if spec.transient_error_rate > 0.0 and (
-            self._rng.random() < spec.transient_error_rate
-        ):
-            self.errors_injected += 1
-            return KIND_TRANSIENT, b""
-        if spec.corruption_rate > 0.0 and (
-            self._rng.random() < spec.corruption_rate
-        ):
-            return None, self._corrupt(payload)
-        return None, payload
+        with self._lock:
+            self.spikes_injected += 1
+        return base * spec.latency_spike_scale * pareto
 
     def take_injected_latency_us(self) -> float:
-        """Pop the extra simulated time injected since the last call."""
-        extra, self._pending_extra_us = self._pending_extra_us, 0.0
+        """Pop the extra simulated time of this thread's most recent round
+        trip (0.0 once taken): each trip replaces the last one's, so a spike
+        nobody took never lands on a later read."""
+        extra, self._pending.us = getattr(self._pending, "us", 0.0), 0.0
         return extra
 
     # -- counted reads -------------------------------------------------------
@@ -269,54 +224,68 @@ class FaultInjector:
     def read_block(self, block_id: int) -> bytes:
         return self._inject([block_id], [self.inner.read_block(block_id)])[0]
 
-    def read_blocks(self, block_ids: Sequence[int]) -> list[bytes]:
+    def read_blocks(
+        self, block_ids: Sequence[int], attempt: int = 0
+    ) -> list[bytes]:
         """Batched read; raises :class:`ReadFaultError` if any block fails.
 
-        Counters are charged for the whole batch first — the I/O was issued
-        whether or not the media answered correctly — and the exception
-        carries the payloads that did succeed so callers retry only the rest.
+        ``attempt`` says which retry of the caller's read this is; it keys
+        every draw.  Counters are charged for the whole batch first — the
+        I/O was issued whether or not the media answered correctly — and the
+        exception carries the payloads that did succeed so callers retry
+        only the rest.
         """
         ids = list(block_ids)
-        return self._inject(ids, self.inner.read_blocks(ids))
+        return self._inject(ids, self.inner.read_blocks(ids), attempt)
 
     def read_sequential(self, first_block: int, num_blocks: int) -> list[bytes]:
         payloads = self.inner.read_sequential(first_block, num_blocks)
         ids = range(first_block, first_block + num_blocks)
         return self._inject(ids, payloads, sequential=True)
 
-    def _inject(self, ids, payloads, *, sequential=False) -> list[bytes]:
-        """One round trip's spike and per-block faults, in one locked step."""
+    def _inject(self, ids, payloads, attempt=0, *, sequential=False):
+        """One round trip's spike and per-block faults."""
+        spec = self.fault_spec
+        self._pending.us = self._spike_us("trip", ids, attempt, sequential)
         out: list[bytes] = []
         succeeded: dict[int, bytes] = {}
         failed: dict[int, str] = {}
+        flipped = 0
+        for bid, payload in zip(map(int, ids), payloads):
+            if bid in self.bad_blocks:
+                failed[bid] = KIND_BAD_BLOCK
+                continue
+            if self._fires(spec.transient_error_rate, "error", bid, attempt):
+                failed[bid] = KIND_TRANSIENT
+                continue
+            if self._fires(spec.corruption_rate, "corrupt", bid, attempt):
+                # Silent bit-rot: one keyed bit of the payload flips.
+                flip = bytearray(payload)
+                bit = int(self._draw("bit", bid, attempt) * len(flip) * 8)
+                flip[bit // 8] ^= 1 << (bit % 8)
+                payload, flipped = bytes(flip), flipped + 1
+            succeeded[bid] = payload
+            out.append(payload)
         with self._lock:
-            self._pending_extra_us += self._roll_spike(
-                len(ids), sequential=sequential
-            )
-            for bid, payload in zip(ids, payloads):
-                kind, payload = self._inject_one(bid, payload)
-                if kind is None:
-                    succeeded[bid] = payload
-                    out.append(payload)
-                else:
-                    failed[bid] = kind
+            self.errors_injected += len(failed)
+            self.corruptions_injected += flipped
         if failed:
             raise ReadFaultError(failed, succeeded)
         return out
 
-    def hedge_read(self, block_ids: Sequence[int]) -> float:
+    def hedge_read(self, block_ids: Sequence[int], attempt: int = 0) -> float:
         """Duplicate read issued by hedging; returns its own spike time.
 
         The data already arrived through the primary read, so this only
-        charges the device counters for the duplicate round-trip and draws an
-        independent latency sample — it never raises.
+        charges the device counters for the duplicate round-trip and draws
+        its latency under the primary's key plus a hedge tag — it never
+        raises.
         """
         ids = list(block_ids)
         if not ids:
             return 0.0
         self.inner.read_blocks(ids)
-        with self._lock:
-            return self._roll_spike(len(ids))
+        return self._spike_us("hedge", ids, attempt)
 
 
 class SimulatedCrash(FaultError):
@@ -472,13 +441,6 @@ def base_disk_graph(disk_graph):
     while hasattr(disk_graph, "inner"):
         disk_graph = disk_graph.inner
     return disk_graph
-
-
-def injects_faults(disk_graph) -> bool:
-    """Whether an armed :class:`FaultInjector` (one RNG over the global
-    read order) sits under ``disk_graph``."""
-    device = getattr(base_disk_graph(disk_graph), "device", None)
-    return isinstance(device, FaultInjector) and device.fault_spec.enabled
 
 
 def ensure_fault_injection(disk_graph, fault_spec: FaultSpec) -> FaultInjector | None:

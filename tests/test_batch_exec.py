@@ -5,16 +5,15 @@ batch is scheduled, every query comes back bit-identical to the plain
 per-query loop — same ids, same distances, same
 :class:`~repro.engine.cost.QueryStats` counters (including
 :class:`~repro.engine.cost.FaultStats` when a fault injector is armed).
-These tests check the contract on both engines and the one rule that keeps
-it true under an armed fault injector: such an index runs as waves of one.
-Behind a block cache the wave is full width and only the cache's charges
+These tests check the contract on both engines, an armed fault injector
+included: its draws are keyed by (seed, block, attempt), so such an index
+runs as one wave like any other.  Behind a block cache the wave is full width and only the cache's charges
 may differ from the loop (``tests/test_wave_search.py`` checks them against
 the (round, row) replay).
 """
 
 from __future__ import annotations
 
-import random
 import threading
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.engine import (
     RetryPolicy,
 )
 from repro.storage import FaultSpec
-from repro.storage.faults import base_disk_graph, injects_faults
+from repro.storage.faults import base_disk_graph
 
 from .conftest import example_budget
 
@@ -214,40 +213,33 @@ class TestDeterminismGates:
             ),
         )
 
-    def _rearm(self, index) -> None:
-        """Rewind the injector's sequential RNG so two runs see the same
-        fault schedule (the schedule depends on the global read order)."""
-        injector = base_disk_graph(index.disk_graph).device
-        injector._rng = random.Random(self.CHAOS.seed)
-        injector._pending_extra_us = 0.0
-
-    def test_fanout_gates_to_batched_when_faults_armed(
-        self, chaos_index, small_dataset
-    ):
-        """Armed faults make the batch run as waves of one: nothing
-        coalesces, and the device sees exactly the reads the queries were
-        charged, one query after another."""
-        assert injects_faults(chaos_index.engine.disk_graph)
+    def test_armed_batch_runs_one_wave(self, chaos_index, small_dataset):
+        """Armed faults no longer gate the width: the batch is one wave as
+        long as its longest query alone, nothing coalesces (a retry policy
+        reads per query), and the device sees exactly the reads the
+        queries were charged."""
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         device = base_disk_graph(chaos_index.disk_graph).device
-        self._rearm(chaos_index)
         before = device.counters.snapshot()
         executor = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries, 10, 48)
         io = device.counters.since(before)
         stats = executor.last_wave_stats
+        alone = []
+        for q in queries:
+            one = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
+            one.search_batch(q[None], 10, 48)
+            alone.append(one.last_wave_stats.rounds)
         assert stats.queries == len(queries)
         assert stats.coalesced_block_reads == 0
-        assert stats.rounds >= max(len(r.stats.round_trip_blocks) for r in out)
+        assert stats.rounds == max(alone) < sum(alone)
         assert sum(r.stats.num_ios for r in out) == io.blocks_read
 
     def test_fault_stats_identical_serial_vs_batched(
         self, chaos_index, small_dataset
     ):
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
-        self._rearm(chaos_index)
         reference = [chaos_index.search(q, 10, 48) for q in queries]
-        self._rearm(chaos_index)
         out = BatchExecutor(chaos_index).search_batch(queries, 10, 48)
         _same_results(reference, out)
         # The chaos actually fired, so FaultStats equality was non-trivial.

@@ -15,7 +15,7 @@ from repro.core import (
     build_starling,
 )
 from repro.storage import load_starling, save_starling
-from repro.engine import QueryStats, RetryPolicy
+from repro.engine import CachedDiskGraph, QueryStats, RetryPolicy
 from repro.engine.io_util import counted_read_blocks_of
 from repro.storage import (
     BlockDevice,
@@ -170,6 +170,32 @@ class TestDeterminism:
         )
         assert _run_schedule(spec) == _run_schedule(spec)
 
+    @settings(deadline=None, max_examples=25,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(16)))
+    def test_outcome_is_keyed_not_ordered(self, seed, order):
+        """A block's fate at an attempt is a pure function of (seed, block,
+        attempt): reading the blocks one by one in any order gives each
+        the outcome it gets in block order, and a retry draws afresh."""
+        spec = FaultSpec(
+            seed=seed, transient_error_rate=0.3, bad_block_rate=0.1,
+            corruption_rate=0.3,
+        )
+
+        def fates(ids, attempt=0):
+            inj = FaultInjector(make_device(), spec)
+            out = {}
+            for bid in ids:
+                try:
+                    out[bid] = inj.read_blocks([bid], attempt)[0]
+                except ReadFaultError as exc:
+                    out[bid] = exc.failed[bid]
+            return out
+
+        assert fates(order) == fates(range(16))
+        assert fates(order, 1) == fates(range(16), 1)
+        assert any(fates(range(16), a) != fates(range(16)) for a in (1, 2))
+
     def test_different_seeds_differ(self):
         base = dict(transient_error_rate=0.3, corruption_rate=0.3,
                     latency_spike_rate=0.3)
@@ -318,6 +344,29 @@ class TestResilientRead:
         assert plain_stats.round_trip_blocks == res_stats.round_trip_blocks
         assert plain_stats.block_cache_hits == res_stats.block_cache_hits
         assert not res_stats.fault.any
+
+    def test_spike_charged_only_to_the_read_that_drew_it(self, tiny_graph):
+        """A strict read's spike is nobody's to charge: it never lands on
+        the next resilient read of the thread — not on one served wholly
+        from a cache (no round trip, no spike), and not on one with a trip
+        of its own (charged that trip's spike alone)."""
+        ensure_fault_injection(
+            tiny_graph, FaultSpec(seed=4, latency_spike_rate=1.0)
+        )
+        policy = RetryPolicy()
+        alone = QueryStats()
+        counted_read_blocks_of(tiny_graph, [3], alone, policy)
+        assert alone.fault.latency_spikes == 1
+        cached = CachedDiskGraph(tiny_graph, 4)
+        counted_read_blocks_of(cached, [0], QueryStats())  # strict miss
+        hit = QueryStats()
+        counted_read_blocks_of(cached, [0], hit, policy)
+        assert hit.block_cache_hits == 1 and hit.num_ios == 0
+        assert hit.fault == QueryStats().fault
+        counted_read_blocks_of(tiny_graph, [6], QueryStats())  # strict
+        after = QueryStats()
+        counted_read_blocks_of(tiny_graph, [3], after, policy)
+        assert after.fault == alone.fault
 
     def test_backoff_and_spikes_charge_io_time(self):
         stats = QueryStats()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import StarlingConfig, build_starling
-from repro.core.config import GraphConfig
 from repro.engine import (
     CACHE_STRATEGY_NAMES,
     BatchExecutor,
@@ -30,12 +29,7 @@ from repro.layout import (
     validate_layout,
 )
 from repro.storage import VertexFormat, build_disk_graph
-from repro.storage.faults import (
-    FaultInjector,
-    FaultSpec,
-    base_disk_graph,
-    injects_faults,
-)
+from repro.storage.faults import FaultInjector, FaultSpec, base_disk_graph
 from repro.storage.persist import load_starling, save_starling
 from repro.vectors.metrics import get_metric
 
@@ -248,7 +242,6 @@ class TestFoldCoresident:
             small_dataset,
             StarlingConfig(graph=graph_config, shuffle="bamg"),
         )
-        assert not injects_faults(idx.engine.disk_graph)
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         reference = [idx.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(idx, ExecSpec(mode="wave"))
@@ -259,8 +252,13 @@ class TestFoldCoresident:
             assert a.stats.__dict__ == b.stats.__dict__
         assert executor.last_wave_stats.coalesced_block_reads > 0
 
-    def test_default_engine_stays_wave_capable(self, starling_index):
-        assert not injects_faults(starling_index.engine.disk_graph)
+    def test_default_engine_stays_wave_capable(self, starling_index,
+                                               small_dataset):
+        """The default engine takes a batch as one coalescing wave."""
+        queries = np.asarray(small_dataset.queries, dtype=np.float32)
+        executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
+        executor.search_batch(queries, 10, 48)
+        assert executor.last_wave_stats.coalesced_block_reads > 0
 
 
 # -- cache strategy registry ---------------------------------------------------
@@ -507,10 +505,10 @@ class TestCounterHonesty:
 
 
     def test_shared_injector_under_threads(self, small_disk_graph):
-        """One fault injector shared by four reader threads: draws happen
-        under its lock and each thread takes only its own pending spike,
-        so with every round trip spiking, every spike is taken exactly
-        once, by the thread that read."""
+        """One fault injector shared by four reader threads: draws are
+        keyed by the read, the totals kept under its lock, and each thread
+        takes only its own latest spike, so with every round trip spiking,
+        every spike is taken exactly once, by the thread that read."""
         injector = FaultInjector(
             small_disk_graph.device, FaultSpec(seed=4, latency_spike_rate=1.0)
         )

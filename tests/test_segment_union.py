@@ -1,16 +1,17 @@
 """One wave across segments: the coordinator's union equals today's waves.
 
 ``SegmentCoordinator.search_batch`` answers a micro-batch over all of its
-plain Starling segments as one lockstep wave of ``segments × queries`` rows
+Starling segments whose reads cannot raise (plain, cached, or armed behind a
+retry policy) as one lockstep wave of ``segments × queries`` rows
 (``repro.engine.block_search.search_segments``).  That changes the wave's
 width and nothing else: every (segment, query) row must equal what the
 segment's own :class:`~repro.engine.batch.BatchExecutor` wave returns — ids,
 distances, the whole :class:`~repro.engine.cost.QueryStats`, ``degraded`` —
 each segment's device must see the same reads, and the merged answers must
 equal the per-segment path's.  These tests pin that as one matrix (kind ×
-segments × width × stopper), plus a mixed coordinator, segment swaps under
-concurrent batches, round 0's per-row-graph walk and the scratch bound of a
-31-segment wave.
+segments × width × stopper), plus a mixed coordinator, a config-armed
+segment, segment swaps under concurrent batches, round 0's per-row-graph
+walk and the scratch bound of a 31-segment wave.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.engine import (
     BatchExecutor,
     DeadlineStopper,
     ExecSpec,
+    RetryPolicy,
 )
 from repro.engine import block_search
 from repro.engine.frontier import FrontierPlane
@@ -313,9 +315,74 @@ def test_mixed_coordinator_answers_as_today(
         assert union_io == reference_io
 
 
+def test_config_armed_segment_rides_the_union(
+    monkeypatch, union_spy, segment_sets
+):
+    """A segment armed through ``StarlingConfig.faults`` carries a retry
+    policy, so none of its reads raise: it answers inside the
+    coordinator's one wave — narrow (2 queries, 6 rows) and wide (9
+    queries, 27 rows) — each row equal to its own executor's, FaultStats
+    included, every device seeing the same reads, and the merged answers
+    equal to the per-segment path's.  An injector without a retry policy
+    can raise, so that segment keeps its own executor call, and its
+    ``FaultError`` drops it alone."""
+    segments, offsets, parts, pool = segment_sets["l2-f32"]
+    chaos = FaultSpec(
+        seed=5, transient_error_rate=0.05, bad_block_rate=0.02,
+        corruption_rate=0.02, latency_spike_rate=0.2,
+    )
+    armed = build_starling(parts[2], CONFIG.with_(
+        faults=chaos,
+        resilience=RetryPolicy(max_retries=2, hedge_after_us=300.0),
+    ))
+    members = [segments[0], segments[1], armed]
+    unions = []
+    for width in (2, 9):
+        queries = pool[:width]
+        coordinator = SegmentCoordinator(list(members), list(offsets))
+        with _io(members) as union_io:
+            merged = coordinator.search_batch(queries, K, GAMMA)
+        assert len(union_spy[-1]) == 3
+        with _io(members) as reference_io:
+            reference = [
+                BatchExecutor(s, ExecSpec(mode="wave")).search_batch(
+                    queries, K, GAMMA
+                )
+                for s in members
+            ]
+        for rows, want in zip(union_spy[-1], reference):
+            _same_rows(rows, want)
+        assert union_io == reference_io
+        assert any(r.stats.fault.any for r in union_spy[-1][2])
+        unions.append((queries, merged))
+    assert len(union_spy) == 2
+
+    strict = build_starling(parts[2], CONFIG)
+    ensure_fault_injection(
+        strict.disk_graph, FaultSpec(seed=5, bad_block_rate=1.0)
+    )
+    assert strict.engine.resilience is None
+    coordinator = SegmentCoordinator(
+        [segments[0], segments[1], strict], list(offsets)
+    )
+    dropped = coordinator.search_batch(pool[:2], K, GAMMA)
+    assert len(union_spy) == 3 and len(union_spy[-1]) == 2
+    assert all(r.failed_segments == [2] and r.degraded for r in dropped)
+
+    _per_segment_path(monkeypatch)
+    for queries, merged in unions:
+        _same_merged(
+            merged,
+            SegmentCoordinator(list(members), list(offsets)).search_batch(
+                queries, K, GAMMA
+            ),
+        )
+
+
 def test_plan_follows_in_place_read_path_changes(union_spy, segment_sets):
-    """Fault injection armed on a live segment takes it out of the union
-    at the next batch, without a ``replace_segment`` — the union wave spans
+    """Fault injection armed on a live segment without a retry policy
+    takes it out of the union at the next batch, without a
+    ``replace_segment`` — the union wave spans
     both segments, then segment 0 alone, then both again once the injector
     is gone — while a cache strategy applied in place keeps the segment in
     the union."""

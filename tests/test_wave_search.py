@@ -14,7 +14,6 @@ cadence, the width rule, concurrency on one engine, and the serving layer.
 from __future__ import annotations
 
 import dataclasses
-import random
 import sys
 import threading
 from contextlib import contextmanager
@@ -43,7 +42,7 @@ from repro.engine import block_search
 from repro.engine.frontier import CandidateSet, FrontierPlane
 from repro.graphs.navigation import LOCKSTEP_MIN_WAVE
 from repro.storage import FaultSpec
-from repro.storage.faults import base_disk_graph, injects_faults
+from repro.storage.faults import base_disk_graph
 from repro.vectors import bigann_like, deep_like, knn, text2image_like
 
 from .conftest import example_budget
@@ -151,14 +150,6 @@ def short_block_index(graph_config):
     return index, queries
 
 
-def _rearm(index) -> None:
-    """Rewind the injector's sequential RNG so two runs see the same fault
-    schedule (the schedule depends on the global read order)."""
-    injector = base_disk_graph(index.disk_graph).device
-    injector._rng = random.Random(CHAOS.seed)
-    injector._pending_extra_us = 0.0
-
-
 @pytest.fixture(scope="module")
 def fold_index(small_dataset, graph_config):
     """A bamg-pruned index: the co-resident fold is on."""
@@ -204,7 +195,8 @@ def _replay(index, queries, k, gamma, stoppers=None) -> list:
 def _rounds_alone(index, queries, k, gamma) -> list[int]:
     """Rounds the round loop advances for each query as its own call
     (rounds are a property of the traversal, not of the read path's
-    state): one wave takes their max, waves of one their sum."""
+    state): one wave takes their max, a sequence of one-query waves
+    their sum."""
     rounds = []
     for q in queries:
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
@@ -238,16 +230,16 @@ def _engine_attr(index, **attrs):
 class _Case:
     """One cell row of the matrix: an index, its queries, and ``fresh()`` —
     called before *each* run so the oracle and the engine both start from
-    the same read-path state (a new cache wrapper, a rewound fault RNG)."""
+    the same read-path state (a new cache wrapper; a fault injector needs
+    nothing: a fixed seed is a fixed schedule whatever the read order)."""
 
     def __init__(self, index, queries, *, k=10, gamma=12, wrap=None,
-                 rearm=False, stoppers=None, **engine_attrs):
+                 stoppers=None, **engine_attrs):
         self.index = index
         self.queries = queries
         self.k = k
         self.gamma = gamma
         self.wrap = wrap
-        self.rearm = rearm
         self.stoppers = stoppers or (lambda n: None)
         self.engine_attrs = engine_attrs
         self.plain = index.engine.disk_graph
@@ -255,8 +247,6 @@ class _Case:
     def fresh(self) -> None:
         if self.wrap is not None:
             self.index.engine.disk_graph = self.wrap(self.plain)
-        if self.rearm:
-            _rearm(self.index)
 
     @contextmanager
     def installed(self):
@@ -301,10 +291,9 @@ def matrix_case(
     elif name == "retry_unarmed":
         case = _Case(starling_index, pool, resilience=RetryPolicy())
     elif name == "faults_retry":
-        case = _Case(chaos_index, pool, rearm=True)
+        case = _Case(chaos_index, pool)
     elif name == "faults_no_retry":
-        case = _Case(chaos_index, pool, rearm=True,
-                     resilience=RetryPolicy(max_retries=0))
+        case = _Case(chaos_index, pool, resilience=RetryPolicy(max_retries=0))
     elif name == "fold":
         case = _Case(fold_index, pool)
     elif name == "fold_lru":
@@ -354,6 +343,10 @@ REPLAYED = (
     "lru", "hot", "locality_prefetch", "fold_lru", "exact_routing",
     "exact_routing_lru",
 )
+#: rows under a retry policy: each row reads its own blocks, so nothing
+#: coalesces; with the injector armed, its faults and FaultStats too equal
+#: the oracle's, at every width
+RESILIENT = ("retry_unarmed", "faults_retry", "faults_no_retry")
 
 
 class TestEquivalenceMatrix:
@@ -364,8 +357,9 @@ class TestEquivalenceMatrix:
         the whole QueryStats — except behind a stateful read path, whose
         charges equal the oracle replayed in (round, row) order instead.
         Every block a query was charged left the device (or was coalesced
-        by the wave); an armed injector keeps waves of one; a plain wide
-        wave coalesces."""
+        by the wave); every batch is one wave — an armed injector's too,
+        as long as its longest query alone; a plain wide wave
+        coalesces."""
         name, case = matrix_case
         index, k, gamma = case.index, case.k, case.gamma
         queries = case.queries[:width]
@@ -377,7 +371,6 @@ class TestEquivalenceMatrix:
 
         case.fresh()
         got_stoppers = case.stoppers(width)
-        armed = injects_faults(index.engine.disk_graph)
         before = device.counters.snapshot()
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries, k, gamma, stoppers=got_stoppers)
@@ -395,14 +388,19 @@ class TestEquivalenceMatrix:
                 s.fired for s in got_stoppers
             ]
         assert stats.queries == width
-        assert armed == (name in ("faults_retry", "faults_no_retry"))
         assert sum(r.stats.num_ios for r in out) == (
             io.blocks_read + stats.coalesced_block_reads
         )
-        if armed or width == 1:
-            # waves of one: nothing shared, every charge is a device read
+        if width == 1 or name in RESILIENT:
+            # reads per query: nothing shared, every charge is a device read
             assert stats.coalesced_block_reads == 0
-        elif name not in REPLAYED + ("retry_unarmed",):
+        if name in RESILIENT:
+            # one wave, as long as its longest query (retries and hedges
+            # are extra round trips, not rounds)
+            assert stats.rounds == max(
+                _rounds_alone(index, queries, k, gamma)
+            )
+        elif width > 1 and name not in REPLAYED:
             # one wave: as many rounds as its longest query, reads shared
             assert stats.rounds == max(_rounds_of(r) for r in out)
             assert stats.requested_block_reads == sum(
@@ -413,8 +411,8 @@ class TestEquivalenceMatrix:
                 assert stats.coalesced_block_reads > 0
 
     @pytest.mark.parametrize(
-        "matrix_case", ["plain", "lru", "faults_no_retry", "fold",
-                        "deadline"],
+        "matrix_case", ["plain", "lru", "faults_retry", "faults_no_retry",
+                        "fold", "deadline"],
         indirect=True,
     )
     def test_matrix_is_not_vacuous(self, matrix_case, small_dataset):
@@ -437,6 +435,9 @@ class TestEquivalenceMatrix:
             assert hits < 10 * len(out)
         elif name == "lru":
             assert sum(r.stats.block_cache_hits for r in out) > 0
+        elif name == "faults_retry":
+            assert sum(r.stats.fault.retries for r in out) > 0
+            assert sum(r.stats.fault.latency_spikes for r in out) > 0
         elif name == "faults_no_retry":
             assert sum(r.stats.fault.blocks_abandoned for r in out) > 0
             assert sum(r.stats.fault.vertices_abandoned for r in out) > 0
@@ -502,11 +503,7 @@ class TestEquivalenceMatrix:
         rng = np.random.default_rng(seed)
         queries = rng.integers(0, 256, size=(nq, 128)).astype(np.float32)
         cut = min(cut, nq)
-        if armed:
-            _rearm(index)
         reference = _oracle(index, queries, 10, 32)
-        if armed:
-            _rearm(index)
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries[:cut], 10, 32)
         out += executor.search_batch(queries[cut:], 10, 32)
@@ -514,13 +511,12 @@ class TestEquivalenceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the width rule: one wave, unless an injector is armed — observable in the
-# wave counters
+# the width rule: one wave per batch, whatever the read path — observable
+# in the wave counters
 
 
 class TestWaveCapability:
     def test_starling_engine_is_capable(self, starling_index, small_dataset):
-        assert not injects_faults(starling_index.engine.disk_graph)
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
         out = executor.search_batch(queries, 10, 48)
@@ -540,17 +536,21 @@ class TestWaveCapability:
 
     def test_resilience_layer_is_not(self, starling_index, chaos_index,
                                      small_dataset):
-        """An armed injector keeps waves of one; a retry policy over a
-        healthy device does not — it runs at full width, reading per query."""
-        assert injects_faults(chaos_index.engine.disk_graph)
+        """Neither a retry policy over a healthy device nor an armed
+        injector gates the width: both run at full width, reading per
+        query."""
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
         with _engine_attr(starling_index, resilience=RetryPolicy()):
-            assert not injects_faults(starling_index.engine.disk_graph)
             executor = BatchExecutor(starling_index, ExecSpec(mode="wave"))
             out = executor.search_batch(queries, 10, 48)
         stats = executor.last_wave_stats
         assert stats.rounds == max(map(_rounds_of, out))
         assert stats.coalesced_block_reads == 0
+        armed = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
+        armed.search_batch(queries, 10, 48)
+        assert armed.last_wave_stats.rounds == max(
+            _rounds_alone(chaos_index, queries, 10, 48)
+        )
 
     def test_full_precision_routing_runs_one_wave(self, starling_index,
                                                   small_dataset):
@@ -589,20 +589,22 @@ class TestWaveCapability:
             r.stats.num_ios + r.stats.block_cache_hits for r in out
         )
 
-    def test_armed_faults_gate_to_batched(self, chaos_index, small_dataset):
-        assert injects_faults(chaos_index.engine.disk_graph)
+    def test_armed_faults_run_one_wave(self, chaos_index, small_dataset):
+        """An armed injector no longer gates the width: its draws are keyed
+        by (seed, block, attempt), so the batch is one wave — as long as
+        its longest query alone, not the sum — nothing coalesces (resilient
+        reads are per query) and every query equals its serial answer,
+        FaultStats included."""
         queries = np.asarray(small_dataset.queries, dtype=np.float32)
-        _rearm(chaos_index)
+        reference = [chaos_index.search(q, 10, 48) for q in queries]
         executor = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
-        executor.search_batch(queries, 10, 48)
+        out = executor.search_batch(queries, 10, 48)
         stats = executor.last_wave_stats
+        _same_results(reference, out)
+        assert any(r.stats.fault.any for r in out)
         assert stats.coalesced_block_reads == 0
-        # waves of one: their rounds add up query by query, as the same
-        # queries alone (in order, under the same fault schedule) do
-        _rearm(chaos_index)
-        assert stats.rounds == sum(
-            _rounds_alone(chaos_index, queries, 10, 48)
-        )
+        alone = _rounds_alone(chaos_index, queries, 10, 48)
+        assert stats.rounds == max(alone) < sum(alone)
 
     def test_spann_falls_back_to_serial(self, spann_index, small_dataset):
         assert getattr(spann_index, "disk_graph", None) is None
@@ -648,20 +650,12 @@ class TestWaveEquivalence:
     def test_random_waves_match_serial(
         self, starling_index, chaos_index, seed, nq, armed
     ):
-        """Wave sizes 1..N, random queries, armed/unarmed fault injection.
-
-        With faults armed the executor runs waves of one (coalescing would
-        reorder the injector's RNG draws) — the output must *still* be
-        bit-identical to the serial loop.
-        """
+        """Wave sizes 1..N, random queries, armed/unarmed fault injection:
+        one wave either way, bit-identical to the serial loop."""
         index = chaos_index if armed else starling_index
         rng = np.random.default_rng(seed)
         queries = rng.integers(0, 256, size=(nq, 128)).astype(np.float32)
-        if armed:
-            _rearm(index)
         reference = [index.search(q, 10, 32) for q in queries]
-        if armed:
-            _rearm(index)
         executor = BatchExecutor(index, ExecSpec(mode="wave"))
         _same_results(reference, executor.search_batch(queries, 10, 32))
         assert executor.last_wave_stats.queries == nq
@@ -967,16 +961,15 @@ class TestFrontierPlaneWaves:
         self, monkeypatch, small_dataset, chaos_index, fold_index, ip_index,
         name,
     ):
-        """The executor keeps stateful read paths at width 1, but
-        ``search_wave`` itself takes any width: a wide wave over per-query
-        counted reads — blocks abandoned after retries, a cache wrapper, the
-        fold, IP — issues them in the same (round, query) order as the
-        per-query primitives at that width, so the two must agree on every
-        result, counter and device read."""
+        """A wide wave over per-query counted reads — blocks abandoned
+        after retries, a cache wrapper, the fold, IP — issues them in the
+        same (round, query) order as the per-query primitives at that
+        width, so the two must agree on every result, counter and device
+        read."""
         pool = _noisy_queries(small_dataset, WIDTHS[-1], seed=6)
         if name in ("abandoned", "retried"):
             case = _Case(
-                chaos_index, pool, rearm=True,
+                chaos_index, pool,
                 **({"resilience": RetryPolicy(max_retries=0)}
                    if name == "abandoned" else {}),
             )
@@ -1028,6 +1021,66 @@ class TestFrontierPlaneWaves:
                 query, 8, type(stats)(), track_kicked=True
             )
             assert tracked.track_kicked
+
+
+# ---------------------------------------------------------------------------
+# order freedom: an armed injector's schedule is keyed, not sequenced
+
+
+class TestArmedOrderFreedom:
+    """A fixed fault seed is a fixed schedule whatever the order of reads:
+    an armed batch reversed, cut anywhere and served in either order, or
+    spread over two live service workers gives every query its serial-loop
+    answer — with and without retries."""
+
+    @COMMON
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nq=st.integers(1, 2 * LOCKSTEP_MIN_WAVE + 1),
+        cut=st.integers(0, 2 * LOCKSTEP_MIN_WAVE + 1),
+        retries=st.sampled_from([0, 3]),
+    )
+    def test_reversed_and_split_batches_match_serial(
+        self, chaos_index, small_dataset, seed, nq, cut, retries
+    ):
+        queries = _noisy_queries(small_dataset, nq, seed=seed % 2**16)
+        cut = min(cut, nq)
+        policy = RetryPolicy(max_retries=retries, hedge_after_us=500.0)
+        with _engine_attr(chaos_index, resilience=policy):
+            reference = _oracle(chaos_index, queries, 10, 24)
+            executor = BatchExecutor(chaos_index, ExecSpec(mode="wave"))
+            backwards = executor.search_batch(queries[::-1], 10, 24)
+            tail = executor.search_batch(queries[cut:], 10, 24)
+            head = executor.search_batch(queries[:cut], 10, 24)
+        _same_results(reference, backwards[::-1])
+        _same_results(reference, head + tail)
+
+    def test_two_live_workers_match_serial(self, chaos_index, small_dataset):
+        queries = _noisy_queries(small_dataset, 2 * LOCKSTEP_MIN_WAVE, seed=8)
+        reference = _oracle(chaos_index, queries, 10, 32)
+        assert any(r.stats.fault.any for r in reference)
+        service = SearchService(
+            chaos_index,
+            ServeSpec(workers=2, queue_depth=64, max_batch=4,
+                      shed_tiers=(32,)),
+        )
+        interval = sys.getswitchinterval()
+        service.start()
+        sys.setswitchinterval(1e-6)
+        try:
+            tickets = [service.submit(q, k=10) for q in queries]
+            outcomes = [t.result(timeout=120.0) for t in tickets]
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        for want, outcome in zip(reference, outcomes):
+            assert outcome is not None and outcome.ok
+            got = outcome.result
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.dists, want.dists)
+            assert got.degraded == want.degraded
+            assert got.stats.round_trip_blocks == want.stats.round_trip_blocks
+            assert got.stats.fault == want.stats.fault
 
 
 # ---------------------------------------------------------------------------
