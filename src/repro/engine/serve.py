@@ -26,7 +26,12 @@ it fronts a :class:`~repro.core.coordinator.SegmentCoordinator` with
   one probe batch), and the probe's outcome either *closes* the breaker or
   re-opens it with a doubled backoff.
 
-Two front ends share all of that policy code:
+All of that policy runs in one method, :meth:`SearchService._dispatch`: a
+freed worker takes waiting queries, drops the expired ones, picks the shed
+tier, arms the deadline stoppers, searches, and folds the batch into the
+breakers and the session's decision log.  Two front ends call it and keep
+only what differs between them — where waiting queries come from and which
+clock stamps completions (a :class:`_Ledger`'s ``finish``):
 
 - :meth:`SearchService.run_trace` — a **virtual-clock** event loop over a
   precomputed arrival trace.  Searches run for real (real I/O counters, real
@@ -34,12 +39,13 @@ Two front ends share all of that policy code:
   ``parallel_latency_us`` under the segment cost models, exactly the latency
   ledger the rest of the repo reports.  Deterministic by construction: the
   same trace replays to bit-identical decisions, which the determinism suite
-  relies on.
+  relies on — and because the dispatch is shared, the suite pins the code
+  the threads run.
 - :meth:`SearchService.start` / :meth:`~SearchService.submit` /
   :meth:`~SearchService.stop` — a **threaded** front end for long-lived use:
-  worker threads drain a real :class:`queue.Queue`, callers get a
+  worker threads take from a real :class:`queue.Queue`, callers get a
   :class:`Ticket` (or an :class:`Overloaded`) back immediately.  Queue waits
-  are wall time; service time stays simulated.
+  and completions are wall time; search budgets stay simulated.
 
 While a service is live it installs a **persistent data plane** on every
 disk-graph segment: a bounded thread-safe
@@ -71,7 +77,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -179,21 +186,9 @@ class ServeSpec:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "deadline_us": self.deadline_us,
-            "shed_tiers": list(self.shed_tiers),
-            "max_batch": self.max_batch,
-            "shed_low": self.shed_low,
-            "shed_high": self.shed_high,
-            "breaker_probe_us": self.breaker_probe_us,
-            "breaker_backoff": self.breaker_backoff,
-            "decode_cache_blocks": self.decode_cache_blocks,
-            "min_rounds": self.min_rounds,
-            "wave": self.wave,
-            "ingest_queue_depth": self.ingest_queue_depth,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["shed_tiers"] = list(self.shed_tiers)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeSpec":
@@ -447,7 +442,7 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# live-mode ticket
+# tickets, waiting queries, session ledgers
 
 
 class Ticket:
@@ -475,13 +470,44 @@ class Ticket:
 
 @dataclass
 class _Pending:
-    """One enqueued live-mode query."""
+    """One admitted query waiting for a worker (either front end)."""
 
     index: int
     query: np.ndarray
     k: int
     arrival_us: float
     ticket: Ticket = field(default_factory=Ticket)
+
+
+@dataclass
+class _Ledger:
+    """One session's record and clock — the ``sink`` of
+    :meth:`SearchService._dispatch`.
+
+    ``finish(now, results)`` is the only clock-specific step of a dispatch:
+    it returns the served queries' completion times, in batch order, and
+    the time at which the breakers observe the batch.
+    """
+
+    finish: Callable[[float, list], tuple[list[float], float]]
+    decisions: list[tuple] = field(default_factory=list)
+    outcomes: list[ServedQuery] = field(default_factory=list)
+    #: the ``(graph, previous decode_cache)`` pairs the plane installed
+    plane: list[tuple] = field(default_factory=list)
+
+    def report(self, horizon_us: float, spec: ServeSpec) -> ServeReport:
+        return ServeReport(
+            outcomes=sorted(self.outcomes, key=lambda o: o.index),
+            decisions=list(self.decisions),
+            horizon_us=horizon_us, spec=spec,
+        )
+
+
+def _next_waiting(queue: queue_mod.Queue) -> _Pending | None:
+    try:
+        return queue.get_nowait()
+    except queue_mod.Empty:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +520,12 @@ class SearchService:
     Accepts a :class:`~repro.core.coordinator.SegmentCoordinator` or a bare
     segment index (which gets wrapped in a single-segment coordinator).
 
-    The two front ends — :meth:`run_trace` (virtual clock, deterministic)
-    and :meth:`start`/:meth:`submit`/:meth:`stop` (threaded, wall clock) —
-    share the admission, shedding, deadline, and breaker policy code.
+    Both front ends — :meth:`run_trace` (virtual clock, deterministic) and
+    :meth:`start`/:meth:`submit`/:meth:`stop` (threads, wall clock) — hand
+    every admitted query to the one :meth:`_dispatch`.  They differ only in
+    where waiting queries come from (an event-ordered deque, a
+    :class:`queue.Queue`) and in their clock (their :class:`_Ledger`'s
+    ``finish``).
     """
 
     def __init__(self, coordinator, spec: ServeSpec | None = None) -> None:
@@ -515,12 +544,12 @@ class SearchService:
         )
         # Live-mode state (None while stopped).
         self._queue: queue_mod.Queue | None = None
+        self._live: _Ledger | None = None
         self._threads: list[threading.Thread] = []
         self._stop_event = threading.Event()
+        # Guards the breakers, admission and the live ledger; never held
+        # across a search.
         self._control_lock = threading.Lock()
-        self._plane_saved: list[tuple] | None = None
-        self._live_outcomes: list[ServedQuery] = []
-        self._live_decisions: list[tuple] = []
         self._started_us = 0.0
         self._submit_seq = itertools.count()
         # Ingest admission (write-side mirror of the query queue).
@@ -530,7 +559,7 @@ class SearchService:
         self.ingest_accepted = 0
         self.ingest_rejected = 0
 
-    # -- shared policy helpers ---------------------------------------------
+    # -- the one dispatcher ------------------------------------------------
 
     def tier_for_occupancy(self, occupancy: float) -> int:
         """Deterministic shed-tier choice from queue occupancy in [0, 1].
@@ -551,33 +580,102 @@ class SearchService:
                 tier = t
         return tier
 
-    def _make_stopper(self, budget_us: float) -> DeadlineStopper:
-        return DeadlineStopper(
-            max(budget_us, 0.0), min_rounds=self.spec.min_rounds
-        )
+    def _dispatch(self, take, now: float, waiting: int, sink: _Ledger) -> bool:
+        """Serve one micro-batch at ``now`` — both front ends' policy path.
 
-    def _pre_dispatch(self, now_us: float, decisions: list) -> None:
-        for breaker in self.breakers:
-            breaker.maybe_probe(self.coordinator, now_us, decisions)
+        ``take()`` hands out the next waiting query (``None`` once none is
+        left); ``waiting`` counts the queries that waited before the first
+        take and sets the shed tier.  A query whose deadline passed while it
+        waited is recorded as expired and takes no batch slot; up to
+        ``max_batch`` others are searched under their remaining budgets, one
+        ``coordinator.search_batch`` per distinct ``k``.  Decisions and
+        outcomes go to ``sink``, whose ``finish`` is the clock.
+        ``_control_lock`` guards the breakers and the ledger and is never
+        held across the search.  Returns whether a batch was searched.
+        """
+        spec = self.spec
+        batch: list[_Pending] = []
+        expired: list[_Pending] = []
+        while len(batch) < spec.max_batch and (item := take()) is not None:
+            late = (spec.deadline_us is not None
+                    and now - item.arrival_us >= spec.deadline_us)
+            (expired if late else batch).append(item)
+        settled = [
+            (item, ServedQuery(item.index, item.arrival_us, "expired"))
+            for item in expired
+        ]
+        with self._control_lock:
+            for breaker in self.breakers:
+                breaker.maybe_probe(self.coordinator, now, sink.decisions)
+            tier = self.tier_for_occupancy(min(waiting / spec.queue_depth, 1.0))
+            candidate_size = spec.shed_tiers[tier]
+            sink.decisions += [
+                ("expire", item.index, round(now, 3)) for item in expired
+            ]
+            sink.outcomes += [out for _, out in settled]
+            if batch:
+                indexes = tuple(item.index for item in batch)
+                sink.decisions.append(
+                    ("dispatch", round(now, 3), indexes, tier, candidate_size)
+                )
+                # A segment swapped in while the service runs gets the
+                # plane at its first dispatch, not at the next restart.
+                sink.plane += self._install_plane()
+        for item, out in settled:
+            item.ticket._fulfill(out)
+        if not batch:
+            return False
+        stoppers = None
+        if spec.deadline_us is not None:
+            stoppers = [
+                DeadlineStopper(
+                    max(spec.deadline_us - (now - item.arrival_us), 0.0),
+                    min_rounds=spec.min_rounds,
+                )
+                for item in batch
+            ]
+        results: list = [None] * len(batch)
+        for k in dict.fromkeys(item.k for item in batch):
+            rows = [j for j, item in enumerate(batch) if item.k == k]
+            answers = self.coordinator.search_batch(
+                np.asarray([batch[j].query for j in rows], dtype=np.float32),
+                k,
+                candidate_size,
+                exec_spec=self._exec_spec,
+                stoppers=[stoppers[j] for j in rows] if stoppers else None,
+            )
+            for j, answer in zip(rows, answers):
+                results[j] = answer
+        ends, observed_us = sink.finish(now, results)
+        settled = [
+            (item, ServedQuery(
+                index=item.index, arrival_us=item.arrival_us, status="ok",
+                tier=tier, candidate_size=candidate_size, dispatch_us=now,
+                complete_us=end, result=result,
+                truncated=bool(stoppers and stoppers[j].fired),
+                deadline_missed=(spec.deadline_us is not None
+                                 and end - item.arrival_us > spec.deadline_us),
+            ))
+            for j, (item, result, end) in enumerate(zip(batch, results, ends))
+        ]
+        with self._control_lock:
+            for breaker in self.breakers:
+                breaker.observe(self.coordinator, observed_us, sink.decisions)
+            sink.outcomes += [out for _, out in settled]
+        for item, out in settled:
+            item.ticket._fulfill(out)
+        return True
 
-    def _post_dispatch(self, now_us: float, decisions: list) -> None:
-        for breaker in self.breakers:
-            breaker.observe(self.coordinator, now_us, decisions)
-
-    def _execute_batch(
-        self,
-        queries: list[np.ndarray],
-        k: int,
-        candidate_size: int,
-        stoppers: list | None,
-    ) -> list:
-        return self.coordinator.search_batch(
-            np.asarray(queries, dtype=np.float32),
-            k,
-            candidate_size,
-            exec_spec=self._exec_spec,
-            stoppers=stoppers,
-        )
+    def _reject(
+        self, sink: _Ledger, index: int, arrival_us: float, queue_len: int
+    ) -> Overloaded:
+        """Record one arrival that found the queue full (caller guards sink)."""
+        rejection = Overloaded(self.spec.queue_depth, queue_len, arrival_us)
+        sink.decisions.append(("reject", index, round(arrival_us, 3)))
+        sink.outcomes.append(ServedQuery(
+            index, arrival_us, "rejected", overloaded=rejection
+        ))
+        return rejection
 
     # -- ingest admission ---------------------------------------------------
 
@@ -594,8 +692,24 @@ class SearchService:
             raise TypeError("ingest target needs insert() and delete()")
         self._ingest_target = target
 
-    def _admit_ingest(self):
-        """Reserve one ingest slot; returns an Overloaded on a full gate."""
+    def ingest(self, vectors):
+        """Durably insert vectors; returns their IDs or :class:`Overloaded`.
+
+        Admission is bounded by ``spec.ingest_queue_depth`` concurrent
+        calls; past it, writes are rejected (typed, never raised) so a
+        write burst cannot starve the query workers of the WAL fsync lane.
+        A returned ID array means the rows are durable — the WAL commit
+        happened inside the call.
+        """
+        return self._admitted_write("insert", vectors)
+
+    def remove(self, ids):
+        """Durably tombstone IDs; returns the live count or :class:`Overloaded`."""
+        return self._admitted_write("delete", ids)
+
+    def _admitted_write(self, method: str, arg):
+        """Call ``target.<method>(arg)`` in one ingest admission slot, or
+        return an :class:`Overloaded` when every slot is taken."""
         if self._ingest_target is None:
             raise RuntimeError("no ingest target attached (attach_ingest)")
         with self._ingest_gate:
@@ -607,46 +721,16 @@ class SearchService:
                     self._now_us() if self.running else 0.0,
                 )
             self._ingest_inflight += 1
-        return None
-
-    def _release_ingest(self, accepted: bool) -> None:
-        with self._ingest_gate:
-            self._ingest_inflight -= 1
-            if accepted:
-                self.ingest_accepted += 1
-
-    def ingest(self, vectors):
-        """Durably insert vectors; returns their IDs or :class:`Overloaded`.
-
-        Admission is bounded by ``spec.ingest_queue_depth`` concurrent
-        calls; past it, writes are rejected (typed, never raised) so a
-        write burst cannot starve the query workers of the WAL fsync lane.
-        A returned ID array means the rows are durable — the WAL commit
-        happened inside the call.
-        """
-        rejection = self._admit_ingest()
-        if rejection is not None:
-            return rejection
         accepted = False
         try:
-            ids = self._ingest_target.insert(vectors)
+            result = getattr(self._ingest_target, method)(arg)
             accepted = True
-            return ids
+            return result
         finally:
-            self._release_ingest(accepted)
-
-    def remove(self, ids):
-        """Durably tombstone IDs; returns the live count or :class:`Overloaded`."""
-        rejection = self._admit_ingest()
-        if rejection is not None:
-            return rejection
-        accepted = False
-        try:
-            count = self._ingest_target.delete(ids)
-            accepted = True
-            return count
-        finally:
-            self._release_ingest(accepted)
+            with self._ingest_gate:
+                self._ingest_inflight -= 1
+                if accepted:
+                    self.ingest_accepted += 1
 
     # -- persistent data plane ---------------------------------------------
 
@@ -693,7 +777,8 @@ class SearchService:
         worker stays busy for the sum of its micro-batch's service times.
         The loop is single-threaded and allocation-order deterministic:
         identical inputs produce identical decisions, outcomes, and result
-        ids — the property the determinism suite pins.
+        ids — the property the determinism suite pins, on the
+        :meth:`_dispatch` the live workers run too.
         """
         spec = self.spec
         arrivals = [float(t) for t in arrivals_us]
@@ -705,107 +790,49 @@ class SearchService:
         if not len(queries):
             raise ValueError("need at least one query vector")
 
-        outcomes = [
-            ServedQuery(index=i, arrival_us=t, status="pending")
-            for i, t in enumerate(arrivals)
-        ]
-        decisions: list[tuple] = []
-        pending: deque[int] = deque()
+        pending: deque[_Pending] = deque()
         free_workers = spec.workers
-        horizon = arrivals[-1] if arrivals else 0.0
-
-        # Event heap: (time, kind, seq).  kind 0 = worker freed, kind 1 =
-        # arrival — at equal timestamps the freed worker is processed first
-        # so it can absorb the arrival instead of bouncing it.
+        # Event heap: (time, kind, seq, arrival index).  kind 0 = worker
+        # freed, kind 1 = arrival — at equal timestamps the freed worker is
+        # processed first so it can absorb the arrival instead of bouncing
+        # it.
         events: list[tuple[float, int, int, int]] = []
         seq = itertools.count()
         for i, t in enumerate(arrivals):
             heapq.heappush(events, (t, 1, next(seq), i))
 
-        def dispatch(now: float) -> None:
-            nonlocal free_workers, horizon
-            while free_workers > 0 and pending:
-                self._pre_dispatch(now, decisions)
-                occupancy = len(pending) / spec.queue_depth
-                tier = self.tier_for_occupancy(occupancy)
-                candidate_size = spec.shed_tiers[tier]
-                batch: list[int] = []
-                while pending and len(batch) < spec.max_batch:
-                    idx = pending.popleft()
-                    waited = now - outcomes[idx].arrival_us
-                    if (
-                        spec.deadline_us is not None
-                        and waited >= spec.deadline_us
-                    ):
-                        outcomes[idx].status = "expired"
-                        decisions.append(("expire", idx, round(now, 3)))
-                        continue
-                    batch.append(idx)
-                if not batch:
-                    continue
-                free_workers -= 1
-                decisions.append(
-                    ("dispatch", round(now, 3), tuple(batch), tier,
-                     candidate_size)
-                )
-                stoppers = None
-                if spec.deadline_us is not None:
-                    stoppers = [
-                        self._make_stopper(
-                            spec.deadline_us - (now - outcomes[idx].arrival_us)
-                        )
-                        for idx in batch
-                    ]
-                saved.extend(self._install_plane())
-                results = self._execute_batch(
-                    [queries[idx % len(queries)] for idx in batch],
-                    k, candidate_size, stoppers,
-                )
-                busy_until = now
-                for j, idx in enumerate(batch):
-                    out = outcomes[idx]
-                    result = results[j]
-                    busy_until += result.parallel_latency_us
-                    out.status = "ok"
-                    out.tier = tier
-                    out.candidate_size = candidate_size
-                    out.dispatch_us = now
-                    out.complete_us = busy_until
-                    out.result = result
-                    out.truncated = bool(stoppers and stoppers[j].fired)
-                    out.deadline_missed = (
-                        spec.deadline_us is not None
-                        and out.sojourn_us > spec.deadline_us
-                    )
-                self._post_dispatch(now, decisions)
-                horizon = max(horizon, busy_until)
-                heapq.heappush(
-                    events, (busy_until, 0, next(seq), -1)
-                )
+        def finish(now: float, results: list) -> tuple[list[float], float]:
+            # the worker serves its batch back to back on simulated time
+            ends = list(itertools.accumulate(
+                (result.parallel_latency_us for result in results),
+                initial=now,
+            ))[1:]
+            heapq.heappush(events, (ends[-1], 0, next(seq), -1))
+            return ends, now
 
-        saved = self._install_plane()
+        def take() -> _Pending | None:
+            return pending.popleft() if pending else None
+
+        ledger = _Ledger(finish, plane=self._install_plane())
+        now = 0.0
         try:
             while events:
-                now, kind, _, payload = heapq.heappop(events)
+                now, kind, _, idx = heapq.heappop(events)
                 if kind == 0:
                     free_workers += 1
+                elif len(pending) >= spec.queue_depth:
+                    self._reject(ledger, idx, now, len(pending))
                 else:
-                    idx = payload
-                    if len(pending) >= spec.queue_depth:
-                        outcomes[idx].status = "rejected"
-                        outcomes[idx].overloaded = Overloaded(
-                            spec.queue_depth, len(pending), now
-                        )
-                        decisions.append(("reject", idx, round(now, 3)))
-                    else:
-                        pending.append(idx)
-                dispatch(now)
+                    pending.append(
+                        _Pending(idx, queries[idx % len(queries)], k, now)
+                    )
+                while free_workers > 0 and pending:
+                    if self._dispatch(take, now, len(pending), ledger):
+                        free_workers -= 1
         finally:
-            self._uninstall_plane(saved)
-        return ServeReport(
-            outcomes=outcomes, decisions=decisions,
-            horizon_us=horizon, spec=spec,
-        )
+            self._uninstall_plane(ledger.plane)
+        # the last event is the latest arrival or completion
+        return ledger.report(now, spec)
 
     # -- threaded (live) front end -----------------------------------------
 
@@ -816,20 +843,27 @@ class SearchService:
     def _now_us(self) -> float:
         return time.monotonic() * 1e6 - self._started_us
 
+    def _finish_live(
+        self, now: float, results: list
+    ) -> tuple[list[float], float]:
+        """Wall clock: a live batch completes when its search returns."""
+        done = self._now_us()
+        return [done] * len(results), done
+
     def start(self) -> None:
         """Install the data plane and spawn the worker threads."""
         with self._control_lock:
-            if self._threads:
+            # a stop() still serving leftovers holds the queue until it ends
+            if self._queue is not None:
                 raise RuntimeError("service already running")
-            self._plane_saved = self._install_plane()
             self._queue = queue_mod.Queue(maxsize=self.spec.queue_depth)
+            self._live = _Ledger(self._finish_live, plane=self._install_plane())
             self._stop_event.clear()
-            self._live_outcomes = []
-            self._live_decisions = []
             self._started_us = time.monotonic() * 1e6
             self._threads = [
                 threading.Thread(
                     target=self._worker_loop,
+                    args=(self._queue, self._live),
                     name=f"serve-worker-{i}",
                     daemon=True,
                 )
@@ -843,35 +877,30 @@ class SearchService:
 
         Never blocks: a full queue rejects immediately.
         """
-        if self._queue is None:
-            raise RuntimeError("service is not running")
         item = _Pending(
-            index=next(self._submit_seq),
-            query=np.asarray(query, dtype=np.float32),
-            k=k,
-            arrival_us=self._now_us(),
+            next(self._submit_seq), np.asarray(query, dtype=np.float32), k,
+            self._now_us(),
         )
-        try:
-            self._queue.put_nowait(item)
-        except queue_mod.Full:
-            rejection = Overloaded(
-                self.spec.queue_depth, self._queue.qsize(), item.arrival_us
-            )
-            with self._control_lock:
-                self._live_decisions.append(
-                    ("reject", item.index, round(item.arrival_us, 3))
+        with self._control_lock:
+            if self._queue is None:
+                raise RuntimeError("service is not running")
+            try:
+                self._queue.put_nowait(item)
+            except queue_mod.Full:
+                return self._reject(
+                    self._live, item.index, item.arrival_us,
+                    self._queue.qsize(),
                 )
-                self._live_outcomes.append(ServedQuery(
-                    index=item.index, arrival_us=item.arrival_us,
-                    status="rejected", overloaded=rejection,
-                ))
-            return rejection
         return item.ticket
 
     def stop(self) -> ServeReport:
-        """Drain the queue, stop the workers, restore the data plane.
+        """Stop the workers, serve what is left, restore the data plane.
 
-        Queries already admitted are served before shutdown completes; the
+        Every admitted query is served before shutdown completes.  Workers
+        empty the queue before they exit, and admission stays open until
+        they have: a query admitted after the last worker's final look is
+        served here, on the stopping thread, through the same
+        :meth:`_dispatch`.  A :meth:`submit` after that raises.  The
         session's outcomes come back as a :class:`ServeReport`.
         """
         with self._control_lock:
@@ -881,100 +910,32 @@ class SearchService:
         self._stop_event.set()
         for thread in threads:
             thread.join()
-        horizon = self._now_us()
         with self._control_lock:
-            if self._plane_saved is not None:
-                self._uninstall_plane(self._plane_saved)
-                self._plane_saved = None
-            self._queue = None
-            outcomes = sorted(self._live_outcomes, key=lambda o: o.index)
-            decisions = list(self._live_decisions)
-        return ServeReport(
-            outcomes=outcomes, decisions=decisions,
-            horizon_us=horizon, spec=self.spec,
-        )
+            queue, self._queue = self._queue, None
+            ledger, self._live = self._live, None
+        while not queue.empty():
+            self._dispatch(
+                partial(_next_waiting, queue), self._now_us(), queue.qsize(),
+                ledger,
+            )
+        self._uninstall_plane(ledger.plane)
+        return ledger.report(self._now_us(), self.spec)
 
-    def _worker_loop(self) -> None:
-        spec = self.spec
-        assert self._queue is not None
+    def _worker_loop(self, queue: queue_mod.Queue, ledger: _Ledger) -> None:
         while True:
             try:
-                first = self._queue.get(timeout=0.02)
+                first = queue.get(timeout=0.02)
             except queue_mod.Empty:
                 if self._stop_event.is_set():
                     return
                 continue
-            batch = [first]
-            while len(batch) < spec.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue_mod.Empty:
-                    break
-            self._serve_live_batch(batch)
-
-    def _serve_live_batch(self, batch: list[_Pending]) -> None:
-        spec = self.spec
-        now = self._now_us()
-        occupancy = min(
-            (self._queue.qsize() + len(batch)) / spec.queue_depth, 1.0
-        ) if self._queue is not None else 1.0
-        with self._control_lock:
-            self._pre_dispatch(now, self._live_decisions)
-            tier = self.tier_for_occupancy(occupancy)
-        candidate_size = spec.shed_tiers[tier]
-        live: list[_Pending] = []
-        for item in batch:
-            waited = now - item.arrival_us
-            if spec.deadline_us is not None and waited >= spec.deadline_us:
-                outcome = ServedQuery(
-                    index=item.index, arrival_us=item.arrival_us,
-                    status="expired",
-                )
-                with self._control_lock:
-                    self._live_decisions.append(
-                        ("expire", item.index, round(now, 3))
-                    )
-                    self._live_outcomes.append(outcome)
-                item.ticket._fulfill(outcome)
-            else:
-                live.append(item)
-        if not live:
-            return
-        stoppers = None
-        if spec.deadline_us is not None:
-            stoppers = [
-                self._make_stopper(spec.deadline_us - (now - item.arrival_us))
-                for item in live
-            ]
-        with self._control_lock:
-            self._live_decisions.append((
-                "dispatch", round(now, 3),
-                tuple(item.index for item in live), tier, candidate_size,
-            ))
-            # A segment swapped in while the service runs gets the plane
-            # at its first dispatch, not at the next restart.
-            if self._plane_saved is not None:
-                self._plane_saved += self._install_plane()
-        results = self._execute_batch(
-            [item.query for item in live], live[0].k, candidate_size, stoppers,
-        )
-        done = self._now_us()
-        with self._control_lock:
-            self._post_dispatch(done, self._live_decisions)
-        for j, item in enumerate(live):
-            outcome = ServedQuery(
-                index=item.index, arrival_us=item.arrival_us,
-                status="ok", tier=tier, candidate_size=candidate_size,
-                dispatch_us=now, complete_us=done, result=results[j],
-                truncated=bool(stoppers and stoppers[j].fired),
+            items = itertools.chain(
+                [first], iter(partial(_next_waiting, queue), None)
             )
-            outcome.deadline_missed = (
-                spec.deadline_us is not None
-                and outcome.sojourn_us > spec.deadline_us
+            self._dispatch(
+                partial(next, items, None), self._now_us(), queue.qsize() + 1,
+                ledger,
             )
-            with self._control_lock:
-                self._live_outcomes.append(outcome)
-            item.ticket._fulfill(outcome)
 
 
 # ---------------------------------------------------------------------------

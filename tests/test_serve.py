@@ -576,6 +576,161 @@ class TestLiveService:
             assert not service.running
             assert _plane_state(coordinator) == before
 
+    def test_each_query_gets_its_own_k(self, coordinator, serve_dataset,
+                                       monkeypatch):
+        """Regression: a live micro-batch mixing ``k`` values answered every
+        query with the first query's ``k``.  Each answer now equals a lone
+        ``search_batch`` at that query's own ``k``."""
+        spec = ServeSpec(workers=1, queue_depth=64, shed_tiers=(32,))
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        ks = [3 if i % 2 == 0 else 10 for i in range(40)]
+        search_batch = coordinator.search_batch
+        release = threading.Event()
+
+        def held(*args, **kwargs):
+            # the worker waits here until every query is queued, so the
+            # batches after the first are full and alternate k = 3, 10
+            assert release.wait(5.0)
+            return search_batch(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "search_batch", held)
+        service = SearchService(coordinator, spec)
+        service.start()
+        try:
+            tickets = [
+                service.submit(queries[i % len(queries)], k)
+                for i, k in enumerate(ks)
+            ]
+            release.set()
+        finally:
+            report = service.stop()
+        assert report.completed == len(ks)
+        batches = [d[2] for d in report.decisions if d[0] == "dispatch"]
+        assert any(len({ks[i] for i in batch}) == 2 for batch in batches)
+        for i, (ticket, k) in enumerate(zip(tickets, ks)):
+            outcome = ticket.result(timeout=5.0)
+            assert outcome is not None and outcome.ok
+            alone = search_batch(queries[i % len(queries)][None], k, 32)[0]
+            assert len(outcome.result.ids) == k
+            np.testing.assert_array_equal(outcome.result.ids, alone.ids)
+            np.testing.assert_array_equal(outcome.result.dists, alone.dists)
+
+    def test_submit_during_stop_is_served(self, coordinator, serve_dataset,
+                                          monkeypatch):
+        """Regression: a query admitted after the last worker exited (while
+        ``stop()`` joins) was accepted and never answered.  ``stop()`` now
+        serves it on the stopping thread, and it is in the report; a
+        ``start()`` meanwhile is refused instead of opening a second session
+        under the stopping one."""
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        service = SearchService(
+            coordinator, ServeSpec(workers=1, shed_tiers=(32,))
+        )
+        join = threading.Thread.join
+        late = []
+
+        def join_then_submit(thread, timeout=None):
+            join(thread, timeout)
+            if thread.name.startswith("serve-worker") and not late:
+                late.append(service.submit(queries[0], k=10))
+                # a stop() in progress still owns the session
+                with pytest.raises(RuntimeError, match="already running"):
+                    service.start()
+
+        service.start()
+        first = service.submit(queries[1], k=10)
+        assert first.result(timeout=5.0).ok
+        monkeypatch.setattr(threading.Thread, "join", join_then_submit)
+        report = service.stop()
+        monkeypatch.undo()
+        assert len(late) == 1 and isinstance(late[0], Ticket)
+        outcome = late[0].result(timeout=0.5)
+        assert outcome is not None and outcome.ok
+        assert report.arrivals == 2 and report.completed == 2
+        assert any(o is outcome for o in report.outcomes)
+        with pytest.raises(RuntimeError, match="not running"):
+            service.submit(queries[0], k=10)
+
+    def test_no_lock_is_held_across_the_search(self, coordinator,
+                                               serve_dataset, monkeypatch):
+        """The service's control lock guards the breakers and the ledger
+        only: no worker holds it while ``coordinator.search_batch`` runs."""
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        service = SearchService(
+            coordinator, ServeSpec(workers=1, shed_tiers=(32,))
+        )
+        search_batch = coordinator.search_batch
+        held = []
+
+        def spy(*args, **kwargs):
+            held.append(service._control_lock.locked())
+            return search_batch(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "search_batch", spy)
+        service.start()
+        try:
+            for q in queries:  # one at a time: no submitter holds the lock
+                assert service.submit(q, k=10).result(timeout=5.0).ok
+        finally:
+            service.stop()
+        assert held and not any(held)
+
+
+class TestLivePolicy:
+    """Expiry and breakers on the threaded front end: the same
+    ``_dispatch`` the virtual-clock tests pin, on wall time."""
+
+    def test_queued_burst_expires(self, coordinator, serve_dataset):
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        spec = ServeSpec(workers=1, queue_depth=32, max_batch=2,
+                         deadline_us=1.0, shed_tiers=(32,))
+        service = SearchService(coordinator, spec)
+        service.start()
+        try:
+            tickets = [service.submit(q, k=10) for q in queries]
+            outcomes = [t.result(timeout=5.0) for t in tickets]
+        finally:
+            report = service.stop()
+        assert all(o is not None for o in outcomes)
+        expired = {o.index for o in outcomes if o.status == "expired"}
+        assert expired
+        assert {d[1] for d in report.decisions if d[0] == "expire"} == expired
+        assert report.expired == len(expired)
+        assert report.arrivals == len(queries)
+        for outcome in outcomes:
+            if outcome.status == "expired":
+                assert outcome.result is None and outcome.tier is None
+        # an expired query is never searched
+        for d in report.decisions:
+            if d[0] == "dispatch":
+                assert not expired & set(d[2])
+
+    def test_breaker_opens_then_half_opens_on_wall_time(self, coordinator,
+                                                        serve_dataset):
+        queries = np.asarray(serve_dataset.queries, dtype=np.float32)
+        probe_us = 20_000.0
+        spec = ServeSpec(workers=1, shed_tiers=(32,),
+                         breaker_probe_us=probe_us)
+        service = SearchService(coordinator, spec)
+        service.start()
+        try:
+            assert service.submit(queries[0], k=10).result(5.0).ok
+            coordinator.quarantine_segment(0)
+            hurt = service.submit(queries[1], k=10).result(5.0)
+            assert hurt.ok and hurt.result.degraded
+            assert service.breakers[0].state == "open"
+            time.sleep(2 * probe_us / 1e6)
+            healed = service.submit(queries[2], k=10).result(5.0)
+            assert healed.ok and not healed.result.degraded
+        finally:
+            report = service.stop()
+            coordinator.reinstate(0)
+        moves = [(d[2], d[3]) for d in report.decisions
+                 if d[0] == "breaker" and d[1] == 0]
+        assert [state for state, _ in moves] == ["open", "half_open", "closed"]
+        assert moves[1][1] - moves[0][1] >= probe_us
+        assert service.breakers[0].state == "closed"
+
 
 # ---------------------------------------------------------------------------
 # shared plane primitives
